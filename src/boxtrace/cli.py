@@ -7,24 +7,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bmff import dump_tree, parse_file
 from .errors import DataError, ParseError, UnknownEnum
 from .evaluate import (
     Scenario,
-    derive_labels,
     digest_rows,
     format_report_text,
     get_scenario,
+    labeled_multisets,
     load_manifest,
     report_to_obj,
     run_scenario,
     scenario_names,
 )
 from .fixtures import FixtureSpec, generate_corpus
-from .llr import DEFAULT_TAU, FilterConfig, filter_vocabulary, report_tsv
+from .llr import DEFAULT_TAU, FilterConfig, llr_report, report_tsv
 from .modelfile import (
     classify_tree,
     load_model,
@@ -34,7 +33,7 @@ from .modelfile import (
 )
 from .symbols import default_blacklist, dump_symbols, extract_symbols
 from .tree import TreeParams, to_dot
-from .vectorize import build_vocabulary
+from .vectorize import count_matrix
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -85,20 +84,11 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _labeled_multisets(manifest, scenario):
-    labeled = derive_labels(manifest, scenario)
-    multisets = [extract_symbols(parse_file(str(row.path)), default_blacklist())
-                 for row, _ in labeled]
-    labels = [label for _, label in labeled]
-    rows = [row for row, _ in labeled]
-    return rows, multisets, labels
-
-
 def cmd_train(args) -> int:
     manifest = load_manifest(args.manifest)
     for warning in manifest.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    rows, multisets, labels = _labeled_multisets(manifest, args.scenario)
+    rows, multisets, labels = labeled_multisets(manifest, args.scenario)
     mf = train_model(multisets, labels, tau=args.tau, params=_tree_params(args),
                      scenario=args.scenario.name,
                      manifest_digest=digest_rows(rows))
@@ -134,11 +124,9 @@ def _classify_one(mf, digest, file_name, explain):
 def cmd_classify(args) -> int:
     mf = load_model(args.model)
     digest = model_digest(mf)
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(args.files)))) as pool:
-        records = pool.map(
-            lambda f: _classify_one(mf, digest, f, args.explain), args.files)
-        for record in records:
-            print(json.dumps(record, sort_keys=True))
+    for file_name in args.files:
+        record = _classify_one(mf, digest, file_name, args.explain)
+        print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 
 
@@ -159,10 +147,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_llr_report(args) -> int:
     manifest = load_manifest(args.manifest)
-    _, multisets, labels = _labeled_multisets(manifest, args.scenario)
-    vocab = build_vocabulary(multisets)
-    _, report = filter_vocabulary(vocab, list(zip(multisets, labels)),
-                                  FilterConfig(args.tau))
+    _, multisets, labels = labeled_multisets(manifest, args.scenario)
+    report = llr_report(count_matrix(multisets), labels, FilterConfig(args.tau))
     sys.stdout.write(report_tsv(report))
     return EXIT_OK
 

@@ -30,7 +30,7 @@ from .llr import FilterConfig
 from .modelfile import ModelFile, train_model
 from .symbols import SymbolMultiset, default_blacklist, extract_symbols
 from .tree import TreeParams, decision_path, predict, replay_path
-from .vectorize import vectorize
+from .vectorize import FeatureVector, count_matrix
 
 OS_VALUES = ("Android", "iOS")
 SOFTWARE_VALUES = ("none", "avidemux", "exiftool", "ffmpeg", "kdenlive", "premiere")
@@ -271,14 +271,20 @@ class EvaluationReport:
     tnr: float | None = None
 
 
-def _build_multisets(rows, cache):
-    out = []
-    for row in rows:
+def labeled_multisets(
+    manifest: DatasetManifest, scenario: Scenario
+) -> tuple[list[ManifestRow], list[SymbolMultiset], list[str]]:
+    """The scenario's rows, their symbol multisets and their labels; a file
+    listed on several rows is parsed once."""
+    labeled = derive_labels(manifest, scenario)
+    cache: dict[Path, SymbolMultiset] = {}
+    for row, _ in labeled:
         if row.path not in cache:
             cache[row.path] = extract_symbols(parse_file(str(row.path)),
                                               default_blacklist())
-        out.append(cache[row.path])
-    return out
+    return ([row for row, _ in labeled],
+            [cache[row.path] for row, _ in labeled],
+            [label for _, label in labeled])
 
 
 def run_scenario(
@@ -289,41 +295,41 @@ def run_scenario(
 ) -> EvaluationReport:
     """Leave-one-device-out evaluation of one scenario.
 
-    Each fold's vocabulary, filter, weights and tree are fit on the
-    training devices only; every prediction's decision path is replayed
-    as a self-check before it is counted.
+    Every scenario file is parsed once into one files x symbols count
+    matrix. Each fold trains on the rows of the training devices, so its
+    vocabulary, filter, weights and tree never see the held-out device;
+    its test files are the same columns of the held-out rows. Every
+    prediction's decision path is replayed as a self-check before it is
+    counted.
     """
     cfg = filter_cfg if filter_cfg is not None else FilterConfig()
     params = tree_params if tree_params is not None else TreeParams()
-    labeled = derive_labels(manifest, scenario)
-    classes = sorted({label for _, label in labeled})
-    by_device: dict[str, list[tuple[ManifestRow, str]]] = defaultdict(list)
-    for row, label in labeled:
-        by_device[row.device].append((row, label))
+    rows, multisets, labels = labeled_multisets(manifest, scenario)
+    classes = sorted(set(labels))
+    by_device: dict[str, list[int]] = defaultdict(list)
+    for i, row in enumerate(rows):
+        by_device[row.device].append(i)
     folds = lodo_folds(manifest)
-    # Parse every scenario file up front so fold timings measure
-    # training and classification, not first-touch file parsing.
-    cache: dict[Path, SymbolMultiset] = {}
-    _build_multisets([row for row, _ in labeled], cache)
+    matrix = count_matrix(multisets)
+    del multisets  # the matrix holds all that the folds use of them
+    column = {s: j for j, s in enumerate(matrix.symbols)}
     results: list[FoldResult] = []
     for fold in folds:
-        train_pairs = [pair for device in sorted(by_device)
-                       if device != fold.device for pair in by_device[device]]
-        test_pairs = by_device.get(fold.device, [])
-        train_rows = [row for row, _ in train_pairs]
-        train_ms = _build_multisets(train_rows, cache)
-        train_labels = [label for _, label in train_pairs]
+        train = [i for device in sorted(by_device) if device != fold.device
+                 for i in by_device[device]]
+        test = by_device.get(fold.device, [])
         started = time.perf_counter()
-        mf = train_model(train_ms, train_labels, tau=cfg.tau, params=params,
-                         scenario=scenario.name,
-                         manifest_digest=digest_rows(train_rows),
+        mf = train_model(matrix.take(train), [labels[i] for i in train],
+                         tau=cfg.tau, params=params, scenario=scenario.name,
+                         manifest_digest=digest_rows([rows[i] for i in train]),
                          trained_at="")
         train_seconds = time.perf_counter() - started
         cm = ConfusionMatrix.empty(classes)
         started = time.perf_counter()
-        for row, true_label in test_pairs:
-            ms = _build_multisets([row], cache)[0]
-            vector = vectorize(ms, mf.model.vocabulary)
+        kept_columns = [column[s] for s in mf.model.vocabulary.symbols]
+        test_counts = matrix.counts[np.ix_(test, kept_columns)]
+        for i, counts in zip(test, test_counts):
+            vector = FeatureVector.from_dense(counts)
             verdict = predict(mf.model, vector)
             # Every verdict must be reproducible from its own explanation.
             steps = decision_path(mf.model, vector)
@@ -331,13 +337,13 @@ def run_scenario(
             if replayed != verdict:
                 raise AssertionError(
                     f"decision path replay gave {replayed!r}, "
-                    f"predict gave {verdict!r} for {row.file}")
-            cm.add(true_label, verdict)
+                    f"predict gave {verdict!r} for {rows[i].file}")
+            cm.add(labels[i], verdict)
         test_seconds = time.perf_counter() - started
-        bacc = balanced_accuracy(cm) if test_pairs else None
+        bacc = balanced_accuracy(cm) if test else None
         results.append(FoldResult(
-            device=fold.device, n_train=len(train_pairs),
-            n_test=len(test_pairs), balanced_accuracy=bacc, confusion=cm,
+            device=fold.device, n_train=len(train),
+            n_test=len(test), balanced_accuracy=bacc, confusion=cm,
             train_seconds=train_seconds, test_seconds=test_seconds, model=mf))
     fold_baccs = [r.balanced_accuracy for r in results
                   if r.balanced_accuracy is not None]

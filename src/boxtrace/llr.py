@@ -5,6 +5,9 @@ log-likelihood ratio above the threshold; everything else is treated as
 intra-class noise and removed. Frequencies are per-container presence
 rates with add-one smoothing on numerator and denominator, so every
 ratio is finite.
+
+The maximum over ordered pairs is taken in closed form, as the log of
+the largest class frequency minus the log of the smallest.
 """
 
 from __future__ import annotations
@@ -13,9 +16,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .errors import EmptyClass, SingleClass, UnknownClass
 from .symbols import SymbolMultiset
-from .vectorize import Vocabulary
+from .vectorize import CountMatrix, Vocabulary, count_matrix
 
 DEFAULT_TAU = 0.5
 
@@ -97,20 +102,72 @@ def llr(canonical: str, cu: str, cv: str, table: ClassFrequencyTable) -> float:
         table.frequency(canonical, cv))
 
 
+def class_presence(counts: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
+    """K x V table of how many files of each class contain each column:
+    ``onehot(y).T @ (counts > 0)``, summed class by class so that no
+    int64 copy of the matrix is made."""
+    present = counts > 0
+    return np.stack([present[y == c].sum(axis=0) for c in range(n_classes)])
+
+
+def pairwise_llr(
+    presence: np.ndarray, sizes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum LLR over ordered class pairs for every column of a K x V
+    presence table (K >= 2), with the class indices of the pair achieving
+    it.
+
+    Each log frequency is ``math.log((k + 1) / (n + 1))``, as in `llr`.
+    Float subtraction rounds monotonically, so ``log f_max - log f_min``
+    has the same bits as the largest pairwise difference. The pair is the
+    one the ordered enumeration ``(c_i, c_j), (c_j, c_i)`` for ``i < j``
+    meets first: the first maximum over the first minimum, or ``(c0, c1)``
+    when every class has the same frequency. Distinct smoothed
+    frequencies differ in log by far more than one rounding step, so only
+    exact ties can share the maximum.
+    """
+    logs = np.empty(presence.shape, dtype=np.float64)
+    for c, n in enumerate(sizes):
+        ks, inverse = np.unique(presence[c], return_inverse=True)
+        logs[c] = np.array([math.log((int(k) + 1) / (int(n) + 1))
+                            for k in ks])[inverse]
+    hi, lo = logs.argmax(axis=0), logs.argmin(axis=0)
+    columns = np.arange(logs.shape[1])
+    best = logs[hi, columns] - logs[lo, columns]
+    tied = best == 0
+    hi[tied], lo[tied] = 0, 1
+    return best, hi, lo
+
+
 def max_pairwise_llr(
     canonical: str, table: ClassFrequencyTable
 ) -> tuple[float, tuple[str, str]]:
     """Maximum LLR over ordered class pairs and the pair achieving it."""
-    best = -math.inf
-    best_pair = (table.classes[0], table.classes[1])
-    for i, cu in enumerate(table.classes):
-        for cv in table.classes[i + 1:]:
-            value = llr(canonical, cu, cv, table)
-            # Antisymmetry: checking unordered pairs both ways suffices.
-            for v, pair in ((value, (cu, cv)), (-value, (cv, cu))):
-                if v > best:
-                    best, best_pair = v, pair
-    return best, best_pair
+    presence = np.array([[table.present[c].get(canonical, 0)]
+                         for c in table.classes])
+    best, hi, lo = pairwise_llr(presence,
+                                [table.sizes[c] for c in table.classes])
+    return float(best[0]), (table.classes[hi[0]], table.classes[lo[0]])
+
+
+def llr_report(
+    matrix: CountMatrix, labels: Sequence[str], cfg: FilterConfig
+) -> LLRReport:
+    """Max pairwise LLR, best pair and keep decision of every column of a
+    training count matrix whose rows carry `labels`."""
+    classes = sorted(set(labels))
+    if len(classes) < 2:
+        raise SingleClass(f"need at least 2 classes, got {len(classes)}")
+    to_int = {c: i for i, c in enumerate(classes)}
+    y = np.array([to_int[label] for label in labels], dtype=np.intp)
+    best, hi, lo = pairwise_llr(class_presence(matrix.counts, y, len(classes)),
+                                np.bincount(y, minlength=len(classes)))
+    report = LLRReport(tau=cfg.tau)
+    for canonical, value, i, j in zip(matrix.symbols, best.tolist(),
+                                      hi.tolist(), lo.tolist()):
+        report.records.append(LLRRecord(canonical, (classes[i], classes[j]),
+                                        value, value > cfg.tau))
+    return report
 
 
 def filter_vocabulary(
@@ -121,16 +178,9 @@ def filter_vocabulary(
     """Keep the symbols whose best pairwise LLR exceeds the threshold."""
     if cfg is None:
         cfg = FilterConfig()
-    table = class_frequency(corpus)
-    report = LLRReport(tau=cfg.tau)
-    kept: list[str] = []
-    for canonical in vocab.symbols:
-        best, pair = max_pairwise_llr(canonical, table)
-        is_kept = best > cfg.tau
-        report.records.append(LLRRecord(canonical, pair, best, is_kept))
-        if is_kept:
-            kept.append(canonical)
-    return Vocabulary.from_strings(kept), report
+    matrix = count_matrix([ms for ms, _ in corpus], vocab)
+    report = llr_report(matrix, [label for _, label in corpus], cfg)
+    return Vocabulary.from_strings(report.kept_symbols()), report
 
 
 def report_tsv(report: LLRReport) -> str:

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Sequence
 
+import numpy as np
+
 from .bmff import ContainerTree
-from .errors import ModelFormatError
-from .llr import DEFAULT_TAU, FilterConfig, filter_vocabulary
+from .errors import DimensionMismatch, EmptyCorpus, ModelFormatError
+from .llr import DEFAULT_TAU, FilterConfig, llr_report
 from .symbols import SymbolMultiset, default_blacklist, extract_symbols
 from .tree import (
     DecisionTreeModel,
@@ -29,7 +31,7 @@ from .tree import (
     predict,
     train_tree,
 )
-from .vectorize import Vocabulary, build_vocabulary, vectorize
+from .vectorize import CountMatrix, Vocabulary, count_matrix, vectorize
 
 MODEL_FORMAT_VERSION = 1
 
@@ -223,7 +225,7 @@ def model_digest(mf: ModelFile) -> str:
 
 
 def train_model(
-    multisets: Sequence[SymbolMultiset],
+    corpus: Sequence[SymbolMultiset] | CountMatrix,
     labels: Sequence[str],
     *,
     tau: float = DEFAULT_TAU,
@@ -232,19 +234,29 @@ def train_model(
     manifest_digest: str = "",
     trained_at: str | None = None,
 ) -> ModelFile:
-    """Vocabulary, LLR filter, class weights and tree, in training order."""
-    vocab = build_vocabulary(multisets)
+    """Vocabulary, LLR filter, class weights and tree, in training order.
+
+    `corpus` holds the training files' symbol multisets, or their count
+    matrix; its columns are the vocabulary. Leave-one-device-out folds
+    pass the rows of one count matrix, so no file is symbolized twice.
+    """
+    matrix = corpus if isinstance(corpus, CountMatrix) else count_matrix(corpus)
+    vocab = list(matrix.symbols)
+    if len(matrix.counts) == 0:
+        raise EmptyCorpus("cannot train on an empty corpus")
+    if len(matrix.counts) != len(labels):
+        raise DimensionMismatch(
+            f"{len(matrix.counts)} files but {len(labels)} labels")
     if len(set(labels)) < 2:
         # The pairwise filter is undefined for one class; keep everything
         # and let training degenerate to a single leaf.
-        filtered = vocab
+        kept = np.ones(len(vocab), dtype=bool)
     else:
-        filtered, _ = filter_vocabulary(vocab, list(zip(multisets, labels)),
-                                        FilterConfig(tau))
-    kept = [s in filtered.index for s in vocab.symbols]
-    vectors = [vectorize(ms, filtered) for ms in multisets]
-    model = train_tree(vectors, list(labels), filtered, params)
-    return ModelFile(full_vocabulary=list(vocab.symbols), kept=kept, tau=tau,
+        report = llr_report(matrix, labels, FilterConfig(tau))
+        kept = np.array([r.kept for r in report.records], dtype=bool)
+    filtered = Vocabulary.from_strings(s for s, k in zip(vocab, kept) if k)
+    model = train_tree(matrix.counts[:, kept], list(labels), filtered, params)
+    return ModelFile(full_vocabulary=vocab, kept=kept.tolist(), tau=tau,
                      model=model, scenario=scenario,
                      manifest_digest=manifest_digest,
                      trained_at=resolve_timestamp(trained_at))

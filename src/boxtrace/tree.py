@@ -17,8 +17,9 @@ import numpy as np
 from .errors import DataError, DimensionMismatch, EmptyTrainingSet, ZeroMass
 from .vectorize import FeatureVector, Vocabulary
 
-# Two split candidates whose Gini decreases differ by no more than this are
-# treated as tied and resolved by (feature index, threshold).
+# Split candidates are scanned in (feature index, threshold) order; a later
+# candidate replaces the running best only if its Gini decrease is larger by
+# more than this.
 EPS = 1e-12
 
 
@@ -141,7 +142,7 @@ def _best_split_arrays(
                         - (w_right / total) * g_right)
             if (best is None and decrease > EPS) or (
                     best is not None and decrease > best[0] + EPS):
-                threshold = float(sv[b] + sv[b + 1]) / 2.0
+                threshold = (float(sv[b]) + float(sv[b + 1])) / 2.0
                 best = (decrease, j, threshold)
     if best is None:
         return None
@@ -150,25 +151,30 @@ def _best_split_arrays(
 
 
 def _encode(
-    vectors: Sequence[FeatureVector],
+    vectors: Sequence[FeatureVector] | np.ndarray,
     labels: Sequence[str],
     class_weights: Mapping[str, float] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], dict[str, float]]:
-    if not vectors:
+    if len(vectors) == 0:
         raise EmptyTrainingSet("no training vectors")
     if len(vectors) != len(labels):
         raise DimensionMismatch(
             f"{len(vectors)} vectors but {len(labels)} labels")
-    sizes = {v.size for v in vectors}
-    if len(sizes) > 1:
-        raise DimensionMismatch(f"mixed vector lengths: {sorted(sizes)}")
+    # Counts stay integers: sorting, boundaries and the `<=` tests match
+    # their float values, and the matrix is half the size of a float copy.
+    if isinstance(vectors, np.ndarray):
+        X = vectors
+    else:
+        sizes = {v.size for v in vectors}
+        if len(sizes) > 1:
+            raise DimensionMismatch(f"mixed vector lengths: {sorted(sizes)}")
+        X = np.array([v.to_dense() for v in vectors], dtype=np.int64)
     classes = sorted(set(labels))
     weights = dict(class_weights) if class_weights is not None \
         else compute_class_weights(labels)
     for c in classes:
         if c not in weights:
             raise DataError(f"no weight for class {c!r}")
-    X = np.array([v.to_dense() for v in vectors], dtype=np.float64)
     to_int = {c: i for i, c in enumerate(classes)}
     y = np.array([to_int[label] for label in labels], dtype=np.intp)
     w = np.array([weights[label] for label in labels], dtype=np.float64)
@@ -176,16 +182,20 @@ def _encode(
 
 
 def best_split(
-    vectors: Sequence[FeatureVector],
+    vectors: Sequence[FeatureVector] | np.ndarray,
     labels: Sequence[str],
     class_weights: Mapping[str, float] | None = None,
     min_samples_leaf: int = 1,
 ) -> SplitCandidate | None:
     """Exhaustive search over every (feature, midpoint) candidate.
 
-    Returns the candidate maximizing the weighted Gini decrease; ties go
-    to the lower feature index, then the lower threshold. None means no
-    candidate achieves a strictly positive decrease.
+    Candidates are scanned by feature index, then by threshold. The first
+    one with a decrease above `EPS` becomes the running best, and a later
+    one replaces it only if its decrease exceeds the running best's by
+    more than `EPS`. Near-ties therefore chain, and the result need not be
+    the lowest-index candidate within `EPS` of the maximum: with decreases
+    d, d + 0.6 EPS, d + 1.2 EPS in scan order, the third wins. None means
+    no candidate achieves a decrease above `EPS`.
     """
     X, y, w, classes, _ = _encode(vectors, labels, class_weights)
     return _best_split_arrays(X, y, w, len(classes), min_samples_leaf)
@@ -220,7 +230,7 @@ def _grow(
 
 
 def grow(
-    vectors: Sequence[FeatureVector],
+    vectors: Sequence[FeatureVector] | np.ndarray,
     labels: Sequence[str],
     class_weights: Mapping[str, float] | None = None,
     params: TreeParams = TreeParams(),
@@ -289,13 +299,17 @@ def prune(tree: TreeNode, ccp_alpha: float) -> TreeNode:
 
 
 def train_tree(
-    vectors: Sequence[FeatureVector],
+    vectors: Sequence[FeatureVector] | np.ndarray,
     labels: Sequence[str],
     vocabulary: Vocabulary,
     params: TreeParams = TreeParams(),
     class_weights: Mapping[str, float] | None = None,
 ) -> DecisionTreeModel:
-    """Grow and prune a tree whose features index `vocabulary`."""
+    """Grow and prune a tree whose features index `vocabulary`.
+
+    `vectors` is a sequence of feature vectors or a files x features count
+    matrix.
+    """
     X, y, w, classes, weights = _encode(vectors, labels, class_weights)
     if X.shape[1] != len(vocabulary):
         raise DimensionMismatch(

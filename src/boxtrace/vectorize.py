@@ -1,7 +1,9 @@
-"""Fixed-length count vectors over a global symbol vocabulary."""
+"""Fixed-length count vectors over a global symbol vocabulary, and the
+files x symbols count matrix that training selects rows and columns from."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -50,6 +52,33 @@ class FeatureVector:
             dense[i] = c
         return dense
 
+    @classmethod
+    def from_dense(cls, row: np.ndarray) -> "FeatureVector":
+        """The vector holding the nonzero entries of a dense count row."""
+        nonzero = np.flatnonzero(row)
+        return cls(size=len(row),
+                   counts=dict(zip(nonzero.tolist(), row[nonzero].tolist())))
+
+
+@dataclass(frozen=True, eq=False)
+class CountMatrix:
+    """Occurrence counts of every symbol in every file of a corpus.
+
+    The columns are the symbols with a nonzero count in some row, in
+    lexicographic order, so they are the corpus's vocabulary.
+    """
+
+    symbols: tuple[str, ...]
+    counts: np.ndarray  # int32, files x symbols
+
+    def take(self, rows: Sequence[int]) -> "CountMatrix":
+        """The matrix of a subset of the files: the chosen rows, over the
+        columns that have a nonzero count in them."""
+        counts = self.counts[np.asarray(rows, dtype=np.intp)]
+        used = np.flatnonzero(counts.any(axis=0))
+        return CountMatrix(tuple(self.symbols[j] for j in used),
+                           counts[:, used])
+
 
 def build_vocabulary(corpus: Sequence[SymbolMultiset]) -> Vocabulary:
     """Union of all symbols across the corpus, lexicographically ordered."""
@@ -69,3 +98,35 @@ def vectorize(ms: SymbolMultiset, vocab: Vocabulary) -> FeatureVector:
         if i is not None:
             counts[i] = counts.get(i, 0) + count
     return FeatureVector(size=len(vocab), counts=counts, source_id=ms.source_id)
+
+
+def count_matrix(
+    corpus: Sequence[SymbolMultiset], vocab: Vocabulary | None = None
+) -> CountMatrix:
+    """One row per multiset, over `vocab` (symbols outside it drop) or, by
+    default, over the union of their symbols. Each symbol is canonicalized
+    once per file; entries with a zero count are absent."""
+    if not corpus:
+        raise EmptyCorpus("cannot build a count matrix from an empty corpus")
+    # Each distinct symbol string is kept once; entries refer to it by the
+    # order in which it was first seen, or by its place in `vocab`.
+    first_seen: dict[str, int] = {} if vocab is None else dict(vocab.index)
+    rows, seen, values = array("i"), array("i"), array("i")
+    for i, ms in enumerate(corpus):
+        for sym, count in ms:
+            if not count:
+                continue
+            j = (first_seen.setdefault(sym.canonical, len(first_seen))
+                 if vocab is None else first_seen.get(sym.canonical))
+            if j is not None:
+                rows.append(i)
+                seen.append(j)
+                values.append(count)
+    symbols = sorted(first_seen)
+    column = np.empty(len(symbols), dtype=np.intp)
+    column[[first_seen[s] for s in symbols]] = np.arange(len(symbols))
+    counts = np.zeros((len(corpus), len(symbols)), dtype=np.int32)
+    np.add.at(counts, (np.frombuffer(rows, dtype=np.intc),
+                       column[np.frombuffer(seen, dtype=np.intc)]),
+              np.frombuffer(values, dtype=np.intc))
+    return CountMatrix(tuple(symbols), counts)

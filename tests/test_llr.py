@@ -10,6 +10,7 @@ from boxtrace.errors import EmptyClass, SingleClass, UnknownClass
 from boxtrace.llr import (
     ClassFrequencyTable,
     FilterConfig,
+    LLRRecord,
     class_frequency,
     filter_vocabulary,
     llr,
@@ -210,3 +211,108 @@ class TestPairScan:
         best, pair = max_pairwise_llr("s", table)
         assert best == pytest.approx(math.log(4), abs=1e-12)
         assert pair[0] == "U"
+
+
+def oracle_max_pairwise_llr(canonical, table):
+    """Enumeration of every ordered class pair.
+
+    Same contract as max_pairwise_llr, built from the definition: each
+    unordered pair's LLR is computed once with `llr` and tried in both
+    orientations, and only a strictly larger value replaces the best.
+    """
+    best = -math.inf
+    best_pair = (table.classes[0], table.classes[1])
+    for i, cu in enumerate(table.classes):
+        for cv in table.classes[i + 1:]:
+            value = llr(canonical, cu, cv, table)
+            for v, pair in ((value, (cu, cv)), (-value, (cv, cu))):
+                if v > best:
+                    best, best_pair = v, pair
+    return best, best_pair
+
+
+@st.composite
+def presence_rows(draw, n_classes):
+    """(size, presence) per class; `shape` forces the tie cases: every
+    frequency equal, the maximum shared, or the minimum shared. Equal
+    frequencies come from different sizes, as (k+1)/(n+1) = m(k'+1)/m(n'+1)."""
+    shape = draw(st.sampled_from(["random", "all_equal", "tied_max",
+                                  "tied_min"]))
+    rows = []
+    for _ in range(n_classes):
+        n = draw(st.integers(1, 9))
+        rows.append((n, draw(st.integers(0, n))))
+    if shape == "all_equal":
+        n, k = rows[0]
+        scale = [draw(st.integers(1, 3)) for _ in rows]
+        rows = [(m * (n + 1) - 1, m * (k + 1) - 1) for m in scale]
+    elif shape != "random":
+        ratio = [(k + 1) / (n + 1) for n, k in rows]
+        extreme = ratio.index(max(ratio) if shape == "tied_max" else min(ratio))
+        others = [i for i in range(n_classes) if i != extreme]
+        twin = draw(st.sampled_from(others))
+        m = draw(st.integers(1, 3))
+        n, k = rows[extreme]
+        rows[twin] = (m * (n + 1) - 1, m * (k + 1) - 1)
+    return rows
+
+
+def table_of(rows, symbol="s"):
+    classes = [f"C{i}" for i in range(len(rows))]
+    return ClassFrequencyTable(
+        classes=classes,
+        sizes={c: n for c, (n, _) in zip(classes, rows)},
+        present={c: {symbol: k} for c, (_, k) in zip(classes, rows)})
+
+
+class TestClosedFormAgainstOracle:
+    @given(st.integers(2, 6).flatmap(presence_rows))
+    @settings(max_examples=300)
+    def test_same_bits_and_pair_as_enumeration(self, rows):
+        table = table_of(rows)
+        best, pair = max_pairwise_llr("s", table)
+        expected_best, expected_pair = oracle_max_pairwise_llr("s", table)
+        assert best.hex() == expected_best.hex()
+        assert pair == expected_pair
+
+    def test_every_log_frequency_is_math_log(self):
+        # Against a class of frequency 1 the maximum is -ln f of the other
+        # class; np.log differs from math.log on 13 of these 7380 fractions.
+        for n in range(1, 121):
+            for k in range(n + 1):
+                table = table_of([(n, k), (1, 1)])
+                best, _ = max_pairwise_llr("s", table)
+                assert best.hex() == oracle_max_pairwise_llr("s", table)[0].hex()
+
+    def test_all_equal_gives_first_two_classes(self):
+        table = table_of([(3, 1), (7, 3), (1, 0)])
+        assert max_pairwise_llr("s", table) == (0.0, ("C0", "C1"))
+        assert oracle_max_pairwise_llr("s", table) == (0.0, ("C0", "C1"))
+
+    def test_ties_go_to_first_maximum_over_first_minimum(self):
+        # C1 and C3 share the maximum 2/3, C0 and C2 the minimum 1/3.
+        table = table_of([(2, 0), (2, 1), (5, 1), (5, 3)])
+        assert max_pairwise_llr("s", table)[1] == ("C1", "C0")
+        assert oracle_max_pairwise_llr("s", table)[1] == ("C1", "C0")
+
+    @given(st.integers(2, 4).flatmap(
+        lambda k: st.lists(presence_rows(k), min_size=1, max_size=6)))
+    @settings(max_examples=100, deadline=None)
+    def test_filter_records_match_oracle(self, columns):
+        # Column v puts symbol s<v> in the first k files of each class;
+        # every class keeps the size drawn for the first column.
+        sizes = [n for n, _ in columns[0]]
+        symbols = [f"s{v}" for v in range(len(columns))]
+        corpus = []
+        for c, n in enumerate(sizes):
+            for f in range(n):
+                paths = [s for s, rows in zip(symbols, columns)
+                         if f < min(rows[c][1], n)]
+                corpus.append((ms_of(paths + ["base"], f"C{c}/{f}"), f"C{c}"))
+        table = class_frequency(corpus)
+        vocab = build_vocabulary([ms for ms, _ in corpus])
+        _, report = filter_vocabulary(vocab, corpus, FilterConfig(0.5))
+        for record in report.records:
+            best, pair = oracle_max_pairwise_llr(record.symbol, table)
+            assert record == LLRRecord(record.symbol, pair, best, best > 0.5)
+            assert record.max_llr.hex() == best.hex()

@@ -45,14 +45,7 @@ from .modelfile import (
     save_model,
     train_model,
 )
-from .symbols import (
-    FieldBlacklist,
-    Symbol,
-    SymbolMultiset,
-    default_blacklist,
-    dump_symbols,
-    extract_symbols,
-)
+from .symbols import default_blacklist, dump_symbols, extract_symbols
 from .tree import (
     DecisionTreeModel,
     SplitCandidate,

@@ -1,10 +1,20 @@
 """Stream parser for the box (atom) structure of ISO base media files.
 
-Only box headers and the payloads of schema-registered boxes are read;
-opaque payloads (mdat included) are skipped by seeking, so parsing a
-multi-gigabyte file costs time proportional to its box count, not its
-size. Parsing is strict about sizes and lenient about content: unknown
-boxes become opaque nodes, never failures.
+Only box headers and the payloads of schema-registered boxes are
+decoded; opaque payloads larger than the read window (mdat included) are
+skipped by seeking, so parsing a multi-gigabyte file costs time
+proportional to its box count, not its size. Parsing is strict about
+sizes and lenient about content: unknown boxes become opaque nodes, never
+failures; containers nested deeper than `MAX_NESTING` raise
+`NestingTooDeep`.
+
+Bytes come through one window per parse: a read that the last bytes read
+cover is served from them. A miss inside a box reads on to the end of
+that box (at most `_PAYLOAD_READ_CAP` bytes), so a `moov` is one read. A
+miss between top-level boxes reads `_TOP_READ_AHEAD` bytes, twice as many
+after each miss that continues where the window ended, so a run of small
+top-level boxes shares a few reads while a box after a large skipped
+payload costs one small one. Memory stays bounded by the window.
 """
 
 from __future__ import annotations
@@ -14,10 +24,12 @@ import struct
 import uuid as _uuidlib
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import lru_cache
 from typing import BinaryIO, Callable
 
 from .errors import (
     BoxDecodeError,
+    NestingTooDeep,
     NotBmff,
     PayloadTooShort,
     TruncatedBox,
@@ -37,8 +49,19 @@ TOP_LEVEL_TYPES = frozenset({
     "uuid", "pnot", "meta", "mfra", "sidx", "ssix", "prft", "emsg",
 })
 
-# Known-box payloads are read at most this far; opaque payloads not at all.
+# Known-box payloads are decoded from at most this many bytes. It is also
+# the largest read the parser makes, so memory stays bounded.
 _PAYLOAD_READ_CAP = 64 * 1024
+
+# First read between top-level boxes; doubles while those reads are
+# contiguous, up to `_PAYLOAD_READ_CAP`.
+_TOP_READ_AHEAD = 64
+
+# Containers nested deeper than this raise NestingTooDeep; real files
+# nest about 10 deep.
+MAX_NESTING = 64
+
+_HEADER = struct.Struct(">I4s")
 
 _MAX_STSD_ENTRIES = 32
 _MAX_ELST_ENTRIES = 16
@@ -84,56 +107,65 @@ class ContainerTree:
     warnings: list[str] = field(default_factory=list)
 
 
+_TYPE_CODE_CHARS = tuple(
+    chr(b) if 0x20 <= b <= 0x7E and b not in (0x2F, 0x40, 0x5C)
+    else f"\\x{b:02x}"
+    for b in range(256))
+
+
 def render_type_code(raw: bytes) -> str:
     """Render a 4-byte type code; non-printable bytes become ``\\xNN``.
 
     ``/``, ``@`` and ``\\`` are hex-escaped as well so that node names can
     never collide with the symbol path syntax.
     """
-    out = []
-    for b in raw:
-        if 0x20 <= b <= 0x7E and b not in (0x2F, 0x40, 0x5C):
-            out.append(chr(b))
-        else:
-            out.append(f"\\x{b:02x}")
-    return "".join(out)
+    return raw.decode("latin-1").translate(_TYPE_CODE_CHARS)
 
 
 def ascii_or_hex(raw: bytes) -> str:
     """Canonical string for a byte value: printable ASCII or 0x-hex."""
-    if all(0x20 <= b <= 0x7E for b in raw):
-        return raw.decode("ascii")
+    # ASCII is printable exactly from 0x20 to 0x7E.
+    if raw.isascii():
+        text = raw.decode("ascii")
+        if text.isprintable():
+            return text
     return "0x" + raw.hex()
 
 
+@lru_cache(maxsize=4096)
 def _fixed_point(raw: int, frac_bits: int) -> str:
     """Fixed-point value as a decimal string with trailing zeros trimmed."""
     value = Decimal(raw) / Decimal(1 << frac_bits)
     return format(value.normalize(), "f")
 
 
+_U16, _U32, _U64 = (struct.Struct(f).unpack_from for f in (">H", ">I", ">Q"))
+_I16, _I32, _I64 = (struct.Struct(f).unpack_from for f in (">h", ">i", ">q"))
+_MATRIX = struct.Struct(">9i")
+
+
 def _u16(b: bytes, o: int) -> int:
-    return struct.unpack_from(">H", b, o)[0]
+    return _U16(b, o)[0]
 
 
 def _u32(b: bytes, o: int) -> int:
-    return struct.unpack_from(">I", b, o)[0]
+    return _U32(b, o)[0]
 
 
 def _u64(b: bytes, o: int) -> int:
-    return struct.unpack_from(">Q", b, o)[0]
+    return _U64(b, o)[0]
 
 
 def _i16(b: bytes, o: int) -> int:
-    return struct.unpack_from(">h", b, o)[0]
+    return _I16(b, o)[0]
 
 
 def _i32(b: bytes, o: int) -> int:
-    return struct.unpack_from(">i", b, o)[0]
+    return _I32(b, o)[0]
 
 
 def _i64(b: bytes, o: int) -> int:
-    return struct.unpack_from(">q", b, o)[0]
+    return _I64(b, o)[0]
 
 
 def _need(payload: bytes, n: int, what: str) -> None:
@@ -151,11 +183,8 @@ def _fullbox(payload: bytes, what: str) -> tuple[list[tuple[str, str]], bytes]:
 def _matrix(body: bytes, o: int) -> str:
     # 3x3 transform: u, v, w entries (indices 2, 5, 8) are 2.30 fixed,
     # the rest 16.16.
-    parts = []
-    for i in range(9):
-        raw = _i32(body, o + 4 * i)
-        parts.append(_fixed_point(raw, 30 if i % 3 == 2 else 16))
-    return ",".join(parts)
+    return ",".join(_fixed_point(raw, 30 if i % 3 == 2 else 16)
+                    for i, raw in enumerate(_MATRIX.unpack_from(body, o)))
 
 
 def _language(code: int) -> str:
@@ -400,37 +429,67 @@ def _opaque_fields(payload_len: int) -> list[tuple[str, str]]:
     return [("stuff", "opaque"), ("count", str(payload_len))]
 
 
-def _read_at(stream: BinaryIO, offset: int, n: int) -> bytes:
-    stream.seek(offset)
-    return stream.read(n)
+class _Window:
+    """The last bytes read from a stream, and the reads they can serve."""
+
+    def __init__(self, stream: BinaryIO, length: int):
+        self.stream = stream
+        self.length = length
+        self.start = 0
+        self.data = b""
+        self.ahead = _TOP_READ_AHEAD
+
+    def read(self, offset: int, n: int, end: int | None) -> bytes:
+        """The `n` bytes at `offset`, or those the stream holds there.
+
+        `end` is the end of the box enclosing the read, None between
+        top-level boxes. A read that runs past `end` still returns the
+        stream's bytes there: a 64-bit size or uuid user type may lie past
+        its parent's end, and the size checks report that.
+        """
+        pos = offset - self.start
+        if 0 <= pos and pos + n <= len(self.data):
+            return self.data[pos:pos + n]
+        if end is None:
+            if self.data and pos == len(self.data):
+                self.ahead = min(2 * self.ahead, _PAYLOAD_READ_CAP)
+            else:
+                self.ahead = _TOP_READ_AHEAD
+            size = min(self.ahead, self.length - offset)
+        else:
+            size = min(_PAYLOAD_READ_CAP, end - offset)
+        self.stream.seek(offset)
+        self.data = self.stream.read(max(n, size))
+        self.start = offset
+        return self.data[:n]
 
 
 def _read_header(
-    stream: BinaryIO, offset: int, scope_end: int, top_level: bool, first: bool
+    window: _Window, offset: int, scope_end: int, top_level: bool, first: bool
 ) -> BoxHeader:
-    head = _read_at(stream, offset, 8)
+    within = None if top_level else scope_end
+    head = window.read(offset, 8, within)
     if len(head) < 8:
         if first:
             raise NotBmff("no first box exists" if not head else
                           f"only {len(head)} bytes at offset 0, no box header fits")
         raise TruncatedBox(offset, render_type_code(head.ljust(4, b"\x00")[:4]),
                            "trailing bytes cannot hold a box header")
-    size = _u32(head, 0)
-    raw_type = head[4:8]
+    size, raw_type = _HEADER.unpack(head)
     type_code = render_type_code(raw_type)
     if first and type_code not in TOP_LEVEL_TYPES:
         raise NotBmff(f"first box type '{type_code}' is not a recognized top-level box")
     header_len = 8
     large_size = None
     if size == 1:
-        ext = _read_at(stream, offset + header_len, 8)
+        ext = window.read(offset + header_len, 8, within)
         if len(ext) < 8:
             raise TruncatedBox(offset, type_code, "64-bit size field truncated")
         large_size = _u64(ext, 0)
         header_len += 8
     user_type = None
     if raw_type == b"uuid":
-        raw_uuid = _read_at(stream, offset + header_len, 16)
+        raw_uuid = window.read(offset + header_len, 16, within)
         if len(raw_uuid) < 16:
             raise TruncatedBox(offset, type_code, "uuid user type truncated")
         user_type = str(_uuidlib.UUID(bytes=raw_uuid))
@@ -457,17 +516,20 @@ def _read_header(
 
 
 def _parse_boxes(
-    stream: BinaryIO,
+    window: _Window,
     start: int,
     end: int,
-    top_level: bool,
+    depth: int,
     warnings: list[str],
 ) -> list[AtomNode]:
+    """The boxes in [start, end), inside `depth` enclosing containers."""
+    top_level = depth == 0
+    within = None if top_level else end
     nodes: list[AtomNode] = []
     pos = start
     while pos < end:
         if end - pos < 8:
-            tail = _read_at(stream, pos, end - pos)
+            tail = window.read(pos, end - pos, within)
             if not top_level and not any(tail):
                 # QuickTime-style zero terminator padding inside a container.
                 warnings.append(
@@ -475,18 +537,21 @@ def _parse_boxes(
                 break
             raise TruncatedBox(pos, render_type_code(tail.ljust(4, b"\x00")[:4]),
                                "trailing bytes cannot hold a box header")
-        header = _read_header(stream, pos, end, top_level,
+        header = _read_header(window, pos, end, top_level,
                               first=top_level and not nodes)
         if header.type_code in CONTAINER_TYPES:
-            children = _parse_boxes(stream, header.payload_offset,
-                                    header.payload_offset + header.payload_len,
-                                    top_level=False, warnings=warnings)
+            if depth == MAX_NESTING:
+                raise NestingTooDeep(header.offset, header.type_code, MAX_NESTING)
+            children = _parse_boxes(window, header.payload_offset,
+                                    header.offset + header.effective_len,
+                                    depth + 1, warnings)
             nodes.append(AtomNode(header.type_code, header, [], children))
         elif has_schema(header.type_code):
             payload = b""
             if header.type_code != "uuid":
-                payload = _read_at(stream, header.payload_offset,
-                                   min(header.payload_len, _PAYLOAD_READ_CAP))
+                payload = window.read(header.payload_offset,
+                                      min(header.payload_len, _PAYLOAD_READ_CAP),
+                                      within)
             try:
                 fields = decode_known_box(header, payload)
             except BoxDecodeError as exc:
@@ -503,14 +568,18 @@ def _parse_boxes(
 
 
 def parse_container(byte_source: BinaryIO, source_id: str = "") -> ContainerTree:
-    """Parse the full top-level box sequence of a seekable byte stream."""
+    """Parse the full top-level box sequence of a seekable byte stream.
+
+    Raises a `ParseError` for any bytes that do not form a box tree,
+    containers nested deeper than `MAX_NESTING` included.
+    """
     byte_source.seek(0, 2)
     file_len = byte_source.tell()
     if file_len == 0:
         raise NotBmff("empty file")
     warnings: list[str] = []
-    children = _parse_boxes(byte_source, 0, file_len, top_level=True,
-                            warnings=warnings)
+    children = _parse_boxes(_Window(byte_source, file_len), 0, file_len, 0,
+                            warnings)
     root = AtomNode("root", None, [], children)
     return ContainerTree(root=root, source_id=source_id, warnings=warnings)
 

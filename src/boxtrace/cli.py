@@ -31,7 +31,7 @@ from .modelfile import (
     save_model,
     train_model,
 )
-from .symbols import default_blacklist, dump_symbols, extract_symbols
+from .symbols import dump_symbols, extract_symbols
 from .tree import TreeParams, to_dot
 from .vectorize import count_matrix
 
@@ -78,7 +78,7 @@ def cmd_parse(args) -> int:
     for warning in tree.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.symbols:
-        sys.stdout.write(dump_symbols(extract_symbols(tree, default_blacklist())))
+        sys.stdout.write(dump_symbols(extract_symbols(tree)))
     else:
         sys.stdout.write(dump_tree(tree, format=args.format))
     return EXIT_OK

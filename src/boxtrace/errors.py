@@ -34,6 +34,18 @@ class ZeroSizeNonFinal(ParseError):
         self.type_code = type_code
 
 
+class NestingTooDeep(ParseError):
+    """Containers nest deeper than the parser follows."""
+
+    def __init__(self, offset: int, type_code: str, limit: int):
+        super().__init__(
+            f"containers nest more than {limit} deep "
+            f"(box '{type_code}' at offset {offset})"
+        )
+        self.offset = offset
+        self.type_code = type_code
+
+
 class BoxDecodeError(BoxtraceError):
     """A known box's payload could not be field-decoded (non-fatal)."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .llr import FilterConfig
 from .modelfile import ModelFile, train_model
-from .symbols import SymbolMultiset, default_blacklist, extract_symbols
+from .symbols import extract_symbols
 from .tree import TreeParams, decision_path, predict, replay_path
 from .vectorize import FeatureVector, count_matrix
 
@@ -273,15 +273,14 @@ class EvaluationReport:
 
 def labeled_multisets(
     manifest: DatasetManifest, scenario: Scenario
-) -> tuple[list[ManifestRow], list[SymbolMultiset], list[str]]:
+) -> tuple[list[ManifestRow], list[Counter[str]], list[str]]:
     """The scenario's rows, their symbol multisets and their labels; a file
     listed on several rows is parsed once."""
     labeled = derive_labels(manifest, scenario)
-    cache: dict[Path, SymbolMultiset] = {}
+    cache: dict[Path, Counter[str]] = {}
     for row, _ in labeled:
         if row.path not in cache:
-            cache[row.path] = extract_symbols(parse_file(str(row.path)),
-                                              default_blacklist())
+            cache[row.path] = extract_symbols(parse_file(str(row.path)))
     return ([row for row, _ in labeled],
             [cache[row.path] for row, _ in labeled],
             [label for _, label in labeled])

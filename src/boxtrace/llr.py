@@ -13,13 +13,13 @@ the largest class frequency minus the log of the smallest.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EmptyClass, SingleClass, UnknownClass
-from .symbols import SymbolMultiset
 from .vectorize import CountMatrix, Vocabulary, count_matrix
 
 DEFAULT_TAU = 0.5
@@ -69,7 +69,7 @@ class LLRReport:
 
 
 def class_frequency(
-    corpus: Sequence[tuple[SymbolMultiset, str]],
+    corpus: Sequence[tuple[Counter[str], str]],
     classes: Sequence[str] | None = None,
 ) -> ClassFrequencyTable:
     """Presence counts of every symbol per class, with class sizes."""
@@ -90,9 +90,8 @@ def class_frequency(
             raise UnknownClass(f"sample labeled {label!r} outside class set")
         sizes[label] += 1
         bucket = present[label]
-        for sym, _ in ms:
-            canonical = sym.canonical
-            bucket[canonical] = bucket.get(canonical, 0) + 1
+        for s in ms:
+            bucket[s] = bucket.get(s, 0) + 1
     return ClassFrequencyTable(classes=ordered, sizes=sizes, present=present)
 
 
@@ -172,7 +171,7 @@ def llr_report(
 
 def filter_vocabulary(
     vocab: Vocabulary,
-    corpus: Sequence[tuple[SymbolMultiset, str]],
+    corpus: Sequence[tuple[Counter[str], str]],
     cfg: FilterConfig | None = None,
 ) -> tuple[Vocabulary, LLRReport]:
     """Keep the symbols whose best pairwise LLR exceeds the threshold."""

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Sequence
@@ -20,7 +21,7 @@ import numpy as np
 from .bmff import ContainerTree
 from .errors import DimensionMismatch, EmptyCorpus, ModelFormatError
 from .llr import DEFAULT_TAU, FilterConfig, llr_report
-from .symbols import SymbolMultiset, default_blacklist, extract_symbols
+from .symbols import extract_symbols
 from .tree import (
     DecisionTreeModel,
     PathStep,
@@ -225,7 +226,7 @@ def model_digest(mf: ModelFile) -> str:
 
 
 def train_model(
-    corpus: Sequence[SymbolMultiset] | CountMatrix,
+    corpus: Sequence[Counter[str]] | CountMatrix,
     labels: Sequence[str],
     *,
     tau: float = DEFAULT_TAU,
@@ -264,6 +265,5 @@ def train_model(
 
 def classify_tree(mf: ModelFile, tree: ContainerTree) -> tuple[str, list[PathStep]]:
     """Predict a parsed container's class and the path that decided it."""
-    ms = extract_symbols(tree, default_blacklist())
-    vector = vectorize(ms, mf.model.vocabulary)
+    vector = vectorize(extract_symbols(tree), mf.model.vocabulary)
     return predict(mf.model, vector), decision_path(mf.model, vector)

@@ -1,17 +1,22 @@
 """Conversion of a container tree into a multiset of path symbols.
 
-A field-symbol is the path from below the root to a field name; a
-value-symbol extends it with the field's value. Two sibling boxes with
-the same name produce identical paths, so multiplicity lives in the
-counts, never in the path.
+A symbol is a plain string. A field-symbol is the path from below the
+root to a field name, ``moov/mvhd/@rate``; a value-symbol extends it with
+the field's escaped value, ``moov/mvhd/@rate/1``. A file's symbols are a
+``Counter`` of these strings. Two sibling boxes with the same name produce
+identical paths, so multiplicity lives in the counts, never in the path.
+
+Box names never hold ``/``, ``@`` or ``\\`` (`render_type_code` escapes
+them) and values never hold an unescaped ``/``, so the kind of a symbol
+can be read back from its string: the first ``@`` starts the field name,
+and a ``/`` after it starts a value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from collections import Counter
 
-from .bmff import AtomNode, ContainerTree
+from .bmff import ContainerTree
 
 # Value-symbols for these fields carry only intra-class variability
 # (durations, dates, byte counts, ...) and are suppressed; their
@@ -29,92 +34,45 @@ def escape_value(value: str) -> str:
     return value.replace("\\", "\\\\").replace("/", "\\/")
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """A field-symbol (`kind == "field"`) or value-symbol (`kind == "value"`)."""
-
-    path: str
-    kind: str
-    value: str | None = None
-
-    @property
-    def canonical(self) -> str:
-        if self.kind == "value":
-            return f"{self.path}/{escape_value(self.value or '')}"
-        return self.path
+def default_blacklist() -> frozenset[str]:
+    """The ``@``-prefixed field names whose value-symbols are dropped by
+    default: noisy per-file field values."""
+    return frozenset(f"@{name}" for name in _DEFAULT_BLACKLIST)
 
 
-@dataclass(frozen=True)
-class FieldBlacklist:
-    """Set of ``@``-prefixed field names whose value-symbols are dropped."""
-
-    field_names: frozenset[str]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.field_names
-
-    def __len__(self) -> int:
-        return len(self.field_names)
-
-
-def default_blacklist() -> FieldBlacklist:
-    """The stock suppression list for noisy per-file field values."""
-    return FieldBlacklist(frozenset(f"@{name}" for name in _DEFAULT_BLACKLIST))
-
-
-@dataclass
-class SymbolMultiset:
-    """Occurrence counts of every symbol found in one container."""
-
-    entries: dict[Symbol, int] = field(default_factory=dict)
-    source_id: str = ""
-
-    def add(self, symbol: Symbol, count: int = 1) -> None:
-        self.entries[symbol] = self.entries.get(symbol, 0) + count
-
-    def count(self, symbol: Symbol) -> int:
-        return self.entries.get(symbol, 0)
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def __iter__(self) -> Iterator[tuple[Symbol, int]]:
-        return iter(self.entries.items())
-
-    def __len__(self) -> int:
-        return len(self.entries)
+def symbol_kind(symbol: str) -> str:
+    """``"value"`` for a value-symbol, ``"field"`` for a field-symbol."""
+    return "value" if "/" in symbol[symbol.index("@"):] else "field"
 
 
 def extract_symbols(
-    tree: ContainerTree, blacklist: FieldBlacklist | None = None
-) -> SymbolMultiset:
-    """Emit field- and value-symbols for every field of every node.
+    tree: ContainerTree, blacklist: frozenset[str] | None = None
+) -> Counter[str]:
+    """Count the field- and value-symbols of every field of every node.
 
-    Atom nodes themselves produce no standalone symbol; opaque nodes are
-    reached through their `stuff`/`count` fields. Counts aggregate across
-    sibling duplicates.
+    `blacklist` holds ``@``-prefixed field names whose value-symbols are
+    dropped (default: `default_blacklist()`). Atom nodes themselves
+    produce no standalone symbol; opaque nodes are reached through their
+    `stuff`/`count` fields. Counts aggregate across sibling duplicates.
     """
     if blacklist is None:
         blacklist = default_blacklist()
-    ms = SymbolMultiset(source_id=tree.source_id)
-
-    def walk(node: AtomNode, path: str) -> None:
+    symbols: list[str] = []
+    stack = [(child, child.name) for child in reversed(tree.root.children)]
+    while stack:
+        node, path = stack.pop()
         for fname, fvalue in node.fields:
-            field_path = f"{path}/@{fname}"
-            ms.add(Symbol(field_path, "field"))
-            if f"@{fname}" not in blacklist:
-                ms.add(Symbol(field_path, "value", fvalue))
-        for child in node.children:
-            walk(child, f"{path}/{child.name}")
-
-    for child in tree.root.children:
-        walk(child, child.name)
-    return ms
+            field_symbol = f"{path}/@{fname}"
+            symbols.append(field_symbol)
+            if "@" + fname not in blacklist:
+                symbols.append(f"{field_symbol}/{escape_value(fvalue)}")
+        for child in reversed(node.children):
+            stack.append((child, f"{path}/{child.name}"))
+    return Counter(symbols)
 
 
-def dump_symbols(ms: SymbolMultiset) -> str:
-    """One symbol per line: ``<count>\\t<kind>\\t<path>``, sorted by path."""
-    rows = sorted(
-        (sym.canonical, sym.kind, count) for sym, count in ms.entries.items()
-    )
-    return "".join(f"{count}\t{kind}\t{path}\n" for path, kind, count in rows)
+def dump_symbols(symbols: Counter[str]) -> str:
+    """One symbol per line: ``<count>\\t<kind>\\t<symbol>``, sorted by
+    symbol."""
+    return "".join(f"{symbols[s]}\t{symbol_kind(s)}\t{s}\n"
+                   for s in sorted(symbols))

@@ -4,13 +4,13 @@ files x symbols count matrix that training selects rows and columns from."""
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import EmptyCorpus
-from .symbols import SymbolMultiset
 
 
 @dataclass(frozen=True)
@@ -80,32 +80,29 @@ class CountMatrix:
                            counts[:, used])
 
 
-def build_vocabulary(corpus: Sequence[SymbolMultiset]) -> Vocabulary:
+def build_vocabulary(corpus: Sequence[Counter[str]]) -> Vocabulary:
     """Union of all symbols across the corpus, lexicographically ordered."""
     if not corpus:
         raise EmptyCorpus("cannot build a vocabulary from an empty corpus")
     strings: set[str] = set()
     for ms in corpus:
-        strings.update(sym.canonical for sym, _ in ms)
+        strings.update(ms)
     return Vocabulary.from_strings(strings)
 
 
-def vectorize(ms: SymbolMultiset, vocab: Vocabulary) -> FeatureVector:
+def vectorize(ms: Counter[str], vocab: Vocabulary) -> FeatureVector:
     """Count vector of `ms` over `vocab`; out-of-vocabulary symbols drop."""
-    counts: dict[int, int] = {}
-    for sym, count in ms:
-        i = vocab.index.get(sym.canonical)
-        if i is not None:
-            counts[i] = counts.get(i, 0) + count
-    return FeatureVector(size=len(vocab), counts=counts, source_id=ms.source_id)
+    index = vocab.index
+    counts = {index[s]: count for s, count in ms.items() if s in index}
+    return FeatureVector(size=len(vocab), counts=counts)
 
 
 def count_matrix(
-    corpus: Sequence[SymbolMultiset], vocab: Vocabulary | None = None
+    corpus: Sequence[Counter[str]], vocab: Vocabulary | None = None
 ) -> CountMatrix:
-    """One row per multiset, over `vocab` (symbols outside it drop) or, by
-    default, over the union of their symbols. Each symbol is canonicalized
-    once per file; entries with a zero count are absent."""
+    """One row per symbol multiset, over `vocab` (symbols outside it drop)
+    or, by default, over the union of their symbols. Entries with a zero
+    count are absent."""
     if not corpus:
         raise EmptyCorpus("cannot build a count matrix from an empty corpus")
     # Each distinct symbol string is kept once; entries refer to it by the
@@ -113,11 +110,11 @@ def count_matrix(
     first_seen: dict[str, int] = {} if vocab is None else dict(vocab.index)
     rows, seen, values = array("i"), array("i"), array("i")
     for i, ms in enumerate(corpus):
-        for sym, count in ms:
+        for s, count in ms.items():
             if not count:
                 continue
-            j = (first_seen.setdefault(sym.canonical, len(first_seen))
-                 if vocab is None else first_seen.get(sym.canonical))
+            j = (first_seen.setdefault(s, len(first_seen))
+                 if vocab is None else first_seen.get(s))
             if j is not None:
                 rows.append(i)
                 seen.append(j)

@@ -11,6 +11,7 @@ import os
 import random
 import struct
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from boxtrace.evaluate import (
 from boxtrace.fixtures import FixtureSpec, generate_corpus
 from boxtrace.llr import FilterConfig, class_frequency, filter_vocabulary, llr
 from boxtrace.modelfile import dumps_model, loads_model, train_model
-from boxtrace.symbols import Symbol, SymbolMultiset, default_blacklist, extract_symbols
+from boxtrace.symbols import default_blacklist, extract_symbols
 from boxtrace.tree import best_split, decision_path, predict, replay_path
 from boxtrace.vectorize import build_vocabulary, vectorize
 
@@ -45,11 +46,8 @@ def parse_bytes(data: bytes):
     return parse_container(io.BytesIO(data), source_id="acceptance")
 
 
-def ms_of(paths, source):
-    ms = SymbolMultiset(source_id=source)
-    for path in paths:
-        ms.add(Symbol(path, "field"))
-    return ms
+def ms_of(paths):
+    return Counter(paths)
 
 
 @pytest.fixture(scope="module")
@@ -130,9 +128,9 @@ def _fig_corpus():
     base = ["ftyp/@majorBrand", "moov/mvhd/@timescale", "mdat/@stuff"]
     samples = []
     for d in range(1, 5):
-        samples.append((ms_of(base, f"dev{d}/native"), "Native-iOS", f"dev{d}"))
-        samples.append((ms_of(base + ["moov/udta/XMP_/@stuff"],
-                              f"dev{d}/tampered"), "Exiftool-iOS", f"dev{d}"))
+        samples.append((ms_of(base), "Native-iOS", f"dev{d}"))
+        samples.append((ms_of(base + ["moov/udta/XMP_/@stuff"]),
+                        "Exiftool-iOS", f"dev{d}"))
     return samples
 
 
@@ -187,18 +185,18 @@ def test_criterion_3_split_oracle_agreement():
 
 def test_criterion_4_llr_suite():
     # Finiteness with class-exclusive symbols.
-    exclusive = ([(ms_of(["only/in/@u"], f"u{i}"), "U") for i in range(5)]
-                 + [(ms_of(["only/in/@v"], f"v{i}"), "V") for i in range(5)])
+    exclusive = ([(ms_of(["only/in/@u"]), "U") for _ in range(5)]
+                 + [(ms_of(["only/in/@v"]), "V") for _ in range(5)])
     table = class_frequency(exclusive)
     for symbol in ("only/in/@u", "only/in/@v"):
         for cu, cv in (("U", "V"), ("V", "U")):
             assert math.isfinite(llr(symbol, cu, cv, table))
 
     # Kept-set monotonicity over tau.
-    mixed = ([(ms_of(["shared/@a", "rare/@b"] if i % 2 else ["shared/@a"],
-                     f"u{i}"), "U") for i in range(6)]
-             + [(ms_of(["shared/@a", "only/@c"], f"v{i}"), "V")
-                for i in range(6)])
+    mixed = ([(ms_of(["shared/@a", "rare/@b"] if i % 2 else ["shared/@a"]), "U")
+              for i in range(6)]
+             + [(ms_of(["shared/@a", "only/@c"]), "V")
+                for _ in range(6)])
     vocab = build_vocabulary([ms for ms, _ in mixed])
     previous = None
     for tau in (0.1, 0.5, 1.0, 2.0):
@@ -212,18 +210,18 @@ def test_criterion_4_llr_suite():
     for _ in range(100):
         n_u, n_v = rng.randint(1, 12), rng.randint(1, 12)
         k_u, k_v = rng.randint(0, n_u), rng.randint(0, n_v)
-        corpus = ([(ms_of(["s/@x"] if i < k_u else ["o/@y"], f"u{i}"), "U")
+        corpus = ([(ms_of(["s/@x"] if i < k_u else ["o/@y"]), "U")
                    for i in range(n_u)]
-                  + [(ms_of(["s/@x"] if i < k_v else ["o/@y"], f"v{i}"), "V")
+                  + [(ms_of(["s/@x"] if i < k_v else ["o/@y"]), "V")
                      for i in range(n_v)])
         table = class_frequency(corpus)
         assert abs(llr("s/@x", "U", "V", table)
                    + llr("s/@x", "V", "U", table)) <= 1e-12
 
     # Worked value: presence 3 of 4 vs 0 of 2 gives ln 2.4.
-    corpus = ([(ms_of(["s/@x"] if i < 3 else ["o/@y"], f"u{i}"), "U")
+    corpus = ([(ms_of(["s/@x"] if i < 3 else ["o/@y"]), "U")
                for i in range(4)]
-              + [(ms_of(["o/@y"], f"v{i}"), "V") for i in range(2)])
+              + [(ms_of(["o/@y"]), "V") for _ in range(2)])
     value = llr("s/@x", "U", "V", class_frequency(corpus))
     assert abs(value - 0.875469) < 1e-6
     print("\nACCEPTANCE 4 PASS: LLRs finite, kept-set monotone over tau, "

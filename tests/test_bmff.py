@@ -3,10 +3,17 @@
 import io
 import json
 import struct
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxtrace.bmff import (
+    _PAYLOAD_READ_CAP,
+    MAX_NESTING,
+    _fixed_point,
+    ascii_or_hex,
     decode_known_box,
     dump_tree,
     parse_container,
@@ -14,11 +21,14 @@ from boxtrace.bmff import (
     render_type_code,
 )
 from boxtrace.errors import (
+    NestingTooDeep,
     NotBmff,
     PayloadTooShort,
     TruncatedBox,
     ZeroSizeNonFinal,
 )
+from boxtrace.fixtures import FixtureSpec, generate_corpus
+from boxtrace.symbols import extract_symbols
 
 from conftest import FTYP_MIN, mkbox, mkfull, mkmvhd
 
@@ -130,6 +140,22 @@ class TestSizeHandling:
         assert "padding" in tree.warnings[0]
         assert [c.name for c in tree.root.children[1].children] == ["mvhd"]
 
+    def test_header_fields_past_parent_end_are_read_from_the_file(self):
+        # The 64-bit size of the last child of `moov` lies past the end of
+        # `moov`; it is read from the bytes that follow, as any read is.
+        # The opaque `free` before it is larger than a top-level read.
+        skipped = mkbox(b"free", bytes(100))
+        moov = mkbox(b"moov", skipped + struct.pack(">I4s", 1, b"free"))
+        with pytest.raises(TruncatedBox) as err:
+            parse_bytes(FTYP_MIN + moov + mkbox(b"free", bytes(8)))
+        assert "declared length 70438249829 exceeds the 8 bytes remaining" \
+            in str(err.value)
+        user = mkbox(b"moov", skipped + struct.pack(">I4s", 24, b"uuid"))
+        with pytest.raises(TruncatedBox) as err:
+            parse_bytes(FTYP_MIN + user + bytes(16))
+        assert "declared length 24 exceeds the 8 bytes remaining" \
+            in str(err.value)
+
     def test_nonzero_trailer_inside_container_rejected(self):
         moov = mkbox(b"moov", mkmvhd() + b"\x00\x00\x00\x01")
         with pytest.raises(TruncatedBox):
@@ -236,6 +262,163 @@ class TestTypeCodeRendering:
         data = FTYP_MIN + mkbox(b"\xa9nam", bytes(3))
         tree = parse_bytes(data)
         assert tree.root.children[1].name == "\\xa9nam"
+
+    @given(st.binary(min_size=4, max_size=4))
+    @settings(max_examples=500)
+    def test_matches_per_byte_loop(self, raw):
+        assert render_type_code(raw) == oracle_render_type_code(raw)
+
+    def test_every_byte_matches_per_byte_loop(self):
+        for b in range(256):
+            raw = bytes([b, 0x61, b, 0x7F])
+            assert render_type_code(raw) == oracle_render_type_code(raw)
+
+
+def oracle_render_type_code(raw: bytes) -> str:
+    """The per-byte rendering loop `render_type_code` replaced."""
+    out = []
+    for b in raw:
+        if 0x20 <= b <= 0x7E and b not in (0x2F, 0x40, 0x5C):
+            out.append(chr(b))
+        else:
+            out.append(f"\\x{b:02x}")
+    return "".join(out)
+
+
+def oracle_ascii_or_hex(raw: bytes) -> str:
+    """The per-byte printability test `ascii_or_hex` replaced."""
+    if all(0x20 <= b <= 0x7E for b in raw):
+        return raw.decode("ascii")
+    return "0x" + raw.hex()
+
+
+class TestAsciiOrHex:
+    @given(st.binary(max_size=12))
+    @settings(max_examples=500)
+    def test_matches_per_byte_test(self, raw):
+        assert ascii_or_hex(raw) == oracle_ascii_or_hex(raw)
+
+    def test_every_byte_matches_per_byte_test(self):
+        for b in range(256):
+            raw = b"ab" + bytes([b])
+            assert ascii_or_hex(raw) == oracle_ascii_or_hex(raw)
+
+
+def oracle_fixed_point(raw: int, frac_bits: int) -> str:
+    return format((Decimal(raw) / Decimal(1 << frac_bits)).normalize(), "f")
+
+
+I32 = st.integers(-(2**31), 2**31 - 1)
+
+
+class TestFixedPoint:
+    @given(I32, st.sampled_from([8, 16, 30]))
+    @settings(max_examples=500)
+    def test_memoized_matches_decimal(self, raw, frac_bits):
+        assert _fixed_point(raw, frac_bits) == oracle_fixed_point(raw, frac_bits)
+
+    @pytest.mark.parametrize("raw", [2**30 + 1, -(2**30) - 1, 2**31 - 1,
+                                     -(2**31) + 1, 2**30 + 3 * 2**9 + 1])
+    def test_expansions_past_28_digits(self, raw):
+        # raw / 2**30 has the digits of raw * 5**30; past 28 of them
+        # Decimal rounds.
+        assert len(str(abs(raw) * 5**30).rstrip("0")) > 28
+        for _ in range(2):  # the second call is served from the cache
+            assert _fixed_point(raw, 30) == oracle_fixed_point(raw, 30)
+
+
+class TestNesting:
+    @staticmethod
+    def moov_chain(depth: int) -> bytes:
+        return b"".join(struct.pack(">I4s", 8 * (depth - d), b"moov")
+                        for d in range(depth))
+
+    def test_deepest_allowed_chain_parses(self):
+        node = parse_bytes(self.moov_chain(MAX_NESTING)).root
+        for _ in range(MAX_NESTING):
+            (node,) = node.children
+        assert node.name == "moov" and node.children == []
+
+    def test_one_level_deeper_raises(self):
+        with pytest.raises(NestingTooDeep) as err:
+            parse_bytes(self.moov_chain(MAX_NESTING + 1))
+        assert err.value.offset == 8 * MAX_NESTING
+        assert err.value.type_code == "moov"
+
+    def test_5000_deep_chain_raises_parse_error(self):
+        with pytest.raises(NestingTooDeep):
+            parse_bytes(self.moov_chain(5000))
+
+
+class SparseStream:
+    """A seekable stream of `data` followed by zeros up to `length`; the
+    zeros are made only as a read returns them. Counts `read` calls and
+    the bytes they return."""
+
+    def __init__(self, data: bytes, length: int):
+        self.data, self.length, self.pos = data, length, 0
+        self.reads = self.bytes_read = 0
+
+    def seek(self, offset: int, whence: int = 0) -> int:
+        self.pos = (offset, self.pos + offset, self.length + offset)[whence]
+        return self.pos
+
+    def tell(self) -> int:
+        return self.pos
+
+    def read(self, n: int = -1) -> bytes:
+        end = self.length if n < 0 else min(self.length, self.pos + n)
+        chunk = self.data[self.pos:end]
+        chunk += bytes(max(0, end - self.pos - len(chunk)))
+        self.pos = max(self.pos, end)
+        self.reads += 1
+        self.bytes_read += len(chunk)
+        return chunk
+
+
+def sparse_twin(data: bytes, length: int) -> bytes:
+    """`data` with its final top-level box (an mdat) re-headed as a 64-bit
+    box that runs to `length`; the caller serves the rest as zeros."""
+    pos = last = 0
+    while pos < len(data):
+        last = pos
+        pos += struct.unpack_from(">I", data, pos)[0]
+    assert data[last + 4:last + 8] == b"mdat"
+    return (data[:last] + struct.pack(">I4sQ", 1, b"mdat", length - last)
+            + data[last + 8:])
+
+
+class TestSizeIndependence:
+    """Parse cost tracks the box count, not the file size: a fixture and
+    its 4 GiB twin make the same reads, and a fixture makes at most two
+    per top-level box."""
+
+    TWIN_LENGTH = 4 << 30
+
+    @pytest.fixture(scope="class")
+    def fixture_files(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("size_independence")
+        manifest = generate_corpus(FixtureSpec(seed=7, videos_per_cell=1), out)
+        return [row.path.read_bytes() for row in manifest.rows]
+
+    def test_twin_makes_the_same_reads(self, fixture_files):
+        for data in fixture_files:
+            plain = SparseStream(data, len(data))
+            plain_tree = parse_container(plain)
+            twin = SparseStream(sparse_twin(data, self.TWIN_LENGTH),
+                                self.TWIN_LENGTH)
+            twin_tree = parse_container(twin)
+            assert twin_tree.root.children[-1].header.effective_len \
+                == self.TWIN_LENGTH - plain_tree.root.children[-1].header.offset
+            assert extract_symbols(twin_tree) == extract_symbols(plain_tree)
+            assert twin.reads == plain.reads
+            assert twin.bytes_read <= plain.bytes_read + _PAYLOAD_READ_CAP
+
+    def test_reads_bounded_by_top_level_boxes(self, fixture_files):
+        for data in fixture_files:
+            stream = SparseStream(data, len(data))
+            tree = parse_container(stream)
+            assert stream.reads <= 2 * len(tree.root.children)
 
 
 class _CountingStream(io.BytesIO):

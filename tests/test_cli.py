@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, error records."""
 
 import json
+import struct
 
 import pytest
 
@@ -130,6 +131,22 @@ class TestClassifyCommand:
         assert "prediction" in records[0]
         assert "error" in records[1]
         assert "TruncatedBox" in records[1]["error"]
+
+    def test_deep_nesting_yields_one_error_record(self, trained_model,
+                                                  tmp_path, capsys,
+                                                  tiny_ftyp_file):
+        deep = tmp_path / "deep.mp4"
+        deep.write_bytes(b"".join(struct.pack(">I4s", 8 * (5000 - d), b"moov")
+                                  for d in range(5000)))
+        code = main(["classify", str(trained_model), str(deep),
+                     str(tiny_ftyp_file)])
+        assert code == 0
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.splitlines()]
+        assert len(records) == 2
+        assert records[0]["error"].startswith("NestingTooDeep: ")
+        assert "prediction" not in records[0]
+        assert "prediction" in records[1]
 
     def test_deterministic_across_runs(self, corpus_dir, trained_model,
                                        capsys):

@@ -16,12 +16,17 @@ import random
 import struct
 from contextlib import redirect_stdout
 
+from collections import Counter
+
 import pytest
 
+from boxtrace.bmff import dump_tree, parse_container, parse_file
 from boxtrace.cli import main
+from boxtrace.errors import ParseError
 from boxtrace.evaluate import get_scenario, run_scenario
 from boxtrace.fixtures import FixtureSpec, generate_corpus
 from boxtrace.modelfile import dumps_model
+from boxtrace.symbols import dump_symbols, extract_symbols
 
 WIDE_POOL = [f"zz{i:02d}".encode() for i in range(48)]
 
@@ -170,3 +175,122 @@ def test_digests_match_golden(case, tmp_path, monkeypatch):
     seed, kind, scenario = case.split("/")
     assert digests(tmp_path, int(seed), kind == "wide", scenario) \
         == GOLDEN[case]
+
+
+# Parse and symbolize goldens: the tree dumps, parse warnings and symbol
+# dumps of every corpus file, and the outcome of parsing seeded hostile
+# variants of some of them (the error type and message when parsing
+# raises). Recorded from the seek-per-field parser with `Symbol` objects,
+# before the parser read through a window and symbols became strings.
+
+HOSTILE_BASES = 8
+HOSTILE_PER_BASE = 8
+HOSTILE_SIZES = (0, 1, 7, 8, 2**32 - 1)
+
+
+def file_outputs(tree) -> dict[str, str]:
+    return {
+        "tree_text": dump_tree(tree, "text"),
+        "tree_json": dump_tree(tree, "json"),
+        "warnings": "".join(w + "\n" for w in tree.warnings),
+        "symbols": dump_symbols(extract_symbols(tree)),
+    }
+
+
+def box_offsets(tree) -> list[int]:
+    stack, offsets = list(tree.root.children), []
+    while stack:
+        node = stack.pop()
+        offsets.append(node.header.offset)
+        stack.extend(node.children)
+    return sorted(offsets)
+
+
+def hostile_variant(data: bytes, offsets: list[int], rng: random.Random,
+                    kind: int) -> bytes:
+    """A bit-flipped, truncated or size-rewritten copy of `data`."""
+    if kind == 0:
+        out = bytearray(data)
+        for _ in range(rng.randrange(1, 5)):
+            bit = rng.randrange(len(out) * 8)
+            out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+    if kind == 1:
+        return data[:rng.randrange(1, len(data))]
+    out = bytearray(data)
+    struct.pack_into(">I", out, rng.choice(offsets), rng.choice(HOSTILE_SIZES))
+    return bytes(out)
+
+
+def hostile_outcome(data: bytes) -> str:
+    try:
+        tree = parse_container(io.BytesIO(data), source_id="hostile")
+    except ParseError as exc:
+        return f"{type(exc).__name__}: {exc}\n"
+    return "ok\n" + "".join(file_outputs(tree).values())
+
+
+# Every fixture file parses without a warning.
+NO_WARNINGS = "05fe156a12494af0a544d5859e0b668615df283942d0e48e5c0861277dbf6c88"
+
+PARSE_GOLDEN = {
+    "7/plain": {
+        "symbols": "46c38de02e4db86dde0f2147ab867d775c8ee53e8c2a68c2fe31e7fb9a39f234",
+        "tree_json": "6b1cb988baf2da04cdeba07caee1cd2d6ff75f2e3a14989e53fe787ff51b321a",
+        "tree_text": "ca56130ed22f38c21483e9e3ef19674d77ded1f2b95fb600a63e9b9af2ed846d",
+        "warnings": NO_WARNINGS,
+    },
+    "7/wide": {
+        "symbols": "39674c44a44ab86c6b8a68a9849cf1fa5734ddaed0460333aeb10695fe048a52",
+        "tree_json": "6709e5623505c3c8b930d2a6095e5fde0be01e6c20ea82e7192ffc347919f230",
+        "tree_text": "db03d3cf6c299834d6509d763da5871ccca7d65d82996982180bbdb7da2529f5",
+        "warnings": NO_WARNINGS,
+    },
+    "11/plain": {
+        "symbols": "46c38de02e4db86dde0f2147ab867d775c8ee53e8c2a68c2fe31e7fb9a39f234",
+        "tree_json": "121c1c85ef5e01b12e854618084091e8e22041bfc88cefa0a96e021e1cdef8ce",
+        "tree_text": "989d66976150bb8db7d22f3d644174c9270a0d6452e24b7ea35bb696042d2d3c",
+        "warnings": NO_WARNINGS,
+    },
+    "11/wide": {
+        "symbols": "c3712c6e879d9bc8314384cbc36b2a1809820f3ed88b233193e45f85b01f786a",
+        "tree_json": "d5d09717d73f06e9a1ebba10dbc2a75081b108c3447c9cee84ce897ddaa8ed41",
+        "tree_text": "678aa8d0512bc96d7e8a70ae15f9850dbaacc8982c70f4abc86a365c400ab6c5",
+        "warnings": NO_WARNINGS,
+    },
+}
+
+HOSTILE_GOLDEN = {
+    "digest": "b43f0801519244044b12a3c8eb26b2ef98f8d3c716886da72605a659e9add374",
+    "outcomes": {"TruncatedBox": 33, "ZeroSizeNonFinal": 8, "ok": 23},
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_GOLDEN))
+def test_parse_and_symbol_dumps_match_golden(case, tmp_path):
+    seed, kind = case.split("/")
+    corpus = make_corpus(tmp_path, int(seed), kind == "wide")
+    lines: dict[str, list[str]] = {}
+    for row in corpus.rows:
+        for name, text in file_outputs(parse_file(str(row.path))).items():
+            lines.setdefault(name, []).append(f"{row.file}\t{sha(text)}\n")
+    assert {name: sha("".join(rows)) for name, rows in lines.items()} \
+        == PARSE_GOLDEN[case]
+
+
+def test_hostile_variants_match_golden(tmp_path):
+    corpus = make_corpus(tmp_path, 7, False)
+    outcomes, kinds = [], Counter()
+    step = len(corpus.rows) // HOSTILE_BASES
+    for b, row in enumerate(corpus.rows[::step][:HOSTILE_BASES]):
+        data = row.path.read_bytes()
+        offsets = box_offsets(parse_file(str(row.path)))
+        for v in range(HOSTILE_PER_BASE):
+            rng = random.Random(f"hostile/{b}/{v}")
+            outcome = hostile_outcome(
+                hostile_variant(data, offsets, rng, v % 3))
+            outcomes.append(outcome)
+            kinds[outcome.split(":", 1)[0].split("\n", 1)[0]] += 1
+    assert len(outcomes) == HOSTILE_BASES * HOSTILE_PER_BASE
+    assert {"digest": sha("".join(outcomes)), "outcomes": dict(kinds)} \
+        == HOSTILE_GOLDEN

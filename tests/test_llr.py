@@ -1,6 +1,7 @@
 """Log-likelihood-ratio frequencies, filtering, and their invariants."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -17,15 +18,11 @@ from boxtrace.llr import (
     max_pairwise_llr,
     report_tsv,
 )
-from boxtrace.symbols import Symbol, SymbolMultiset
 from boxtrace.vectorize import build_vocabulary
 
 
-def ms_of(paths, source="s"):
-    ms = SymbolMultiset(source_id=source)
-    for path in paths:
-        ms.add(Symbol(path, "field"))
-    return ms
+def ms_of(paths):
+    return Counter(paths)
 
 
 def corpus_with_presence(n_u: int, k_u: int, n_v: int, k_v: int, path="s"):
@@ -97,9 +94,9 @@ class TestLLR:
 def exiftool_like_corpus(n_per_class=4):
     """One class carries an extra metadata symbol; both share the rest."""
     shared = ["ftyp/@majorBrand", "free/@stuff"]
-    native = [(ms_of(shared, f"n{i}"), "Native-iOS") for i in range(n_per_class)]
-    tampered = [(ms_of(shared + ["moov/udta/XMP_/@stuff"], f"t{i}"),
-                 "Exiftool-iOS") for i in range(n_per_class)]
+    native = [(ms_of(shared), "Native-iOS") for _ in range(n_per_class)]
+    tampered = [(ms_of(shared + ["moov/udta/XMP_/@stuff"]),
+                 "Exiftool-iOS") for _ in range(n_per_class)]
     return native + tampered
 
 
@@ -150,16 +147,10 @@ class TestFilterVocabulary:
         # Field present everywhere, value differs per class: the value
         # symbols stay discriminative while the field symbol is noise.
         samples = []
-        for i in range(4):
-            ms = SymbolMultiset(source_id=f"a{i}")
-            ms.add(Symbol("ftyp/@majorBrand", "field"))
-            ms.add(Symbol("ftyp/@majorBrand", "value", "isom"))
-            samples.append((ms, "A"))
-        for i in range(4):
-            ms = SymbolMultiset(source_id=f"b{i}")
-            ms.add(Symbol("ftyp/@majorBrand", "field"))
-            ms.add(Symbol("ftyp/@majorBrand", "value", "qt  "))
-            samples.append((ms, "B"))
+        for brand, label in (("isom", "A"), ("qt  ", "B")):
+            for _ in range(4):
+                ms = Counter(["ftyp/@majorBrand", f"ftyp/@majorBrand/{brand}"])
+                samples.append((ms, label))
         vocab = build_vocabulary([ms for ms, _ in samples])
         kept, _ = filter_vocabulary(vocab, samples, FilterConfig(0.5))
         assert "ftyp/@majorBrand" not in kept.index
@@ -168,8 +159,8 @@ class TestFilterVocabulary:
 
     def test_uniform_corpus_keeps_nothing(self):
         shared = ["ftyp/@majorBrand", "moov/mvhd/@timescale"]
-        corpus = [(ms_of(shared, f"u{i}"), "U") for i in range(3)] + \
-                 [(ms_of(shared, f"v{i}"), "V") for i in range(3)]
+        corpus = [(ms_of(shared), "U") for _ in range(3)] + \
+                 [(ms_of(shared), "V") for _ in range(3)]
         vocab = build_vocabulary([ms for ms, _ in corpus])
         kept, report = filter_vocabulary(vocab, corpus, FilterConfig(0.5))
         assert len(kept) == 0
@@ -308,7 +299,7 @@ class TestClosedFormAgainstOracle:
             for f in range(n):
                 paths = [s for s, rows in zip(symbols, columns)
                          if f < min(rows[c][1], n)]
-                corpus.append((ms_of(paths + ["base"], f"C{c}/{f}"), f"C{c}"))
+                corpus.append((ms_of(paths + ["base"]), f"C{c}"))
         table = class_frequency(corpus)
         vocab = build_vocabulary([ms for ms, _ in corpus])
         _, report = filter_vocabulary(vocab, corpus, FilterConfig(0.5))

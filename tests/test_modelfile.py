@@ -2,6 +2,7 @@
 
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -18,27 +19,23 @@ from boxtrace.modelfile import (
     save_model,
     train_model,
 )
-from boxtrace.symbols import Symbol, SymbolMultiset
 from boxtrace.tree import TreeParams, predict
 from boxtrace.vectorize import vectorize
 
 from conftest import FTYP_MIN, mkbox
 
 
-def ms_of(paths, source="s"):
-    ms = SymbolMultiset(source_id=source)
-    for path in paths:
-        ms.add(Symbol(path, "field"))
-    return ms
+def ms_of(paths):
+    return Counter(paths)
 
 
 def fig_style_corpus(n=3):
     shared = ["ftyp/@majorBrand", "moov/mvhd/@timescale"]
     multisets, labels = [], []
-    for i in range(n):
-        multisets.append(ms_of(shared, f"native{i}"))
+    for _ in range(n):
+        multisets.append(ms_of(shared))
         labels.append("Native-iOS")
-        multisets.append(ms_of(shared + ["moov/udta/XMP_/@stuff"], f"tamper{i}"))
+        multisets.append(ms_of(shared + ["moov/udta/XMP_/@stuff"]))
         labels.append("Exiftool-iOS")
     return multisets, labels
 
@@ -179,7 +176,7 @@ class TestClassifyTree:
     def test_all_unseen_symbols_hit_zero_vector_leaf(self):
         multisets, labels = fig_style_corpus()
         mf = train_model(multisets, labels)
-        zero = vectorize(ms_of(["completely/@novel"], "probe"),
+        zero = vectorize(ms_of(["completely/@novel"]),
                          mf.model.vocabulary)
         assert zero.l1() == 0
         expected = predict(mf.model, zero)

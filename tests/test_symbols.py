@@ -1,91 +1,95 @@
 """Symbol extraction and blacklist behavior."""
 
 import io
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxtrace.bmff import parse_container
+from boxtrace.bmff import AtomNode, ContainerTree, parse_container, render_type_code
 from boxtrace.symbols import (
-    FieldBlacklist,
-    Symbol,
-    SymbolMultiset,
     default_blacklist,
     dump_symbols,
     escape_value,
     extract_symbols,
+    symbol_kind,
 )
 
-from conftest import FTYP_MIN, mkbox, mkmvhd
+from conftest import FTYP_MIN, mkbox, mkfull, mkmvhd
 
 
 def parse_bytes(data: bytes):
     return parse_container(io.BytesIO(data), source_id="test")
 
 
-NO_BLACKLIST = FieldBlacklist(frozenset())
+def field_of(symbol: str) -> str:
+    """The field-symbol a symbol belongs to (itself for a field-symbol)."""
+    at = symbol.index("@")
+    slash = symbol.find("/", at)
+    return symbol if slash < 0 else symbol[:slash]
+
+
+NO_BLACKLIST: frozenset[str] = frozenset()
 
 
 class TestExtraction:
     def test_ftyp_field_and_value_symbols(self):
         ms = extract_symbols(parse_bytes(FTYP_MIN), NO_BLACKLIST)
-        assert ms.count(Symbol("ftyp/@majorBrand", "field")) == 1
-        assert ms.count(Symbol("ftyp/@majorBrand", "value", "isom")) == 1
+        assert ms["ftyp/@majorBrand"] == 1
+        assert ms["ftyp/@majorBrand/isom"] == 1
 
     def test_blacklisted_field_keeps_field_symbol_only(self):
         tree = parse_bytes(FTYP_MIN + mkbox(b"moov", mkmvhd(duration=73432)))
         ms = extract_symbols(tree, default_blacklist())
-        assert ms.count(Symbol("moov/mvhd/@duration", "field")) == 1
-        assert all(not (sym.path == "moov/mvhd/@duration" and
-                        sym.kind == "value") for sym, _ in ms)
+        assert ms["moov/mvhd/@duration"] == 1
+        assert all(not s.startswith("moov/mvhd/@duration/") for s in ms)
 
     def test_sibling_duplicates_aggregate(self):
         trak = mkbox(b"trak", mkbox(b"tref", bytes(4)))
         tree = parse_bytes(FTYP_MIN + mkbox(b"moov", trak + trak))
         ms = extract_symbols(tree, default_blacklist())
-        assert ms.count(Symbol("moov/trak/tref/@count", "field")) == 2
-        assert ms.count(Symbol("moov/trak/tref/@stuff", "field")) == 2
+        assert ms["moov/trak/tref/@count"] == 2
+        assert ms["moov/trak/tref/@stuff"] == 2
 
     def test_atoms_emit_no_standalone_symbol(self):
         tree = parse_bytes(FTYP_MIN + mkbox(b"moov", mkmvhd()))
         ms = extract_symbols(tree, NO_BLACKLIST)
-        assert all("@" in sym.path for sym, _ in ms)
+        assert all("@" in s for s in ms)
 
     def test_root_not_in_paths(self):
         ms = extract_symbols(parse_bytes(FTYP_MIN), NO_BLACKLIST)
-        assert all(not sym.path.startswith("root") for sym, _ in ms)
+        assert all(not s.startswith("root") for s in ms)
 
     def test_value_symbol_paths_have_field_symbols(self):
         tree = parse_bytes(FTYP_MIN + mkbox(b"moov", mkmvhd()))
         ms = extract_symbols(tree, default_blacklist())
-        field_paths = {sym.path for sym, _ in ms if sym.kind == "field"}
-        for sym, _ in ms:
-            if sym.kind == "value":
-                assert sym.path in field_paths
+        field_paths = {s for s in ms if symbol_kind(s) == "field"}
+        for s in ms:
+            if symbol_kind(s) == "value":
+                assert field_of(s) in field_paths
 
     def test_field_symbols_at_least_value_symbols(self):
         tree = parse_bytes(FTYP_MIN + mkbox(b"moov", mkmvhd()))
         for blacklist in (NO_BLACKLIST, default_blacklist()):
             ms = extract_symbols(tree, blacklist)
-            fields = sum(1 for s, _ in ms if s.kind == "field")
-            values = sum(1 for s, _ in ms if s.kind == "value")
+            fields = sum(1 for s in ms if symbol_kind(s) == "field")
+            values = sum(1 for s in ms if symbol_kind(s) == "value")
             assert fields >= values
 
     def test_blacklist_shrink_is_monotone(self):
         tree = parse_bytes(FTYP_MIN + mkbox(b"moov", mkmvhd()))
         full = extract_symbols(tree, default_blacklist())
-        smaller = FieldBlacklist(
-            default_blacklist().field_names - {"@timescale"})
+        smaller = default_blacklist() - {"@timescale"}
         grown = extract_symbols(tree, smaller)
-        for sym, count in full:
-            assert grown.count(sym) >= count
+        for s, count in full.items():
+            assert grown[s] >= count
 
     def test_extraction_deterministic(self):
         tree = parse_bytes(FTYP_MIN + mkbox(b"moov", mkmvhd()))
         a = extract_symbols(tree, default_blacklist())
         b = extract_symbols(tree, default_blacklist())
-        assert a.entries == b.entries
+        assert list(a.items()) == list(b.items())
 
 
 class TestDefaultBlacklist:
@@ -101,24 +105,29 @@ class TestDefaultBlacklist:
     def test_stuff_and_count_suppressed_but_fields_kept(self):
         tree = parse_bytes(FTYP_MIN + mkbox(b"wide"))
         ms = extract_symbols(tree, default_blacklist())
-        assert ms.count(Symbol("wide/@stuff", "field")) == 1
-        assert ms.count(Symbol("wide/@count", "field")) == 1
-        assert all(sym.kind == "field" or not sym.path.startswith("wide")
-                   for sym, _ in ms)
+        assert ms["wide/@stuff"] == 1
+        assert ms["wide/@count"] == 1
+        assert all(symbol_kind(s) == "field" or not s.startswith("wide")
+                   for s in ms)
 
 
 class TestCanonicalForm:
     def test_value_symbol_canonical(self):
-        sym = Symbol("ftyp/@majorBrand", "value", "isom")
-        assert sym.canonical == "ftyp/@majorBrand/isom"
+        ms = extract_symbols(parse_bytes(FTYP_MIN), NO_BLACKLIST)
+        assert "ftyp/@majorBrand/isom" in ms
+        assert symbol_kind("ftyp/@majorBrand/isom") == "value"
 
     def test_field_symbol_canonical(self):
-        assert Symbol("ftyp/@majorBrand", "field").canonical == "ftyp/@majorBrand"
+        ms = extract_symbols(parse_bytes(FTYP_MIN), NO_BLACKLIST)
+        assert "ftyp/@majorBrand" in ms
+        assert symbol_kind("ftyp/@majorBrand") == "field"
 
     def test_slash_in_value_escaped(self):
         assert escape_value("a/b") == "a\\/b"
-        sym = Symbol("hdlr/@handlerType", "value", "vi/de")
-        assert sym.canonical == "hdlr/@handlerType/vi\\/de"
+        hdlr = mkfull(b"hdlr", 0, 0, bytes(4) + b"vi/d" + bytes(12))
+        ms = extract_symbols(parse_bytes(FTYP_MIN + hdlr), NO_BLACKLIST)
+        assert ms["hdlr/@handlerType/vi\\/d"] == 1
+        assert symbol_kind("hdlr/@handlerType/vi\\/d") == "value"
 
     def test_backslash_in_value_escaped(self):
         assert escape_value("a\\b") == "a\\\\b"
@@ -142,11 +151,68 @@ class TestCanonicalForm:
 
 class TestDump:
     def test_dump_format_and_order(self):
-        ms = SymbolMultiset(source_id="x")
-        ms.add(Symbol("ftyp/@majorBrand", "value", "isom"))
-        ms.add(Symbol("ftyp/@majorBrand", "field"), 2)
+        ms = Counter({"ftyp/@majorBrand/isom": 1, "ftyp/@majorBrand": 2})
         text = dump_symbols(ms)
         assert text.splitlines() == [
             "2\tfield\tftyp/@majorBrand",
             "1\tvalue\tftyp/@majorBrand/isom",
         ]
+
+
+def old_symbols(tree, blacklist):
+    """(path, kind, value) of every symbol, in emission order, as the
+    recursive walk over `Symbol` objects made them: the reference that
+    string symbols and the kind read back from them are checked against."""
+    out = []
+
+    def walk(node, path):
+        for fname, fvalue in node.fields:
+            out.append((f"{path}/@{fname}", "field", None))
+            if f"@{fname}" not in blacklist:
+                out.append((f"{path}/@{fname}", "value", fvalue))
+        for child in node.children:
+            walk(child, f"{path}/{child.name}")
+
+    for child in tree.root.children:
+        walk(child, child.name)
+    return out
+
+
+def old_canonical(path, kind, value):
+    return f"{path}/{escape_value(value)}" if kind == "value" else path
+
+
+FIELD_NAMES = st.sampled_from(["majorBrand", "stuff", "count", "rate",
+                               "format_1", "userType"])
+# Values as the decoders render them: printable ASCII, `/`, `\\` and `@`
+# included.
+VALUES = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E),
+                 max_size=8)
+
+
+@st.composite
+def atom_trees(draw, depth=0):
+    name = render_type_code(draw(st.binary(min_size=4, max_size=4)))
+    fields = draw(st.lists(st.tuples(FIELD_NAMES, VALUES), max_size=3))
+    children = (draw(st.lists(atom_trees(depth=depth + 1), max_size=3))
+                if depth < 3 else [])
+    return AtomNode(name, None, fields, children)
+
+
+class TestStringSymbols:
+    @given(st.lists(atom_trees(), min_size=1, max_size=3),
+           st.sampled_from([NO_BLACKLIST, default_blacklist(),
+                            frozenset({"@rate", "@majorBrand"})]))
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_symbol_object_walk(self, children, blacklist):
+        tree = ContainerTree(AtomNode("root", None, [], children), "t")
+        reference = old_symbols(tree, blacklist)
+        ms = extract_symbols(tree, blacklist)
+        canonicals = [old_canonical(*sym) for sym in reference]
+        assert ms == Counter(canonicals)
+        assert list(ms) == list(dict.fromkeys(canonicals))
+        dumped = {(old_canonical(*sym), sym[1]) for sym in reference}
+        assert {(s, symbol_kind(s)) for s in ms} == dumped
+        lines = dump_symbols(ms).splitlines()
+        assert [line.split("\t", 1)[1] for line in lines] == [
+            f"{kind}\t{s}" for s, kind in sorted(dumped)]

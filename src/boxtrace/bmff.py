@@ -1,20 +1,20 @@
 """Stream parser for the box (atom) structure of ISO base media files.
 
 Only box headers and the payloads of schema-registered boxes are
-decoded; opaque payloads larger than the read window (mdat included) are
-skipped by seeking, so parsing a multi-gigabyte file costs time
-proportional to its box count, not its size. Parsing is strict about
+decoded; the rest of an opaque payload larger than the read window (mdat
+included) is skipped by seeking, so parsing a multi-gigabyte file costs
+time proportional to its box count, not its size. Parsing is strict about
 sizes and lenient about content: unknown boxes become opaque nodes, never
 failures; containers nested deeper than `MAX_NESTING` raise
 `NestingTooDeep`.
 
 Bytes come through one window per parse: a read that the last bytes read
 cover is served from them. A miss inside a box reads on to the end of
-that box (at most `_PAYLOAD_READ_CAP` bytes), so a `moov` is one read. A
-miss between top-level boxes reads `_TOP_READ_AHEAD` bytes, twice as many
-after each miss that continues where the window ended, so a run of small
-top-level boxes shares a few reads while a box after a large skipped
-payload costs one small one. Memory stays bounded by the window.
+that box (at most `_PAYLOAD_READ_CAP` bytes), so a `moov` is one read; an
+opaque box nested in a container may therefore have up to one window of
+its payload read with its header, never more. A miss between top-level
+boxes reads `_TOP_READ_AHEAD` bytes, so at most that much of a top-level
+opaque payload is read. Memory stays bounded by the window.
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ TOP_LEVEL_TYPES = frozenset({
 # the largest read the parser makes, so memory stays bounded.
 _PAYLOAD_READ_CAP = 64 * 1024
 
-# First read between top-level boxes; doubles while those reads are
-# contiguous, up to `_PAYLOAD_READ_CAP`.
-_TOP_READ_AHEAD = 64
+# Size of a read between top-level boxes. It covers the boxes after a
+# fixture's moov up to the mdat header, 64-bit size included (at most 70
+# bytes), so a fixture and its multi-gigabyte twin make the same reads.
+_TOP_READ_AHEAD = 128
 
 # Containers nested deeper than this raise NestingTooDeep; real files
 # nest about 10 deep.
@@ -437,7 +438,6 @@ class _Window:
         self.length = length
         self.start = 0
         self.data = b""
-        self.ahead = _TOP_READ_AHEAD
 
     def read(self, offset: int, n: int, end: int | None) -> bytes:
         """The `n` bytes at `offset`, or those the stream holds there.
@@ -451,11 +451,7 @@ class _Window:
         if 0 <= pos and pos + n <= len(self.data):
             return self.data[pos:pos + n]
         if end is None:
-            if self.data and pos == len(self.data):
-                self.ahead = min(2 * self.ahead, _PAYLOAD_READ_CAP)
-            else:
-                self.ahead = _TOP_READ_AHEAD
-            size = min(self.ahead, self.length - offset)
+            size = min(_TOP_READ_AHEAD, self.length - offset)
         else:
             size = min(_PAYLOAD_READ_CAP, end - offset)
         self.stream.seek(offset)

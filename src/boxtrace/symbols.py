@@ -42,7 +42,7 @@ def default_blacklist() -> frozenset[str]:
 
 def symbol_kind(symbol: str) -> str:
     """``"value"`` for a value-symbol, ``"field"`` for a field-symbol."""
-    return "value" if "/" in symbol[symbol.index("@"):] else "field"
+    return "value" if "/" in symbol.partition("@")[2] else "field"
 
 
 def extract_symbols(

@@ -38,7 +38,6 @@ class FeatureVector:
 
     size: int
     counts: dict[int, int] = field(default_factory=dict)
-    source_id: str = ""
 
     def get(self, i: int) -> int:
         return self.counts.get(i, 0)

@@ -420,6 +420,21 @@ class TestSizeIndependence:
             tree = parse_container(stream)
             assert stream.reads <= 2 * len(tree.root.children)
 
+    def test_nested_opaque_payload_reads_at_most_one_window(self):
+        # A 1 MiB free inside moov: the miss at its header reads one window
+        # of its payload with it, and the rest is skipped by seeking.
+        free_len = 1 << 20
+        moov = (struct.pack(">I4s", 8 + len(mkmvhd()) + free_len, b"moov")
+                + mkmvhd() + struct.pack(">I4s", free_len, b"free"))
+        data = FTYP_MIN + moov
+        stream = SparseStream(data, len(data) + free_len - 8)
+        tree = parse_container(stream)
+        moov_node = tree.root.children[1]
+        assert [c.name for c in moov_node.children] == ["mvhd", "free"]
+        assert moov_node.children[1].fields == [("stuff", "opaque"),
+                                               ("count", str(free_len - 8))]
+        assert stream.bytes_read <= len(data) + _PAYLOAD_READ_CAP
+
 
 class _CountingStream(io.BytesIO):
     def __init__(self, data: bytes):

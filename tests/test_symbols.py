@@ -158,6 +158,14 @@ class TestDump:
             "1\tvalue\tftyp/@majorBrand/isom",
         ]
 
+    def test_symbols_without_field_are_field_kind(self):
+        # dump_symbols takes any Counter of strings; one without "@" has
+        # no value segment.
+        assert dump_symbols(Counter({"a": 1, "base/x": 2})).splitlines() == [
+            "1\tfield\ta",
+            "2\tfield\tbase/x",
+        ]
+
 
 def old_symbols(tree, blacklist):
     """(path, kind, value) of every symbol, in emission order, as the

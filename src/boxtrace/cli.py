@@ -24,13 +24,7 @@ from .evaluate import (
 )
 from .fixtures import FixtureSpec, generate_corpus
 from .llr import DEFAULT_TAU, FilterConfig, llr_report, report_tsv
-from .modelfile import (
-    classify_tree,
-    load_model,
-    model_digest,
-    save_model,
-    train_model,
-)
+from .modelfile import classify_tree, load_model, save_model, train_model
 from .symbols import dump_symbols, extract_symbols
 from .tree import TreeParams, to_dot
 from .vectorize import count_matrix
@@ -104,8 +98,8 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _classify_one(mf, digest, file_name, explain):
-    record: dict = {"file": file_name, "model": digest}
+def _classify_one(mf, file_name, explain):
+    record: dict = {"file": file_name, "model": mf.file_digest}
     try:
         verdict, steps = classify_tree(mf, parse_file(file_name))
     except (ParseError, DataError, OSError) as exc:
@@ -123,9 +117,8 @@ def _classify_one(mf, digest, file_name, explain):
 
 def cmd_classify(args) -> int:
     mf = load_model(args.model)
-    digest = model_digest(mf)
     for file_name in args.files:
-        record = _classify_one(mf, digest, file_name, args.explain)
+        record = _classify_one(mf, file_name, args.explain)
         print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 

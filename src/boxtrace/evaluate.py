@@ -30,7 +30,7 @@ from .llr import FilterConfig
 from .modelfile import ModelFile, train_model
 from .symbols import extract_symbols
 from .tree import TreeParams, decision_path, predict, replay_path
-from .vectorize import FeatureVector, count_matrix
+from .vectorize import count_matrix
 
 OS_VALUES = ("Android", "iOS")
 SOFTWARE_VALUES = ("none", "avidemux", "exiftool", "ffmpeg", "kdenlive", "premiere")
@@ -252,7 +252,7 @@ class FoldResult:
     device: str
     n_train: int
     n_test: int
-    balanced_accuracy: float | None
+    balanced_accuracy: float
     confusion: ConfusionMatrix
     train_seconds: float
     test_seconds: float
@@ -295,11 +295,12 @@ def run_scenario(
     """Leave-one-device-out evaluation of one scenario.
 
     Every scenario file is parsed once into one files x symbols count
-    matrix. Each fold trains on the rows of the training devices, so its
-    vocabulary, filter, weights and tree never see the held-out device;
-    its test files are the same columns of the held-out rows. Every
-    prediction's decision path is replayed as a self-check before it is
-    counted.
+    matrix. There is one fold per device with a row in the scenario. Each
+    fold trains on the rows of the other devices, so its vocabulary,
+    filter, weights and tree never see the held-out device; its test
+    files are the same columns of the held-out rows, passed to the tree
+    as count rows. Every prediction's decision path is replayed as a
+    self-check before it is counted.
     """
     cfg = filter_cfg if filter_cfg is not None else FilterConfig()
     params = tree_params if tree_params is not None else TreeParams()
@@ -308,15 +309,19 @@ def run_scenario(
     by_device: dict[str, list[int]] = defaultdict(list)
     for i, row in enumerate(rows):
         by_device[row.device].append(i)
-    folds = lodo_folds(manifest)
+    devices = sorted(by_device)
+    if len(devices) < 2:
+        raise SingleDevice(
+            f"leave-one-device-out needs at least 2 devices, got "
+            f"{len(devices)} in scenario {scenario.name!r}")
     matrix = count_matrix(multisets)
     del multisets  # the matrix holds all that the folds use of them
     column = {s: j for j, s in enumerate(matrix.symbols)}
     results: list[FoldResult] = []
-    for fold in folds:
-        train = [i for device in sorted(by_device) if device != fold.device
+    for held_out in devices:
+        train = [i for device in devices if device != held_out
                  for i in by_device[device]]
-        test = by_device.get(fold.device, [])
+        test = by_device[held_out]
         started = time.perf_counter()
         mf = train_model(matrix.take(train), [labels[i] for i in train],
                          tau=cfg.tau, params=params, scenario=scenario.name,
@@ -326,12 +331,11 @@ def run_scenario(
         cm = ConfusionMatrix.empty(classes)
         started = time.perf_counter()
         kept_columns = [column[s] for s in mf.model.vocabulary.symbols]
-        test_counts = matrix.counts[np.ix_(test, kept_columns)]
-        for i, counts in zip(test, test_counts):
-            vector = FeatureVector.from_dense(counts)
-            verdict = predict(mf.model, vector)
+        test_rows = matrix.counts[np.ix_(test, kept_columns)].tolist()
+        for i, counts in zip(test, test_rows):
+            verdict = predict(mf.model, counts)
             # Every verdict must be reproducible from its own explanation.
-            steps = decision_path(mf.model, vector)
+            steps = decision_path(mf.model, counts)
             replayed = replay_path(mf.model, steps)
             if replayed != verdict:
                 raise AssertionError(
@@ -339,14 +343,12 @@ def run_scenario(
                     f"predict gave {verdict!r} for {rows[i].file}")
             cm.add(labels[i], verdict)
         test_seconds = time.perf_counter() - started
-        bacc = balanced_accuracy(cm) if test else None
         results.append(FoldResult(
-            device=fold.device, n_train=len(train),
-            n_test=len(test), balanced_accuracy=bacc, confusion=cm,
-            train_seconds=train_seconds, test_seconds=test_seconds, model=mf))
-    fold_baccs = [r.balanced_accuracy for r in results
-                  if r.balanced_accuracy is not None]
-    global_bacc = float(np.mean(fold_baccs)) if fold_baccs else float("nan")
+            device=held_out, n_train=len(train),
+            n_test=len(test), balanced_accuracy=balanced_accuracy(cm),
+            confusion=cm, train_seconds=train_seconds,
+            test_seconds=test_seconds, model=mf))
+    global_bacc = float(np.mean([r.balanced_accuracy for r in results]))
     n = len(classes)
     rate_sums = np.zeros((n, n))
     row_folds = np.zeros(n)
@@ -416,9 +418,8 @@ def format_report_text(report: EvaluationReport) -> str:
              f"Folds: {len(report.folds)} (leave-one-device-out)", "",
              "Device    Bal.Acc   n_test   Train(s)  Test(s)"]
     for r in report.folds:
-        bacc = "  n/a" if r.balanced_accuracy is None \
-            else f"{r.balanced_accuracy:5.2f}"
-        lines.append(f"{r.device:<10}{bacc}   {r.n_test:>6}   "
+        lines.append(f"{r.device:<10}{r.balanced_accuracy:5.2f}   "
+                     f"{r.n_test:>6}   "
                      f"{r.train_seconds:8.3f}  {r.test_seconds:7.3f}")
     lines.append("")
     lines.append(f"Global balanced accuracy: "

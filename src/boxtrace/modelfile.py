@@ -98,7 +98,11 @@ def resolve_timestamp(explicit: str | None = None) -> str:
 
 @dataclass
 class ModelFile:
-    """A trained model plus everything needed to reproduce its verdicts."""
+    """A trained model plus everything needed to reproduce its verdicts.
+
+    `file_digest` is the sha256 of the bytes `load_model` read it from,
+    and empty for a model that was not loaded from a file.
+    """
 
     full_vocabulary: list[str]
     kept: list[bool]
@@ -107,6 +111,7 @@ class ModelFile:
     scenario: str = ""
     manifest_digest: str = ""
     trained_at: str = ""
+    file_digest: str = ""
 
 
 def _tree_to_preorder(node: TreeNode, out: list[dict]) -> None:
@@ -119,20 +124,52 @@ def _tree_to_preorder(node: TreeNode, out: list[dict]) -> None:
     _tree_to_preorder(node.right, out)
 
 
-def _tree_from_preorder(nodes: list[dict], pos: list[int]) -> TreeNode:
+def _check(condition: bool, message: str) -> None:
+    if not condition:
+        raise ModelFormatError(message)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_sorted_strings(value) -> bool:
+    """A list of distinct strings in ascending order."""
+    return (isinstance(value, list)
+            and all(isinstance(s, str) for s in value)
+            and all(a < b for a, b in zip(value, value[1:])))
+
+
+def _tree_from_preorder(nodes: list, pos: list[int], classes: set[str],
+                        n_features: int) -> TreeNode:
     if pos[0] >= len(nodes):
         raise ModelFormatError("tree node list ended early")
     obj = nodes[pos[0]]
     pos[0] += 1
+    _check(isinstance(obj, dict), f"tree node {obj!r} is not an object")
     if "label" in obj:
-        dist = {str(k): float(v) for k, v in obj.get("distribution", {}).items()}
-        return TreeNode(distribution=dist, label=str(obj["label"]))
-    split = SplitCandidate(feature_index=int(obj["feature"]),
-                           threshold=float(obj["threshold"]),
+        label, dist = obj["label"], obj.get("distribution", {})
+        _check(isinstance(label, str) and label in classes,
+               f"leaf label {label!r} is not a class")
+        _check(isinstance(dist, dict) and set(dist) <= classes
+               and all(_is_finite(v) for v in dist.values()),
+               f"leaf distribution {dist!r} is not finite masses of classes")
+        return TreeNode(distribution={k: float(v) for k, v in dist.items()},
+                        label=label)
+    feature, threshold = obj.get("feature"), obj.get("threshold")
+    _check(_is_int(feature) and 0 <= feature < n_features,
+           f"feature index {feature!r} outside vocabulary")
+    _check(_is_finite(threshold), f"threshold {threshold!r} is not finite")
+    split = SplitCandidate(feature_index=feature, threshold=float(threshold),
                            weighted_gini_decrease=0.0)
     node = TreeNode(distribution={}, label="", split=split)
-    node.left = _tree_from_preorder(nodes, pos)
-    node.right = _tree_from_preorder(nodes, pos)
+    node.left = _tree_from_preorder(nodes, pos, classes, n_features)
+    node.right = _tree_from_preorder(nodes, pos, classes, n_features)
     return node
 
 
@@ -164,48 +201,62 @@ def dumps_model(mf: ModelFile) -> str:
 
 
 def loads_model(text: str) -> ModelFile:
+    """The model a model file's text describes; any text that does not
+    follow the format raises `ModelFormatError`."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ModelFormatError("model file must hold a JSON object")
+    _check(isinstance(obj, dict), "model file must hold a JSON object")
     version = obj.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported model format version {version!r} "
-            f"(expected {MODEL_FORMAT_VERSION})")
-    try:
-        full_vocab = [str(s) for s in obj["vocabulary"]]
-        kept = [bool(k) for k in obj["filter"]["kept"]]
-        tau = float(obj["filter"]["tau"])
-        classes = [str(c) for c in obj["classes"]]
-        weights = {str(c): float(w) for c, w in obj["class_weights"].items()}
-        params = TreeParams(
-            max_depth=(None if obj["params"]["max_depth"] is None
-                       else int(obj["params"]["max_depth"])),
-            min_samples_leaf=int(obj["params"]["min_samples_leaf"]),
-            ccp_alpha=float(obj["params"]["ccp_alpha"]),
-        )
-        tree_nodes = obj["tree"]
-        metadata = obj.get("metadata", {})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed model file: {exc!r}") from exc
-    if len(kept) != len(full_vocab):
-        raise ModelFormatError("kept mask length does not match vocabulary")
+    _check(version == MODEL_FORMAT_VERSION,
+           f"unsupported model format version {version!r} "
+           f"(expected {MODEL_FORMAT_VERSION})")
+    full_vocab, classes = obj.get("vocabulary"), obj.get("classes")
+    _check(_is_sorted_strings(full_vocab),
+           "vocabulary must be a sorted list of distinct strings")
+    _check(_is_sorted_strings(classes) and len(classes) > 0,
+           "classes must be a sorted, non-empty list of distinct strings")
+    filter_obj = obj.get("filter")
+    _check(isinstance(filter_obj, dict), "filter must be an object")
+    kept, tau = filter_obj.get("kept"), filter_obj.get("tau")
+    _check(isinstance(kept, list) and all(_is_int(k) and k in (0, 1)
+                                          for k in kept),
+           "kept mask must be a list of 0 and 1")
+    _check(len(kept) == len(full_vocab),
+           "kept mask length does not match vocabulary")
+    _check(_is_finite(tau), f"tau {tau!r} is not finite")
+    weights = obj.get("class_weights")
+    _check(isinstance(weights, dict)
+           and all(_is_finite(w) for w in weights.values()),
+           "class_weights must map classes to finite numbers")
+    params = obj.get("params")
+    _check(isinstance(params, dict), "params must be an object")
+    max_depth = params.get("max_depth")
+    min_samples_leaf = params.get("min_samples_leaf")
+    ccp_alpha = params.get("ccp_alpha")
+    _check(max_depth is None or _is_int(max_depth),
+           f"max_depth {max_depth!r} is not an integer or null")
+    _check(_is_int(min_samples_leaf),
+           f"min_samples_leaf {min_samples_leaf!r} is not an integer")
+    _check(_is_finite(ccp_alpha), f"ccp_alpha {ccp_alpha!r} is not finite")
+    tree_nodes = obj.get("tree")
+    _check(isinstance(tree_nodes, list), "tree must be a list of nodes")
+    metadata = obj.get("metadata", {})
+    _check(isinstance(metadata, dict), "metadata must be an object")
     filtered = Vocabulary.from_strings(
         s for s, keep in zip(full_vocab, kept) if keep)
     pos = [0]
-    root = _tree_from_preorder(tree_nodes, pos)
-    if pos[0] != len(tree_nodes):
-        raise ModelFormatError("extra nodes after the tree preorder ended")
-    for node_obj in tree_nodes:
-        if "feature" in node_obj and not 0 <= node_obj["feature"] < len(filtered):
-            raise ModelFormatError(
-                f"feature index {node_obj['feature']} outside vocabulary")
-    model = DecisionTreeModel(root=root, vocabulary=filtered, classes=classes,
-                              class_weights=weights, params=params)
-    return ModelFile(full_vocabulary=full_vocab, kept=kept, tau=tau, model=model,
+    root = _tree_from_preorder(tree_nodes, pos, set(classes), len(filtered))
+    _check(pos[0] == len(tree_nodes), "extra nodes after the tree preorder ended")
+    model = DecisionTreeModel(
+        root=root, vocabulary=filtered, classes=classes,
+        class_weights={c: float(w) for c, w in weights.items()},
+        params=TreeParams(max_depth=max_depth,
+                          min_samples_leaf=min_samples_leaf,
+                          ccp_alpha=float(ccp_alpha)))
+    return ModelFile(full_vocabulary=full_vocab, kept=[k == 1 for k in kept],
+                     tau=float(tau), model=model,
                      scenario=str(metadata.get("scenario", "")),
                      manifest_digest=str(metadata.get("manifest_digest", "")),
                      trained_at=str(metadata.get("trained_at", "")))
@@ -217,11 +268,21 @@ def save_model(mf: ModelFile, path: str) -> None:
 
 
 def load_model(path: str) -> ModelFile:
-    with open(path, "r", encoding="ascii") as handle:
-        return loads_model(handle.read())
+    """Read a model file once; the model's `file_digest` names its bytes."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model file is not ASCII: {exc}") from exc
+    mf = loads_model(text)
+    mf.file_digest = hashlib.sha256(data).hexdigest()
+    return mf
 
 
 def model_digest(mf: ModelFile) -> str:
+    """sha256 of the model's canonical serialization: the `file_digest`
+    of a file that `save_model` wrote."""
     return hashlib.sha256(dumps_model(mf).encode("ascii")).hexdigest()
 
 
@@ -265,5 +326,5 @@ def train_model(
 
 def classify_tree(mf: ModelFile, tree: ContainerTree) -> tuple[str, list[PathStep]]:
     """Predict a parsed container's class and the path that decided it."""
-    vector = vectorize(extract_symbols(tree), mf.model.vocabulary)
-    return predict(mf.model, vector), decision_path(mf.model, vector)
+    row = vectorize(extract_symbols(tree), mf.model.vocabulary)
+    return predict(mf.model, row), decision_path(mf.model, row)

@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, DimensionMismatch, EmptyTrainingSet, ZeroMass
-from .vectorize import FeatureVector, Vocabulary
+from .vectorize import Vocabulary
 
 # Split candidates are scanned in (feature index, threshold) order; a later
 # candidate replaces the running best only if its Gini decrease is larger by
@@ -85,19 +85,6 @@ def compute_class_weights(labels: Sequence[str]) -> dict[str, float]:
     return {c: n_total / (n_classes * n) for c, n in sorted(counts.items())}
 
 
-def gini(weighted_counts: Mapping[str, float] | Sequence[float]) -> float:
-    """Gini impurity 1 - sum(p^2) of a weighted class-mass distribution."""
-    if isinstance(weighted_counts, Mapping):
-        masses = np.asarray(list(weighted_counts.values()), dtype=np.float64)
-    else:
-        masses = np.asarray(weighted_counts, dtype=np.float64)
-    total = masses.sum()
-    if not total > 0:
-        raise ZeroMass("gini needs positive total mass")
-    p = masses / total
-    return float(1.0 - np.square(p).sum())
-
-
 def _majority_label(dist: np.ndarray, classes: Sequence[str]) -> str:
     # argmax returns the first maximum; classes are sorted, so ties break
     # lexicographically.
@@ -151,7 +138,7 @@ def _best_split_arrays(
 
 
 def _encode(
-    vectors: Sequence[FeatureVector] | np.ndarray,
+    vectors: Sequence[Sequence[int]] | np.ndarray,
     labels: Sequence[str],
     class_weights: Mapping[str, float] | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], dict[str, float]]:
@@ -162,13 +149,13 @@ def _encode(
             f"{len(vectors)} vectors but {len(labels)} labels")
     # Counts stay integers: sorting, boundaries and the `<=` tests match
     # their float values, and the matrix is half the size of a float copy.
-    if isinstance(vectors, np.ndarray):
-        X = vectors
-    else:
-        sizes = {v.size for v in vectors}
-        if len(sizes) > 1:
-            raise DimensionMismatch(f"mixed vector lengths: {sorted(sizes)}")
-        X = np.array([v.to_dense() for v in vectors], dtype=np.int64)
+    try:
+        X = np.asarray(vectors)
+    except ValueError as exc:  # rows of different lengths
+        raise DimensionMismatch(f"ragged count rows: {exc}") from exc
+    if X.ndim != 2:
+        raise DimensionMismatch(
+            f"expected a files x features matrix, got shape {X.shape}")
     classes = sorted(set(labels))
     weights = dict(class_weights) if class_weights is not None \
         else compute_class_weights(labels)
@@ -182,7 +169,7 @@ def _encode(
 
 
 def best_split(
-    vectors: Sequence[FeatureVector] | np.ndarray,
+    vectors: Sequence[Sequence[int]] | np.ndarray,
     labels: Sequence[str],
     class_weights: Mapping[str, float] | None = None,
     min_samples_leaf: int = 1,
@@ -230,7 +217,7 @@ def _grow(
 
 
 def grow(
-    vectors: Sequence[FeatureVector] | np.ndarray,
+    vectors: Sequence[Sequence[int]] | np.ndarray,
     labels: Sequence[str],
     class_weights: Mapping[str, float] | None = None,
     params: TreeParams = TreeParams(),
@@ -299,7 +286,7 @@ def prune(tree: TreeNode, ccp_alpha: float) -> TreeNode:
 
 
 def train_tree(
-    vectors: Sequence[FeatureVector] | np.ndarray,
+    vectors: Sequence[Sequence[int]] | np.ndarray,
     labels: Sequence[str],
     vocabulary: Vocabulary,
     params: TreeParams = TreeParams(),
@@ -307,8 +294,8 @@ def train_tree(
 ) -> DecisionTreeModel:
     """Grow and prune a tree whose features index `vocabulary`.
 
-    `vectors` is a sequence of feature vectors or a files x features count
-    matrix.
+    `vectors` is a files x features count matrix, or a sequence of
+    equal-length count rows.
     """
     X, y, w, classes, weights = _encode(vectors, labels, class_weights)
     if X.shape[1] != len(vocabulary):
@@ -322,20 +309,21 @@ def train_tree(
                              class_weights=weights, params=params)
 
 
-def _check_vector(model: DecisionTreeModel, v: FeatureVector) -> None:
-    if v.size != len(model.vocabulary):
+def _check_vector(model: DecisionTreeModel, row: Sequence[int]) -> None:
+    if len(row) != len(model.vocabulary):
         raise DimensionMismatch(
-            f"vector length {v.size} does not match vocabulary size "
+            f"vector length {len(row)} does not match vocabulary size "
             f"{len(model.vocabulary)}")
 
 
-def predict(model: DecisionTreeModel, v: FeatureVector) -> str:
-    """Root-to-leaf traversal; returns the leaf's class label."""
-    _check_vector(model, v)
+def predict(model: DecisionTreeModel, row: Sequence[int]) -> str:
+    """Root-to-leaf traversal of a count row over the model's vocabulary;
+    returns the leaf's class label."""
+    _check_vector(model, row)
     node = model.root
     while not node.is_leaf:
         split = node.split
-        node = node.left if v.get(split.feature_index) <= split.threshold \
+        node = node.left if row[split.feature_index] <= split.threshold \
             else node.right
     return node.label
 
@@ -345,14 +333,18 @@ def display_symbol(canonical: str) -> str:
     return f"root/{canonical}"
 
 
-def decision_path(model: DecisionTreeModel, v: FeatureVector) -> list[PathStep]:
-    """One entry per internal node visited on the way to the verdict."""
-    _check_vector(model, v)
+def decision_path(model: DecisionTreeModel, row: Sequence[int]) -> list[PathStep]:
+    """One entry per internal node visited on the way to the verdict.
+
+    Each step's count is the row's entry, so a list of Python ints gives
+    steps that serialize to JSON.
+    """
+    _check_vector(model, row)
     steps: list[PathStep] = []
     node = model.root
     while not node.is_leaf:
         split = node.split
-        count = v.get(split.feature_index)
+        count = row[split.feature_index]
         branch = "left" if count <= split.threshold else "right"
         steps.append(PathStep(
             symbol=display_symbol(model.vocabulary.symbols[split.feature_index]),

@@ -1,5 +1,5 @@
-"""Fixed-length count vectors over a global symbol vocabulary, and the
-files x symbols count matrix that training selects rows and columns from."""
+"""Count rows over a symbol vocabulary, and the files x symbols count
+matrix that training selects rows and columns from."""
 
 from __future__ import annotations
 
@@ -32,33 +32,6 @@ class Vocabulary:
         return canonical in self.index
 
 
-@dataclass
-class FeatureVector:
-    """Sparse count vector with dense semantics of length `size`."""
-
-    size: int
-    counts: dict[int, int] = field(default_factory=dict)
-
-    def get(self, i: int) -> int:
-        return self.counts.get(i, 0)
-
-    def l1(self) -> int:
-        return sum(self.counts.values())
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.size, dtype=np.int64)
-        for i, c in self.counts.items():
-            dense[i] = c
-        return dense
-
-    @classmethod
-    def from_dense(cls, row: np.ndarray) -> "FeatureVector":
-        """The vector holding the nonzero entries of a dense count row."""
-        nonzero = np.flatnonzero(row)
-        return cls(size=len(row),
-                   counts=dict(zip(nonzero.tolist(), row[nonzero].tolist())))
-
-
 @dataclass(frozen=True, eq=False)
 class CountMatrix:
     """Occurrence counts of every symbol in every file of a corpus.
@@ -89,11 +62,9 @@ def build_vocabulary(corpus: Sequence[Counter[str]]) -> Vocabulary:
     return Vocabulary.from_strings(strings)
 
 
-def vectorize(ms: Counter[str], vocab: Vocabulary) -> FeatureVector:
-    """Count vector of `ms` over `vocab`; out-of-vocabulary symbols drop."""
-    index = vocab.index
-    counts = {index[s]: count for s, count in ms.items() if s in index}
-    return FeatureVector(size=len(vocab), counts=counts)
+def vectorize(ms: Counter[str], vocab: Vocabulary) -> list[int]:
+    """Count row of `ms` over `vocab`; out-of-vocabulary symbols drop."""
+    return [ms.get(s, 0) for s in vocab.symbols]
 
 
 def count_matrix(

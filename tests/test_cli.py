@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, error records."""
 
+import hashlib
 import json
 import struct
 
@@ -147,6 +148,27 @@ class TestClassifyCommand:
         assert records[0]["error"].startswith("NestingTooDeep: ")
         assert "prediction" not in records[0]
         assert "prediction" in records[1]
+
+    def test_records_name_the_model_file_bytes(self, trained_model, tmp_path,
+                                               capsys, tiny_ftyp_file):
+        # A valid model file that is not in canonical form.
+        compact = tmp_path / "compact.json"
+        compact.write_text(json.dumps(json.loads(trained_model.read_text())))
+        for path in (trained_model, compact):
+            code = main(["classify", str(path), str(tiny_ftyp_file)])
+            assert code == 0
+            record = json.loads(capsys.readouterr().out)
+            assert record["model"] == \
+                hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_non_ascii_model_is_data_error(self, trained_model, tmp_path,
+                                           capsys, tiny_ftyp_file):
+        bad = tmp_path / "model.json"
+        bad.write_bytes(trained_model.read_bytes().replace(
+            b"Pristine", "Pr\u00efstine".encode("utf-8")))
+        code = main(["classify", str(bad), str(tiny_ftyp_file)])
+        assert code == 65
+        assert capsys.readouterr().err.startswith("ModelFormatError: ")
 
     def test_deterministic_across_runs(self, corpus_dir, trained_model,
                                        capsys):

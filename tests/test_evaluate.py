@@ -290,3 +290,39 @@ class TestRunScenario:
         report = run_scenario(small_corpus, get_scenario("integrity"))
         assert all(f.train_seconds >= 0 and f.test_seconds >= 0
                    for f in report.folds)
+
+
+class TestScenarioFolds:
+    """Folds come from the devices with a row in the scenario, not from
+    every device of the manifest."""
+
+    @pytest.fixture(scope="class")
+    def uploads(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("uploads")
+        spec = FixtureSpec(seed=5, classes=("native", "youtube"),
+                           videos_per_cell=2)
+        return generate_corpus(spec, out)
+
+    def without_uploads_of(self, corpus, devices, name):
+        lines = corpus.path.read_text(encoding="utf-8").splitlines()
+        kept = [line for line in lines
+                if not (line.split(",")[1] in devices
+                        and line.split(",")[4] == "youtube")]
+        path = corpus.path.parent / name
+        path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        return load_manifest(path)
+
+    def test_devices_without_scenario_rows_get_no_fold(self, uploads):
+        manifest = self.without_uploads_of(uploads, {"D01", "D02", "D03"},
+                                           "partial.csv")
+        assert manifest.devices() == uploads.devices()
+        report = run_scenario(manifest, get_scenario("social_integrity:youtube"))
+        assert [f.device for f in report.folds] == ["D04", "D05", "D06"]
+        assert [(f.n_train, f.n_test) for f in report.folds] == [(4, 2)] * 3
+        assert all(f.balanced_accuracy == 1.0 for f in report.folds)
+
+    def test_scenario_rows_from_one_device_rejected(self, uploads):
+        manifest = self.without_uploads_of(
+            uploads, {"D02", "D03", "D04", "D05", "D06"}, "one_device.csv")
+        with pytest.raises(SingleDevice):
+            run_scenario(manifest, get_scenario("social_integrity:youtube"))

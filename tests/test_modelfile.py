@@ -1,5 +1,6 @@
 """Canonical serialization and the train/classify pipeline."""
 
+import hashlib
 import io
 import json
 from collections import Counter
@@ -121,6 +122,66 @@ class TestModelRoundTrip:
         with pytest.raises(ModelFormatError):
             loads_model("definitely not json")
 
+    def test_load_names_the_file_bytes(self, tmp_path):
+        multisets, labels = fig_style_corpus()
+        mf = train_model(multisets, labels, trained_at="")
+        path = tmp_path / "model.json"
+        save_model(mf, str(path))
+        loaded = load_model(str(path))
+        assert loaded.file_digest == \
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        assert loaded.file_digest == model_digest(mf)
+
+
+def _json_edit(change):
+    """An edit of a model file's JSON object, returning the file's bytes."""
+    def edit(obj):
+        change(obj)
+        return json.dumps(obj).encode("ascii")
+    return edit
+
+
+def _append_vocabulary_duplicate(obj):
+    obj["vocabulary"].append(obj["vocabulary"][-1])
+    obj["filter"]["kept"].append(0)
+
+
+# The fig-style model at tau 0.5: tree[0] splits on its one kept symbol,
+# tree[1] and tree[2] are the Native-iOS and Exiftool-iOS leaves.
+MALFORMED_MODELS = [
+    pytest.param(_json_edit(lambda o: o.update(tree=[5])),
+                 id="tree-node-not-an-object"),
+    pytest.param(_json_edit(lambda o: o["tree"][0].update(feature="abc")),
+                 id="feature-not-an-integer"),
+    pytest.param(_json_edit(lambda o: o["tree"][0].update(
+        threshold=float("nan"))), id="nan-threshold"),
+    pytest.param(_json_edit(lambda o: o["tree"][1].update(label="Nobody")),
+                 id="leaf-label-not-a-class"),
+    pytest.param(_json_edit(lambda o: o["tree"][1].update(
+        distribution={"Nobody": 1.0})), id="distribution-key-not-a-class"),
+    pytest.param(_json_edit(lambda o: o["classes"].reverse()),
+                 id="classes-unsorted"),
+    pytest.param(_json_edit(_append_vocabulary_duplicate),
+                 id="vocabulary-duplicate"),
+    pytest.param(_json_edit(lambda o: o["filter"].update(
+        kept=[2] * len(o["filter"]["kept"]))), id="kept-not-0-or-1"),
+    pytest.param(_json_edit(lambda o: o.update(class_weights=[1.0])),
+                 id="class-weights-not-an-object"),
+    pytest.param(lambda o: json.dumps(o).replace("Native", "N\u00e4tive")
+                 .encode("utf-8"), id="not-ascii"),
+]
+
+
+@pytest.mark.parametrize("edit", MALFORMED_MODELS)
+def test_malformed_model_file_rejected(tmp_path, edit):
+    multisets, labels = fig_style_corpus()
+    obj = json.loads(dumps_model(train_model(multisets, labels, tau=0.5,
+                                             trained_at="")))
+    path = tmp_path / "model.json"
+    path.write_bytes(edit(obj))
+    with pytest.raises(ModelFormatError):
+        load_model(str(path))
+
 
 class TestTimestamp:
     def test_explicit_wins(self):
@@ -178,7 +239,7 @@ class TestClassifyTree:
         mf = train_model(multisets, labels)
         zero = vectorize(ms_of(["completely/@novel"]),
                          mf.model.vocabulary)
-        assert zero.l1() == 0
+        assert zero == [0] * len(mf.model.vocabulary)
         expected = predict(mf.model, zero)
         probe = parse_container(io.BytesIO(FTYP_MIN), source_id="probe")
         for _ in range(3):

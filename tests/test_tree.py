@@ -14,7 +14,6 @@ from boxtrace.tree import (
     best_split,
     compute_class_weights,
     decision_path,
-    gini,
     grow,
     predict,
     prune,
@@ -22,14 +21,13 @@ from boxtrace.tree import (
     to_dot,
     train_tree,
 )
-from boxtrace.vectorize import FeatureVector, Vocabulary
+from boxtrace.vectorize import Vocabulary
 
 EPS = 1e-12
 
 
-def fv(*counts) -> FeatureVector:
-    return FeatureVector(size=len(counts),
-                         counts={i: c for i, c in enumerate(counts) if c})
+def fv(*counts) -> list[int]:
+    return list(counts)
 
 
 def oracle_best_split(rows, labels, weights, min_samples_leaf=1):
@@ -107,18 +105,23 @@ class TestClassWeights:
 
 
 class TestGini:
+    """A column that separates the classes perfectly removes all of the
+    parent's Gini impurity, so the decrease is the parent's impurity."""
+
+    UNIT = {"A": 1.0, "B": 1.0}
+
     def test_two_equal_classes(self):
-        assert gini({"A": 2, "B": 2}) == pytest.approx(0.5)
+        cand = best_split([fv(0), fv(0), fv(1), fv(1)], ["A", "A", "B", "B"],
+                          self.UNIT)
+        assert cand.weighted_gini_decrease == pytest.approx(0.5)
 
     def test_one_to_three(self):
-        assert gini({"A": 1, "B": 3}) == pytest.approx(0.375)
+        cand = best_split([fv(0), fv(1), fv(1), fv(1)], ["A", "B", "B", "B"],
+                          self.UNIT)
+        assert cand.weighted_gini_decrease == pytest.approx(0.375)
 
     def test_pure(self):
-        assert gini({"A": 5}) == 0.0
-
-    def test_zero_mass_rejected(self):
-        with pytest.raises(ZeroMass):
-            gini({"A": 0.0})
+        assert best_split([fv(0), fv(1), fv(2)], ["A", "A", "A"]) is None
 
 
 class TestBestSplit:
@@ -229,6 +232,17 @@ class TestGrow:
         root = grow([fv(0), fv(0)], ["B", "A"], params=TreeParams(max_depth=0))
         assert root.label == "A"
 
+    def test_ragged_training_rows_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            train_tree([fv(0, 1), fv(1)], ["A", "B"],
+                       Vocabulary.from_strings(["f0", "f1"]))
+        with pytest.raises(DimensionMismatch):
+            best_split([fv(0), fv(1, 2)], ["A", "B"])
+
+    def test_rows_must_form_a_matrix(self):
+        with pytest.raises(DimensionMismatch):
+            grow([0, 1], ["A", "B"])
+
 
 class TestPrune:
     def build_depth_two(self):
@@ -272,6 +286,12 @@ class TestPrune:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             prune(self.build_depth_two(), -0.1)
+
+    def test_zero_mass_rejected(self):
+        tree = self.build_depth_two()
+        tree.distribution = {c: 0.0 for c in tree.distribution}
+        with pytest.raises(ZeroMass):
+            prune(tree, 0.1)
 
 
 class TestPredictAndPaths:

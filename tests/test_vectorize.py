@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from boxtrace.errors import EmptyCorpus
 from boxtrace.vectorize import (
-    FeatureVector,
     Vocabulary,
     build_vocabulary,
     count_matrix,
@@ -42,19 +41,16 @@ class TestBuildVocabulary:
 class TestVectorize:
     def test_counts_land_at_indices(self):
         vocab = Vocabulary.from_strings(["s1", "s2", "s3"])
-        v = vectorize(ms_of({"s2": 2}), vocab)
-        assert v.to_dense().tolist() == [0, 2, 0]
+        assert vectorize(ms_of({"s2": 2}), vocab) == [0, 2, 0]
 
     def test_out_of_vocabulary_dropped(self):
         vocab = Vocabulary.from_strings(["s1"])
-        v = vectorize(ms_of({"zz": 3, "yy": 1}), vocab)
-        assert v.to_dense().tolist() == [0]
-        assert v.l1() == 0
+        assert vectorize(ms_of({"zz": 3, "yy": 1}), vocab) == [0]
 
     def test_all_ones_when_ms_equals_vocabulary(self):
         ms = ms_of({"a": 1, "b": 1, "c": 1})
         vocab = build_vocabulary([ms])
-        assert vectorize(ms, vocab).to_dense().tolist() == [1, 1, 1]
+        assert vectorize(ms, vocab) == [1, 1, 1]
 
     @given(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]),
                            st.integers(1, 5), max_size=4))
@@ -62,10 +58,10 @@ class TestVectorize:
     def test_lossless_on_in_vocabulary_mass(self, counts):
         ms = ms_of(counts)
         vocab = build_vocabulary([ms_of({k: 1 for k in "abcd"})])
-        v = vectorize(ms, vocab)
+        row = vectorize(ms, vocab)
         for path, count in counts.items():
-            assert v.get(vocab.index[path]) == count
-        assert v.l1() == ms.total()
+            assert row[vocab.index[path]] == count
+        assert sum(row) == ms.total()
 
     @given(st.dictionaries(st.sampled_from(["a", "b", "x", "y"]),
                            st.integers(1, 5), max_size=4))
@@ -73,10 +69,11 @@ class TestVectorize:
     def test_l1_bounded_by_multiset_size(self, counts):
         ms = ms_of(counts)
         vocab = Vocabulary.from_strings(["a", "b"])
-        v = vectorize(ms, vocab)
-        assert v.l1() <= ms.total()
+        row = vectorize(ms, vocab)
+        assert len(row) == len(vocab)
+        assert sum(row) <= ms.total()
         in_vocab = all(k in vocab.index for k in counts)
-        assert (v.l1() == ms.total()) == in_vocab
+        assert (sum(row) == ms.total()) == in_vocab
 
 
 class TestCountMatrix:
@@ -115,10 +112,8 @@ class TestCountMatrix:
         corpus = [ms_of(counts) for counts in rows]
         matrix = count_matrix(corpus)
         vocab = Vocabulary.from_strings(matrix.symbols)
-        for ms, row in zip(corpus, matrix.counts):
-            expected = vectorize(ms, vocab)
-            got = FeatureVector.from_dense(row)
-            assert (got.size, got.counts) == (expected.size, expected.counts)
+        for ms, row in zip(corpus, matrix.counts.tolist()):
+            assert row == vectorize(ms, vocab)
 
     @given(st.lists(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]),
                                     st.integers(1, 5), max_size=4),
@@ -132,4 +127,4 @@ class TestCountMatrix:
         assert matrix.symbols == vocab.symbols
         assert matrix.counts.shape == (len(corpus), len(vocab))
         for ms, row in zip(corpus, matrix.counts):
-            assert row.tolist() == vectorize(ms, vocab).to_dense().tolist()
+            assert row.tolist() == vectorize(ms, vocab)

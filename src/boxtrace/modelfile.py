@@ -114,14 +114,20 @@ class ModelFile:
     file_digest: str = ""
 
 
-def _tree_to_preorder(node: TreeNode, out: list[dict]) -> None:
-    if node.is_leaf:
-        out.append({"label": node.label, "distribution": dict(node.distribution)})
-        return
-    out.append({"feature": node.split.feature_index,
-                "threshold": node.split.threshold})
-    _tree_to_preorder(node.left, out)
-    _tree_to_preorder(node.right, out)
+def _tree_to_preorder(root: TreeNode) -> list[dict]:
+    out: list[dict] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            out.append({"label": node.label,
+                        "distribution": dict(node.distribution)})
+        else:
+            out.append({"feature": node.split.feature_index,
+                        "threshold": node.split.threshold})
+            stack.append(node.right)
+            stack.append(node.left)
+    return out
 
 
 def _check(condition: bool, message: str) -> None:
@@ -145,12 +151,7 @@ def _is_sorted_strings(value) -> bool:
             and all(a < b for a, b in zip(value, value[1:])))
 
 
-def _tree_from_preorder(nodes: list, pos: list[int], classes: set[str],
-                        n_features: int) -> TreeNode:
-    if pos[0] >= len(nodes):
-        raise ModelFormatError("tree node list ended early")
-    obj = nodes[pos[0]]
-    pos[0] += 1
+def _node_from_obj(obj, classes: set[str], n_features: int) -> TreeNode:
     _check(isinstance(obj, dict), f"tree node {obj!r} is not an object")
     if "label" in obj:
         label, dist = obj["label"], obj.get("distribution", {})
@@ -167,15 +168,32 @@ def _tree_from_preorder(nodes: list, pos: list[int], classes: set[str],
     _check(_is_finite(threshold), f"threshold {threshold!r} is not finite")
     split = SplitCandidate(feature_index=feature, threshold=float(threshold),
                            weighted_gini_decrease=0.0)
-    node = TreeNode(distribution={}, label="", split=split)
-    node.left = _tree_from_preorder(nodes, pos, classes, n_features)
-    node.right = _tree_from_preorder(nodes, pos, classes, n_features)
-    return node
+    return TreeNode(distribution={}, label="", split=split)
+
+
+def _tree_from_preorder(nodes: list, classes: set[str],
+                        n_features: int) -> TreeNode:
+    """The tree whose preorder is `nodes`, built without recursion, so a
+    model's depth is not bounded by the Python stack."""
+    root: TreeNode | None = None
+    open_nodes: list[TreeNode] = []  # internal nodes still missing a child
+    for obj in nodes:
+        _check(root is None or bool(open_nodes),
+               "extra nodes after the tree preorder ended")
+        node = _node_from_obj(obj, classes, n_features)
+        if root is None:
+            root = node
+        elif open_nodes[-1].left is None:
+            open_nodes[-1].left = node
+        else:
+            open_nodes.pop().right = node
+        if not node.is_leaf:
+            open_nodes.append(node)
+    _check(root is not None and not open_nodes, "tree node list ended early")
+    return root
 
 
 def model_to_obj(mf: ModelFile) -> dict:
-    tree_nodes: list[dict] = []
-    _tree_to_preorder(mf.model.root, tree_nodes)
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "vocabulary": list(mf.full_vocabulary),
@@ -187,7 +205,7 @@ def model_to_obj(mf: ModelFile) -> dict:
             "min_samples_leaf": mf.model.params.min_samples_leaf,
             "ccp_alpha": float(mf.model.params.ccp_alpha),
         },
-        "tree": tree_nodes,
+        "tree": _tree_to_preorder(mf.model.root),
         "metadata": {
             "scenario": mf.scenario,
             "manifest_digest": mf.manifest_digest,
@@ -207,6 +225,9 @@ def loads_model(text: str) -> ModelFile:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # arrays or objects nested too deep
+        raise ModelFormatError(
+            "model file nests JSON too deeply to read") from exc
     _check(isinstance(obj, dict), "model file must hold a JSON object")
     version = obj.get("format_version")
     _check(version == MODEL_FORMAT_VERSION,
@@ -246,9 +267,7 @@ def loads_model(text: str) -> ModelFile:
     _check(isinstance(metadata, dict), "metadata must be an object")
     filtered = Vocabulary.from_strings(
         s for s, keep in zip(full_vocab, kept) if keep)
-    pos = [0]
-    root = _tree_from_preorder(tree_nodes, pos, set(classes), len(filtered))
-    _check(pos[0] == len(tree_nodes), "extra nodes after the tree preorder ended")
+    root = _tree_from_preorder(tree_nodes, set(classes), len(filtered))
     model = DecisionTreeModel(
         root=root, vocabulary=filtered, classes=classes,
         class_weights={c: float(w) for c, w in weights.items()},

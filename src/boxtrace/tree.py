@@ -4,6 +4,17 @@ Grown by exhaustive weighted-Gini split search with midpoint thresholds,
 pruned by minimal cost-complexity, and able to report the exact decision
 path behind every prediction. All tie-breaks are pinned so that training
 is bit-reproducible across machines.
+
+A node's split search is a few array passes per block of its columns,
+with no Python loop over features or thresholds. Sorting the columns
+gives every candidate boundary. For each class, its rows' values, sorted
+per column and shifted so that each column has its own key range, give
+with one `searchsorted` the number of that class's rows left of every
+boundary. The result is bit-for-bit that of scanning each candidate with
+a running sum of class masses in sorted row order: that sum adds a
+class's weight once per row of the class and an exact 0.0 for every other
+row, so its value is read from the prefix sums of the class weight, and
+the Gini decreases are computed with the same elementwise operations.
 """
 
 from __future__ import annotations
@@ -21,6 +32,9 @@ from .vectorize import Vocabulary
 # candidate replaces the running best only if its Gini decrease is larger by
 # more than this.
 EPS = 1e-12
+_INT32 = np.iinfo(np.int32)
+# The split search sorts at most about this many counts of a node at once.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -91,6 +105,25 @@ def _majority_label(dist: np.ndarray, classes: Sequence[str]) -> str:
     return classes[int(np.argmax(dist))]
 
 
+def _scan_order_best(decrease: np.ndarray,
+                     best: float | None = None) -> int | None:
+    """Index of the last candidate that becomes the running best under the
+    `EPS` rule of `best_split`, when `decrease` continues a scan whose
+    running best so far is `best`; None if no candidate replaces it.
+
+    Walks only the candidates above every earlier one in `decrease`, which
+    include all that can win (see `best_split`).
+    """
+    earlier_max = np.fmax.accumulate(
+        np.concatenate(([-np.inf], decrease[:-1])))
+    chosen = None
+    for i in np.flatnonzero(decrease > earlier_max):
+        d = float(decrease[i])
+        if d > (EPS if best is None else best + EPS):
+            best, chosen = d, int(i)
+    return chosen
+
+
 def _best_split_arrays(
     X: np.ndarray,
     y: np.ndarray,
@@ -98,43 +131,73 @@ def _best_split_arrays(
     n_classes: int,
     min_samples_leaf: int,
 ) -> SplitCandidate | None:
-    n = X.shape[0]
+    # X holds int32 counts, and every row of class c weighs the same w_c
+    # (see `_encode`).
+    n, n_features = X.shape
     parent = np.bincount(y, weights=w, minlength=n_classes)
     total = float(parent.sum())
     parent_gini = 1.0 - float(np.square(parent / total).sum())
-    best: tuple[float, int, float] | None = None
-    rows = np.arange(n)
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        boundaries = np.nonzero(sv[:-1] != sv[1:])[0]
-        if boundaries.size == 0:
-            continue
-        onehot = np.zeros((n, n_classes), dtype=np.float64)
-        onehot[rows, y[order]] = w[order]
-        cum = np.cumsum(onehot, axis=0)
-        for b in boundaries:
-            n_left = int(b) + 1
-            if n_left < min_samples_leaf or n - n_left < min_samples_leaf:
-                continue
-            left = cum[b]
-            right = parent - left
-            w_left = float(left.sum())
-            w_right = total - w_left
-            g_left = 1.0 - float(np.square(left / w_left).sum())
-            g_right = 1.0 - float(np.square(right / w_right).sum())
-            decrease = (parent_gini
-                        - (w_left / total) * g_left
-                        - (w_right / total) * g_right)
-            if (best is None and decrease > EPS) or (
-                    best is not None and decrease > best[0] + EPS):
-                threshold = (float(sv[b]) + float(sv[b + 1])) / 2.0
-                best = (decrease, j, threshold)
-    if best is None:
+    leaf = max(min_samples_leaf, 1)
+    if n < 2 * leaf:
         return None
-    return SplitCandidate(feature_index=best[1], threshold=best[2],
-                          weighted_gini_decrease=best[0])
+    class_w = np.zeros(n_classes)
+    class_w[y] = w
+    in_class = [y == c for c in range(n_classes)]
+    # k rows of class c weigh prefix[c][k], the running sum's bits.
+    prefix = []
+    for c in range(n_classes):
+        sums = np.zeros(int(np.count_nonzero(in_class[c])) + 1)
+        np.cumsum(np.full(len(sums) - 1, class_w[c]), out=sums[1:])
+        prefix.append(sums)
+    best: SplitCandidate | None = None
+    # Blocks of columns bound the memory of the sorted copies, keys and
+    # candidate arrays; taken in order, they keep the scan order.
+    width = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, n_features, width):
+        block = X[:, start:start + width]
+        cols = block.shape[1]
+        columns = np.sort(block, axis=0)
+        # A boundary after sorted row b sends b + 1 rows left. It is a
+        # candidate if the value changes there and both sides keep at least
+        # `leaf` rows. Row-major indices are re-sorted into scan order.
+        changes = columns[leaf - 1:n - leaf] != columns[leaf:n - leaf + 1]
+        flat = np.flatnonzero(changes)
+        if flat.size == 0:
+            continue
+        feature, row = np.divmod(np.sort(flat % cols * n + flat // cols), n)
+        row += leaf - 1
+        # Column j's values map into a key range of its own, offset[j] +
+        # value. Counts are int32, so the keys fit in int64.
+        low = columns[0].astype(np.int64)
+        span = columns[-1] - low + 1
+        offset = np.cumsum(span) - span - low
+        boundary_keys = offset[feature] + columns[row, feature]
+        left = np.empty((feature.size, n_classes))
+        for c in range(n_classes):
+            # Class c's keys, each column sorted: they ascend, and column
+            # j's n_c keys start at j * n_c.
+            keys = block[in_class[c]].T.astype(np.int64, order="C")
+            keys.sort(axis=1)
+            keys += offset[:, None]
+            k = np.searchsorted(keys.ravel(), boundary_keys, side="right")
+            k -= feature * keys.shape[1]
+            left[:, c] = prefix[c][k]
+        right = parent - left
+        w_left = left.sum(axis=1)
+        w_right = total - w_left
+        g_left = 1.0 - np.square(left / w_left[:, None]).sum(axis=1)
+        g_right = 1.0 - np.square(right / w_right[:, None]).sum(axis=1)
+        decrease = (parent_gini
+                    - (w_left / total) * g_left
+                    - (w_right / total) * g_right)
+        i = _scan_order_best(
+            decrease, None if best is None else best.weighted_gini_decrease)
+        if i is not None:
+            j, b = int(feature[i]), int(row[i])
+            threshold = (float(columns[b, j]) + float(columns[b + 1, j])) / 2.0
+            best = SplitCandidate(feature_index=start + j, threshold=threshold,
+                                  weighted_gini_decrease=float(decrease[i]))
+    return best
 
 
 def _encode(
@@ -156,6 +219,14 @@ def _encode(
     if X.ndim != 2:
         raise DimensionMismatch(
             f"expected a files x features matrix, got shape {X.shape}")
+    # int32, as in a count matrix: the split search's int64 sort keys then
+    # cannot overflow.
+    if X.size and X.dtype.kind not in "biu":
+        raise DataError(f"counts must be integers, got {X.dtype}")
+    if X.size and (X.min() < _INT32.min or X.max() > _INT32.max):
+        raise DataError(
+            f"counts in [{X.min()}, {X.max()}] do not fit in int32")
+    X = X.astype(np.int32, copy=False)
     classes = sorted(set(labels))
     weights = dict(class_weights) if class_weights is not None \
         else compute_class_weights(labels)
@@ -183,6 +254,12 @@ def best_split(
     the lowest-index candidate within `EPS` of the maximum: with decreases
     d, d + 0.6 EPS, d + 1.2 EPS in scan order, the third wins. None means
     no candidate achieves a decrease above `EPS`.
+
+    Only a candidate whose decrease exceeds every earlier one can win, so
+    the search applies the rule to those alone: the running best never
+    trails the largest decrease seen so far by more than `EPS` (that
+    candidate either became the running best or was within `EPS` of it),
+    so a candidate no larger than an earlier one cannot beat it by more.
     """
     X, y, w, classes, _ = _encode(vectors, labels, class_weights)
     return _best_split_arrays(X, y, w, len(classes), min_samples_leaf)

@@ -8,7 +8,7 @@ import pytest
 
 from boxtrace.cli import main
 from boxtrace.fixtures import FixtureSpec, generate_corpus
-from boxtrace.modelfile import load_model
+from boxtrace.modelfile import canonical_dumps, dumps_model, load_model
 from boxtrace.tree import PathStep, replay_path
 
 
@@ -27,6 +27,17 @@ def trained_model(corpus_dir, tmp_path):
                  "--scenario", "integrity", "--out", str(model_path)])
     assert code == 0
     return model_path
+
+
+def chain_model_text(model_path, depth):
+    """The model file at `model_path` with its tree replaced by a chain of
+    `depth` splits on feature 0, each sending a count of 0 or more right."""
+    obj = json.loads(model_path.read_text(encoding="ascii"))
+    assert any(obj["filter"]["kept"])
+    label = obj["classes"][0]
+    leaf = {"label": label, "distribution": {label: 1.0}}
+    obj["tree"] = [{"feature": 0, "threshold": -0.5}, leaf] * depth + [leaf]
+    return canonical_dumps(obj)
 
 
 class TestParseCommand:
@@ -169,6 +180,28 @@ class TestClassifyCommand:
         code = main(["classify", str(bad), str(tiny_ftyp_file)])
         assert code == 65
         assert capsys.readouterr().err.startswith("ModelFormatError: ")
+
+    def test_model_deeper_than_the_python_stack(self, trained_model,
+                                                tmp_path, capsys,
+                                                tiny_ftyp_file):
+        text = chain_model_text(trained_model, 5000)
+        deep = tmp_path / "deep.json"
+        deep.write_text(text, encoding="ascii")
+        assert dumps_model(load_model(str(deep))) == text
+        code = main(["classify", str(deep), str(tiny_ftyp_file), "--explain"])
+        assert code == 0
+        record = json.loads(capsys.readouterr().out)
+        assert len(record["path"]) == 5000
+
+    def test_deeply_nested_json_model_is_data_error(self, tmp_path, capsys,
+                                                    tiny_ftyp_file):
+        bad = tmp_path / "model.json"
+        bad.write_text("[" * 100000 + "]" * 100000, encoding="ascii")
+        code = main(["classify", str(bad), str(tiny_ftyp_file)])
+        assert code == 65
+        err = capsys.readouterr().err
+        assert err.startswith("ModelFormatError: ")
+        assert err.count("\n") == 1
 
     def test_deterministic_across_runs(self, corpus_dir, trained_model,
                                        capsys):

@@ -122,6 +122,10 @@ class TestModelRoundTrip:
         with pytest.raises(ModelFormatError):
             loads_model("definitely not json")
 
+    def test_json_nested_past_the_python_stack_rejected(self):
+        with pytest.raises(ModelFormatError):
+            loads_model("[" * 100000 + "]" * 100000)
+
     def test_load_names_the_file_bytes(self, tmp_path):
         multisets, labels = fig_style_corpus()
         mf = train_model(multisets, labels, trained_at="")

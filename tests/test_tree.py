@@ -1,16 +1,25 @@
 """CART training, pruning, prediction, and the split-search oracle."""
 
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from boxtrace import tree
 from boxtrace.errors import (
+    DataError,
     DimensionMismatch,
     EmptyTrainingSet,
     ZeroMass,
 )
 from boxtrace.tree import (
+    SplitCandidate,
     TreeParams,
+    _best_split_arrays,
+    _scan_order_best,
     best_split,
     compute_class_weights,
     decision_path,
@@ -69,6 +78,107 @@ def oracle_best_split(rows, labels, weights, min_samples_leaf=1):
                     best is not None and decrease > best[0] + EPS):
                 best = (decrease, j, threshold)
     return None if best is None else (best[1], best[2])
+
+
+# The split search as it was before it became one array pass per node: a
+# stable sort, a one-hot cumulative sum and a loop over every boundary of
+# each feature. The array search must return the same candidate, bits of
+# the decrease included, so that model files stay byte-identical.
+def loop_best_split_arrays(
+    X: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    n_classes: int,
+    min_samples_leaf: int,
+) -> SplitCandidate | None:
+    n = X.shape[0]
+    parent = np.bincount(y, weights=w, minlength=n_classes)
+    total = float(parent.sum())
+    parent_gini = 1.0 - float(np.square(parent / total).sum())
+    best: tuple[float, int, float] | None = None
+    rows = np.arange(n)
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        order = np.argsort(col, kind="stable")
+        sv = col[order]
+        boundaries = np.nonzero(sv[:-1] != sv[1:])[0]
+        if boundaries.size == 0:
+            continue
+        onehot = np.zeros((n, n_classes), dtype=np.float64)
+        onehot[rows, y[order]] = w[order]
+        cum = np.cumsum(onehot, axis=0)
+        for b in boundaries:
+            n_left = int(b) + 1
+            if n_left < min_samples_leaf or n - n_left < min_samples_leaf:
+                continue
+            left = cum[b]
+            right = parent - left
+            w_left = float(left.sum())
+            w_right = total - w_left
+            g_left = 1.0 - float(np.square(left / w_left).sum())
+            g_right = 1.0 - float(np.square(right / w_right).sum())
+            decrease = (parent_gini
+                        - (w_left / total) * g_left
+                        - (w_right / total) * g_right)
+            if (best is None and decrease > EPS) or (
+                    best is not None and decrease > best[0] + EPS):
+                threshold = (float(sv[b]) + float(sv[b + 1])) / 2.0
+                best = (decrease, j, threshold)
+    if best is None:
+        return None
+    return SplitCandidate(feature_index=best[1], threshold=best[2],
+                          weighted_gini_decrease=best[0])
+
+
+def scan_order_best(decreases):
+    """The `EPS` rule applied to every candidate in scan order."""
+    best = None
+    for i, d in enumerate(decreases):
+        if (best is None and d > EPS) or (
+                best is not None and d > decreases[best] + EPS):
+            best = i
+    return best
+
+
+INT32_MAX = 2**31 - 1
+
+
+@st.composite
+def split_nodes(draw):
+    """A node as `_grow` hands it to the split search: int32 counts, class
+    codes (some classes may be absent) and one weight per class."""
+    n_classes = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 30))
+    values = draw(st.sampled_from([
+        st.integers(0, 3),                        # presence-like counts
+        st.integers(0, 10**6),                    # high cardinality
+        st.sampled_from([0, 1, INT32_MAX - 1, INT32_MAX]),
+    ]))
+    columns = []
+    for _ in range(draw(st.integers(0, 5))):
+        if columns and draw(st.booleans()):
+            columns.append(draw(st.sampled_from(columns)))  # exact ties
+        else:
+            columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+    X = np.array(columns, dtype=np.int32).T.reshape(n, len(columns))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                               min_size=n, max_size=n)), dtype=np.intp)
+    if draw(st.booleans()):
+        labels = [str(c) for c in y]
+        by_label = compute_class_weights(labels)
+        class_w = [by_label.get(str(c), 1.0) for c in range(n_classes)]
+    else:
+        class_w = draw(st.lists(st.floats(0.01, 100.0), min_size=n_classes,
+                                max_size=n_classes))
+    w = np.array([class_w[c] for c in y], dtype=np.float64)
+    return X, y, w, n_classes, draw(st.integers(1, 4))
+
+
+def same_candidate(got, expected):
+    assert got == expected
+    if expected is not None:
+        assert got.weighted_gini_decrease.hex() == \
+            expected.weighted_gini_decrease.hex()
 
 
 def random_corpus(rng: random.Random):
@@ -168,6 +278,79 @@ class TestBestSplit:
             expected = oracle_best_split(rows, labels, weights)
             got_key = None if got is None else (got.feature_index, got.threshold)
             assert got_key == expected
+
+
+class TestArraySplitSearch:
+    """The array search against the per-feature loop it replaced."""
+
+    @given(split_nodes(), st.sampled_from([1, 7, 40, tree._BLOCK_ELEMENTS]))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_loop_bit_for_bit(self, node, block_elements):
+        # Small blocks split the node's columns into several blocks, and
+        # the running best carries from one block to the next.
+        with mock.patch.object(tree, "_BLOCK_ELEMENTS", block_elements):
+            got = _best_split_arrays(*node)
+        same_candidate(got, loop_best_split_arrays(*node))
+
+    def test_matches_the_loop_on_a_wide_random_node(self):
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 6, size=(300, 40)).astype(np.int32)
+        y = rng.integers(0, 4, size=300)
+        weights = compute_class_weights([str(c) for c in y])
+        w = np.array([weights[str(c)] for c in y])
+        for leaf, block_elements in ((1, 300 * 7), (7, tree._BLOCK_ELEMENTS)):
+            node = (X, y, w, 4, leaf)
+            with mock.patch.object(tree, "_BLOCK_ELEMENTS", block_elements):
+                got = _best_split_arrays(*node)
+            same_candidate(got, loop_best_split_arrays(*node))
+
+    def test_nodes_without_a_boundary(self):
+        single_row = (np.array([[3, 1]], np.int32), np.array([0]),
+                      np.array([1.0]), 2, 1)
+        constant = (np.full((4, 3), 7, np.int32), np.array([0, 1, 0, 1]),
+                    np.ones(4), 2, 1)
+        no_features = (np.zeros((4, 0), np.int32), np.array([0, 1, 0, 1]),
+                       np.ones(4), 2, 1)
+        too_small_for_leaves = (np.array([[0], [1], [2]], np.int32),
+                                np.array([0, 1, 1]), np.ones(3), 2, 2)
+        for node in (single_row, constant, no_features, too_small_for_leaves):
+            assert _best_split_arrays(*node) is None
+            assert loop_best_split_arrays(*node) is None
+
+    def test_counts_up_to_int32_max(self):
+        rows = [(INT32_MAX, 0), (INT32_MAX - 1, 5), (0, INT32_MAX),
+                (INT32_MAX - 1, 1)]
+        labels = ["A", "B", "B", "B"]
+        weights = {"A": 1.0, "B": 1.0}
+        cand = best_split([fv(*row) for row in rows], labels, weights)
+        assert (cand.feature_index, cand.threshold) == \
+            oracle_best_split(rows, labels, weights)
+        assert cand.threshold == INT32_MAX - 0.5
+
+    def test_counts_must_fit_in_int32(self):
+        for rows in ([fv(INT32_MAX + 1), fv(0)], [fv(-2**31 - 1), fv(0)],
+                     [[0.5], [1.0]]):
+            with pytest.raises(DataError):
+                best_split(rows, ["A", "B"])
+
+
+class TestScanOrderRule:
+    def test_near_ties_chain(self):
+        # The docstring's example: the third beats the first by more than
+        # EPS, though the second is within EPS of the third.
+        d = 0.25
+        assert _scan_order_best(np.array([d, d + 0.6 * EPS, d + 1.2 * EPS])) == 2
+
+    def test_nothing_above_eps(self):
+        assert _scan_order_best(np.array([0.0, EPS, 0.5 * EPS])) is None
+
+    @given(st.lists(st.integers(0, 12).map(lambda k: 0.25 + k * 0.3 * EPS)
+                    | st.sampled_from([0.0, 0.5 * EPS, EPS, 1.5 * EPS]),
+                    min_size=1, max_size=30))
+    @settings(max_examples=300)
+    def test_matches_the_sequential_rule(self, decreases):
+        assert _scan_order_best(np.array(decreases)) == \
+            scan_order_best(decreases)
 
 
 class TestGrow:

@@ -14,6 +14,6 @@ from .errors import BoxtraceError, DataError, ParseError
 from .evaluate import get_scenario, load_manifest, run_scenario
 from .fixtures import FixtureSpec, generate_corpus
 from .modelfile import classify_tree, load_model, save_model, train_model
-from .symbols import default_blacklist, extract_symbols
+from .symbols import default_blacklist, extract_symbols, file_symbols
 
 __version__ = "0.1.0"

@@ -20,12 +20,14 @@ opaque payload is read. Memory stays bounded by the window.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import struct
 import uuid as _uuidlib
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import lru_cache
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Iterator
 
 from .errors import (
     BoxDecodeError,
@@ -68,7 +70,7 @@ _MAX_STSD_ENTRIES = 32
 _MAX_ELST_ENTRIES = 16
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoxHeader:
     """Decoded box header; `effective_len` covers header plus payload."""
 
@@ -430,137 +432,129 @@ def _opaque_fields(payload_len: int) -> list[tuple[str, str]]:
     return [("stuff", "opaque"), ("count", str(payload_len))]
 
 
-class _Window:
-    """The last bytes read from a stream, and the reads they can serve."""
+def walk_boxes(
+    stream: BinaryIO, warnings: list[str]
+) -> Iterator[tuple[int, str, tuple, list[tuple[str, str]]]]:
+    """Yield ``(depth, path, header, fields)`` for every box of a seekable
+    byte stream, in preorder; `path` is the box's symbol path (``moov/trak``)
+    and `header` the values of its `BoxHeader`. Warnings go to `warnings` as
+    they arise. Raises a `ParseError` as `parse_container` does.
+    """
+    stream.seek(0, 2)
+    file_len = stream.tell()
+    if file_len == 0:
+        raise NotBmff("empty file")
+    # The window: the last bytes read, which serve any read they cover.
+    data, start = b"", 0
 
-    def __init__(self, stream: BinaryIO, length: int):
-        self.stream = stream
-        self.length = length
-        self.start = 0
-        self.data = b""
-
-    def read(self, offset: int, n: int, end: int | None) -> bytes:
+    def read(offset: int, n: int, within: int | None) -> bytes:
         """The `n` bytes at `offset`, or those the stream holds there.
-
-        `end` is the end of the box enclosing the read, None between
-        top-level boxes. A read that runs past `end` still returns the
-        stream's bytes there: a 64-bit size or uuid user type may lie past
-        its parent's end, and the size checks report that.
-        """
-        pos = offset - self.start
-        if 0 <= pos and pos + n <= len(self.data):
-            return self.data[pos:pos + n]
-        if end is None:
-            size = min(_TOP_READ_AHEAD, self.length - offset)
+        `within` ends the enclosing box (None between top-level boxes); a
+        read past it still returns the stream's bytes, as a 64-bit size or
+        uuid user type may lie past its parent's end for the size checks."""
+        nonlocal data, start
+        at = offset - start
+        if 0 <= at and at + n <= len(data):
+            return data[at:at + n]
+        if within is None:
+            size = min(_TOP_READ_AHEAD, file_len - offset)
         else:
-            size = min(_PAYLOAD_READ_CAP, end - offset)
-        self.stream.seek(offset)
-        self.data = self.stream.read(max(n, size))
-        self.start = offset
-        return self.data[:n]
+            size = min(_PAYLOAD_READ_CAP, within - offset)
+        stream.seek(offset)
+        data = stream.read(max(n, size))
+        start = offset
+        return data[:n]
 
-
-def _read_header(
-    window: _Window, offset: int, scope_end: int, top_level: bool, first: bool
-) -> BoxHeader:
-    within = None if top_level else scope_end
-    head = window.read(offset, 8, within)
-    if len(head) < 8:
-        if first:
-            raise NotBmff("no first box exists" if not head else
-                          f"only {len(head)} bytes at offset 0, no box header fits")
-        raise TruncatedBox(offset, render_type_code(head.ljust(4, b"\x00")[:4]),
-                           "trailing bytes cannot hold a box header")
-    size, raw_type = _HEADER.unpack(head)
-    type_code = render_type_code(raw_type)
-    if first and type_code not in TOP_LEVEL_TYPES:
-        raise NotBmff(f"first box type '{type_code}' is not a recognized top-level box")
-    header_len = 8
-    large_size = None
-    if size == 1:
-        ext = window.read(offset + header_len, 8, within)
-        if len(ext) < 8:
-            raise TruncatedBox(offset, type_code, "64-bit size field truncated")
-        large_size = _u64(ext, 0)
-        header_len += 8
-    user_type = None
-    if raw_type == b"uuid":
-        raw_uuid = window.read(offset + header_len, 16, within)
-        if len(raw_uuid) < 16:
-            raise TruncatedBox(offset, type_code, "uuid user type truncated")
-        user_type = str(_uuidlib.UUID(bytes=raw_uuid))
-        header_len += 16
-    if size == 0:
-        if not top_level:
-            raise ZeroSizeNonFinal(offset, type_code)
-        effective_len = scope_end - offset
-    elif size == 1:
-        effective_len = large_size  # type: ignore[assignment]
-    else:
-        effective_len = size
-    if effective_len < header_len:
-        raise TruncatedBox(offset, type_code,
-                           f"declared length {effective_len} smaller than its "
-                           f"{header_len}-byte header")
-    if offset + effective_len > scope_end:
-        raise TruncatedBox(offset, type_code,
-                           f"declared length {effective_len} exceeds the "
-                           f"{scope_end - offset} bytes remaining")
-    return BoxHeader(offset=offset, size=size, type_code=type_code,
-                     header_len=header_len, effective_len=effective_len,
-                     large_size=large_size, user_type=user_type)
-
-
-def _parse_boxes(
-    window: _Window,
-    start: int,
-    end: int,
-    depth: int,
-    warnings: list[str],
-) -> list[AtomNode]:
-    """The boxes in [start, end), inside `depth` enclosing containers."""
-    top_level = depth == 0
-    within = None if top_level else end
-    nodes: list[AtomNode] = []
-    pos = start
-    while pos < end:
+    # The scope being read is [pos, end), inside `depth` containers whose
+    # path is `prefix`; `stack` holds where each enclosing scope resumes.
+    stack: list[tuple[int, int, int, str]] = []
+    pos, end, depth, prefix = 0, file_len, 0, ""
+    while pos < end or stack:
+        if pos >= end:
+            pos, end, depth, prefix = stack.pop()
+            continue
+        within = end if depth else None
         if end - pos < 8:
-            tail = window.read(pos, end - pos, within)
-            if not top_level and not any(tail):
+            tail = read(pos, end - pos, within)
+            if depth and not any(tail):
                 # QuickTime-style zero terminator padding inside a container.
                 warnings.append(
                     f"{end - pos} zero bytes of padding at offset {pos} ignored")
-                break
+                pos = end
+                continue
             raise TruncatedBox(pos, render_type_code(tail.ljust(4, b"\x00")[:4]),
                                "trailing bytes cannot hold a box header")
-        header = _read_header(window, pos, end, top_level,
-                              first=top_level and not nodes)
-        if header.type_code in CONTAINER_TYPES:
-            if depth == MAX_NESTING:
-                raise NestingTooDeep(header.offset, header.type_code, MAX_NESTING)
-            children = _parse_boxes(window, header.payload_offset,
-                                    header.offset + header.effective_len,
-                                    depth + 1, warnings)
-            nodes.append(AtomNode(header.type_code, header, [], children))
-        elif has_schema(header.type_code):
-            payload = b""
-            if header.type_code != "uuid":
-                payload = window.read(header.payload_offset,
-                                      min(header.payload_len, _PAYLOAD_READ_CAP),
-                                      within)
-            try:
-                fields = decode_known_box(header, payload)
-            except BoxDecodeError as exc:
-                warnings.append(
-                    f"box '{header.type_code}' at offset {header.offset}: "
-                    f"{exc}; treated as opaque")
-                fields = _opaque_fields(header.payload_len)
-            nodes.append(AtomNode(header.type_code, header, fields, []))
+        # Only the first box of a file starts at offset 0.
+        head = read(pos, 8, within)
+        if len(head) < 8:
+            if not pos:
+                raise NotBmff("no first box exists" if not head else
+                              f"only {len(head)} bytes at offset 0, no box header fits")
+            raise TruncatedBox(pos, render_type_code(head.ljust(4, b"\x00")[:4]),
+                               "trailing bytes cannot hold a box header")
+        size, raw_type = _HEADER.unpack(head)
+        type_code = render_type_code(raw_type)
+        if not pos and type_code not in TOP_LEVEL_TYPES:
+            raise NotBmff(f"first box type '{type_code}' is not a recognized top-level box")
+        header_len = 8
+        large_size = None
+        if size == 1:
+            ext = read(pos + header_len, 8, within)
+            if len(ext) < 8:
+                raise TruncatedBox(pos, type_code, "64-bit size field truncated")
+            large_size = _u64(ext, 0)
+            header_len += 8
+        user_type = None
+        if raw_type == b"uuid":
+            raw_uuid = read(pos + header_len, 16, within)
+            if len(raw_uuid) < 16:
+                raise TruncatedBox(pos, type_code, "uuid user type truncated")
+            user_type = str(_uuidlib.UUID(bytes=raw_uuid))
+            header_len += 16
+        if size == 0:
+            if depth:
+                raise ZeroSizeNonFinal(pos, type_code)
+            effective_len = end - pos
+        elif size == 1:
+            effective_len = large_size
         else:
-            nodes.append(AtomNode(header.type_code, header,
-                                  _opaque_fields(header.payload_len), []))
-        pos = header.offset + header.effective_len
-    return nodes
+            effective_len = size
+        if effective_len < header_len:
+            raise TruncatedBox(pos, type_code,
+                               f"declared length {effective_len} smaller than its "
+                               f"{header_len}-byte header")
+        if pos + effective_len > end:
+            raise TruncatedBox(pos, type_code,
+                               f"declared length {effective_len} exceeds the "
+                               f"{end - pos} bytes remaining")
+        path = prefix + type_code
+        header = (pos, size, type_code, header_len, effective_len, large_size,
+                  user_type)
+        box_end = pos + effective_len
+        if type_code in CONTAINER_TYPES:
+            if depth == MAX_NESTING:
+                raise NestingTooDeep(pos, type_code, MAX_NESTING)
+            yield depth, path, header, []
+            stack.append((box_end, end, depth, prefix))
+            pos, end, depth, prefix = pos + header_len, box_end, depth + 1, path + "/"
+            continue
+        decoder = _DECODERS.get(type_code)
+        if decoder is not None:
+            payload = read(pos + header_len,
+                           min(effective_len - header_len, _PAYLOAD_READ_CAP),
+                           within)
+            try:
+                fields = decoder(payload)
+            except BoxDecodeError as exc:
+                warnings.append(f"box '{type_code}' at offset {pos}: "
+                                f"{exc}; treated as opaque")
+                fields = _opaque_fields(effective_len - header_len)
+        elif user_type is not None:
+            fields = [("userType", user_type)]
+        else:
+            fields = _opaque_fields(effective_len - header_len)
+        yield depth, path, header, fields
+        pos = box_end
 
 
 def parse_container(byte_source: BinaryIO, source_id: str = "") -> ContainerTree:
@@ -569,20 +563,29 @@ def parse_container(byte_source: BinaryIO, source_id: str = "") -> ContainerTree
     Raises a `ParseError` for any bytes that do not form a box tree,
     containers nested deeper than `MAX_NESTING` included.
     """
-    byte_source.seek(0, 2)
-    file_len = byte_source.tell()
-    if file_len == 0:
-        raise NotBmff("empty file")
     warnings: list[str] = []
-    children = _parse_boxes(_Window(byte_source, file_len), 0, file_len, 0,
-                            warnings)
-    root = AtomNode("root", None, [], children)
+    root = AtomNode("root", None, [], [])
+    # levels[d] holds the children of the latest box at depth d - 1.
+    levels = [root.children]
+    for depth, _, header, fields in walk_boxes(byte_source, warnings):
+        node = AtomNode(header[2], BoxHeader(*header), fields, [])
+        del levels[depth + 1:]
+        levels[depth].append(node)
+        levels.append(node.children)
     return ContainerTree(root=root, source_id=source_id, warnings=warnings)
+
+
+def open_box_file(path: str) -> BinaryIO:
+    """Open `path` for parsing. Anything but a regular file raises
+    `NotBmff`, so a named pipe without a writer never blocks the caller."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise NotBmff("not a regular file")
+    return open(path, "rb")
 
 
 def parse_file(path: str) -> ContainerTree:
     """Open `path` and parse its container structure."""
-    with open(path, "rb") as handle:
+    with open_box_file(path) as handle:
         return parse_container(handle, source_id=str(path))
 
 

@@ -24,8 +24,8 @@ from .evaluate import (
 )
 from .fixtures import FixtureSpec, generate_corpus
 from .llr import DEFAULT_TAU, FilterConfig, llr_report, report_tsv
-from .modelfile import classify_tree, load_model, save_model, train_model
-from .symbols import dump_symbols, extract_symbols
+from .modelfile import classify_symbols, load_model, save_model, train_model
+from .symbols import dump_symbols, file_symbols
 from .tree import TreeParams, to_dot
 from .vectorize import count_matrix
 
@@ -68,13 +68,15 @@ def _add_training_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_parse(args) -> int:
-    tree = parse_file(args.file)
-    for warning in tree.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     if args.symbols:
-        sys.stdout.write(dump_symbols(extract_symbols(tree)))
+        symbols, warnings = file_symbols(args.file)
+        out = dump_symbols(symbols)
     else:
-        sys.stdout.write(dump_tree(tree, format=args.format))
+        tree = parse_file(args.file)
+        warnings, out = tree.warnings, dump_tree(tree, format=args.format)
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    sys.stdout.write(out)
     return EXIT_OK
 
 
@@ -101,7 +103,7 @@ def cmd_train(args) -> int:
 def _classify_one(mf, file_name, explain):
     record: dict = {"file": file_name, "model": mf.file_digest}
     try:
-        verdict, steps = classify_tree(mf, parse_file(file_name))
+        verdict, steps = classify_symbols(mf, file_symbols(file_name)[0])
     except (ParseError, DataError, OSError) as exc:
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record

@@ -18,7 +18,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bmff import parse_file
 from .errors import (
     EmptyMatrix,
     EmptyScenario,
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .llr import FilterConfig
 from .modelfile import ModelFile, train_model
-from .symbols import extract_symbols
+from .symbols import file_symbols
 from .tree import TreeParams, decision_path, predict, replay_path
 from .vectorize import count_matrix
 
@@ -280,7 +279,7 @@ def labeled_multisets(
     cache: dict[Path, Counter[str]] = {}
     for row, _ in labeled:
         if row.path not in cache:
-            cache[row.path] = extract_symbols(parse_file(str(row.path)))
+            cache[row.path] = file_symbols(str(row.path))[0]
     return ([row for row, _ in labeled],
             [cache[row.path] for row, _ in labeled],
             [label for _, label in labeled])

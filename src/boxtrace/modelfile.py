@@ -343,7 +343,12 @@ def train_model(
                      trained_at=resolve_timestamp(trained_at))
 
 
+def classify_symbols(mf: ModelFile, symbols: Counter[str]) -> tuple[str, list[PathStep]]:
+    """Predict a file's class from its symbols, and the path that decided it."""
+    row = vectorize(symbols, mf.model.vocabulary)
+    return predict(mf.model, row), decision_path(mf.model, row)
+
+
 def classify_tree(mf: ModelFile, tree: ContainerTree) -> tuple[str, list[PathStep]]:
     """Predict a parsed container's class and the path that decided it."""
-    row = vectorize(extract_symbols(tree), mf.model.vocabulary)
-    return predict(mf.model, row), decision_path(mf.model, row)
+    return classify_symbols(mf, extract_symbols(tree))

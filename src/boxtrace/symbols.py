@@ -1,4 +1,4 @@
-"""Conversion of a container tree into a multiset of path symbols.
+"""Conversion of a file's boxes into a multiset of path symbols.
 
 A symbol is a plain string. A field-symbol is the path from below the
 root to a field name, ``moov/mvhd/@rate``; a value-symbol extends it with
@@ -15,18 +15,19 @@ and a ``/`` after it starts a value.
 from __future__ import annotations
 
 from collections import Counter
+from typing import BinaryIO, Iterable, Iterator
 
-from .bmff import ContainerTree
+from .bmff import ContainerTree, open_box_file, walk_boxes
 
 # Value-symbols for these fields carry only intra-class variability
 # (durations, dates, byte counts, ...) and are suppressed; their
 # field-symbols are always kept.
-_DEFAULT_BLACKLIST = (
+_DEFAULT_BLACKLIST = frozenset(f"@{name}" for name in (
     "author", "count", "creationTime", "depth", "duration", "entryCount",
     "flags", "gpscoords", "matrix", "modelName", "modificationTime",
     "name", "sampleCount", "segmentDuration", "size", "stuff",
     "timescale", "version", "width", "height", "language",
-)
+))
 
 
 def escape_value(value: str) -> str:
@@ -37,12 +38,37 @@ def escape_value(value: str) -> str:
 def default_blacklist() -> frozenset[str]:
     """The ``@``-prefixed field names whose value-symbols are dropped by
     default: noisy per-file field values."""
-    return frozenset(f"@{name}" for name in _DEFAULT_BLACKLIST)
+    return _DEFAULT_BLACKLIST
 
 
 def symbol_kind(symbol: str) -> str:
     """``"value"`` for a value-symbol, ``"field"`` for a field-symbol."""
     return "value" if "/" in symbol.partition("@")[2] else "field"
+
+
+def _count_symbols(events: Iterable[tuple], blacklist: frozenset[str] | None
+                   ) -> Counter[str]:
+    """The symbols of `walk_boxes` events, counted in the order given."""
+    if blacklist is None:
+        blacklist = _DEFAULT_BLACKLIST
+    symbols: list[str] = []
+    for _, path, _, fields in events:
+        for fname, fvalue in fields:
+            field_symbol = f"{path}/@{fname}"
+            symbols.append(field_symbol)
+            if "@" + fname not in blacklist:
+                symbols.append(f"{field_symbol}/{escape_value(fvalue)}")
+    return Counter(symbols)
+
+
+def _tree_events(tree: ContainerTree) -> Iterator[tuple]:
+    """The `walk_boxes` events of a parsed or hand-built tree."""
+    stack = [(child, child.name, 0) for child in reversed(tree.root.children)]
+    while stack:
+        node, path, depth = stack.pop()
+        yield depth, path, node.header, node.fields
+        for child in reversed(node.children):
+            stack.append((child, f"{path}/{child.name}", depth + 1))
 
 
 def extract_symbols(
@@ -55,20 +81,25 @@ def extract_symbols(
     produce no standalone symbol; opaque nodes are reached through their
     `stuff`/`count` fields. Counts aggregate across sibling duplicates.
     """
-    if blacklist is None:
-        blacklist = default_blacklist()
-    symbols: list[str] = []
-    stack = [(child, child.name) for child in reversed(tree.root.children)]
-    while stack:
-        node, path = stack.pop()
-        for fname, fvalue in node.fields:
-            field_symbol = f"{path}/@{fname}"
-            symbols.append(field_symbol)
-            if "@" + fname not in blacklist:
-                symbols.append(f"{field_symbol}/{escape_value(fvalue)}")
-        for child in reversed(node.children):
-            stack.append((child, f"{path}/{child.name}"))
-    return Counter(symbols)
+    return _count_symbols(_tree_events(tree), blacklist)
+
+
+def container_symbols(
+    stream: BinaryIO, blacklist: frozenset[str] | None = None
+) -> tuple[Counter[str], list[str]]:
+    """The symbols and parse warnings of a seekable byte stream, as
+    `extract_symbols` and `parse_container` give them, with no tree built."""
+    warnings: list[str] = []
+    symbols = _count_symbols(walk_boxes(stream, warnings), blacklist)
+    return symbols, warnings
+
+
+def file_symbols(
+    path: str, blacklist: frozenset[str] | None = None
+) -> tuple[Counter[str], list[str]]:
+    """Open `path` and return its symbols and parse warnings."""
+    with open_box_file(path) as handle:
+        return container_symbols(handle, blacklist)
 
 
 def dump_symbols(symbols: Counter[str]) -> str:

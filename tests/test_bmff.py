@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import struct
 from decimal import Decimal
 
@@ -28,7 +29,7 @@ from boxtrace.errors import (
     ZeroSizeNonFinal,
 )
 from boxtrace.fixtures import FixtureSpec, generate_corpus
-from boxtrace.symbols import extract_symbols
+from boxtrace.symbols import extract_symbols, file_symbols
 
 from conftest import FTYP_MIN, mkbox, mkfull, mkmvhd
 
@@ -477,6 +478,14 @@ class TestStreamingBehavior:
         tree = parse_file(str(tiny_ftyp_file))
         assert tree.source_id == str(tiny_ftyp_file)
         assert tree.root.children[0].name == "ftyp"
+
+    def test_only_regular_files_are_opened(self, tmp_path):
+        # A directory and a device; a named pipe is in test_cli.py, since
+        # opening one would block.
+        for path in (str(tmp_path), os.devnull):
+            for read in (parse_file, file_symbols):
+                with pytest.raises(NotBmff, match="^not a regular file$"):
+                    read(path)
 
 
 class TestDumpTree:

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import struct
+import threading
 
 import pytest
 
@@ -67,6 +69,7 @@ class TestParseCommand:
         assert len(lines) == 2
         assert lines[0] == "1\tfield\tftyp/@count"
         assert lines[1] == "1\tfield\tftyp/@stuff"
+        assert captured.err.startswith("warning: box 'ftyp' at offset 0: ")
 
     def test_json_dump_ordered(self, tiny_ftyp_file, capsys):
         assert main(["parse", str(tiny_ftyp_file), "--format", "json"]) == 0
@@ -159,6 +162,27 @@ class TestClassifyCommand:
         assert records[0]["error"].startswith("NestingTooDeep: ")
         assert "prediction" not in records[0]
         assert "prediction" in records[1]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_named_pipe_yields_one_error_record(self, trained_model, tmp_path,
+                                                capsys, tiny_ftyp_file):
+        fifo = tmp_path / "pipe.mp4"
+        os.mkfifo(fifo)
+        argv = ["classify", str(trained_model), str(fifo), str(tmp_path),
+                str(tiny_ftyp_file)]
+        worker = threading.Thread(target=main, args=(argv,), daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        if worker.is_alive():
+            # Release a reader blocked on the pipe before failing.
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.splitlines()]
+        assert [r.get("error") for r in records] == [
+            "NotBmff: not a regular file", "NotBmff: not a regular file", None]
+        assert "prediction" in records[2]
 
     def test_records_name_the_model_file_bytes(self, trained_model, tmp_path,
                                                capsys, tiny_ftyp_file):

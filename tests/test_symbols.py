@@ -1,14 +1,24 @@
 """Symbol extraction and blacklist behavior."""
 
 import io
+import struct
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxtrace.bmff import AtomNode, ContainerTree, parse_container, render_type_code
+from boxtrace.bmff import (
+    MAX_NESTING,
+    AtomNode,
+    ContainerTree,
+    parse_container,
+    render_type_code,
+)
+from boxtrace.errors import NestingTooDeep, ParseError
+from boxtrace.fixtures import FixtureSpec, generate_corpus
 from boxtrace.symbols import (
+    container_symbols,
     default_blacklist,
     dump_symbols,
     escape_value,
@@ -224,3 +234,102 @@ class TestStringSymbols:
         lines = dump_symbols(ms).splitlines()
         assert [line.split("\t", 1)[1] for line in lines] == [
             f"{kind}\t{s}" for s, kind in sorted(dumped)]
+
+
+def tree_outcome(data: bytes, blacklist):
+    """Symbols in key order and warnings through the parsed tree, or the
+    `ParseError` type and message. Any other exception escapes."""
+    try:
+        tree = parse_container(io.BytesIO(data))
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return list(extract_symbols(tree, blacklist).items()), tree.warnings
+
+
+def byte_outcome(data: bytes, blacklist):
+    """The same, counted straight from the bytes by `container_symbols`."""
+    try:
+        symbols, warnings = container_symbols(io.BytesIO(data), blacklist)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return list(symbols.items()), warnings
+
+
+@pytest.fixture(scope="module")
+def fixture_files(tmp_path_factory):
+    """Bytes and box offsets of one fixture file per device and class."""
+    corpus = generate_corpus(FixtureSpec(seed=7, videos_per_cell=1),
+                             tmp_path_factory.mktemp("byte_symbols"))
+    files = []
+    for row in corpus.rows:
+        data = row.path.read_bytes()
+        stack = list(parse_container(io.BytesIO(data)).root.children)
+        offsets = []
+        while stack:
+            node = stack.pop()
+            offsets.append(node.header.offset)
+            stack.extend(node.children)
+        files.append((data, sorted(offsets)))
+    return files
+
+
+def hostile(draw, data: bytes, offsets: list[int]) -> bytes:
+    """A bit-flipped, truncated or size-rewritten copy of `data`, or one
+    with the first payload byte of a box (a full box's version) rewritten,
+    which makes decoders fail on otherwise well-formed files."""
+    kind = draw(st.sampled_from(["flip", "truncate", "size", "version"]))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    out = bytearray(data)
+    if kind == "version":
+        at = min(draw(st.sampled_from(offsets)) + 8, len(out) - 1)
+        out[at] = draw(st.integers(0, 255))
+    elif kind == "flip":
+        for bit in draw(st.lists(st.integers(0, len(out) * 8 - 1),
+                                 min_size=1, max_size=4)):
+            out[bit // 8] ^= 1 << (bit % 8)
+    else:
+        size = draw(st.sampled_from([0, 1, 7, 8, 9, 16, len(data), 2**32 - 1])
+                    | st.integers(0, 2**32 - 1))
+        struct.pack_into(">I", out, draw(st.sampled_from(offsets)), size)
+    return bytes(out)
+
+
+def moov_nest(depth: int, inner: bytes) -> bytes:
+    """`depth` nested moov boxes around `inner`."""
+    for _ in range(depth):
+        inner = mkbox(b"moov", inner)
+    return inner
+
+
+NEST_INNER = [b"", bytes(4), mkbox(b"hdlr", b"short"), mkbox(b"free"),
+              mkbox(b"moov")]
+BLACKLISTS = st.sampled_from([None, NO_BLACKLIST, default_blacklist()])
+
+
+class TestByteSymbols:
+    """`container_symbols` gives what the parsed tree gives, for any bytes."""
+
+    @given(st.booleans(), st.binary(max_size=300), BLACKLISTS)
+    @settings(max_examples=300, deadline=None)
+    def test_random_bytes(self, after_ftyp, tail, blacklist):
+        data = (FTYP_MIN if after_ftyp else b"") + tail
+        assert byte_outcome(data, blacklist) == tree_outcome(data, blacklist)
+
+    @given(st.data(), BLACKLISTS)
+    @settings(max_examples=300, deadline=None)
+    def test_hostile_fixture_variants(self, fixture_files, data, blacklist):
+        base, offsets = data.draw(st.sampled_from(fixture_files))
+        variant = hostile(data.draw, base, offsets)
+        assert byte_outcome(variant, blacklist) \
+            == tree_outcome(variant, blacklist)
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING - 1, MAX_NESTING,
+                                       MAX_NESTING + 1])
+    @pytest.mark.parametrize("inner", NEST_INNER)
+    def test_deep_nests(self, depth, inner):
+        data = FTYP_MIN + moov_nest(depth, inner)
+        expected = tree_outcome(data, None)
+        assert byte_outcome(data, None) == expected
+        if depth > MAX_NESTING:
+            assert expected[0] is NestingTooDeep

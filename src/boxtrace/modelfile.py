@@ -30,6 +30,7 @@ from .tree import (
     TreeParams,
     decision_path,
     predict,
+    preorder,
     train_tree,
 )
 from .vectorize import CountMatrix, Vocabulary, count_matrix, vectorize
@@ -115,19 +116,11 @@ class ModelFile:
 
 
 def _tree_to_preorder(root: TreeNode) -> list[dict]:
-    out: list[dict] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            out.append({"label": node.label,
-                        "distribution": dict(node.distribution)})
-        else:
-            out.append({"feature": node.split.feature_index,
-                        "threshold": node.split.threshold})
-            stack.append(node.right)
-            stack.append(node.left)
-    return out
+    return [{"label": node.label, "distribution": dict(node.distribution)}
+            if node.is_leaf else
+            {"feature": node.split.feature_index,
+             "threshold": node.split.threshold}
+            for node in preorder(root)]
 
 
 def _check(condition: bool, message: str) -> None:

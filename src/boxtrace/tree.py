@@ -99,10 +99,25 @@ def compute_class_weights(labels: Sequence[str]) -> dict[str, float]:
     return {c: n_total / (n_classes * n) for c, n in sorted(counts.items())}
 
 
-def _majority_label(dist: np.ndarray, classes: Sequence[str]) -> str:
+def preorder(root: TreeNode) -> list[TreeNode]:
+    """Every node under `root`, each before its left, then its right
+    subtree; built without recursion, so a tree of any depth is walked."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not node.is_leaf:
+            stack += (node.right, node.left)
+    return nodes
+
+
+def _leaf(y: np.ndarray, w: np.ndarray, classes: Sequence[str]) -> TreeNode:
+    dist = np.bincount(y, weights=w, minlength=len(classes))
     # argmax returns the first maximum; classes are sorted, so ties break
     # lexicographically.
-    return classes[int(np.argmax(dist))]
+    return TreeNode(
+        distribution={c: float(dist[i]) for i, c in enumerate(classes)},
+        label=classes[int(np.argmax(dist))])
 
 
 def _scan_order_best(decrease: np.ndarray,
@@ -271,26 +286,28 @@ def _grow(
     w: np.ndarray,
     classes: list[str],
     params: TreeParams,
-    depth: int,
 ) -> TreeNode:
-    dist = np.bincount(y, weights=w, minlength=len(classes))
-    node = TreeNode(
-        distribution={c: float(dist[i]) for i, c in enumerate(classes)},
-        label=_majority_label(dist, classes),
-    )
-    n = len(y)
-    pure = bool(np.all(y == y[0]))
-    depth_capped = params.max_depth is not None and depth >= params.max_depth
-    if pure or n < 2 or depth_capped:
-        return node
-    cand = _best_split_arrays(X, y, w, len(classes), params.min_samples_leaf)
-    if cand is None:
-        return node
-    mask = X[:, cand.feature_index] <= cand.threshold
-    node.split = cand
-    node.left = _grow(X[mask], y[mask], w[mask], classes, params, depth + 1)
-    node.right = _grow(X[~mask], y[~mask], w[~mask], classes, params, depth + 1)
-    return node
+    # A node to split, its rows and its depth. Rows stay in ascending order,
+    # so each class mass sums its floats in the order of the input rows.
+    root = _leaf(y, w, classes)
+    stack = [(root, np.arange(len(y)), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        if np.all(y[rows] == y[rows[0]]) or (
+                params.max_depth is not None and depth >= params.max_depth):
+            continue
+        Xr = X[rows]
+        cand = _best_split_arrays(Xr, y[rows], w[rows], len(classes),
+                                  params.min_samples_leaf)
+        if cand is None:
+            continue
+        mask = Xr[:, cand.feature_index] <= cand.threshold
+        left, right = rows[mask], rows[~mask]
+        node.split = cand
+        node.left = _leaf(y[left], w[left], classes)
+        node.right = _leaf(y[right], w[right], classes)
+        stack += ((node.right, right, depth + 1), (node.left, left, depth + 1))
+    return root
 
 
 def grow(
@@ -299,49 +316,47 @@ def grow(
     class_weights: Mapping[str, float] | None = None,
     params: TreeParams = TreeParams(),
 ) -> TreeNode:
-    """Recursive partitioning until purity or a stopping cap binds."""
+    """Partitioning, without recursion, until purity or a stopping cap binds."""
     X, y, w, classes, _ = _encode(vectors, labels, class_weights)
-    return _grow(X, y, w, classes, params, depth=0)
+    return _grow(X, y, w, classes, params)
 
 
-def _clone(node: TreeNode) -> TreeNode:
-    copy = TreeNode(distribution=dict(node.distribution), label=node.label,
-                    split=node.split)
-    if node.split is not None:
-        copy.left = _clone(node.left)  # type: ignore[arg-type]
-        copy.right = _clone(node.right)  # type: ignore[arg-type]
-    return copy
-
-
-def _subtree_stats(node: TreeNode, total: float) -> tuple[float, int]:
-    """(sum of leaf risks, leaf count) for the subtree under `node`."""
-    if node.is_leaf:
+def _weakest_link(root: TreeNode, total: float) -> tuple[float, TreeNode]:
+    """(g, node) of the internal node with the smallest effective alpha;
+    on a tie, the one first in preorder (the shallowest, leftmost)."""
+    # In reversed preorder a node follows both its subtrees, whose (leaf
+    # risk sum, leaf count) are then the top of `stats`, the left on top.
+    stats: list[tuple[float, int]] = []
+    weakest: tuple[float, TreeNode] | None = None
+    for node in reversed(preorder(root)):
         mass = sum(node.distribution.values())
         risk = (mass - max(node.distribution.values())) / total
-        return risk, 1
-    lr, lc = _subtree_stats(node.left, total)  # type: ignore[arg-type]
-    rr, rc = _subtree_stats(node.right, total)  # type: ignore[arg-type]
-    return lr + rr, lc + rc
-
-
-def _weakest_link(node: TreeNode, total: float,
-                  found: list[tuple[float, TreeNode]]) -> None:
-    if node.is_leaf:
-        return
-    mass = sum(node.distribution.values())
-    node_risk = (mass - max(node.distribution.values())) / total
-    subtree_risk, leaves = _subtree_stats(node, total)
-    g = (node_risk - subtree_risk) / (leaves - 1)
-    found.append((g, node))
-    _weakest_link(node.left, total, found)  # type: ignore[arg-type]
-    _weakest_link(node.right, total, found)  # type: ignore[arg-type]
+        if node.is_leaf:
+            stats.append((risk, 1))
+            continue
+        (left_risk, left_leaves), (right_risk, right_leaves) = \
+            stats.pop(), stats.pop()
+        subtree_risk, leaves = left_risk + right_risk, left_leaves + right_leaves
+        g = (risk - subtree_risk) / (leaves - 1)
+        if weakest is None or g <= weakest[0]:
+            weakest = (g, node)
+        stats.append((subtree_risk, leaves))
+    return weakest  # type: ignore[return-value]
 
 
 def prune(tree: TreeNode, ccp_alpha: float) -> TreeNode:
     """Minimal cost-complexity pruning; ccp_alpha 0 is the identity."""
     if ccp_alpha < 0:
         raise ValueError(f"ccp_alpha must be non-negative, got {ccp_alpha}")
-    result = _clone(tree)
+    # Copy bottom-up: a node's two copies are the top of `copies`.
+    copies: list[TreeNode] = []
+    for node in reversed(preorder(tree)):
+        copy = TreeNode(distribution=dict(node.distribution), label=node.label,
+                        split=node.split)
+        if node.split is not None:
+            copy.left, copy.right = copies.pop(), copies.pop()
+        copies.append(copy)
+    result = copies.pop()
     if ccp_alpha == 0 or result.is_leaf:
         return result
     if not result.distribution:
@@ -350,15 +365,10 @@ def prune(tree: TreeNode, ccp_alpha: float) -> TreeNode:
     if not total > 0:
         raise ZeroMass("cannot prune a tree with zero root mass")
     while not result.is_leaf:
-        candidates: list[tuple[float, TreeNode]] = []
-        _weakest_link(result, total, candidates)
-        # Preorder collection: on ties the shallowest, leftmost node goes.
-        g_min, weakest = min(candidates, key=lambda item: item[0])
+        g_min, weakest = _weakest_link(result, total)
         if not g_min < ccp_alpha:
             break
-        weakest.split = None
-        weakest.left = None
-        weakest.right = None
+        weakest.split = weakest.left = weakest.right = None
     return result
 
 
@@ -379,7 +389,7 @@ def train_tree(
         raise DimensionMismatch(
             f"vectors of length {X.shape[1]} over a vocabulary of "
             f"{len(vocabulary)} symbols")
-    root = _grow(X, y, w, classes, params, depth=0)
+    root = _grow(X, y, w, classes, params)
     if params.ccp_alpha > 0:
         root = prune(root, params.ccp_alpha)
     return DecisionTreeModel(root=root, vocabulary=vocabulary, classes=classes,
@@ -458,11 +468,12 @@ def _dot_escape(text: str) -> str:
 def to_dot(model: DecisionTreeModel) -> str:
     """Graphviz rendering: `count(<symbol>) ≤ <threshold>` per split."""
     lines = ["digraph decision_tree {", "  node [shape=box];"]
-    counter = [0]
-
-    def emit(node: TreeNode) -> int:
-        my_id = counter[0]
-        counter[0] += 1
+    # [id, left id(, right id)] of the nodes whose subtree has not ended;
+    # the last is the parent of the next node. Its edges follow its subtree.
+    open_nodes: list[list[int]] = []
+    for my_id, node in enumerate(preorder(model.root)):
+        if open_nodes:
+            open_nodes[-1].append(my_id)
         if node.is_leaf:
             label = f"class={node.label}"
         else:
@@ -471,12 +482,12 @@ def to_dot(model: DecisionTreeModel) -> str:
             label = f"count({symbol}) ≤ {node.split.threshold:g}"
         lines.append(f'  n{my_id} [label="{_dot_escape(label)}"];')
         if not node.is_leaf:
-            left_id = emit(node.left)
-            right_id = emit(node.right)
-            lines.append(f"  n{my_id} -> n{left_id};")
-            lines.append(f"  n{my_id} -> n{right_id};")
-        return my_id
-
-    emit(model.root)
+            open_nodes.append([my_id])
+            continue
+        # A leaf ends every subtree it is the last node of.
+        while open_nodes and len(open_nodes[-1]) == 3:
+            parent, left_id, right_id = open_nodes.pop()
+            lines.append(f"  n{parent} -> n{left_id};")
+            lines.append(f"  n{parent} -> n{right_id};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,6 @@ from boxtrace.bmff import (
     MAX_NESTING,
     _fixed_point,
     ascii_or_hex,
-    decode_known_box,
     dump_tree,
     parse_container,
     parse_file,
@@ -24,7 +23,6 @@ from boxtrace.bmff import (
 from boxtrace.errors import (
     NestingTooDeep,
     NotBmff,
-    PayloadTooShort,
     TruncatedBox,
     ZeroSizeNonFinal,
 )
@@ -70,6 +68,11 @@ class TestBasicParsing:
     def test_plain_text_is_not_bmff(self):
         with pytest.raises(NotBmff):
             parse_bytes(b"This is not a video file at all, sorry.\n")
+
+    @pytest.mark.parametrize("data", [b"hello", b"abc", b"1234567"])
+    def test_file_shorter_than_a_header_is_not_bmff(self, data):
+        with pytest.raises(NotBmff, match=f"^only {len(data)} bytes at offset 0"):
+            parse_bytes(data)
 
     def test_unknown_box_after_first_is_opaque(self):
         data = FTYP_MIN + mkbox(b"abcd", bytes(5))
@@ -212,10 +215,11 @@ class TestKnownBoxDecoding:
         assert node.fields[0] == ("stuff", "opaque")
         assert tree.warnings
 
-    def test_decode_known_box_requires_schema(self):
-        header = parse_bytes(FTYP_MIN).root.children[0].header
-        fields = decode_known_box(header, FTYP_MIN[8:])
-        assert fields[0] == ("majorBrand", "isom")
+    def test_ftyp_and_styp_decode_by_schema(self):
+        tree = parse_bytes(FTYP_MIN + mkbox(b"styp", FTYP_MIN[8:]))
+        for node in tree.root.children:
+            assert node.fields[0] == ("majorBrand", "isom")
+        assert tree.warnings == []
 
     def test_stsz_summary_only(self):
         body = struct.pack(">II", 0, 3) + struct.pack(">3I", 10, 20, 30)
@@ -241,11 +245,13 @@ class TestKnownBoxDecoding:
         assert fields["entryCount"] == "1"
         assert fields["format_1"] == "avc1"
 
-    def test_payload_too_short_raised_directly(self):
-        tree = parse_bytes(FTYP_MIN)
-        header = tree.root.children[0].header
-        with pytest.raises(PayloadTooShort):
-            decode_known_box(header, b"is")
+    def test_short_ftyp_payload_downgrades_to_opaque(self):
+        tree = parse_bytes(mkbox(b"ftyp", b"is"))
+        assert tree.root.children[0].fields == [("stuff", "opaque"),
+                                                ("count", "2")]
+        # The warning carries the decoder's `PayloadTooShort` message.
+        assert tree.warnings == ["box 'ftyp' at offset 0: ftyp needs 8 bytes, "
+                                 "payload holds 2; treated as opaque"]
 
 
 class TestTypeCodeRendering:

@@ -1,6 +1,7 @@
 """CART training, pruning, prediction, and the split-search oracle."""
 
 import random
+import sys
 from unittest import mock
 
 import numpy as np
@@ -15,8 +16,10 @@ from boxtrace.errors import (
     EmptyTrainingSet,
     ZeroMass,
 )
+from boxtrace.modelfile import ModelFile, dumps_model, loads_model
 from boxtrace.tree import (
     SplitCandidate,
+    TreeNode,
     TreeParams,
     _best_split_arrays,
     _scan_order_best,
@@ -138,6 +141,119 @@ def scan_order_best(decreases):
                 best is not None and d > decreases[best] + EPS):
             best = i
     return best
+
+
+# The tree walks as they were before they became loops over `preorder`:
+# growth recursing on masked copies of the rows, pruning that sums each
+# subtree's risks recursively once per candidate, and DOT ids handed out
+# by a recursive emitter. The loops must build equal trees, bits of every
+# mass included, and byte-identical DOT text.
+def recursive_grow(X, y, w, classes, params, depth=0):
+    dist = np.bincount(y, weights=w, minlength=len(classes))
+    node = TreeNode(
+        distribution={c: float(dist[i]) for i, c in enumerate(classes)},
+        label=classes[int(np.argmax(dist))])
+    if (np.all(y == y[0]) or len(y) < 2
+            or (params.max_depth is not None and depth >= params.max_depth)):
+        return node
+    cand = _best_split_arrays(X, y, w, len(classes), params.min_samples_leaf)
+    if cand is None:
+        return node
+    mask = X[:, cand.feature_index] <= cand.threshold
+    node.split = cand
+    node.left = recursive_grow(X[mask], y[mask], w[mask], classes, params,
+                               depth + 1)
+    node.right = recursive_grow(X[~mask], y[~mask], w[~mask], classes, params,
+                                depth + 1)
+    return node
+
+
+def recursive_prune(node, ccp_alpha):
+    def clone(node):
+        copy = TreeNode(distribution=dict(node.distribution),
+                        label=node.label, split=node.split)
+        if node.split is not None:
+            copy.left, copy.right = clone(node.left), clone(node.right)
+        return copy
+
+    def risk(node):
+        mass = sum(node.distribution.values())
+        return (mass - max(node.distribution.values())) / total
+
+    def subtree_stats(node):
+        if node.is_leaf:
+            return risk(node), 1
+        lr, lc = subtree_stats(node.left)
+        rr, rc = subtree_stats(node.right)
+        return lr + rr, lc + rc
+
+    def weakest_link(node, found):
+        if node.is_leaf:
+            return
+        subtree_risk, leaves = subtree_stats(node)
+        found.append(((risk(node) - subtree_risk) / (leaves - 1), node))
+        weakest_link(node.left, found)
+        weakest_link(node.right, found)
+
+    result = clone(node)
+    if ccp_alpha == 0 or result.is_leaf:
+        return result
+    total = sum(result.distribution.values())
+    while not result.is_leaf:
+        candidates = []
+        weakest_link(result, candidates)
+        g_min, weakest = min(candidates, key=lambda item: item[0])
+        if not g_min < ccp_alpha:
+            break
+        weakest.split = weakest.left = weakest.right = None
+    return result
+
+
+def recursive_to_dot(model):
+    lines = ["digraph decision_tree {", "  node [shape=box];"]
+    counter = [0]
+
+    def emit(node):
+        my_id = counter[0]
+        counter[0] += 1
+        if node.is_leaf:
+            label = f"class={node.label}"
+        else:
+            symbol = tree.display_symbol(
+                model.vocabulary.symbols[node.split.feature_index])
+            label = f"count({symbol}) ≤ {node.split.threshold:g}"
+        lines.append(f'  n{my_id} [label="{tree._dot_escape(label)}"];')
+        if not node.is_leaf:
+            left_id = emit(node.left)
+            right_id = emit(node.right)
+            lines.append(f"  n{my_id} -> n{left_id};")
+            lines.append(f"  n{my_id} -> n{right_id};")
+        return my_id
+
+    emit(model.root)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def training_sets(draw):
+    """Count rows, labels, optional class weights and tree parameters."""
+    n = draw(st.integers(1, 40))
+    n_features = draw(st.integers(1, 4))
+    classes = "ABCD"[:draw(st.integers(1, 4))]
+    row = st.lists(st.integers(0, draw(st.sampled_from([1, 3, 20]))),
+                   min_size=n_features, max_size=n_features)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
+    weights = draw(st.none() | st.fixed_dictionaries(
+        {c: st.sampled_from([1.0, 0.5, 3.0]) | st.floats(0.25, 4.0)
+         for c in classes}))
+    params = TreeParams(
+        max_depth=draw(st.none() | st.integers(0, 6)),
+        min_samples_leaf=draw(st.integers(1, 4)),
+        ccp_alpha=draw(st.sampled_from([0.0, 1e-9, 0.02, 0.1])
+                       | st.floats(0.0, 0.5)))
+    return rows, labels, weights, params
 
 
 INT32_MAX = 2**31 - 1
@@ -548,3 +664,35 @@ class TestDotExport:
         assert 'label="class=Native-iOS"' in dot
         assert 'label="class=Exiftool-iOS"' in dot
         assert dot.count("->") == 2
+
+
+class TestWalksWithoutRecursion:
+    @given(training_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_match_the_recursive_walks(self, data):
+        rows, labels, weights, params = data
+        X, y, w, classes, _ = tree._encode(rows, labels, weights)
+        expected = recursive_grow(X, y, w, classes, params)
+        grown = grow(rows, labels, weights, params)
+        assert grown == expected
+        assert prune(grown, params.ccp_alpha) == \
+            recursive_prune(expected, params.ccp_alpha)
+        assert grown == expected  # pruning works on a copy
+        vocab = Vocabulary.from_strings(f"f{i}" for i in range(X.shape[1]))
+        model = train_tree(rows, labels, vocab, params, weights)
+        assert model.root == recursive_prune(expected, params.ccp_alpha)
+        assert to_dot(model) == recursive_to_dot(model)
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # Each split peels off the lowest row, so the tree is a chain.
+        n = sys.getrecursionlimit() + 200
+        rows = [[i] for i in range(n)]
+        labels = ["A" if i % 2 else "B" for i in range(n)]
+        vocab = Vocabulary.from_strings(["s"])
+        model = train_tree(rows, labels, vocab, TreeParams(ccp_alpha=1e-9))
+        assert len(decision_path(model, rows[-1])) == n - 1
+        assert to_dot(model).count("->") == 2 * (n - 1)
+        mf = ModelFile(full_vocabulary=["s"], kept=[True], tau=0.5,
+                       model=model)
+        text = dumps_model(mf)
+        assert dumps_model(loads_model(text)) == text

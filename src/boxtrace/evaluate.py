@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -75,40 +76,47 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     rows: list[ManifestRow] = []
     warnings: list[str] = []
     skipped = 0
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow("manifest is empty, expected a header row")
-        if [h.strip() for h in header] != _MANIFEST_HEADER:
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedRow(
+            f"line {line}: manifest is not UTF-8 text ({exc.reason} at "
+            f"byte {exc.start})") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MalformedRow("manifest is empty, expected a header row")
+    if [h.strip() for h in header] != _MANIFEST_HEADER:
+        raise MalformedRow(
+            f"bad header {header!r}, expected {','.join(_MANIFEST_HEADER)}")
+    for line_no, raw in enumerate(reader, start=2):
+        if not raw or all(not cell.strip() for cell in raw):
+            continue
+        if len(raw) != 5:
             raise MalformedRow(
-                f"bad header {header!r}, expected {','.join(_MANIFEST_HEADER)}")
-        for line_no, raw in enumerate(reader, start=2):
-            if not raw or all(not cell.strip() for cell in raw):
-                continue
-            if len(raw) != 5:
-                raise MalformedRow(
-                    f"row {line_no}: expected 5 columns, got {len(raw)}")
-            file_name, device, os_name, software, platform = (
-                cell.strip() for cell in raw)
-            if not file_name or not device:
-                raise MalformedRow(f"row {line_no}: empty file or device")
-            if os_name not in OS_VALUES:
-                raise UnknownEnum(f"row {line_no}: unknown os {os_name!r}")
-            if software not in SOFTWARE_VALUES:
-                raise UnknownEnum(f"row {line_no}: unknown software {software!r}")
-            if platform not in PLATFORM_VALUES:
-                raise UnknownEnum(f"row {line_no}: unknown platform {platform!r}")
-            resolved = Path(file_name)
-            if not resolved.is_absolute():
-                resolved = base / resolved
-            if not resolved.exists():
-                warnings.append(f"row {line_no}: missing file {file_name}, skipped")
-                skipped += 1
-                continue
-            rows.append(ManifestRow(file_name, device, os_name, software,
-                                    platform, resolved))
+                f"row {line_no}: expected 5 columns, got {len(raw)}")
+        file_name, device, os_name, software, platform = (
+            cell.strip() for cell in raw)
+        if not file_name or not device:
+            raise MalformedRow(f"row {line_no}: empty file or device")
+        if os_name not in OS_VALUES:
+            raise UnknownEnum(f"row {line_no}: unknown os {os_name!r}")
+        if software not in SOFTWARE_VALUES:
+            raise UnknownEnum(f"row {line_no}: unknown software {software!r}")
+        if platform not in PLATFORM_VALUES:
+            raise UnknownEnum(f"row {line_no}: unknown platform {platform!r}")
+        resolved = Path(file_name)
+        if not resolved.is_absolute():
+            resolved = base / resolved
+        if not resolved.exists():
+            warnings.append(f"row {line_no}: missing file {file_name}, skipped")
+            skipped += 1
+            continue
+        rows.append(ManifestRow(file_name, device, os_name, software,
+                                platform, resolved))
     return DatasetManifest(path=path, rows=rows, warnings=warnings,
                            skipped_missing=skipped)
 

@@ -133,8 +133,13 @@ def _is_int(value) -> bool:
 
 
 def _is_finite(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A JSON number that converts to a finite float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _is_sorted_strings(value) -> bool:
@@ -216,7 +221,7 @@ def loads_model(text: str) -> ModelFile:
     follow the format raises `ModelFormatError`."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer over the digit limit
         raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
     except RecursionError as exc:  # arrays or objects nested too deep
         raise ModelFormatError(
@@ -241,9 +246,9 @@ def loads_model(text: str) -> ModelFile:
            "kept mask length does not match vocabulary")
     _check(_is_finite(tau), f"tau {tau!r} is not finite")
     weights = obj.get("class_weights")
-    _check(isinstance(weights, dict)
+    _check(isinstance(weights, dict) and sorted(weights) == classes
            and all(_is_finite(w) for w in weights.values()),
-           "class_weights must map classes to finite numbers")
+           "class_weights must map each class to a finite number")
     params = obj.get("params")
     _check(isinstance(params, dict), "params must be an object")
     max_depth = params.get("max_depth")
@@ -257,7 +262,10 @@ def loads_model(text: str) -> ModelFile:
     tree_nodes = obj.get("tree")
     _check(isinstance(tree_nodes, list), "tree must be a list of nodes")
     metadata = obj.get("metadata", {})
-    _check(isinstance(metadata, dict), "metadata must be an object")
+    _check(isinstance(metadata, dict) and all(
+        isinstance(metadata.get(key, ""), str)
+        for key in ("scenario", "manifest_digest", "trained_at")),
+        "metadata must be an object of strings")
     filtered = Vocabulary.from_strings(
         s for s, keep in zip(full_vocab, kept) if keep)
     root = _tree_from_preorder(tree_nodes, set(classes), len(filtered))
@@ -269,9 +277,9 @@ def loads_model(text: str) -> ModelFile:
                           ccp_alpha=float(ccp_alpha)))
     return ModelFile(full_vocabulary=full_vocab, kept=[k == 1 for k in kept],
                      tau=float(tau), model=model,
-                     scenario=str(metadata.get("scenario", "")),
-                     manifest_digest=str(metadata.get("manifest_digest", "")),
-                     trained_at=str(metadata.get("trained_at", "")))
+                     scenario=metadata.get("scenario", ""),
+                     manifest_digest=metadata.get("manifest_digest", ""),
+                     trained_at=metadata.get("trained_at", ""))
 
 
 def save_model(mf: ModelFile, path: str) -> None:

@@ -15,12 +15,18 @@ a running sum of class masses in sorted row order: that sum adds a
 class's weight once per row of the class and an exact 0.0 for every other
 row, so its value is read from the prefix sums of the class weight, and
 the Gini decreases are computed with the same elementwise operations.
+
+A tree searches one column per group of columns that are equal over its
+training rows, the first of the group. Equal at the root, they are equal
+at every node and give the same candidates, and a later copy's never
+replaces the running best (see `best_split`), so the tree is that of a
+search over every column.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -287,6 +293,14 @@ def _grow(
     classes: list[str],
     params: TreeParams,
 ) -> TreeNode:
+    # Columns equal at the root are equal at every node, and a later copy's
+    # candidates never replace the same earlier ones under the `EPS` rule.
+    # So the search runs on the first column of each group of equal columns.
+    first: dict[bytes, int] = {}
+    for j, column in enumerate(X.T):
+        first.setdefault(column.tobytes(), j)
+    searched = list(first.values())
+    X = X[:, searched]
     # A node to split, its rows and its depth. Rows stay in ascending order,
     # so each class mass sums its floats in the order of the input rows.
     root = _leaf(y, w, classes)
@@ -303,7 +317,7 @@ def _grow(
             continue
         mask = Xr[:, cand.feature_index] <= cand.threshold
         left, right = rows[mask], rows[~mask]
-        node.split = cand
+        node.split = replace(cand, feature_index=searched[cand.feature_index])
         node.left = _leaf(y[left], w[left], classes)
         node.right = _leaf(y[right], w[right], classes)
         stack += ((node.right, right, depth + 1), (node.left, left, depth + 1))

@@ -227,6 +227,21 @@ class TestClassifyCommand:
         assert err.startswith("ModelFormatError: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("number", ["1" + "0" * 400, "1" + "0" * 5000],
+                             ids=["too-large-for-a-float",
+                                  "past-the-digit-limit"])
+    def test_huge_integer_threshold_is_data_error(self, trained_model,
+                                                  tmp_path, capsys,
+                                                  tiny_ftyp_file, number):
+        obj = json.loads(trained_model.read_text(encoding="ascii"))
+        obj["tree"][0]["threshold"] = "NUMBER"
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(obj).replace('"NUMBER"', number),
+                       encoding="ascii")
+        code = main(["classify", str(bad), str(tiny_ftyp_file)])
+        assert code == 65
+        assert capsys.readouterr().err.startswith("ModelFormatError: ")
+
     def test_deterministic_across_runs(self, corpus_dir, trained_model,
                                        capsys):
         files = sorted(str(p) for p in corpus_dir.glob("D02_*.mp4"))
@@ -273,6 +288,23 @@ class TestLlrReportCommand:
         top_symbols = [line.split("\t")[0] for line in lines[1:6]]
         assert any("XMP_" in s for s in top_symbols)
         assert all(line.split("\t")[3] == "0.5" for line in lines[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "manifest.csv", "--scenario", "integrity", "--out", "m.json"],
+    ["evaluate", "manifest.csv", "--scenario", "integrity"],
+    ["llr-report", "manifest.csv", "--scenario", "integrity"],
+], ids=lambda argv: argv[0])
+def test_manifest_not_utf8_is_data_error(tmp_path, monkeypatch, capsys,
+                                         argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "\u00e9t\u00e9.mp4").write_bytes(b"x")
+    (tmp_path / "manifest.csv").write_bytes(
+        "file,device,os,software,platform\n"
+        "\u00e9t\u00e9.mp4,D01,iOS,none,none\n".encode("latin-1"))
+    assert main(argv) == 65
+    assert capsys.readouterr().err.startswith(
+        "MalformedRow: line 2: manifest is not UTF-8 text")
 
 
 class TestMakeFixturesCommand:

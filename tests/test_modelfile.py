@@ -6,11 +6,14 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxtrace.bmff import parse_container
 from boxtrace.errors import ModelFormatError
 from boxtrace.modelfile import (
     canonical_dumps,
+    classify_symbols,
     classify_tree,
     dumps_model,
     load_model,
@@ -39,6 +42,11 @@ def fig_style_corpus(n=3):
         multisets.append(ms_of(shared + ["moov/udta/XMP_/@stuff"]))
         labels.append("Exiftool-iOS")
     return multisets, labels
+
+
+# The fig-style model at tau 0.5, as `save_model` writes it.
+FIG_MODEL_TEXT = dumps_model(train_model(*fig_style_corpus(), tau=0.5,
+                                         trained_at=""))
 
 
 class TestCanonicalDumps:
@@ -137,11 +145,23 @@ class TestModelRoundTrip:
         assert loaded.file_digest == model_digest(mf)
 
 
+# An integer that no float can hold, and a literal longer than Python's
+# integer string conversion limit (4300 digits), which JSON text can hold
+# but `json.dumps` cannot write: a value set to the string "LONG-DIGITS"
+# is written as it.
+HUGE = 10**400
+LONG_DIGITS = "1" + "0" * 5000
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj).replace('"LONG-DIGITS"', LONG_DIGITS)
+
+
 def _json_edit(change):
     """An edit of a model file's JSON object, returning the file's bytes."""
     def edit(obj):
         change(obj)
-        return json.dumps(obj).encode("ascii")
+        return _json_text(obj).encode("ascii")
     return edit
 
 
@@ -173,6 +193,24 @@ MALFORMED_MODELS = [
                  id="class-weights-not-an-object"),
     pytest.param(lambda o: json.dumps(o).replace("Native", "N\u00e4tive")
                  .encode("utf-8"), id="not-ascii"),
+    pytest.param(_json_edit(lambda o: o["tree"][0].update(threshold=HUGE)),
+                 id="threshold-too-large-for-a-float"),
+    pytest.param(_json_edit(lambda o: o["filter"].update(tau=-HUGE)),
+                 id="tau-too-large-for-a-float"),
+    pytest.param(_json_edit(lambda o: o["params"].update(ccp_alpha=HUGE)),
+                 id="ccp-alpha-too-large-for-a-float"),
+    pytest.param(_json_edit(lambda o: o["class_weights"].update(
+        {"Native-iOS": HUGE})), id="class-weight-too-large-for-a-float"),
+    pytest.param(_json_edit(lambda o: o["tree"][1]["distribution"].update(
+        {"Native-iOS": HUGE})), id="leaf-mass-too-large-for-a-float"),
+    pytest.param(_json_edit(lambda o: o["filter"].update(
+        tau="LONG-DIGITS")), id="integer-literal-past-the-digit-limit"),
+    pytest.param(_json_edit(lambda o: o["class_weights"].update(Nobody=1.0)),
+                 id="class-weight-for-an-unknown-class"),
+    pytest.param(_json_edit(lambda o: o["class_weights"].pop("Native-iOS")),
+                 id="class-without-a-weight"),
+    pytest.param(_json_edit(lambda o: o["metadata"].update(scenario=[1])),
+                 id="metadata-not-a-string"),
 ]
 
 
@@ -185,6 +223,54 @@ def test_malformed_model_file_rejected(tmp_path, edit):
     path.write_bytes(edit(obj))
     with pytest.raises(ModelFormatError):
         load_model(str(path))
+
+
+def _value_paths(obj, prefix=()):
+    """The key or index path of every value nested in `obj`."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _value_paths(value, prefix + (key,))
+
+
+DELETE = object()
+REPLACEMENTS = st.one_of(
+    st.sampled_from([HUGE, -HUGE, "LONG-DIGITS", DELETE, None, True]),
+    st.integers(-2**70, 2**70),
+    st.floats(),
+    st.sampled_from(["Native-iOS", "Exiftool-iOS", "moov/udta/XMP_/@stuff"]),
+    st.text(max_size=8),
+    st.lists(st.integers(-1, 2) | st.text(max_size=2), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers() | st.floats(),
+                    max_size=2),
+)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_model_file_loads_or_is_rejected(data):
+    obj = json.loads(FIG_MODEL_TEXT)
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_value_paths(obj))))
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        value = data.draw(REPLACEMENTS)
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        if not obj:
+            break
+    try:
+        mf = loads_model(_json_text(obj))
+    except ModelFormatError:
+        return
+    # A model that loads can be written, read back and used.
+    text = dumps_model(mf)
+    assert dumps_model(loads_model(text)) == text
+    classify_symbols(mf, Counter(mf.model.vocabulary.symbols))
 
 
 class TestTimestamp:

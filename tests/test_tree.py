@@ -244,6 +244,13 @@ def training_sets(draw):
     row = st.lists(st.integers(0, draw(st.sampled_from([1, 3, 20]))),
                    min_size=n_features, max_size=n_features)
     rows = draw(st.lists(row, min_size=n, max_size=n))
+    # Copies of columns, before or after their source, so that growth
+    # meets groups of equal columns.
+    columns = [list(column) for column in zip(*rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        source = columns[draw(st.integers(0, len(columns) - 1))]
+        columns.insert(draw(st.integers(0, len(columns))), list(source))
+    rows = [list(row) for row in zip(*columns)]
     labels = draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n))
     weights = draw(st.none() | st.fixed_dictionaries(
         {c: st.sampled_from([1.0, 0.5, 3.0]) | st.floats(0.25, 4.0)
@@ -682,6 +689,18 @@ class TestWalksWithoutRecursion:
         model = train_tree(rows, labels, vocab, params, weights)
         assert model.root == recursive_prune(expected, params.ccp_alpha)
         assert to_dot(model) == recursive_to_dot(model)
+
+    def test_equal_columns_split_on_the_first(self):
+        # Column 3 repeats column 0, the only one that separates the classes.
+        informative = [0, 0, 0, 1, 1, 1]
+        rows = [[v, 2, i % 2, v] for i, v in enumerate(informative)]
+        labels = ["A" if v == 0 else "B" for v in informative]
+        vocab = Vocabulary.from_strings(["a", "b", "c", "d"])
+        model = train_tree(rows, labels, vocab)
+        assert model.root.split.feature_index == 0
+        assert model.root.split.threshold == 0.5
+        assert model.root.left.is_leaf and model.root.right.is_leaf
+        assert "count(root/a) ≤ 0.5" in to_dot(model)
 
     def test_chain_deeper_than_the_recursion_limit(self):
         # Each split peels off the lowest row, so the tree is a chain.

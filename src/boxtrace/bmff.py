@@ -27,7 +27,7 @@ import uuid as _uuidlib
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import lru_cache
-from typing import BinaryIO, Callable, Iterator
+from typing import BinaryIO, Callable, Collection, Iterator
 
 from .errors import (
     BoxDecodeError,
@@ -417,12 +417,19 @@ def _opaque_fields(payload_len: int) -> list[tuple[str, str]]:
 
 
 def walk_boxes(
-    stream: BinaryIO, warnings: list[str]
+    stream: BinaryIO, warnings: list[str],
+    decode: Collection[str] | None = None,
 ) -> Iterator[tuple[int, str, tuple, list[tuple[str, str]]]]:
     """Yield ``(depth, path, header, fields)`` for every box of a seekable
     byte stream, in preorder; `path` is the box's symbol path (``moov/trak``)
     and `header` the values of its `BoxHeader`. Warnings go to `warnings` as
     they arise. Raises a `ParseError` as `parse_container` does.
+
+    `decode`, if given, holds the paths of the boxes whose fields are
+    wanted: any other non-container box yields no fields, and its payload
+    is neither read nor decoded. Every header is still checked, so the
+    same bytes raise the same `ParseError`, but warnings then cover only
+    the structure and the decoded boxes.
     """
     stream.seek(0, 2)
     file_len = stream.tell()
@@ -519,8 +526,9 @@ def walk_boxes(
             stack.append((box_end, end, depth, prefix))
             pos, end, depth, prefix = pos + header_len, box_end, depth + 1, path + "/"
             continue
-        decoder = _DECODERS.get(type_code)
-        if decoder is not None:
+        if decode is not None and path not in decode:
+            fields = []
+        elif (decoder := _DECODERS.get(type_code)) is not None:
             payload = read(pos + header_len,
                            min(effective_len - header_len, _PAYLOAD_READ_CAP),
                            within)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .fixtures import FixtureSpec, generate_corpus
 from .llr import DEFAULT_TAU, FilterConfig, llr_report, report_tsv
 from .modelfile import classify_symbols, load_model, save_model, train_model
 from .symbols import dump_symbols, file_symbols
-from .tree import TreeParams, to_dot
+from .tree import TreeParams, preorder, to_dot
 from .vectorize import count_matrix
 
 EXIT_OK = 0
@@ -50,6 +51,27 @@ def _scenario(name: str) -> Scenario:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _checked(convert, accept, what: str):
+    """An argparse type: `convert` the text, then reject a value that
+    `accept` refuses as not `what`."""
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it on a ValueError
+    return parse
+
+
+_TAU = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                "a finite number above 0")
+_CCP_ALPHA = _checked(float, lambda v: math.isfinite(v) and v >= 0,
+                      "a finite number of at least 0")
+_MAX_DEPTH = _checked(int, lambda v: v >= 0, "an integer of at least 0")
+_MIN_SAMPLES_LEAF = _checked(int, lambda v: v >= 1, "an integer of at least 1")
+
+
 def _tree_params(args) -> TreeParams:
     return TreeParams(max_depth=args.max_depth,
                       min_samples_leaf=args.min_samples_leaf,
@@ -57,13 +79,13 @@ def _tree_params(args) -> TreeParams:
 
 
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tau", type=float, default=DEFAULT_TAU,
+    parser.add_argument("--tau", type=_TAU, default=DEFAULT_TAU,
                         help="LLR filter threshold (default %(default)s)")
-    parser.add_argument("--ccp-alpha", type=float, default=0.0,
+    parser.add_argument("--ccp-alpha", type=_CCP_ALPHA, default=0.0,
                         help="cost-complexity pruning strength (default 0)")
-    parser.add_argument("--max-depth", type=int, default=None,
+    parser.add_argument("--max-depth", type=_MAX_DEPTH, default=None,
                         help="tree depth cap (default unlimited)")
-    parser.add_argument("--min-samples-leaf", type=int, default=1,
+    parser.add_argument("--min-samples-leaf", type=_MIN_SAMPLES_LEAF, default=1,
                         help="minimum samples per leaf (default 1)")
 
 
@@ -100,10 +122,11 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _classify_one(mf, file_name, explain):
+def _classify_one(mf, file_name, explain, tested):
     record: dict = {"file": file_name, "model": mf.file_digest}
     try:
-        verdict, steps = classify_symbols(mf, file_symbols(file_name)[0])
+        symbols = file_symbols(file_name, only=tested)[0]
+        verdict, steps = classify_symbols(mf, symbols)
     except (ParseError, DataError, OSError) as exc:
         record["error"] = f"{type(exc).__name__}: {exc}"
         return record
@@ -119,8 +142,12 @@ def _classify_one(mf, file_name, explain):
 
 def cmd_classify(args) -> int:
     mf = load_model(args.model)
+    # A verdict and its path read only the counts of the split symbols.
+    model = mf.model
+    tested = frozenset(model.vocabulary.symbols[node.split.feature_index]
+                       for node in preorder(model.root) if not node.is_leaf)
     for file_name in args.files:
-        record = _classify_one(mf, file_name, args.explain)
+        record = _classify_one(mf, file_name, args.explain, tested)
         print(json.dumps(record, sort_keys=True))
     return EXIT_OK
 
@@ -201,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--scenario", type=_scenario, required=True,
                    help=f"one of: {', '.join(scenario_names())}")
-    p.add_argument("--tau", type=float, default=DEFAULT_TAU)
+    p.add_argument("--tau", type=_TAU, default=DEFAULT_TAU)
     p.set_defaults(func=cmd_llr_report)
 
     p = sub.add_parser("make-fixtures",

@@ -228,7 +228,7 @@ def loads_model(text: str) -> ModelFile:
             "model file nests JSON too deeply to read") from exc
     _check(isinstance(obj, dict), "model file must hold a JSON object")
     version = obj.get("format_version")
-    _check(version == MODEL_FORMAT_VERSION,
+    _check(_is_int(version) and version == MODEL_FORMAT_VERSION,
            f"unsupported model format version {version!r} "
            f"(expected {MODEL_FORMAT_VERSION})")
     full_vocab, classes = obj.get("vocabulary"), obj.get("classes")
@@ -244,7 +244,8 @@ def loads_model(text: str) -> ModelFile:
            "kept mask must be a list of 0 and 1")
     _check(len(kept) == len(full_vocab),
            "kept mask length does not match vocabulary")
-    _check(_is_finite(tau), f"tau {tau!r} is not finite")
+    _check(_is_finite(tau) and tau > 0,
+           f"tau {tau!r} is not finite and above 0")
     weights = obj.get("class_weights")
     _check(isinstance(weights, dict) and sorted(weights) == classes
            and all(_is_finite(w) for w in weights.values()),
@@ -254,11 +255,13 @@ def loads_model(text: str) -> ModelFile:
     max_depth = params.get("max_depth")
     min_samples_leaf = params.get("min_samples_leaf")
     ccp_alpha = params.get("ccp_alpha")
-    _check(max_depth is None or _is_int(max_depth),
-           f"max_depth {max_depth!r} is not an integer or null")
-    _check(_is_int(min_samples_leaf),
-           f"min_samples_leaf {min_samples_leaf!r} is not an integer")
-    _check(_is_finite(ccp_alpha), f"ccp_alpha {ccp_alpha!r} is not finite")
+    _check(max_depth is None or _is_int(max_depth) and max_depth >= 0,
+           f"max_depth {max_depth!r} is not null or an integer of at least 0")
+    _check(_is_int(min_samples_leaf) and min_samples_leaf >= 1,
+           f"min_samples_leaf {min_samples_leaf!r} is not an integer "
+           f"of at least 1")
+    _check(_is_finite(ccp_alpha) and ccp_alpha >= 0,
+           f"ccp_alpha {ccp_alpha!r} is not finite and at least 0")
     tree_nodes = obj.get("tree")
     _check(isinstance(tree_nodes, list), "tree must be a list of nodes")
     metadata = obj.get("metadata", {})

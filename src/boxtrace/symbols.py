@@ -15,7 +15,7 @@ and a ``/`` after it starts a value.
 from __future__ import annotations
 
 from collections import Counter
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Collection, Iterable, Iterator
 
 from .bmff import ContainerTree, open_box_file, walk_boxes
 
@@ -85,21 +85,33 @@ def extract_symbols(
 
 
 def container_symbols(
-    stream: BinaryIO, blacklist: frozenset[str] | None = None
+    stream: BinaryIO, blacklist: frozenset[str] | None = None,
+    only: Collection[str] | None = None,
 ) -> tuple[Counter[str], list[str]]:
     """The symbols and parse warnings of a seekable byte stream, as
-    `extract_symbols` and `parse_container` give them, with no tree built."""
+    `extract_symbols` and `parse_container` give them, with no tree built.
+
+    With `only`, the symbols are those of the full count that are in
+    `only`, and only the boxes they name are decoded (see `walk_boxes`).
+    """
     warnings: list[str] = []
-    symbols = _count_symbols(walk_boxes(stream, warnings), blacklist)
-    return symbols, warnings
+    if only is None:
+        return _count_symbols(walk_boxes(stream, warnings), blacklist), warnings
+    # A symbol's box path ends where its first field name starts.
+    boxes = {s.partition("/@")[0] for s in only}
+    counted = _count_symbols(walk_boxes(stream, warnings, boxes), blacklist)
+    return Counter({s: n for s, n in counted.items() if s in only}), warnings
 
 
 def file_symbols(
-    path: str, blacklist: frozenset[str] | None = None
+    path: str, blacklist: frozenset[str] | None = None,
+    only: Collection[str] | None = None,
 ) -> tuple[Counter[str], list[str]]:
-    """Open `path` and return its symbols and parse warnings."""
+    """Open `path` and return its symbols and parse warnings. With `only`,
+    the symbols are restricted to `only`, and the warnings cover only the
+    box structure and the boxes those symbols name."""
     with open_box_file(path) as handle:
-        return container_symbols(handle, blacklist)
+        return container_symbols(handle, blacklist, only)
 
 
 def dump_symbols(symbols: Counter[str]) -> str:

@@ -3,15 +3,24 @@
 import hashlib
 import json
 import os
+import random
 import struct
 import threading
 
 import pytest
 
+from boxtrace.bmff import parse_file
 from boxtrace.cli import main
+from boxtrace.errors import ParseError
 from boxtrace.fixtures import FixtureSpec, generate_corpus
-from boxtrace.modelfile import canonical_dumps, dumps_model, load_model
-from boxtrace.tree import PathStep, replay_path
+from boxtrace.modelfile import (
+    canonical_dumps,
+    classify_symbols,
+    dumps_model,
+    load_model,
+)
+from boxtrace.symbols import file_symbols
+from boxtrace.tree import PathStep, preorder, replay_path
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +260,141 @@ class TestClassifyCommand:
         assert capsys.readouterr().out == first
 
 
+def hostile_variants(files, out_dir, per_file=12, seed=0):
+    """Truncated, bit-flipped, size-rewritten and version-rewritten copies
+    of `files`, written under `out_dir`."""
+    rng = random.Random(seed)
+    variants = []
+    for path in files:
+        data = path.read_bytes()
+        stack = list(parse_file(str(path)).root.children)
+        offsets = []
+        while stack:
+            node = stack.pop()
+            offsets.append(node.header.offset)
+            stack.extend(node.children)
+        for i in range(per_file):
+            out = bytearray(data)
+            kind = i % 4
+            if kind == 0:
+                out = out[:rng.randrange(len(out))]
+            elif kind == 1:
+                for _ in range(rng.randint(1, 4)):
+                    bit = rng.randrange(len(out) * 8)
+                    out[bit // 8] ^= 1 << (bit % 8)
+            elif kind == 2:
+                size = rng.choice((0, 1, 7, 8, 9, len(data), 2**32 - 1))
+                struct.pack_into(">I", out, rng.choice(offsets), size)
+            else:
+                # A full box's version byte: decoders fail, the box is
+                # counted as opaque, and a warning is given.
+                out[rng.choice(offsets) + 8] = rng.randrange(2, 256)
+            variant = out_dir / f"{path.stem}_{i:02d}.mp4"
+            variant.write_bytes(bytes(out))
+            variants.append(str(variant))
+    return variants
+
+
+def full_symbol_records(model_path, files):
+    """`classify --explain` records built from every symbol of each file."""
+    mf = load_model(str(model_path))
+    records = []
+    for name in files:
+        record = {"file": name, "model": mf.file_digest}
+        try:
+            verdict, steps = classify_symbols(mf, file_symbols(name)[0])
+        except (ParseError, OSError) as exc:
+            record["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            record["prediction"] = verdict
+            record["path"] = [{"symbol": s.symbol, "threshold": s.threshold,
+                               "count": s.count, "branch": s.branch}
+                              for s in steps]
+        records.append(record)
+    return records
+
+
+# Symbols under moov/trak and the threshold each split of the chain model
+# tests; clean files pass every split to its left. The @stuff symbols
+# count boxes whose decoder failed on a rewritten version byte.
+TRAK_SPLITS = [
+    ("moov/trak/mdia/hdlr/@handlerType/vide", 1.5),
+    ("moov/trak/tkhd/@stuff", 0.5),
+    ("moov/trak/mdia/mdhd/@version", 2.5),
+    ("moov/trak/mdia/mdhd/@stuff", 0.5),
+    ("moov/trak/mdia/minf/stbl/stsd/@format_1/hvc1", 1.5),
+    ("moov/trak/mdia/minf/stbl/stsz/@sampleSize/0", 2.5),
+    ("moov/trak/mdia/minf/stbl/stsz/@stuff", 0.5),
+    ("ftyp/@majorBrand", 1.5),
+]
+
+
+def trak_model_text(model_path):
+    """The model at `model_path` with every symbol kept, the `TRAK_SPLITS`
+    symbols added, and a tree that is a chain of those splits."""
+    obj = json.loads(model_path.read_text(encoding="ascii"))
+    vocabulary = sorted(set(obj["vocabulary"]) | {s for s, _ in TRAK_SPLITS})
+    obj["vocabulary"] = vocabulary
+    obj["filter"]["kept"] = [1] * len(vocabulary)
+    labels = obj["classes"]
+    splits = [{"feature": vocabulary.index(s), "threshold": t}
+              for s, t in TRAK_SPLITS]
+    leaves = [{"label": labels[i % 2], "distribution": {labels[i % 2]: 1.0}}
+              for i in range(len(splits) + 1)]
+    obj["tree"] = splits + leaves
+    return canonical_dumps(obj)
+
+
+class TestClassifyDecodesTestedBoxes:
+    """Records from the tested boxes alone equal records from every
+    symbol, for clean and hostile files."""
+
+    @pytest.fixture(scope="class")
+    def files(self, corpus_dir, tmp_path_factory):
+        clean = sorted(corpus_dir.glob("D0[12]_*.mp4"))
+        out = tmp_path_factory.mktemp("hostile")
+        return ([str(p) for p in clean] + hostile_variants(clean, out)
+                + [str(out)])
+
+    def models(self, trained_model, tmp_path):
+        obj = json.loads(trained_model.read_text(encoding="ascii"))
+        label = obj["classes"][0]
+        obj["tree"] = [{"label": label, "distribution": {label: 1.0}}]
+        texts = {"trained": trained_model.read_text(encoding="ascii"),
+                 "trak": trak_model_text(trained_model),
+                 "leaf": canonical_dumps(obj)}
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(text, encoding="ascii")
+        return paths
+
+    @pytest.mark.parametrize("name", ["trained", "trak", "leaf"])
+    def test_records_equal_full_symbol_records(self, trained_model, tmp_path,
+                                               files, capsys, name):
+        model_path = self.models(trained_model, tmp_path)[name]
+        assert main(["classify", "--explain", str(model_path), *files]) == 0
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.splitlines()]
+        assert records == full_symbol_records(model_path, files)
+        assert any("prediction" in r for r in records)
+        assert any("error" in r for r in records)
+
+    def test_trak_model_reads_hostile_counts(self, trained_model, tmp_path,
+                                             files):
+        model_path = self.models(trained_model, tmp_path)["trak"]
+        mf = load_model(str(model_path))
+        tested = {mf.model.vocabulary.symbols[n.split.feature_index]
+                  for n in preorder(mf.model.root) if not n.is_leaf}
+        assert tested == {s for s, _ in TRAK_SPLITS}
+        # The hostile variants reach the opaque counts the chain tests.
+        steps = [step for r in full_symbol_records(model_path, files)
+                 for step in r.get("path", [])]
+        assert any(s["symbol"].endswith("/@stuff") and s["count"] > 0
+                   for s in steps)
+        assert len({r["symbol"] for r in steps}) == len(TRAK_SPLITS)
+
+
 class TestEvaluateCommand:
     def test_prints_table_and_writes_report(self, corpus_dir, tmp_path,
                                             capsys):
@@ -305,6 +449,41 @@ def test_manifest_not_utf8_is_data_error(tmp_path, monkeypatch, capsys,
     assert main(argv) == 65
     assert capsys.readouterr().err.startswith(
         "MalformedRow: line 2: manifest is not UTF-8 text")
+
+
+OUT_OF_RANGE_FLAGS = (
+    [("--tau", v) for v in ("0", "-1", "nan", "inf")]
+    + [("--max-depth", "-2"), ("--max-depth", "1.5"),
+       ("--min-samples-leaf", "0"), ("--min-samples-leaf", "-3"),
+       ("--ccp-alpha", "-1"), ("--ccp-alpha", "nan"), ("--ccp-alpha", "inf")])
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    (command, flag, value) for command in ("train", "evaluate", "llr-report")
+    for flag, value in OUT_OF_RANGE_FLAGS
+    if command != "llr-report" or flag == "--tau"])
+def test_out_of_range_flag_is_usage_error(command, flag, value, corpus_dir,
+                                          tmp_path, capsys):
+    argv = [command, str(corpus_dir / "manifest.csv"),
+            "--scenario", "integrity", flag, value]
+    if command == "train":
+        argv += ["--out", str(tmp_path / "m.json")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"error: argument {flag}: " in err
+
+
+def test_lowest_tree_flags_train(corpus_dir, tmp_path):
+    model_path = tmp_path / "m.json"
+    code = main(["train", str(corpus_dir / "manifest.csv"),
+                 "--scenario", "integrity", "--out", str(model_path),
+                 "--max-depth", "0", "--min-samples-leaf", "1",
+                 "--ccp-alpha", "0"])
+    assert code == 0
+    assert load_model(str(model_path)).model.root.is_leaf
 
 
 class TestMakeFixturesCommand:

@@ -211,6 +211,22 @@ MALFORMED_MODELS = [
                  id="class-without-a-weight"),
     pytest.param(_json_edit(lambda o: o["metadata"].update(scenario=[1])),
                  id="metadata-not-a-string"),
+    pytest.param(_json_edit(lambda o: o["params"].update(max_depth=-2)),
+                 id="max-depth-negative"),
+    pytest.param(_json_edit(lambda o: o["params"].update(min_samples_leaf=0)),
+                 id="min-samples-leaf-zero"),
+    pytest.param(_json_edit(lambda o: o["params"].update(min_samples_leaf=-3)),
+                 id="min-samples-leaf-negative"),
+    pytest.param(_json_edit(lambda o: o["params"].update(ccp_alpha=-1)),
+                 id="ccp-alpha-negative"),
+    pytest.param(_json_edit(lambda o: o["filter"].update(tau=-1)),
+                 id="tau-negative"),
+    pytest.param(_json_edit(lambda o: o["filter"].update(tau=0)),
+                 id="tau-zero"),
+    pytest.param(_json_edit(lambda o: o.update(format_version=1.0)),
+                 id="format-version-float"),
+    pytest.param(_json_edit(lambda o: o.update(format_version=True)),
+                 id="format-version-true"),
 ]
 
 
@@ -223,6 +239,19 @@ def test_malformed_model_file_rejected(tmp_path, edit):
     path.write_bytes(edit(obj))
     with pytest.raises(ModelFormatError):
         load_model(str(path))
+
+
+@pytest.mark.parametrize("params,tau", [
+    ({"max_depth": 0, "min_samples_leaf": 1, "ccp_alpha": 0}, 1e-300),
+    ({"max_depth": None, "min_samples_leaf": 7, "ccp_alpha": 0.5}, 3),
+], ids=["lowest-values", "null-depth-and-integer-tau"])
+def test_boundary_params_load(params, tau):
+    obj = json.loads(FIG_MODEL_TEXT)
+    obj["params"].update(params)
+    obj["filter"]["tau"] = tau
+    mf = loads_model(_json_text(obj))
+    assert mf.model.params == TreeParams(**params)
+    assert mf.tau == tau
 
 
 def _value_paths(obj, prefix=()):

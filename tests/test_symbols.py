@@ -333,3 +333,74 @@ class TestByteSymbols:
         assert byte_outcome(data, None) == expected
         if depth > MAX_NESTING:
             assert expected[0] is NestingTooDeep
+
+
+# Strings that name no symbol of a file, or no box of it.
+GARBAGE = st.sets(st.sampled_from([
+    "", "ftyp", "moov", "/@", "moov/@x", "ftyp/@majorBrand/nope",
+    "moov/trak/tkhd/@absent", "moov/trak", "mdat/@count/7",
+]) | st.text(max_size=12), max_size=4)
+
+
+def restricted_matches_full(data: bytes, blacklist, only) -> None:
+    """`container_symbols(..., only=only)` is the full count restricted to
+    `only`, in the full count's order, with a subsequence of its warnings;
+    or both raise the same `ParseError`."""
+    full = byte_outcome(data, blacklist)
+    try:
+        symbols, warnings = container_symbols(io.BytesIO(data), blacklist,
+                                              only=only)
+    except ParseError as exc:
+        assert (type(exc), str(exc)) == full
+        return
+    full_items, full_warnings = full
+    assert list(symbols.items()) == [(s, n) for s, n in full_items
+                                     if s in only]
+    rest = iter(full_warnings)
+    assert all(w in rest for w in warnings)
+
+
+class TestRestrictedSymbols:
+    """`container_symbols` with `only` decodes only the boxes `only` names
+    and gives exactly the full count restricted to it."""
+
+    @given(st.data(), st.booleans(), st.binary(max_size=300), BLACKLISTS)
+    @settings(max_examples=300, deadline=None)
+    def test_random_bytes(self, data, after_ftyp, tail, blacklist):
+        raw = (FTYP_MIN if after_ftyp else b"") + tail
+        full = byte_outcome(raw, blacklist)
+        known = sorted({s for s, _ in full[0]} if isinstance(full[0], list)
+                       else extract_symbols(parse_bytes(FTYP_MIN)))
+        only = data.draw(st.sets(st.sampled_from(known))) | data.draw(GARBAGE)
+        restricted_matches_full(raw, blacklist, only)
+
+    @given(st.data(), BLACKLISTS)
+    @settings(max_examples=300, deadline=None)
+    def test_hostile_fixture_variants(self, fixture_files, data, blacklist):
+        base, offsets = data.draw(st.sampled_from(fixture_files))
+        variant = hostile(data.draw, base, offsets)
+        # Symbols of the base file and of the variant, which holds opaque
+        # counts where a decoder failed.
+        known = set(container_symbols(io.BytesIO(base), NO_BLACKLIST)[0])
+        full = byte_outcome(variant, blacklist)
+        if isinstance(full[0], list):
+            known.update(s for s, _ in full[0])
+        only = (data.draw(st.sets(st.sampled_from(sorted(known))))
+                | data.draw(GARBAGE))
+        restricted_matches_full(variant, blacklist, only)
+
+    def test_only_decodes_the_named_boxes(self):
+        # A broken mvhd warns only when a symbol of moov/mvhd is wanted.
+        data = FTYP_MIN + mkbox(b"moov", mkbox(b"mvhd", bytes(4)))
+        full, full_warnings = container_symbols(io.BytesIO(data))
+        assert full["moov/mvhd/@stuff"] == 1 and len(full_warnings) == 1
+        symbols, warnings = container_symbols(
+            io.BytesIO(data), only={"ftyp/@majorBrand/isom"})
+        assert symbols == Counter({"ftyp/@majorBrand/isom": 1})
+        assert warnings == []
+        symbols, warnings = container_symbols(
+            io.BytesIO(data), only={"moov/mvhd/@stuff", "moov/mvhd/@x"})
+        assert symbols == Counter({"moov/mvhd/@stuff": 1})
+        assert warnings == full_warnings
+        assert container_symbols(io.BytesIO(data), only=set()) \
+            == (Counter(), [])

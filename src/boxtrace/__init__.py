@@ -13,7 +13,7 @@ from .bmff import parse_container, parse_file
 from .errors import BoxtraceError, DataError, ParseError
 from .evaluate import get_scenario, load_manifest, run_scenario
 from .fixtures import FixtureSpec, generate_corpus
-from .modelfile import classify_tree, load_model, save_model, train_model
+from .modelfile import load_model, save_model, train_model
 from .symbols import default_blacklist, extract_symbols, file_symbols
 
 __version__ = "0.1.0"

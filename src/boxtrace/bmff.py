@@ -142,13 +142,9 @@ def _fixed_point(raw: int, frac_bits: int) -> str:
     return format(value.normalize(), "f")
 
 
-_U16, _U32, _U64 = (struct.Struct(f).unpack_from for f in (">H", ">I", ">Q"))
-_I16, _I32, _I64 = (struct.Struct(f).unpack_from for f in (">h", ">i", ">q"))
+_U32, _U64 = (struct.Struct(f).unpack_from for f in (">I", ">Q"))
 _MATRIX = struct.Struct(">9i")
-
-
-def _u16(b: bytes, o: int) -> int:
-    return _U16(b, o)[0]
+_OPCOLOR = struct.Struct(">3H")
 
 
 def _u32(b: bytes, o: int) -> int:
@@ -157,18 +153,6 @@ def _u32(b: bytes, o: int) -> int:
 
 def _u64(b: bytes, o: int) -> int:
     return _U64(b, o)[0]
-
-
-def _i16(b: bytes, o: int) -> int:
-    return _I16(b, o)[0]
-
-
-def _i32(b: bytes, o: int) -> int:
-    return _I32(b, o)[0]
-
-
-def _i64(b: bytes, o: int) -> int:
-    return _I64(b, o)[0]
 
 
 def _need(payload: bytes, n: int, what: str) -> None:
@@ -183,11 +167,23 @@ def _fullbox(payload: bytes, what: str) -> tuple[list[tuple[str, str]], bytes]:
     return [("version", str(version)), ("flags", str(flags))], payload[4:]
 
 
-def _matrix(body: bytes, o: int) -> str:
+def _fixed16(raw: int) -> str:
+    return _fixed_point(raw, 16)
+
+
+def _fixed8(raw: int) -> str:
+    return _fixed_point(raw, 8)
+
+
+def _matrix(raw: bytes) -> str:
     # 3x3 transform: u, v, w entries (indices 2, 5, 8) are 2.30 fixed,
     # the rest 16.16.
-    return ",".join(_fixed_point(raw, 30 if i % 3 == 2 else 16)
-                    for i, raw in enumerate(_MATRIX.unpack_from(body, o)))
+    return ",".join(_fixed_point(v, 30 if i % 3 == 2 else 16)
+                    for i, v in enumerate(_MATRIX.unpack(raw)))
+
+
+def _opcolor(raw: bytes) -> str:
+    return ",".join(map(str, _OPCOLOR.unpack(raw)))
 
 
 def _language(code: int) -> str:
@@ -195,6 +191,34 @@ def _language(code: int) -> str:
     if all(0x61 <= c <= 0x7A for c in chars):
         return "".join(chr(c) for c in chars)
     return str(code)
+
+
+_Decoder = Callable[[bytes], list[tuple[str, str]]]
+
+
+def _fixed_layout(name: str, fields: list[tuple[str, Callable]],
+                  *formats: str) -> _Decoder:
+    """Decoder of a full box whose body is one fixed `struct` layout per
+    version: ``formats[v]`` for version v, or any version if there is one
+    format. The unpacked values pass, in order, through the writers of
+    `fields`, a ``(field name, writer)`` list."""
+    layouts = [struct.Struct(f) for f in formats]
+
+    def decode(payload: bytes) -> list[tuple[str, str]]:
+        out, body = _fullbox(payload, name)
+        version = payload[0]
+        if len(layouts) == 1:
+            layout, what = layouts[0], name
+        elif version < len(layouts):
+            layout, what = layouts[version], f"{name} v{version}"
+        else:
+            raise UnsupportedVersion(f"{name} version {version}")
+        _need(body, layout.size, what)
+        out += [(key, write(value)) for (key, write), value
+                in zip(fields, layout.unpack_from(body))]
+        return out
+
+    return decode
 
 
 def _decode_ftyp(payload: bytes) -> list[tuple[str, str]]:
@@ -211,91 +235,6 @@ def _decode_ftyp(payload: bytes) -> list[tuple[str, str]]:
     return fields
 
 
-def _decode_mvhd(payload: bytes) -> list[tuple[str, str]]:
-    fields, body = _fullbox(payload, "mvhd")
-    version = int(fields[0][1])
-    if version == 0:
-        _need(body, 96, "mvhd v0")
-        times = [_u32(body, 0), _u32(body, 4)]
-        timescale, duration = _u32(body, 8), _u32(body, 12)
-        o = 16
-    elif version == 1:
-        _need(body, 108, "mvhd v1")
-        times = [_u64(body, 0), _u64(body, 8)]
-        timescale, duration = _u32(body, 16), _u64(body, 20)
-        o = 28
-    else:
-        raise UnsupportedVersion(f"mvhd version {version}")
-    fields += [
-        ("creationTime", str(times[0])),
-        ("modificationTime", str(times[1])),
-        ("timescale", str(timescale)),
-        ("duration", str(duration)),
-        ("rate", _fixed_point(_i32(body, o), 16)),
-        ("volume", _fixed_point(_i16(body, o + 4), 8)),
-        ("matrix", _matrix(body, o + 16)),
-        ("nextTrackId", str(_u32(body, o + 76))),
-    ]
-    return fields
-
-
-def _decode_tkhd(payload: bytes) -> list[tuple[str, str]]:
-    fields, body = _fullbox(payload, "tkhd")
-    version = int(fields[0][1])
-    if version == 0:
-        _need(body, 80, "tkhd v0")
-        times = [_u32(body, 0), _u32(body, 4)]
-        track_id = _u32(body, 8)
-        duration = _u32(body, 16)
-        o = 28
-    elif version == 1:
-        _need(body, 92, "tkhd v1")
-        times = [_u64(body, 0), _u64(body, 8)]
-        track_id = _u32(body, 16)
-        duration = _u64(body, 24)
-        o = 40
-    else:
-        raise UnsupportedVersion(f"tkhd version {version}")
-    fields += [
-        ("creationTime", str(times[0])),
-        ("modificationTime", str(times[1])),
-        ("trackId", str(track_id)),
-        ("duration", str(duration)),
-        ("layer", str(_i16(body, o))),
-        ("alternateGroup", str(_i16(body, o + 2))),
-        ("volume", _fixed_point(_i16(body, o + 4), 8)),
-        ("matrix", _matrix(body, o + 8)),
-        ("width", _fixed_point(_i32(body, o + 44), 16)),
-        ("height", _fixed_point(_i32(body, o + 48), 16)),
-    ]
-    return fields
-
-
-def _decode_mdhd(payload: bytes) -> list[tuple[str, str]]:
-    fields, body = _fullbox(payload, "mdhd")
-    version = int(fields[0][1])
-    if version == 0:
-        _need(body, 20, "mdhd v0")
-        times = [_u32(body, 0), _u32(body, 4)]
-        timescale, duration = _u32(body, 8), _u32(body, 12)
-        o = 16
-    elif version == 1:
-        _need(body, 32, "mdhd v1")
-        times = [_u64(body, 0), _u64(body, 8)]
-        timescale, duration = _u32(body, 16), _u64(body, 20)
-        o = 28
-    else:
-        raise UnsupportedVersion(f"mdhd version {version}")
-    fields += [
-        ("creationTime", str(times[0])),
-        ("modificationTime", str(times[1])),
-        ("timescale", str(timescale)),
-        ("duration", str(duration)),
-        ("language", _language(_u16(body, o))),
-    ]
-    return fields
-
-
 def _decode_hdlr(payload: bytes) -> list[tuple[str, str]]:
     fields, body = _fullbox(payload, "hdlr")
     _need(body, 20, "hdlr")
@@ -303,41 +242,6 @@ def _decode_hdlr(payload: bytes) -> list[tuple[str, str]]:
     fields += [
         ("handlerType", ascii_or_hex(body[4:8])),
         ("name", ascii_or_hex(name)),
-    ]
-    return fields
-
-
-def _decode_vmhd(payload: bytes) -> list[tuple[str, str]]:
-    fields, body = _fullbox(payload, "vmhd")
-    _need(body, 8, "vmhd")
-    opcolor = ",".join(str(_u16(body, 2 + 2 * i)) for i in range(3))
-    fields += [("graphicsMode", str(_u16(body, 0))), ("opColor", opcolor)]
-    return fields
-
-
-def _decode_smhd(payload: bytes) -> list[tuple[str, str]]:
-    fields, body = _fullbox(payload, "smhd")
-    _need(body, 4, "smhd")
-    fields.append(("balance", _fixed_point(_i16(body, 0), 8)))
-    return fields
-
-
-def _decode_entry_count(name: str) -> Callable[[bytes], list[tuple[str, str]]]:
-    def decode(payload: bytes) -> list[tuple[str, str]]:
-        fields, body = _fullbox(payload, name)
-        _need(body, 4, name)
-        fields.append(("entryCount", str(_u32(body, 0))))
-        return fields
-
-    return decode
-
-
-def _decode_stsz(payload: bytes) -> list[tuple[str, str]]:
-    fields, body = _fullbox(payload, "stsz")
-    _need(body, 8, "stsz")
-    fields += [
-        ("sampleSize", str(_u32(body, 0))),
-        ("sampleCount", str(_u32(body, 4))),
     ]
     return fields
 
@@ -359,50 +263,65 @@ def _decode_stsd(payload: bytes) -> list[tuple[str, str]]:
     return fields
 
 
+# One edit list entry per version: segment duration, media time, and the
+# 16.16 media rate (rate integer and fraction read as one i32).
+_ELST_ENTRIES = (struct.Struct(">Iii"), struct.Struct(">Qqi"))
+
+
 def _decode_elst(payload: bytes) -> list[tuple[str, str]]:
     fields, body = _fullbox(payload, "elst")
-    version = int(fields[0][1])
+    version = payload[0]
     if version not in (0, 1):
         raise UnsupportedVersion(f"elst version {version}")
     _need(body, 4, "elst")
     entry_count = _u32(body, 0)
     fields.append(("entryCount", str(entry_count)))
-    entry_size = 20 if version == 1 else 12
+    entry = _ELST_ENTRIES[version]
     pos = 4
     for _ in range(min(entry_count, _MAX_ELST_ENTRIES)):
-        if pos + entry_size > len(body):
+        if pos + entry.size > len(body):
             break
-        if version == 1:
-            duration, media_time = _u64(body, pos), _i64(body, pos + 8)
-            rate_off = pos + 16
-        else:
-            duration, media_time = _u32(body, pos), _i32(body, pos + 4)
-            rate_off = pos + 8
-        rate = (_i16(body, rate_off) << 16) + _u16(body, rate_off + 2)
+        duration, media_time, rate = entry.unpack_from(body, pos)
         fields += [
             ("segmentDuration", str(duration)),
             ("mediaTime", str(media_time)),
-            ("mediaRate", _fixed_point(rate, 16)),
+            ("mediaRate", _fixed16(rate)),
         ]
-        pos += entry_size
+        pos += entry.size
     return fields
 
 
-_DECODERS: dict[str, Callable[[bytes], list[tuple[str, str]]]] = {
+_TIMES = [("creationTime", str), ("modificationTime", str)]
+
+# Fixed layouts follow ISO/IEC 14496-12; `x` pads are reserved and
+# pre-defined fields.
+_DECODERS: dict[str, _Decoder] = {
     "ftyp": _decode_ftyp,
     "styp": _decode_ftyp,
-    "mvhd": _decode_mvhd,
-    "tkhd": _decode_tkhd,
-    "mdhd": _decode_mdhd,
+    "mvhd": _fixed_layout(
+        "mvhd",
+        [*_TIMES, ("timescale", str), ("duration", str), ("rate", _fixed16),
+         ("volume", _fixed8), ("matrix", _matrix), ("nextTrackId", str)],
+        ">IIIIih10x36s24xI", ">QQIQih10x36s24xI"),
+    "tkhd": _fixed_layout(
+        "tkhd",
+        [*_TIMES, ("trackId", str), ("duration", str), ("layer", str),
+         ("alternateGroup", str), ("volume", _fixed8), ("matrix", _matrix),
+         ("width", _fixed16), ("height", _fixed16)],
+        ">III4xI8xhhh2x36sii", ">QQI4xQ8xhhh2x36sii"),
+    "mdhd": _fixed_layout(
+        "mdhd",
+        [*_TIMES, ("timescale", str), ("duration", str),
+         ("language", _language)],
+        ">IIIIH2x", ">QQIQH2x"),
     "hdlr": _decode_hdlr,
-    "vmhd": _decode_vmhd,
-    "smhd": _decode_smhd,
-    "dref": _decode_entry_count("dref"),
-    "stts": _decode_entry_count("stts"),
-    "stsc": _decode_entry_count("stsc"),
-    "stco": _decode_entry_count("stco"),
-    "co64": _decode_entry_count("co64"),
-    "stsz": _decode_stsz,
+    "vmhd": _fixed_layout("vmhd", [("graphicsMode", str), ("opColor", _opcolor)],
+                          ">H6s"),
+    "smhd": _fixed_layout("smhd", [("balance", _fixed8)], ">h2x"),
+    **{name: _fixed_layout(name, [("entryCount", str)], ">I")
+       for name in ("dref", "stts", "stsc", "stco", "co64")},
+    "stsz": _fixed_layout("stsz", [("sampleSize", str), ("sampleCount", str)],
+                          ">II"),
     "stsd": _decode_stsd,
     "elst": _decode_elst,
 }

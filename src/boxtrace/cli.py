@@ -69,7 +69,7 @@ _TAU = _checked(float, lambda v: math.isfinite(v) and v > 0,
 _CCP_ALPHA = _checked(float, lambda v: math.isfinite(v) and v >= 0,
                       "a finite number of at least 0")
 _MAX_DEPTH = _checked(int, lambda v: v >= 0, "an integer of at least 0")
-_MIN_SAMPLES_LEAF = _checked(int, lambda v: v >= 1, "an integer of at least 1")
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer of at least 1")
 
 
 def _tree_params(args) -> TreeParams:
@@ -85,7 +85,7 @@ def _add_training_flags(parser: argparse.ArgumentParser) -> None:
                         help="cost-complexity pruning strength (default 0)")
     parser.add_argument("--max-depth", type=_MAX_DEPTH, default=None,
                         help="tree depth cap (default unlimited)")
-    parser.add_argument("--min-samples-leaf", type=_MIN_SAMPLES_LEAF, default=1,
+    parser.add_argument("--min-samples-leaf", type=_POSITIVE_INT, default=1,
                         help="minimum samples per leaf (default 1)")
 
 
@@ -192,11 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", parents=[], help="dump a file's box tree "
                        "or its symbol multiset")
     p.add_argument("file")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--tree", action="store_true", default=True,
-                       help="dump the box tree (default)")
-    group.add_argument("--symbols", action="store_true",
-                       help="dump the symbol multiset instead")
+    p.add_argument("--symbols", action="store_true",
+                   help="dump the symbol multiset instead of the box tree")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_parse)
 
@@ -235,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="generate a synthetic labeled corpus")
     p.add_argument("out_dir")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--videos-per-cell", type=int, default=4)
+    p.add_argument("--videos-per-cell", type=_POSITIVE_INT, default=4)
     p.set_defaults(func=cmd_make_fixtures)
 
     return parser

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyClass, SingleClass, UnknownClass
-from .vectorize import CountMatrix, Vocabulary, count_matrix
+from .vectorize import CountMatrix, Vocabulary, vectorize
 
 DEFAULT_TAU = 0.5
 
@@ -177,8 +177,10 @@ def filter_vocabulary(
     """Keep the symbols whose best pairwise LLR exceeds the threshold."""
     if cfg is None:
         cfg = FilterConfig()
-    matrix = count_matrix([ms for ms, _ in corpus], vocab)
-    report = llr_report(matrix, [label for _, label in corpus], cfg)
+    counts = np.array([vectorize(ms, vocab) for ms, _ in corpus],
+                      dtype=np.int32).reshape(len(corpus), len(vocab))
+    report = llr_report(CountMatrix(vocab.symbols, counts),
+                        [label for _, label in corpus], cfg)
     return Vocabulary.from_strings(report.kept_symbols()), report
 
 

@@ -18,10 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bmff import ContainerTree
 from .errors import DimensionMismatch, EmptyCorpus, ModelFormatError
 from .llr import DEFAULT_TAU, FilterConfig, llr_report
-from .symbols import extract_symbols
 from .tree import (
     DecisionTreeModel,
     PathStep,
@@ -351,8 +349,3 @@ def classify_symbols(mf: ModelFile, symbols: Counter[str]) -> tuple[str, list[Pa
     """Predict a file's class from its symbols, and the path that decided it."""
     row = vectorize(symbols, mf.model.vocabulary)
     return predict(mf.model, row), decision_path(mf.model, row)
-
-
-def classify_tree(mf: ModelFile, tree: ContainerTree) -> tuple[str, list[PathStep]]:
-    """Predict a parsed container's class and the path that decided it."""
-    return classify_symbols(mf, extract_symbols(tree))

@@ -3,7 +3,6 @@ matrix that training selects rows and columns from."""
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -67,33 +66,16 @@ def vectorize(ms: Counter[str], vocab: Vocabulary) -> list[int]:
     return [ms.get(s, 0) for s in vocab.symbols]
 
 
-def count_matrix(
-    corpus: Sequence[Counter[str]], vocab: Vocabulary | None = None
-) -> CountMatrix:
-    """One row per symbol multiset, over `vocab` (symbols outside it drop)
-    or, by default, over the union of their symbols. Entries with a zero
-    count are absent."""
+def count_matrix(corpus: Sequence[Counter[str]]) -> CountMatrix:
+    """One row per symbol multiset, over the union of their symbols.
+    Entries with a zero count are absent."""
     if not corpus:
         raise EmptyCorpus("cannot build a count matrix from an empty corpus")
-    # Each distinct symbol string is kept once; entries refer to it by the
-    # order in which it was first seen, or by its place in `vocab`.
-    first_seen: dict[str, int] = {} if vocab is None else dict(vocab.index)
-    rows, seen, values = array("i"), array("i"), array("i")
-    for i, ms in enumerate(corpus):
-        for s, count in ms.items():
-            if not count:
-                continue
-            j = (first_seen.setdefault(s, len(first_seen))
-                 if vocab is None else first_seen.get(s))
-            if j is not None:
-                rows.append(i)
-                seen.append(j)
-                values.append(count)
-    symbols = sorted(first_seen)
-    column = np.empty(len(symbols), dtype=np.intp)
-    column[[first_seen[s] for s in symbols]] = np.arange(len(symbols))
+    symbols = sorted({s for ms in corpus for s, count in ms.items() if count})
+    column = {s: j for j, s in enumerate(symbols)}
     counts = np.zeros((len(corpus), len(symbols)), dtype=np.int32)
-    np.add.at(counts, (np.frombuffer(rows, dtype=np.intc),
-                       column[np.frombuffer(seen, dtype=np.intc)]),
-              np.frombuffer(values, dtype=np.intc))
+    for row, ms in zip(counts, corpus):
+        for s, count in ms.items():
+            if count:
+                row[column[s]] = count
     return CountMatrix(tuple(symbols), counts)

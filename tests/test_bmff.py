@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxtrace.bmff import (
+    _DECODERS,
     _PAYLOAD_READ_CAP,
     MAX_NESTING,
     _fixed_point,
+    _language,
     ascii_or_hex,
     dump_tree,
     parse_container,
@@ -21,9 +23,12 @@ from boxtrace.bmff import (
     render_type_code,
 )
 from boxtrace.errors import (
+    BoxDecodeError,
     NestingTooDeep,
     NotBmff,
+    PayloadTooShort,
     TruncatedBox,
+    UnsupportedVersion,
     ZeroSizeNonFinal,
 )
 from boxtrace.fixtures import FixtureSpec, generate_corpus
@@ -252,6 +257,252 @@ class TestKnownBoxDecoding:
         # The warning carries the decoder's `PayloadTooShort` message.
         assert tree.warnings == ["box 'ftyp' at offset 0: ftyp needs 8 bytes, "
                                  "payload holds 2; treated as opaque"]
+
+
+# The hand-written decoders that the struct layouts replaced, kept as the
+# reference for every fixed-layout box: each reads its fields at computed
+# offsets.
+_R16, _R32, _R64 = (struct.Struct(f).unpack_from for f in (">H", ">I", ">Q"))
+_RI16, _RI32, _RI64 = (struct.Struct(f).unpack_from for f in (">h", ">i", ">q"))
+
+
+def _ref_u16(b, o):
+    return _R16(b, o)[0]
+
+
+def _ref_u32(b, o):
+    return _R32(b, o)[0]
+
+
+def _ref_u64(b, o):
+    return _R64(b, o)[0]
+
+
+def _ref_i16(b, o):
+    return _RI16(b, o)[0]
+
+
+def _ref_i32(b, o):
+    return _RI32(b, o)[0]
+
+
+def _ref_i64(b, o):
+    return _RI64(b, o)[0]
+
+
+def _ref_need(payload, n, what):
+    if len(payload) < n:
+        raise PayloadTooShort(f"{what} needs {n} bytes, payload holds {len(payload)}")
+
+
+def _ref_fullbox(payload, what):
+    _ref_need(payload, 4, what)
+    version = payload[0]
+    flags = int.from_bytes(payload[1:4], "big")
+    return [("version", str(version)), ("flags", str(flags))], payload[4:]
+
+
+def _ref_matrix(body, o):
+    return ",".join(_fixed_point(_ref_i32(body, o + 4 * i), 30 if i % 3 == 2 else 16)
+                    for i in range(9))
+
+
+def ref_decode_mvhd(payload):
+    fields, body = _ref_fullbox(payload, "mvhd")
+    version = int(fields[0][1])
+    if version == 0:
+        _ref_need(body, 96, "mvhd v0")
+        times = [_ref_u32(body, 0), _ref_u32(body, 4)]
+        timescale, duration = _ref_u32(body, 8), _ref_u32(body, 12)
+        o = 16
+    elif version == 1:
+        _ref_need(body, 108, "mvhd v1")
+        times = [_ref_u64(body, 0), _ref_u64(body, 8)]
+        timescale, duration = _ref_u32(body, 16), _ref_u64(body, 20)
+        o = 28
+    else:
+        raise UnsupportedVersion(f"mvhd version {version}")
+    fields += [
+        ("creationTime", str(times[0])),
+        ("modificationTime", str(times[1])),
+        ("timescale", str(timescale)),
+        ("duration", str(duration)),
+        ("rate", _fixed_point(_ref_i32(body, o), 16)),
+        ("volume", _fixed_point(_ref_i16(body, o + 4), 8)),
+        ("matrix", _ref_matrix(body, o + 16)),
+        ("nextTrackId", str(_ref_u32(body, o + 76))),
+    ]
+    return fields
+
+
+def ref_decode_tkhd(payload):
+    fields, body = _ref_fullbox(payload, "tkhd")
+    version = int(fields[0][1])
+    if version == 0:
+        _ref_need(body, 80, "tkhd v0")
+        times = [_ref_u32(body, 0), _ref_u32(body, 4)]
+        track_id = _ref_u32(body, 8)
+        duration = _ref_u32(body, 16)
+        o = 28
+    elif version == 1:
+        _ref_need(body, 92, "tkhd v1")
+        times = [_ref_u64(body, 0), _ref_u64(body, 8)]
+        track_id = _ref_u32(body, 16)
+        duration = _ref_u64(body, 24)
+        o = 40
+    else:
+        raise UnsupportedVersion(f"tkhd version {version}")
+    fields += [
+        ("creationTime", str(times[0])),
+        ("modificationTime", str(times[1])),
+        ("trackId", str(track_id)),
+        ("duration", str(duration)),
+        ("layer", str(_ref_i16(body, o))),
+        ("alternateGroup", str(_ref_i16(body, o + 2))),
+        ("volume", _fixed_point(_ref_i16(body, o + 4), 8)),
+        ("matrix", _ref_matrix(body, o + 8)),
+        ("width", _fixed_point(_ref_i32(body, o + 44), 16)),
+        ("height", _fixed_point(_ref_i32(body, o + 48), 16)),
+    ]
+    return fields
+
+
+def ref_decode_mdhd(payload):
+    fields, body = _ref_fullbox(payload, "mdhd")
+    version = int(fields[0][1])
+    if version == 0:
+        _ref_need(body, 20, "mdhd v0")
+        times = [_ref_u32(body, 0), _ref_u32(body, 4)]
+        timescale, duration = _ref_u32(body, 8), _ref_u32(body, 12)
+        o = 16
+    elif version == 1:
+        _ref_need(body, 32, "mdhd v1")
+        times = [_ref_u64(body, 0), _ref_u64(body, 8)]
+        timescale, duration = _ref_u32(body, 16), _ref_u64(body, 20)
+        o = 28
+    else:
+        raise UnsupportedVersion(f"mdhd version {version}")
+    fields += [
+        ("creationTime", str(times[0])),
+        ("modificationTime", str(times[1])),
+        ("timescale", str(timescale)),
+        ("duration", str(duration)),
+        ("language", _language(_ref_u16(body, o))),
+    ]
+    return fields
+
+
+def ref_decode_vmhd(payload):
+    fields, body = _ref_fullbox(payload, "vmhd")
+    _ref_need(body, 8, "vmhd")
+    opcolor = ",".join(str(_ref_u16(body, 2 + 2 * i)) for i in range(3))
+    fields += [("graphicsMode", str(_ref_u16(body, 0))), ("opColor", opcolor)]
+    return fields
+
+
+def ref_decode_smhd(payload):
+    fields, body = _ref_fullbox(payload, "smhd")
+    _ref_need(body, 4, "smhd")
+    fields.append(("balance", _fixed_point(_ref_i16(body, 0), 8)))
+    return fields
+
+
+def ref_decode_entry_count(name):
+    def decode(payload):
+        fields, body = _ref_fullbox(payload, name)
+        _ref_need(body, 4, name)
+        fields.append(("entryCount", str(_ref_u32(body, 0))))
+        return fields
+
+    return decode
+
+
+def ref_decode_stsz(payload):
+    fields, body = _ref_fullbox(payload, "stsz")
+    _ref_need(body, 8, "stsz")
+    fields += [
+        ("sampleSize", str(_ref_u32(body, 0))),
+        ("sampleCount", str(_ref_u32(body, 4))),
+    ]
+    return fields
+
+
+def ref_decode_elst(payload):
+    fields, body = _ref_fullbox(payload, "elst")
+    version = int(fields[0][1])
+    if version not in (0, 1):
+        raise UnsupportedVersion(f"elst version {version}")
+    _ref_need(body, 4, "elst")
+    entry_count = _ref_u32(body, 0)
+    fields.append(("entryCount", str(entry_count)))
+    entry_size = 20 if version == 1 else 12
+    pos = 4
+    for _ in range(min(entry_count, 16)):
+        if pos + entry_size > len(body):
+            break
+        if version == 1:
+            duration, media_time = _ref_u64(body, pos), _ref_i64(body, pos + 8)
+            rate_off = pos + 16
+        else:
+            duration, media_time = _ref_u32(body, pos), _ref_i32(body, pos + 4)
+            rate_off = pos + 8
+        rate = (_ref_i16(body, rate_off) << 16) + _ref_u16(body, rate_off + 2)
+        fields += [
+            ("segmentDuration", str(duration)),
+            ("mediaTime", str(media_time)),
+            ("mediaRate", _fixed_point(rate, 16)),
+        ]
+        pos += entry_size
+    return fields
+
+
+# Box type -> (reference decoder, largest body its fixed layout reads);
+# elst reads at most 16 entries, of up to 20 bytes, after its entry count.
+REFERENCE_DECODERS = {
+    "mvhd": (ref_decode_mvhd, 108),
+    "tkhd": (ref_decode_tkhd, 92),
+    "mdhd": (ref_decode_mdhd, 32),
+    "vmhd": (ref_decode_vmhd, 8),
+    "smhd": (ref_decode_smhd, 4),
+    **{name: (ref_decode_entry_count(name), 4)
+       for name in ("dref", "stts", "stsc", "stco", "co64")},
+    "stsz": (ref_decode_stsz, 8),
+    "elst": (ref_decode_elst, 4 + 16 * 20),
+}
+
+
+def decode_outcome(decoder, payload):
+    """The fields a decoder returns, or the type and message it raises."""
+    try:
+        return decoder(payload)
+    except BoxDecodeError as exc:
+        return type(exc), str(exc)
+
+
+class TestDecodersMatchReference:
+    def test_every_decoder_is_covered(self):
+        # ftyp/styp, hdlr and stsd have variable-length tails and keep
+        # their own hand-written decoders.
+        assert set(_DECODERS) - set(REFERENCE_DECODERS) == {
+            "ftyp", "styp", "hdlr", "stsd"}
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_DECODERS))
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fields_or_error_equal_reference(self, name, data):
+        reference, layout = REFERENCE_DECODERS[name]
+        version = data.draw(st.sampled_from([0, 1, 2, 255]), label="version")
+        flags = data.draw(st.binary(min_size=3, max_size=3), label="flags")
+        n = data.draw(st.integers(0, layout + 8), label="body length")
+        body = data.draw(st.binary(min_size=n, max_size=n), label="body")
+        if len(body) >= 4 and data.draw(st.booleans(), label="small count"):
+            body = struct.pack(">I", data.draw(st.integers(0, 20))) + body[4:]
+        payload = bytes([version]) + flags + body
+        # Payloads too short for the version and flags as well.
+        payload = payload[:data.draw(
+            st.sampled_from([len(payload), 0, 1, 2, 3]), label="cut")]
+        assert (decode_outcome(_DECODERS[name], payload)
+                == decode_outcome(reference, payload))
 
 
 class TestTypeCodeRendering:

@@ -492,3 +492,13 @@ class TestMakeFixturesCommand:
                      "--videos-per-cell", "1"])
         assert code == 0
         assert "24 files" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_videos_per_cell_below_one_is_usage_error(self, value, tmp_path,
+                                                      capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["make-fixtures", str(tmp_path / "corp"),
+                  "--videos-per-cell", value])
+        assert exc.value.code == 64
+        assert "error: argument --videos-per-cell: " in capsys.readouterr().err
+        assert not (tmp_path / "corp").exists()

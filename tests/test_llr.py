@@ -18,7 +18,7 @@ from boxtrace.llr import (
     max_pairwise_llr,
     report_tsv,
 )
-from boxtrace.vectorize import build_vocabulary
+from boxtrace.vectorize import Vocabulary, build_vocabulary
 
 
 def ms_of(paths):
@@ -166,6 +166,25 @@ class TestFilterVocabulary:
         assert len(kept) == 0
         assert all(r.max_llr == pytest.approx(0.0, abs=1e-12)
                    and not r.kept for r in report.records)
+
+    @given(st.lists(st.tuples(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]),
+                                              st.integers(1, 5), max_size=4),
+                              st.sampled_from(["U", "V"])),
+                    min_size=2, max_size=6)
+           .filter(lambda rows: {label for _, label in rows} == {"U", "V"}),
+           st.sets(st.sampled_from(["a", "c", "e"])))
+    @settings(max_examples=60)
+    def test_fixed_vocabulary_gets_one_record_per_symbol(self, rows, words):
+        # A vocabulary symbol absent from the corpus ("e") still gets one.
+        corpus = [(Counter(counts), label) for counts, label in rows]
+        vocab = Vocabulary.from_strings(words)
+        kept, report = filter_vocabulary(vocab, corpus, FilterConfig(0.5))
+        assert [r.symbol for r in report.records] == list(vocab.symbols)
+        table = class_frequency(corpus)
+        for record in report.records:
+            best, pair = oracle_max_pairwise_llr(record.symbol, table)
+            assert record == LLRRecord(record.symbol, pair, best, best > 0.5)
+        assert kept.symbols == tuple(report.kept_symbols())
 
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError):

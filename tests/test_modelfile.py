@@ -14,7 +14,6 @@ from boxtrace.errors import ModelFormatError
 from boxtrace.modelfile import (
     canonical_dumps,
     classify_symbols,
-    classify_tree,
     dumps_model,
     load_model,
     loads_model,
@@ -23,6 +22,7 @@ from boxtrace.modelfile import (
     save_model,
     train_model,
 )
+from boxtrace.symbols import extract_symbols
 from boxtrace.tree import TreeParams, predict
 from boxtrace.vectorize import vectorize
 
@@ -348,7 +348,7 @@ class TestClassifyTree:
         mf = train_model(multisets, labels)
         tree = parse_container(io.BytesIO(FTYP_MIN + mkbox(b"moov", b"")),
                                source_id="probe")
-        verdict, steps = classify_tree(mf, tree)
+        verdict, steps = classify_symbols(mf, extract_symbols(tree))
         # No XMP_ symbol in the probe: the native branch must win.
         assert verdict == "Native-iOS"
         assert steps[0].branch == "left"
@@ -362,5 +362,5 @@ class TestClassifyTree:
         expected = predict(mf.model, zero)
         probe = parse_container(io.BytesIO(FTYP_MIN), source_id="probe")
         for _ in range(3):
-            verdict, _ = classify_tree(mf, probe)
+            verdict, _ = classify_symbols(mf, extract_symbols(probe))
             assert verdict == expected

@@ -125,6 +125,13 @@ def render_type_code(raw: bytes) -> str:
     return raw.decode("latin-1").translate(_TYPE_CODE_CHARS)
 
 
+# Rendered type codes by raw code, filled by the walk. Like `_fixed_point`'s
+# cache it holds at most 4096 entries: once full, the first codes the
+# process met stay, and any other code is rendered each time it is met.
+_TYPE_CODES: dict[bytes, str] = {}
+_TYPE_CODE_CACHE_SIZE = 4096
+
+
 def ascii_or_hex(raw: bytes) -> str:
     """Canonical string for a byte value: printable ASCII or 0x-hex."""
     # ASCII is printable exactly from 0x20 to 0x7E.
@@ -345,10 +352,15 @@ def walk_boxes(
     they arise. Raises a `ParseError` as `parse_container` does.
 
     `decode`, if given, holds the paths of the boxes whose fields are
-    wanted: any other non-container box yields no fields, and its payload
-    is neither read nor decoded. Every header is still checked, so the
-    same bytes raise the same `ParseError`, but warnings then cover only
-    the structure and the decoded boxes.
+    wanted, and only those boxes yield an event: containers and other
+    boxes are walked past, and their payloads are neither read nor
+    decoded. Every header is still checked, so the same bytes raise the
+    same `ParseError`, but warnings then cover only the structure and the
+    decoded boxes.
+
+    A header whose 8 bytes lie in the window is unpacked in place; a
+    64-bit size, a uuid user type, a header that crosses the window's end
+    and a scope's last bytes under 8 go through `read` and its checks.
     """
     stream.seek(0, 2)
     file_len = stream.tell()
@@ -375,6 +387,8 @@ def walk_boxes(
         start = offset
         return data[:n]
 
+    unpack_header = _HEADER.unpack_from
+    type_codes = _TYPE_CODES
     # The scope being read is [pos, end), inside `depth` containers whose
     # path is `prefix`; `stack` holds where each enclosing scope resumes.
     stack: list[tuple[int, int, int, str]] = []
@@ -384,84 +398,94 @@ def walk_boxes(
             pos, end, depth, prefix = stack.pop()
             continue
         within = end if depth else None
-        # Not min(): a builtin call per box costs about 6% of the walk.
-        head = read(pos, 8 if end - pos >= 8 else end - pos, within)
-        if len(head) < 8:
-            # Only the first box of a file starts at offset 0.
-            if not pos:
-                raise NotBmff("no first box exists" if not head else
-                              f"only {len(head)} bytes at offset 0, no box header fits")
-            if depth and end - pos < 8 and not any(head):
-                # QuickTime-style zero terminator padding inside a container.
-                warnings.append(
-                    f"{end - pos} zero bytes of padding at offset {pos} ignored")
-                pos = end
-                continue
-            raise TruncatedBox(pos, render_type_code(head.ljust(4, b"\x00")[:4]),
-                               "trailing bytes cannot hold a box header")
-        size, raw_type = _HEADER.unpack(head)
-        type_code = render_type_code(raw_type)
+        at = pos - start
+        if 0 <= at <= len(data) - 8 and end - pos >= 8:
+            size, raw_type = unpack_header(data, at)
+        else:
+            # Not min(): a builtin call per box costs about 6% of the walk.
+            head = read(pos, 8 if end - pos >= 8 else end - pos, within)
+            if len(head) < 8:
+                # Only the first box of a file starts at offset 0.
+                if not pos:
+                    raise NotBmff("no first box exists" if not head else
+                                  f"only {len(head)} bytes at offset 0, no box header fits")
+                if depth and end - pos < 8 and not any(head):
+                    # QuickTime-style zero terminator padding inside a container.
+                    warnings.append(
+                        f"{end - pos} zero bytes of padding at offset {pos} ignored")
+                    pos = end
+                    continue
+                raise TruncatedBox(pos, render_type_code(head.ljust(4, b"\x00")[:4]),
+                                   "trailing bytes cannot hold a box header")
+            size, raw_type = _HEADER.unpack(head)
+        type_code = type_codes.get(raw_type)
+        if type_code is None:
+            type_code = render_type_code(raw_type)
+            if len(type_codes) < _TYPE_CODE_CACHE_SIZE:
+                type_codes[raw_type] = type_code
         if not pos and type_code not in TOP_LEVEL_TYPES:
             raise NotBmff(f"first box type '{type_code}' is not a recognized top-level box")
         header_len = 8
-        large_size = None
-        if size == 1:
-            ext = read(pos + header_len, 8, within)
-            if len(ext) < 8:
-                raise TruncatedBox(pos, type_code, "64-bit size field truncated")
-            large_size = _u64(ext, 0)
-            header_len += 8
-        user_type = None
-        if raw_type == b"uuid":
-            raw_uuid = read(pos + header_len, 16, within)
-            if len(raw_uuid) < 16:
-                raise TruncatedBox(pos, type_code, "uuid user type truncated")
-            user_type = str(_uuidlib.UUID(bytes=raw_uuid))
-            header_len += 16
-        if size == 0:
-            if depth:
-                raise ZeroSizeNonFinal(pos, type_code)
-            effective_len = end - pos
-        elif size == 1:
-            effective_len = large_size
-        else:
+        large_size = user_type = None
+        if size > 1 and raw_type != b"uuid":
             effective_len = size
+        else:
+            if size == 1:
+                ext = read(pos + header_len, 8, within)
+                if len(ext) < 8:
+                    raise TruncatedBox(pos, type_code, "64-bit size field truncated")
+                large_size = _u64(ext, 0)
+                header_len += 8
+            if raw_type == b"uuid":
+                raw_uuid = read(pos + header_len, 16, within)
+                if len(raw_uuid) < 16:
+                    raise TruncatedBox(pos, type_code, "uuid user type truncated")
+                user_type = str(_uuidlib.UUID(bytes=raw_uuid))
+                header_len += 16
+            if size == 0:
+                if depth:
+                    raise ZeroSizeNonFinal(pos, type_code)
+                effective_len = end - pos
+            elif size == 1:
+                effective_len = large_size
+            else:
+                effective_len = size
         if effective_len < header_len:
             raise TruncatedBox(pos, type_code,
                                f"declared length {effective_len} smaller than its "
                                f"{header_len}-byte header")
-        if pos + effective_len > end:
+        box_end = pos + effective_len
+        if box_end > end:
             raise TruncatedBox(pos, type_code,
                                f"declared length {effective_len} exceeds the "
                                f"{end - pos} bytes remaining")
         path = prefix + type_code
-        header = (pos, size, type_code, header_len, effective_len, large_size,
-                  user_type)
-        box_end = pos + effective_len
         if type_code in CONTAINER_TYPES:
             if depth == MAX_NESTING:
                 raise NestingTooDeep(pos, type_code, MAX_NESTING)
-            yield depth, path, header, []
+            if decode is None:
+                yield depth, path, (pos, size, type_code, header_len,
+                                    effective_len, large_size, user_type), []
             stack.append((box_end, end, depth, prefix))
             pos, end, depth, prefix = pos + header_len, box_end, depth + 1, path + "/"
             continue
-        if decode is not None and path not in decode:
-            fields = []
-        elif (decoder := _DECODERS.get(type_code)) is not None:
-            payload = read(pos + header_len,
-                           min(effective_len - header_len, _PAYLOAD_READ_CAP),
-                           within)
-            try:
-                fields = decoder(payload)
-            except BoxDecodeError as exc:
-                warnings.append(f"box '{type_code}' at offset {pos}: "
-                                f"{exc}; treated as opaque")
+        if decode is None or path in decode:
+            if (decoder := _DECODERS.get(type_code)) is not None:
+                payload = read(pos + header_len,
+                               min(effective_len - header_len, _PAYLOAD_READ_CAP),
+                               within)
+                try:
+                    fields = decoder(payload)
+                except BoxDecodeError as exc:
+                    warnings.append(f"box '{type_code}' at offset {pos}: "
+                                    f"{exc}; treated as opaque")
+                    fields = _opaque_fields(effective_len - header_len)
+            elif user_type is not None:
+                fields = [("userType", user_type)]
+            else:
                 fields = _opaque_fields(effective_len - header_len)
-        elif user_type is not None:
-            fields = [("userType", user_type)]
-        else:
-            fields = _opaque_fields(effective_len - header_len)
-        yield depth, path, header, fields
+            yield depth, path, (pos, size, type_code, header_len,
+                                effective_len, large_size, user_type), fields
         pos = box_end
 
 
@@ -485,8 +509,13 @@ def parse_container(byte_source: BinaryIO, source_id: str = "") -> ContainerTree
 
 def open_box_file(path: str) -> BinaryIO:
     """Open `path` for parsing. Anything but a regular file raises
-    `NotBmff`, so a named pipe without a writer never blocks the caller."""
-    if not stat.S_ISREG(os.stat(path).st_mode):
+    `NotBmff`, so a named pipe without a writer never blocks the caller;
+    so does a path that no file can have (one holding a NUL byte)."""
+    try:
+        mode = os.stat(path).st_mode
+    except ValueError as exc:  # an embedded NUL byte
+        raise NotBmff(f"unusable path: {exc}") from exc
+    if not stat.S_ISREG(mode):
         raise NotBmff("not a regular file")
     return open(path, "rb")
 

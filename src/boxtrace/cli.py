@@ -5,6 +5,7 @@ reports, and generate synthetic corpora."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -182,7 +183,11 @@ def cmd_make_fixtures(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and building it costs more than classifying a batch's
+    first few files."""
     parser = _ArgumentParser(
         prog="boxtrace",
         description="Classify a video file's processing history from its "

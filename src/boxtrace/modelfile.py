@@ -289,8 +289,14 @@ def save_model(mf: ModelFile, path: str) -> None:
 
 
 def load_model(path: str) -> ModelFile:
-    """Read a model file once; the model's `file_digest` names its bytes."""
-    with open(path, "rb") as handle:
+    """Read a model file once; the model's `file_digest` names its bytes.
+    A path that no file can have (one holding a NUL byte) raises
+    `ModelFormatError`."""
+    try:
+        handle = open(path, "rb")
+    except ValueError as exc:  # an embedded NUL byte
+        raise ModelFormatError(f"unusable model path: {exc}") from exc
+    with handle:
         data = handle.read()
     try:
         text = data.decode("ascii")

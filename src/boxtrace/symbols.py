@@ -92,7 +92,9 @@ def container_symbols(
     `extract_symbols` and `parse_container` give them, with no tree built.
 
     With `only`, the symbols are those of the full count that are in
-    `only`, and only the boxes they name are decoded (see `walk_boxes`).
+    `only`. Only the boxes they name are decoded, and only those reach
+    the count: the walk yields no event for any other box (see
+    `walk_boxes`), though it still checks every header.
     """
     warnings: list[str] = []
     if only is None:

@@ -17,12 +17,15 @@ class Vocabulary:
     """Lexicographically ordered set of canonical symbol strings."""
 
     symbols: tuple[str, ...]
-    index: dict[str, int] = field(compare=False, hash=False, default_factory=dict)
+    index: dict[str, int] = field(init=False, compare=False, hash=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index",
+                           {s: i for i, s in enumerate(self.symbols)})
 
     @classmethod
     def from_strings(cls, strings: Iterable[str]) -> "Vocabulary":
-        ordered = tuple(sorted(set(strings)))
-        return cls(ordered, {s: i for i, s in enumerate(ordered)})
+        return cls(tuple(sorted(set(strings))))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -62,8 +65,16 @@ def build_vocabulary(corpus: Sequence[Counter[str]]) -> Vocabulary:
 
 
 def vectorize(ms: Counter[str], vocab: Vocabulary) -> list[int]:
-    """Count row of `ms` over `vocab`; out-of-vocabulary symbols drop."""
-    return [ms.get(s, 0) for s in vocab.symbols]
+    """Count row of `ms` over `vocab`; out-of-vocabulary symbols drop.
+    The row is filled from the items of `ms`, so its Python work tracks
+    the file's symbols, not the size of the vocabulary."""
+    row = [0] * len(vocab.symbols)
+    index = vocab.index
+    for s, count in ms.items():
+        j = index.get(s)
+        if j is not None:
+            row[j] = count
+    return row
 
 
 def count_matrix(corpus: Sequence[Counter[str]]) -> CountMatrix:

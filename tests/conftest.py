@@ -7,6 +7,7 @@ parser tests do not trust the code under test to produce their inputs.
 import struct
 
 import pytest
+from hypothesis import strategies as st
 
 
 def mkbox(type4: bytes, payload: bytes = b"") -> bytes:
@@ -38,6 +39,39 @@ def mvhd_v0_payload(creation=0, modification=0, timescale=1000, duration=0,
 
 def mkmvhd(**kwargs) -> bytes:
     return mkbox(b"mvhd", mvhd_v0_payload(**kwargs))
+
+
+def hostile(draw, data: bytes, offsets: list[int]) -> bytes:
+    """A bit-flipped, truncated or size-rewritten copy of `data`, or one
+    with the first payload byte of a box (a full box's version) rewritten,
+    which makes decoders fail on otherwise well-formed files."""
+    kind = draw(st.sampled_from(["flip", "truncate", "size", "version"]))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    out = bytearray(data)
+    if kind == "version":
+        at = min(draw(st.sampled_from(offsets)) + 8, len(out) - 1)
+        out[at] = draw(st.integers(0, 255))
+    elif kind == "flip":
+        for bit in draw(st.lists(st.integers(0, len(out) * 8 - 1),
+                                 min_size=1, max_size=4)):
+            out[bit // 8] ^= 1 << (bit % 8)
+    else:
+        size = draw(st.sampled_from([0, 1, 7, 8, 9, 16, len(data), 2**32 - 1])
+                    | st.integers(0, 2**32 - 1))
+        struct.pack_into(">I", out, draw(st.sampled_from(offsets)), size)
+    return bytes(out)
+
+
+def moov_nest(depth: int, inner: bytes) -> bytes:
+    """`depth` nested moov boxes around `inner`."""
+    for _ in range(depth):
+        inner = mkbox(b"moov", inner)
+    return inner
+
+
+NEST_INNER = [b"", bytes(4), mkbox(b"hdlr", b"short"), mkbox(b"free"),
+              mkbox(b"moov")]
 
 
 @pytest.fixture

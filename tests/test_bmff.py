@@ -4,37 +4,57 @@ import io
 import json
 import os
 import struct
+import uuid as _uuidlib
 from decimal import Decimal
+from typing import BinaryIO, Collection, Iterator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxtrace import bmff
 from boxtrace.bmff import (
     _DECODERS,
+    _HEADER,
     _PAYLOAD_READ_CAP,
+    _TOP_READ_AHEAD,
+    _TYPE_CODE_CACHE_SIZE,
+    CONTAINER_TYPES,
     MAX_NESTING,
+    TOP_LEVEL_TYPES,
     _fixed_point,
     _language,
+    _opaque_fields,
+    _u64,
     ascii_or_hex,
     dump_tree,
     parse_container,
     parse_file,
     render_type_code,
+    walk_boxes,
 )
 from boxtrace.errors import (
     BoxDecodeError,
     NestingTooDeep,
     NotBmff,
+    ParseError,
     PayloadTooShort,
     TruncatedBox,
     UnsupportedVersion,
     ZeroSizeNonFinal,
 )
 from boxtrace.fixtures import FixtureSpec, generate_corpus
-from boxtrace.symbols import extract_symbols, file_symbols
+from boxtrace.symbols import container_symbols, extract_symbols, file_symbols
 
-from conftest import FTYP_MIN, mkbox, mkfull, mkmvhd
+from conftest import (
+    FTYP_MIN,
+    NEST_INNER,
+    hostile,
+    mkbox,
+    mkfull,
+    mkmvhd,
+    moov_nest,
+)
 
 
 def parse_bytes(data: bytes):
@@ -692,6 +712,351 @@ class TestSizeIndependence:
         assert moov_node.children[1].fields == [("stuff", "opaque"),
                                                ("count", str(free_len - 8))]
         assert stream.bytes_read <= len(data) + _PAYLOAD_READ_CAP
+
+
+# The walk before its in-window fast path, kept verbatim as the reference:
+# every header goes through `read`, and with `decode` every box yields an
+# event, with no fields if it is not decoded.
+def reference_walk_boxes(
+    stream: BinaryIO, warnings: list[str],
+    decode: Collection[str] | None = None,
+) -> Iterator[tuple[int, str, tuple, list[tuple[str, str]]]]:
+    """Yield ``(depth, path, header, fields)`` for every box of a seekable
+    byte stream, in preorder; `path` is the box's symbol path (``moov/trak``)
+    and `header` the values of its `BoxHeader`. Warnings go to `warnings` as
+    they arise. Raises a `ParseError` as `parse_container` does.
+
+    `decode`, if given, holds the paths of the boxes whose fields are
+    wanted: any other non-container box yields no fields, and its payload
+    is neither read nor decoded. Every header is still checked, so the
+    same bytes raise the same `ParseError`, but warnings then cover only
+    the structure and the decoded boxes.
+    """
+    stream.seek(0, 2)
+    file_len = stream.tell()
+    if file_len == 0:
+        raise NotBmff("empty file")
+    # The window: the last bytes read, which serve any read they cover.
+    data, start = b"", 0
+
+    def read(offset: int, n: int, within: int | None) -> bytes:
+        """The `n` bytes at `offset`, or those the stream holds there.
+        `within` ends the enclosing box (None between top-level boxes); a
+        read past it still returns the stream's bytes, as a 64-bit size or
+        uuid user type may lie past its parent's end for the size checks."""
+        nonlocal data, start
+        at = offset - start
+        if 0 <= at and at + n <= len(data):
+            return data[at:at + n]
+        if within is None:
+            size = min(_TOP_READ_AHEAD, file_len - offset)
+        else:
+            size = min(_PAYLOAD_READ_CAP, within - offset)
+        stream.seek(offset)
+        data = stream.read(max(n, size))
+        start = offset
+        return data[:n]
+
+    # The scope being read is [pos, end), inside `depth` containers whose
+    # path is `prefix`; `stack` holds where each enclosing scope resumes.
+    stack: list[tuple[int, int, int, str]] = []
+    pos, end, depth, prefix = 0, file_len, 0, ""
+    while pos < end or stack:
+        if pos >= end:
+            pos, end, depth, prefix = stack.pop()
+            continue
+        within = end if depth else None
+        # Not min(): a builtin call per box costs about 6% of the walk.
+        head = read(pos, 8 if end - pos >= 8 else end - pos, within)
+        if len(head) < 8:
+            # Only the first box of a file starts at offset 0.
+            if not pos:
+                raise NotBmff("no first box exists" if not head else
+                              f"only {len(head)} bytes at offset 0, no box header fits")
+            if depth and end - pos < 8 and not any(head):
+                # QuickTime-style zero terminator padding inside a container.
+                warnings.append(
+                    f"{end - pos} zero bytes of padding at offset {pos} ignored")
+                pos = end
+                continue
+            raise TruncatedBox(pos, render_type_code(head.ljust(4, b"\x00")[:4]),
+                               "trailing bytes cannot hold a box header")
+        size, raw_type = _HEADER.unpack(head)
+        type_code = render_type_code(raw_type)
+        if not pos and type_code not in TOP_LEVEL_TYPES:
+            raise NotBmff(f"first box type '{type_code}' is not a recognized top-level box")
+        header_len = 8
+        large_size = None
+        if size == 1:
+            ext = read(pos + header_len, 8, within)
+            if len(ext) < 8:
+                raise TruncatedBox(pos, type_code, "64-bit size field truncated")
+            large_size = _u64(ext, 0)
+            header_len += 8
+        user_type = None
+        if raw_type == b"uuid":
+            raw_uuid = read(pos + header_len, 16, within)
+            if len(raw_uuid) < 16:
+                raise TruncatedBox(pos, type_code, "uuid user type truncated")
+            user_type = str(_uuidlib.UUID(bytes=raw_uuid))
+            header_len += 16
+        if size == 0:
+            if depth:
+                raise ZeroSizeNonFinal(pos, type_code)
+            effective_len = end - pos
+        elif size == 1:
+            effective_len = large_size
+        else:
+            effective_len = size
+        if effective_len < header_len:
+            raise TruncatedBox(pos, type_code,
+                               f"declared length {effective_len} smaller than its "
+                               f"{header_len}-byte header")
+        if pos + effective_len > end:
+            raise TruncatedBox(pos, type_code,
+                               f"declared length {effective_len} exceeds the "
+                               f"{end - pos} bytes remaining")
+        path = prefix + type_code
+        header = (pos, size, type_code, header_len, effective_len, large_size,
+                  user_type)
+        box_end = pos + effective_len
+        if type_code in CONTAINER_TYPES:
+            if depth == MAX_NESTING:
+                raise NestingTooDeep(pos, type_code, MAX_NESTING)
+            yield depth, path, header, []
+            stack.append((box_end, end, depth, prefix))
+            pos, end, depth, prefix = pos + header_len, box_end, depth + 1, path + "/"
+            continue
+        if decode is not None and path not in decode:
+            fields = []
+        elif (decoder := _DECODERS.get(type_code)) is not None:
+            payload = read(pos + header_len,
+                           min(effective_len - header_len, _PAYLOAD_READ_CAP),
+                           within)
+            try:
+                fields = decoder(payload)
+            except BoxDecodeError as exc:
+                warnings.append(f"box '{type_code}' at offset {pos}: "
+                                f"{exc}; treated as opaque")
+                fields = _opaque_fields(effective_len - header_len)
+        elif user_type is not None:
+            fields = [("userType", user_type)]
+        else:
+            fields = _opaque_fields(effective_len - header_len)
+        yield depth, path, header, fields
+        pos = box_end
+
+
+def walk_outcome(walk, data: bytes, decode=None):
+    """A walk's events and warnings over `data`, or the type and message of
+    the `ParseError` it raises. Any other exception escapes."""
+    warnings: list[str] = []
+    try:
+        events = list(walk(io.BytesIO(data), warnings, decode))
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return events, warnings
+
+
+def assert_walks_agree(data: bytes, decode=None) -> None:
+    """`walk_boxes` gives the reference's outcome; with `decode`, only the
+    reference's events that carry fields."""
+    expected = walk_outcome(reference_walk_boxes, data, decode)
+    if decode is not None and isinstance(expected[0], list):
+        expected = [e for e in expected[0] if e[3]], expected[1]
+    assert walk_outcome(walk_boxes, data, decode) == expected
+
+
+def box_paths(data: bytes) -> list[str]:
+    """The symbol path of every box the reference walks before it stops."""
+    paths = []
+    try:
+        for _, path, _, _ in reference_walk_boxes(io.BytesIO(data), []):
+            paths.append(path)
+    except ParseError:
+        pass
+    return paths
+
+
+def decode_sets(data: bytes):
+    """`decode` sets drawn from the box paths of `data`, with paths that
+    name no box."""
+    return (st.sets(st.sampled_from(box_paths(data) or ["ftyp"]))
+            | st.sets(st.sampled_from(["", "moov", "moov/", "mdat", "x"])))
+
+
+# Header forms put where a read's window ends: the plain header of an
+# opaque or a decoded box, a 64-bit size, a uuid user type (whole or cut),
+# a size-0 box, and tails of 1 to 7 zero or nonzero bytes.
+def header_forms():
+    plain = st.builds(lambda t, n: mkbox(t, bytes(n)),
+                      st.sampled_from([b"free", b"mvhd", b"ftyp", b"trak"]),
+                      st.integers(0, 24))
+    large = st.builds(lambda n, d: struct.pack(">I4sQ", 1, b"skip", 16 + n + d)
+                      + bytes(n), st.integers(0, 16), st.integers(-16, 2))
+    user = st.builds(lambda n, cut: (struct.pack(">I4s", 24 + n, b"uuid")
+                                     + bytes(range(16)) + bytes(n))[:cut],
+                     st.integers(0, 8), st.integers(8, 48))
+    zero = st.builds(lambda n: struct.pack(">I4s", 0, b"mdat") + bytes(n),
+                     st.integers(0, 8))
+    tail = st.binary(min_size=1, max_size=7) | st.builds(bytes,
+                                                         st.integers(1, 7))
+    return plain | large | user | zero | tail
+
+
+@st.composite
+def straddling(draw) -> bytes:
+    """Bytes whose header form starts up to 8 bytes before the end of a
+    read's window, or just after it: the 128-byte read between top-level
+    boxes, or the 64 KiB window read inside a container."""
+    form = draw(header_forms())
+    shift = draw(st.integers(-1, 8))  # window end minus the form's offset
+    if not draw(st.booleans()):
+        first = _TOP_READ_AHEAD - shift
+        return mkbox(b"free", bytes(first - 8)) + form
+    # moov's second child misses the first read and reads one window; the
+    # third child starts `shift` bytes before that window ends.
+    second = mkbox(b"free", bytes(_PAYLOAD_READ_CAP - shift - 8))
+    body = mkbox(b"free", bytes(_TOP_READ_AHEAD)) + second + form
+    body += bytes(draw(st.integers(0, 8)))
+    moov = struct.pack(">I4s", 8 + len(body) + draw(st.integers(-2, 0)),
+                       b"moov") + body
+    return moov + draw(st.sampled_from([b"", mkbox(b"free", bytes(4))]))
+
+
+@st.composite
+def short_tails(draw) -> bytes:
+    """A container whose last 1 to 7 bytes cannot hold a header, inside
+    1 to 3 containers, with the bytes after it in the same window."""
+    tail = draw(st.binary(min_size=1, max_size=7)
+                | st.builds(bytes, st.integers(1, 7)))
+    inner = mkbox(b"free", bytes(draw(st.integers(0, 16)))) + tail
+    for _ in range(draw(st.integers(1, 3))):
+        inner = (mkbox(draw(st.sampled_from([b"moov", b"trak", b"mdia"])),
+                       inner)
+                 + mkbox(b"free", bytes(draw(st.integers(0, 8)))))
+    return FTYP_MIN + inner
+
+
+@pytest.fixture(scope="module")
+def walked_fixtures(tmp_path_factory):
+    """Bytes and box offsets of one fixture file per device and class."""
+    out = tmp_path_factory.mktemp("walk")
+    files = []
+    for row in generate_corpus(FixtureSpec(seed=7, videos_per_cell=1),
+                               out).rows:
+        data = row.path.read_bytes()
+        offsets = sorted(header[0] for _, _, header, _
+                         in reference_walk_boxes(io.BytesIO(data), []))
+        files.append((data, offsets))
+    return files
+
+
+class TestWalkMatchesReference:
+    """The in-window fast path changes no event, warning or error, and a
+    restricted walk yields exactly the reference's events with fields."""
+
+    @given(st.data(), st.booleans(), st.binary(max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_random_bytes(self, data, after_ftyp, tail):
+        raw = (FTYP_MIN if after_ftyp else b"") + tail
+        assert_walks_agree(raw)
+        assert_walks_agree(raw, data.draw(decode_sets(raw)))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_hostile_fixture_variants(self, walked_fixtures, data):
+        base, offsets = data.draw(st.sampled_from(walked_fixtures))
+        variant = hostile(data.draw, base, offsets)
+        assert_walks_agree(variant)
+        assert_walks_agree(variant, data.draw(decode_sets(base)))
+
+    @given(st.data(), straddling())
+    @settings(max_examples=300, deadline=None)
+    def test_headers_across_a_window_end(self, data, raw):
+        assert_walks_agree(raw)
+        assert_walks_agree(raw, data.draw(decode_sets(raw)))
+
+    @given(st.data(), short_tails())
+    @settings(max_examples=200, deadline=None)
+    def test_short_tails_before_more_bytes(self, data, raw):
+        assert_walks_agree(raw)
+        assert_walks_agree(raw, data.draw(decode_sets(raw)))
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING - 1, MAX_NESTING,
+                                       MAX_NESTING + 1])
+    @pytest.mark.parametrize("inner", NEST_INNER)
+    def test_deep_nests(self, depth, inner):
+        raw = FTYP_MIN + moov_nest(depth, inner)
+        paths = box_paths(raw)
+        for decode in (None, set(), set(paths), {paths[-1]}):
+            assert_walks_agree(raw, decode)
+
+    def test_rare_forms_across_the_top_level_read(self):
+        # A 64-bit size, a uuid, a size-0 box and a short tail whose first
+        # 4 bytes end the first 128-byte read.
+        for form, error in [
+                (struct.pack(">I4sQ", 1, b"skip", 16), None),
+                (struct.pack(">I4s", 24, b"uuid") + bytes(16), None),
+                (struct.pack(">I4s", 0, b"mdat"), None),
+                (bytes(3), TruncatedBox)]:
+            raw = mkbox(b"free", bytes(_TOP_READ_AHEAD - 4 - 8)) + form
+            outcome = walk_outcome(walk_boxes, raw)
+            assert outcome == walk_outcome(reference_walk_boxes, raw)
+            assert (outcome[0] is error) if error else len(outcome[0]) == 2
+
+    def test_reads_do_not_rise(self, walked_fixtures):
+        for data, _ in walked_fixtures:
+            paths = box_paths(data)
+            for decode in (None, set(), set(paths), set(paths[1::3])):
+                counts = []
+                for walk in (reference_walk_boxes, walk_boxes):
+                    stream = SparseStream(data, len(data))
+                    list(walk(stream, [], decode))
+                    counts.append((stream.reads, stream.bytes_read))
+                assert counts[1][0] <= counts[0][0]
+                assert counts[1][1] <= counts[0][1]
+
+    def test_restricted_twin_makes_the_same_reads(self, walked_fixtures):
+        length = TestSizeIndependence.TWIN_LENGTH
+        for data, _ in walked_fixtures:
+            only = {s for s in container_symbols(io.BytesIO(data))[0]
+                    if s.startswith(("moov/trak/mdia/hdlr", "mdat"))}
+            plain = SparseStream(data, len(data))
+            twin = SparseStream(sparse_twin(data, length), length)
+            plain_symbols = container_symbols(plain, only=only)
+            assert container_symbols(twin, only=only) == plain_symbols
+            assert twin.reads == plain.reads
+
+
+class TestTypeCodeCache:
+    """The walk's rendered type codes: bounded, and equal to
+    `render_type_code`."""
+
+    @staticmethod
+    def boxes(raws) -> bytes:
+        return FTYP_MIN + b"".join(mkbox(raw) for raw in raws)
+
+    def test_bounded(self, monkeypatch):
+        monkeypatch.setattr(bmff, "_TYPE_CODES", {})
+        raws = [struct.pack(">I", 0x61610000 + i)
+                for i in range(_TYPE_CODE_CACHE_SIZE + 100)]
+        events = list(walk_boxes(io.BytesIO(self.boxes(raws)), []))
+        assert [e[1] for e in events[1:]] == [render_type_code(r) for r in raws]
+        assert len(bmff._TYPE_CODES) == _TYPE_CODE_CACHE_SIZE
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_every_byte_renders_as_uncached(self, monkeypatch, position):
+        monkeypatch.setattr(bmff, "_TYPE_CODES", {})
+        raws = [b"free"[:position] + bytes([b]) + b"free"[position + 1:]
+                for b in range(256)]
+        data = self.boxes(raws)
+        for _ in range(2):  # the second walk reads from the cache
+            events = list(walk_boxes(io.BytesIO(data), []))
+            assert [e[1] for e in events[1:]] == [render_type_code(r)
+                                                  for r in raws]
+        for raw in raws:
+            assert bmff._TYPE_CODES[raw] == render_type_code(raw)
 
 
 class _CountingStream(io.BytesIO):

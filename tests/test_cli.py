@@ -91,6 +91,13 @@ class TestParseCommand:
         assert main(["parse", str(bad)]) == 2
         assert "NotBmff" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--symbols"]],
+                             ids=["tree", "symbols"])
+    def test_nul_byte_path_exits_2(self, capsys, flags):
+        assert main(["parse", "a\0b", *flags]) == 2
+        assert capsys.readouterr().err == \
+            "NotBmff: unusable path: embedded null byte\n"
+
 
 class TestTrainCommand:
     def test_writes_model(self, trained_model):
@@ -155,6 +162,22 @@ class TestClassifyCommand:
         assert "prediction" in records[0]
         assert "error" in records[1]
         assert "TruncatedBox" in records[1]["error"]
+
+    def test_nul_byte_path_yields_one_error_record(self, trained_model,
+                                                   capsys, tiny_ftyp_file):
+        code = main(["classify", str(trained_model), "a\0b",
+                     str(tiny_ftyp_file)])
+        assert code == 0
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.splitlines()]
+        assert [r.get("error") for r in records] == [
+            "NotBmff: unusable path: embedded null byte", None]
+        assert "prediction" in records[1]
+
+    def test_nul_byte_model_path_is_data_error(self, capsys, tiny_ftyp_file):
+        assert main(["classify", "model\0.json", str(tiny_ftyp_file)]) == 65
+        assert capsys.readouterr().err == \
+            "ModelFormatError: unusable model path: embedded null byte\n"
 
     def test_deep_nesting_yields_one_error_record(self, trained_model,
                                                   tmp_path, capsys,
@@ -258,6 +281,39 @@ class TestClassifyCommand:
         first = capsys.readouterr().out
         main(["classify", str(trained_model), *files])
         assert capsys.readouterr().out == first
+
+
+class TestSuccessiveCalls:
+    """`main` builds its parser once per process; calls share no state."""
+
+    def test_flags_do_not_carry_over(self, trained_model, capsys,
+                                     tiny_ftyp_file):
+        argv = ["classify", str(trained_model), str(tiny_ftyp_file)]
+        assert main([*argv, "--explain"]) == 0
+        assert "path" in json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        assert "path" not in json.loads(capsys.readouterr().out)
+
+    def test_usage_error_after_a_call_exits_64(self, trained_model, capsys,
+                                               tiny_ftyp_file):
+        assert main(["classify", str(trained_model),
+                     str(tiny_ftyp_file)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", str(trained_model)])
+        assert exc.value.code == 64
+        assert "error: the following arguments are required: files" \
+            in capsys.readouterr().err
+
+    def test_train_after_classify(self, corpus_dir, trained_model, tmp_path,
+                                  tiny_ftyp_file):
+        assert main(["classify", str(trained_model),
+                     str(tiny_ftyp_file)]) == 0
+        again = tmp_path / "again.json"
+        assert main(["train", str(corpus_dir / "manifest.csv"),
+                     "--scenario", "integrity", "--out", str(again)]) == 0
+        first, second = load_model(str(trained_model)), load_model(str(again))
+        first.trained_at = second.trained_at = ""
+        assert dumps_model(second) == dumps_model(first)
 
 
 def hostile_variants(files, out_dir, per_file=12, seed=0):

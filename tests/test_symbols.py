@@ -1,7 +1,6 @@
 """Symbol extraction and blacklist behavior."""
 
 import io
-import struct
 from collections import Counter
 
 import pytest
@@ -26,7 +25,15 @@ from boxtrace.symbols import (
     symbol_kind,
 )
 
-from conftest import FTYP_MIN, mkbox, mkfull, mkmvhd
+from conftest import (
+    FTYP_MIN,
+    NEST_INNER,
+    hostile,
+    mkbox,
+    mkfull,
+    mkmvhd,
+    moov_nest,
+)
 
 
 def parse_bytes(data: bytes):
@@ -273,37 +280,6 @@ def fixture_files(tmp_path_factory):
     return files
 
 
-def hostile(draw, data: bytes, offsets: list[int]) -> bytes:
-    """A bit-flipped, truncated or size-rewritten copy of `data`, or one
-    with the first payload byte of a box (a full box's version) rewritten,
-    which makes decoders fail on otherwise well-formed files."""
-    kind = draw(st.sampled_from(["flip", "truncate", "size", "version"]))
-    if kind == "truncate":
-        return data[:draw(st.integers(0, len(data) - 1))]
-    out = bytearray(data)
-    if kind == "version":
-        at = min(draw(st.sampled_from(offsets)) + 8, len(out) - 1)
-        out[at] = draw(st.integers(0, 255))
-    elif kind == "flip":
-        for bit in draw(st.lists(st.integers(0, len(out) * 8 - 1),
-                                 min_size=1, max_size=4)):
-            out[bit // 8] ^= 1 << (bit % 8)
-    else:
-        size = draw(st.sampled_from([0, 1, 7, 8, 9, 16, len(data), 2**32 - 1])
-                    | st.integers(0, 2**32 - 1))
-        struct.pack_into(">I", out, draw(st.sampled_from(offsets)), size)
-    return bytes(out)
-
-
-def moov_nest(depth: int, inner: bytes) -> bytes:
-    """`depth` nested moov boxes around `inner`."""
-    for _ in range(depth):
-        inner = mkbox(b"moov", inner)
-    return inner
-
-
-NEST_INNER = [b"", bytes(4), mkbox(b"hdlr", b"short"), mkbox(b"free"),
-              mkbox(b"moov")]
 BLACKLISTS = st.sampled_from([None, NO_BLACKLIST, default_blacklist()])
 
 

@@ -78,6 +78,24 @@ class TestVectorize:
         in_vocab = all(k in vocab.index for k in counts)
         assert (sum(row) == ms.total()) == in_vocab
 
+    def test_vocabulary_always_carries_its_index(self):
+        # Built directly, not through `from_strings`, the index still
+        # follows the symbols, so the row is not silently all zeros.
+        vocab = Vocabulary(("a", "b"))
+        assert vocab.index == {"a": 0, "b": 1}
+        assert vectorize(ms_of({"b": 3, "z": 1}), vocab) == [0, 3]
+        assert vocab == Vocabulary.from_strings(["b", "a"])
+
+    @given(st.sets(st.text(max_size=3), max_size=8),
+           st.dictionaries(st.text(max_size=3), st.integers(-2, 5),
+                           max_size=8))
+    @settings(max_examples=300)
+    def test_equals_the_lookup_over_every_symbol(self, symbols, counts):
+        # Out-of-vocabulary symbols, zero and negative counts included.
+        vocab = Vocabulary.from_strings(symbols)
+        ms = ms_of(counts)
+        assert vectorize(ms, vocab) == [ms.get(s, 0) for s in vocab.symbols]
+
 
 class TestCountMatrix:
     def test_columns_are_the_sorted_vocabulary(self):

@@ -18,7 +18,7 @@ from .evaluate import (
     digest_rows,
     format_report_text,
     get_scenario,
-    labeled_multisets,
+    labeled_matrix,
     load_manifest,
     report_to_obj,
     run_scenario,
@@ -26,10 +26,9 @@ from .evaluate import (
 )
 from .fixtures import FixtureSpec, generate_corpus
 from .llr import DEFAULT_TAU, FilterConfig, llr_report, report_tsv
-from .modelfile import classify_symbols, load_model, save_model, train_model
+from .modelfile import classify_symbols, load_model, save_model, train_matrix
 from .symbols import dump_symbols, file_symbols
 from .tree import TreeParams, preorder, to_dot
-from .vectorize import count_matrix
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -71,6 +70,7 @@ _CCP_ALPHA = _checked(float, lambda v: math.isfinite(v) and v >= 0,
                       "a finite number of at least 0")
 _MAX_DEPTH = _checked(int, lambda v: v >= 0, "an integer of at least 0")
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer of at least 1")
+_PATH = _checked(str, lambda v: "\0" not in v, "a path: it holds a NUL byte")
 
 
 def _tree_params(args) -> TreeParams:
@@ -107,10 +107,10 @@ def cmd_train(args) -> int:
     manifest = load_manifest(args.manifest)
     for warning in manifest.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    rows, multisets, labels = labeled_multisets(manifest, args.scenario)
-    mf = train_model(multisets, labels, tau=args.tau, params=_tree_params(args),
-                     scenario=args.scenario.name,
-                     manifest_digest=digest_rows(rows))
+    rows, symbols, counts, labels = labeled_matrix(manifest, args.scenario)
+    mf = train_matrix(symbols, counts, labels, tau=args.tau,
+                      params=_tree_params(args), scenario=args.scenario.name,
+                      manifest_digest=digest_rows(rows))
     if len(mf.model.vocabulary) == 0:
         print(f"warning: tau={args.tau:g} filtered out every symbol; "
               f"the model is a single majority-class leaf", file=sys.stderr)
@@ -170,8 +170,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_llr_report(args) -> int:
     manifest = load_manifest(args.manifest)
-    _, multisets, labels = labeled_multisets(manifest, args.scenario)
-    report = llr_report(count_matrix(multisets), labels, FilterConfig(args.tau))
+    _, symbols, counts, labels = labeled_matrix(manifest, args.scenario)
+    report = llr_report(symbols, counts, labels, FilterConfig(args.tau))
     sys.stdout.write(report_tsv(report))
     return EXIT_OK
 
@@ -207,8 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", type=_scenario, required=True,
                    help=f"one of: {', '.join(scenario_names())}")
     _add_training_flags(p)
-    p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--dot", help="also write a Graphviz rendering here")
+    p.add_argument("--out", type=_PATH, required=True,
+                   help="model file to write")
+    p.add_argument("--dot", type=_PATH,
+                   help="also write a Graphviz rendering here")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("classify", help="classify files with a trained model")
@@ -223,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", type=_scenario, required=True,
                    help=f"one of: {', '.join(scenario_names())}")
     _add_training_flags(p)
-    p.add_argument("--report", help="also write the report as JSON here")
+    p.add_argument("--report", type=_PATH,
+                   help="also write the report as JSON here")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("llr-report", help="per-symbol log-likelihood ratios")
@@ -235,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-fixtures",
                        help="generate a synthetic labeled corpus")
-    p.add_argument("out_dir")
+    p.add_argument("out_dir", type=_PATH)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--videos-per-cell", type=_POSITIVE_INT, default=4)
     p.set_defaults(func=cmd_make_fixtures)

@@ -12,7 +12,7 @@ import csv
 import hashlib
 import io
 import time
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (
+    DataError,
     EmptyMatrix,
     EmptyScenario,
     MalformedRow,
@@ -27,7 +28,7 @@ from .errors import (
     UnknownEnum,
 )
 from .llr import FilterConfig
-from .modelfile import ModelFile, train_model
+from .modelfile import ModelFile, train_matrix
 from .symbols import file_symbols
 from .tree import TreeParams, decision_path, predict, replay_path
 from .vectorize import count_matrix
@@ -76,7 +77,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     rows: list[ManifestRow] = []
     warnings: list[str] = []
     skipped = 0
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except ValueError as exc:  # a path no file can have: a NUL byte in it
+        raise DataError(f"unusable manifest path: {exc}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -278,19 +282,21 @@ class EvaluationReport:
     tnr: float | None = None
 
 
-def labeled_multisets(
+def labeled_matrix(
     manifest: DatasetManifest, scenario: Scenario
-) -> tuple[list[ManifestRow], list[Counter[str]], list[str]]:
-    """The scenario's rows, their symbol multisets and their labels; a file
-    listed on several rows is parsed once."""
+) -> tuple[list[ManifestRow], tuple[str, ...], np.ndarray, list[str]]:
+    """The scenario's rows, the columns and counts of their count matrix,
+    and their labels. Each file is symbolized once, even if listed on
+    several rows, and its multiset goes as soon as its row is filled."""
     labeled = derive_labels(manifest, scenario)
-    cache: dict[Path, Counter[str]] = {}
-    for row, _ in labeled:
-        if row.path not in cache:
-            cache[row.path] = file_symbols(str(row.path))[0]
-    return ([row for row, _ in labeled],
-            [cache[row.path] for row, _ in labeled],
-            [label for _, label in labeled])
+    rows = [row for row, _ in labeled]
+    paths = list(dict.fromkeys(row.path for row in rows))
+    symbols, counts = count_matrix(file_symbols(str(path))[0]
+                                   for path in paths)
+    if len(paths) < len(rows):  # a file listed on several rows
+        file_row = {path: i for i, path in enumerate(paths)}
+        counts = counts[[file_row[row.path] for row in rows]]
+    return rows, symbols, counts, [label for _, label in labeled]
 
 
 def run_scenario(
@@ -301,17 +307,17 @@ def run_scenario(
 ) -> EvaluationReport:
     """Leave-one-device-out evaluation of one scenario.
 
-    Every scenario file is parsed once into one files x symbols count
+    `labeled_matrix` parses every scenario file once into one count
     matrix. There is one fold per device with a row in the scenario. Each
-    fold trains on the rows of the other devices, so its vocabulary,
-    filter, weights and tree never see the held-out device; its test
-    files are the same columns of the held-out rows, passed to the tree
-    as count rows. Every prediction's decision path is replayed as a
-    self-check before it is counted.
+    fold passes `train_matrix` the rows of the other devices, so its
+    vocabulary, filter, weights and tree never see the held-out device;
+    its test files are the held-out rows over the columns its model kept,
+    passed to the tree as count rows. Every prediction's decision path is
+    replayed as a self-check before it is counted.
     """
     cfg = filter_cfg if filter_cfg is not None else FilterConfig()
     params = tree_params if tree_params is not None else TreeParams()
-    rows, multisets, labels = labeled_multisets(manifest, scenario)
+    rows, symbols, counts, labels = labeled_matrix(manifest, scenario)
     classes = sorted(set(labels))
     by_device: dict[str, list[int]] = defaultdict(list)
     for i, row in enumerate(rows):
@@ -321,28 +327,26 @@ def run_scenario(
         raise SingleDevice(
             f"leave-one-device-out needs at least 2 devices, got "
             f"{len(devices)} in scenario {scenario.name!r}")
-    matrix = count_matrix(multisets)
-    del multisets  # the matrix holds all that the folds use of them
-    column = {s: j for j, s in enumerate(matrix.symbols)}
+    column = {s: j for j, s in enumerate(symbols)}
     results: list[FoldResult] = []
     for held_out in devices:
         train = [i for device in devices if device != held_out
                  for i in by_device[device]]
         test = by_device[held_out]
         started = time.perf_counter()
-        mf = train_model(matrix.take(train), [labels[i] for i in train],
-                         tau=cfg.tau, params=params, scenario=scenario.name,
-                         manifest_digest=digest_rows([rows[i] for i in train]),
-                         trained_at="")
+        mf = train_matrix(symbols, counts[train], [labels[i] for i in train],
+                          tau=cfg.tau, params=params, scenario=scenario.name,
+                          manifest_digest=digest_rows([rows[i] for i in train]),
+                          trained_at="")
         train_seconds = time.perf_counter() - started
         cm = ConfusionMatrix.empty(classes)
         started = time.perf_counter()
         kept_columns = [column[s] for s in mf.model.vocabulary.symbols]
-        test_rows = matrix.counts[np.ix_(test, kept_columns)].tolist()
-        for i, counts in zip(test, test_rows):
-            verdict = predict(mf.model, counts)
+        test_rows = counts[np.ix_(test, kept_columns)].tolist()
+        for i, row_counts in zip(test, test_rows):
+            verdict = predict(mf.model, row_counts)
             # Every verdict must be reproducible from its own explanation.
-            steps = decision_path(mf.model, counts)
+            steps = decision_path(mf.model, row_counts)
             replayed = replay_path(mf.model, steps)
             if replayed != verdict:
                 raise AssertionError(

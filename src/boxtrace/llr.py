@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyClass, SingleClass, UnknownClass
-from .vectorize import CountMatrix, Vocabulary, vectorize
+from .vectorize import Vocabulary, vectorize
 
 DEFAULT_TAU = 0.5
 
@@ -138,31 +138,20 @@ def pairwise_llr(
     return best, hi, lo
 
 
-def max_pairwise_llr(
-    canonical: str, table: ClassFrequencyTable
-) -> tuple[float, tuple[str, str]]:
-    """Maximum LLR over ordered class pairs and the pair achieving it."""
-    presence = np.array([[table.present[c].get(canonical, 0)]
-                         for c in table.classes])
-    best, hi, lo = pairwise_llr(presence,
-                                [table.sizes[c] for c in table.classes])
-    return float(best[0]), (table.classes[hi[0]], table.classes[lo[0]])
-
-
-def llr_report(
-    matrix: CountMatrix, labels: Sequence[str], cfg: FilterConfig
-) -> LLRReport:
+def llr_report(symbols: Sequence[str], counts: np.ndarray,
+               labels: Sequence[str], cfg: FilterConfig) -> LLRReport:
     """Max pairwise LLR, best pair and keep decision of every column of a
-    training count matrix whose rows carry `labels`."""
+    training count matrix: `counts` has one column per symbol of
+    `symbols` and one row per label of `labels`."""
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise SingleClass(f"need at least 2 classes, got {len(classes)}")
     to_int = {c: i for i, c in enumerate(classes)}
     y = np.array([to_int[label] for label in labels], dtype=np.intp)
-    best, hi, lo = pairwise_llr(class_presence(matrix.counts, y, len(classes)),
+    best, hi, lo = pairwise_llr(class_presence(counts, y, len(classes)),
                                 np.bincount(y, minlength=len(classes)))
     report = LLRReport(tau=cfg.tau)
-    for canonical, value, i, j in zip(matrix.symbols, best.tolist(),
+    for canonical, value, i, j in zip(symbols, best.tolist(),
                                       hi.tolist(), lo.tolist()):
         report.records.append(LLRRecord(canonical, (classes[i], classes[j]),
                                         value, value > cfg.tau))
@@ -179,7 +168,7 @@ def filter_vocabulary(
         cfg = FilterConfig()
     counts = np.array([vectorize(ms, vocab) for ms, _ in corpus],
                       dtype=np.int32).reshape(len(corpus), len(vocab))
-    report = llr_report(CountMatrix(vocab.symbols, counts),
+    report = llr_report(vocab.symbols, counts,
                         [label for _, label in corpus], cfg)
     return Vocabulary.from_strings(report.kept_symbols()), report
 

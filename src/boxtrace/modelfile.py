@@ -14,7 +14,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .tree import (
     preorder,
     train_tree,
 )
-from .vectorize import CountMatrix, Vocabulary, count_matrix, vectorize
+from .vectorize import Vocabulary, count_matrix, vectorize
 
 MODEL_FORMAT_VERSION = 1
 
@@ -313,8 +313,9 @@ def model_digest(mf: ModelFile) -> str:
     return hashlib.sha256(dumps_model(mf).encode("ascii")).hexdigest()
 
 
-def train_model(
-    corpus: Sequence[Counter[str]] | CountMatrix,
+def train_matrix(
+    symbols: Sequence[str],
+    counts: np.ndarray,
     labels: Sequence[str],
     *,
     tau: float = DEFAULT_TAU,
@@ -325,30 +326,39 @@ def train_model(
 ) -> ModelFile:
     """Vocabulary, LLR filter, class weights and tree, in training order.
 
-    `corpus` holds the training files' symbol multisets, or their count
-    matrix; its columns are the vocabulary. Leave-one-device-out folds
-    pass the rows of one count matrix, so no file is symbolized twice.
+    `counts` has one row per training file, labeled by `labels`, and one
+    column per symbol of `symbols`. The vocabulary is the columns that
+    are nonzero in these rows, so a leave-one-device-out fold passes its
+    rows of the scenario's matrix and trains as on its files alone.
     """
-    matrix = corpus if isinstance(corpus, CountMatrix) else count_matrix(corpus)
-    vocab = list(matrix.symbols)
-    if len(matrix.counts) == 0:
+    if len(counts) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
-    if len(matrix.counts) != len(labels):
+    if len(counts) != len(labels):
         raise DimensionMismatch(
-            f"{len(matrix.counts)} files but {len(labels)} labels")
+            f"{len(counts)} files but {len(labels)} labels")
+    used = np.flatnonzero(counts.any(axis=0))
+    vocab = [symbols[j] for j in used]
+    counts = counts[:, used]
     if len(set(labels)) < 2:
         # The pairwise filter is undefined for one class; keep everything
         # and let training degenerate to a single leaf.
         kept = np.ones(len(vocab), dtype=bool)
     else:
-        report = llr_report(matrix, labels, FilterConfig(tau))
+        report = llr_report(vocab, counts, labels, FilterConfig(tau))
         kept = np.array([r.kept for r in report.records], dtype=bool)
     filtered = Vocabulary.from_strings(s for s, k in zip(vocab, kept) if k)
-    model = train_tree(matrix.counts[:, kept], list(labels), filtered, params)
+    model = train_tree(counts[:, kept], list(labels), filtered, params)
     return ModelFile(full_vocabulary=vocab, kept=kept.tolist(), tau=tau,
                      model=model, scenario=scenario,
                      manifest_digest=manifest_digest,
                      trained_at=resolve_timestamp(trained_at))
+
+
+def train_model(corpus: Iterable[Counter[str]], labels: Sequence[str],
+                **options) -> ModelFile:
+    """`train_matrix` over the count matrix of the training files' symbol
+    multisets; `options` are its keyword arguments."""
+    return train_matrix(*count_matrix(corpus), labels, **options)
 
 
 def classify_symbols(mf: ModelFile, symbols: Counter[str]) -> tuple[str, list[PathStep]]:

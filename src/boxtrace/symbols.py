@@ -106,14 +106,12 @@ def container_symbols(
 
 
 def file_symbols(
-    path: str, blacklist: frozenset[str] | None = None,
-    only: Collection[str] | None = None,
+    path: str, only: Collection[str] | None = None,
 ) -> tuple[Counter[str], list[str]]:
-    """Open `path` and return its symbols and parse warnings. With `only`,
-    the symbols are restricted to `only`, and the warnings cover only the
-    box structure and the boxes those symbols name."""
+    """Open `path` and return its symbols and parse warnings, as
+    `container_symbols` gives them with the default blacklist."""
     with open_box_file(path) as handle:
-        return container_symbols(handle, blacklist, only)
+        return container_symbols(handle, only=only)
 
 
 def dump_symbols(symbols: Counter[str]) -> str:

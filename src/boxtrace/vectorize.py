@@ -3,6 +3,7 @@ matrix that training selects rows and columns from."""
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -34,26 +35,6 @@ class Vocabulary:
         return canonical in self.index
 
 
-@dataclass(frozen=True, eq=False)
-class CountMatrix:
-    """Occurrence counts of every symbol in every file of a corpus.
-
-    The columns are the symbols with a nonzero count in some row, in
-    lexicographic order, so they are the corpus's vocabulary.
-    """
-
-    symbols: tuple[str, ...]
-    counts: np.ndarray  # int32, files x symbols
-
-    def take(self, rows: Sequence[int]) -> "CountMatrix":
-        """The matrix of a subset of the files: the chosen rows, over the
-        columns that have a nonzero count in them."""
-        counts = self.counts[np.asarray(rows, dtype=np.intp)]
-        used = np.flatnonzero(counts.any(axis=0))
-        return CountMatrix(tuple(self.symbols[j] for j in used),
-                           counts[:, used])
-
-
 def build_vocabulary(corpus: Sequence[Counter[str]]) -> Vocabulary:
     """Union of all symbols across the corpus, lexicographically ordered."""
     if not corpus:
@@ -77,16 +58,30 @@ def vectorize(ms: Counter[str], vocab: Vocabulary) -> list[int]:
     return row
 
 
-def count_matrix(corpus: Sequence[Counter[str]]) -> CountMatrix:
-    """One row per symbol multiset, over the union of their symbols.
-    Entries with a zero count are absent."""
-    if not corpus:
-        raise EmptyCorpus("cannot build a count matrix from an empty corpus")
-    symbols = sorted({s for ms in corpus for s, count in ms.items() if count})
-    column = {s: j for j, s in enumerate(symbols)}
-    counts = np.zeros((len(corpus), len(symbols)), dtype=np.int32)
-    for row, ms in zip(counts, corpus):
+def count_matrix(corpus: Iterable[Counter[str]]
+                 ) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted union of the multisets' nonzero symbols, and their int32
+    files x symbols counts. `corpus` is read once, and of each multiset
+    only its column numbers and counts are kept, with one string per
+    distinct symbol, so a generator's multisets can go row by row."""
+    column: dict[str, int] = {}  # symbol -> column, in first-seen order
+    seen, values, lengths = array("i"), array("i"), []  # entries, per row
+    for ms in corpus:
+        # A list append costs less than an array's: gather the row first.
+        row_columns, row_counts = [], []
         for s, count in ms.items():
             if count:
-                row[column[s]] = count
-    return CountMatrix(tuple(symbols), counts)
+                row_columns.append(column.setdefault(s, len(column)))
+                row_counts.append(count)
+        seen.fromlist(row_columns)
+        values.fromlist(row_counts)
+        lengths.append(len(row_columns))
+    if not lengths:
+        raise EmptyCorpus("cannot build a count matrix from an empty corpus")
+    rank = {s: j for j, s in enumerate(sorted(column))}
+    sorted_column = np.array([rank[s] for s in column], dtype=np.intc)
+    counts = np.zeros((len(lengths), len(rank)), dtype=np.int32)
+    rows = np.repeat(np.arange(len(lengths), dtype=np.intc), lengths)
+    counts[rows, sorted_column[np.frombuffer(seen, dtype=np.intc)]] = \
+        np.frombuffer(values, dtype=np.intc)
+    return tuple(rank), counts

@@ -558,3 +558,39 @@ class TestMakeFixturesCommand:
         assert exc.value.code == 64
         assert "error: argument --videos-per-cell: " in capsys.readouterr().err
         assert not (tmp_path / "corp").exists()
+
+
+class TestNulBytePaths:
+    """A path holding a NUL byte, which no file can have, is a data error
+    when it names an input and a usage error when it names an output."""
+
+    @pytest.mark.parametrize("command", [
+        ["train", "m\0.csv", "--scenario", "integrity", "--out", "m.json"],
+        ["evaluate", "m\0.csv", "--scenario", "integrity"],
+        ["llr-report", "m\0.csv", "--scenario", "integrity"],
+    ], ids=["train", "evaluate", "llr-report"])
+    def test_manifest_is_data_error(self, command, tmp_path, monkeypatch,
+                                    capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(command) == 65
+        assert capsys.readouterr().err == \
+            "DataError: unusable manifest path: embedded null byte\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags", [
+        ["train", "MANIFEST", "--scenario", "integrity", "--out", "m\0.json"],
+        ["train", "MANIFEST", "--scenario", "integrity", "--out", "m.json",
+         "--dot", "t\0.dot"],
+        ["evaluate", "MANIFEST", "--scenario", "integrity",
+         "--report", "r\0.json"],
+        ["make-fixtures", "o\0ut"],
+    ], ids=["train-out", "train-dot", "evaluate-report", "make-fixtures"])
+    def test_output_is_usage_error(self, flags, corpus_dir, tmp_path,
+                                   monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        manifest = str(corpus_dir / "manifest.csv")
+        with pytest.raises(SystemExit) as exc:
+            main([manifest if f == "MANIFEST" else f for f in flags])
+        assert exc.value.code == 64
+        assert "holds a NUL byte" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())

@@ -1,5 +1,7 @@
 """Manifest handling, scenarios, folds, and the evaluation harness."""
 
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boxtrace.evaluate
 from boxtrace.errors import (
+    DataError,
     EmptyMatrix,
     EmptyScenario,
     MalformedRow,
@@ -23,6 +27,7 @@ from boxtrace.evaluate import (
     digest_rows,
     format_report_text,
     get_scenario,
+    labeled_matrix,
     load_manifest,
     lodo_folds,
     report_to_obj,
@@ -31,8 +36,9 @@ from boxtrace.evaluate import (
 from boxtrace.fixtures import FixtureSpec, generate_corpus
 from boxtrace.llr import FilterConfig
 from boxtrace.modelfile import dumps_model, train_model
-from boxtrace.symbols import default_blacklist, extract_symbols
+from boxtrace.symbols import default_blacklist, extract_symbols, file_symbols
 from boxtrace.bmff import parse_file
+from boxtrace.vectorize import count_matrix
 
 
 def row(device="D01", os="iOS", software="none", platform="none",
@@ -105,6 +111,54 @@ class TestLoadManifest:
         assert len(manifest.rows) == 1
         assert manifest.skipped_missing == 1
         assert any("gone.mp4" in w for w in manifest.warnings)
+
+    def test_nul_byte_path_is_data_error(self):
+        with pytest.raises(DataError, match="unusable manifest path: "
+                                            "embedded null byte"):
+            load_manifest("manifest\0.csv")
+
+
+class TestLabeledMatrix:
+    def test_file_listed_twice_is_symbolized_once(self, small_corpus,
+                                                  monkeypatch):
+        twice = small_corpus.rows[1]
+        manifest = manifest_of(small_corpus.rows + [twice])
+        calls = []
+
+        def counted(path, *args, **kwargs):
+            calls.append(path)
+            return file_symbols(path, *args, **kwargs)
+
+        monkeypatch.setattr(boxtrace.evaluate, "file_symbols", counted)
+        rows, symbols, counts, labels = labeled_matrix(
+            manifest, get_scenario("integrity"))
+        assert sorted(calls) == sorted({str(r.path) for r in manifest.rows})
+        assert rows == manifest.rows
+        assert labels == [get_scenario("integrity").label(r) for r in rows]
+        expected_symbols, expected_counts = count_matrix(
+            [file_symbols(str(r.path))[0] for r in rows])
+        assert symbols == expected_symbols
+        assert np.array_equal(counts, expected_counts)
+        assert np.array_equal(counts[-1], counts[1])
+
+    def test_no_multiset_outlives_its_row(self, small_corpus, monkeypatch):
+        # When a file is symbolized, at most the multiset of the file
+        # before it (whose row was just read) may still be alive.
+        alive = []
+
+        def watched(path, *args, **kwargs):
+            gc.collect()
+            assert sum(ref() is not None for ref in alive) <= 1
+            symbols, warnings = file_symbols(path, *args, **kwargs)
+            alive.append(weakref.ref(symbols))
+            return symbols, warnings
+
+        monkeypatch.setattr(boxtrace.evaluate, "file_symbols", watched)
+        rows, _, counts, _ = labeled_matrix(small_corpus,
+                                            get_scenario("integrity"))
+        gc.collect()
+        assert len(alive) == len(rows) == len(counts) > 2
+        assert all(ref() is None for ref in alive)
 
 
 class TestScenarios:

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from boxtrace.llr import (
     class_frequency,
     filter_vocabulary,
     llr,
-    max_pairwise_llr,
+    pairwise_llr,
     report_tsv,
 )
 from boxtrace.vectorize import Vocabulary, build_vocabulary
@@ -221,6 +222,17 @@ class TestPairScan:
         best, pair = max_pairwise_llr("s", table)
         assert best == pytest.approx(math.log(4), abs=1e-12)
         assert pair[0] == "U"
+
+
+def max_pairwise_llr(canonical, table):
+    """`pairwise_llr` for one symbol of a `ClassFrequencyTable`: the
+    maximum LLR over ordered class pairs and the pair achieving it, the
+    contract of the enumeration oracle below."""
+    presence = np.array([[table.present[c].get(canonical, 0)]
+                         for c in table.classes])
+    best, hi, lo = pairwise_llr(presence,
+                                [table.sizes[c] for c in table.classes])
+    return float(best[0]), (table.classes[hi[0]], table.classes[lo[0]])
 
 
 def oracle_max_pairwise_llr(canonical, table):

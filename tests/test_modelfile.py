@@ -5,12 +5,13 @@ import io
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxtrace.bmff import parse_container
-from boxtrace.errors import ModelFormatError
+from boxtrace.errors import DimensionMismatch, EmptyCorpus, ModelFormatError
 from boxtrace.modelfile import (
     canonical_dumps,
     classify_symbols,
@@ -20,11 +21,12 @@ from boxtrace.modelfile import (
     model_digest,
     resolve_timestamp,
     save_model,
+    train_matrix,
     train_model,
 )
 from boxtrace.symbols import extract_symbols
 from boxtrace.tree import TreeParams, predict
-from boxtrace.vectorize import vectorize
+from boxtrace.vectorize import count_matrix, vectorize
 
 from conftest import FTYP_MIN, mkbox
 
@@ -340,6 +342,58 @@ class TestTrainModel:
         params = TreeParams(max_depth=3, min_samples_leaf=2, ccp_alpha=0.01)
         mf = train_model(multisets, labels, params=params)
         assert loads_model(dumps_model(mf)).model.params == params
+
+
+@st.composite
+def matrix_rows(draw):
+    """Sorted columns, an int32 count matrix with many zeros, labels, and
+    distinct rows in any order: often of one class, and often leaving
+    some columns all zero."""
+    n_rows, n_columns = draw(st.integers(1, 9)), draw(st.integers(1, 6))
+    counts = np.array(draw(st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, -1]),
+                 min_size=n_columns, max_size=n_columns),
+        min_size=n_rows, max_size=n_rows)), dtype=np.int32)
+    labels = draw(st.lists(st.sampled_from(["A", "B", "C"]),
+                           min_size=n_rows, max_size=n_rows))
+    rows = draw(st.lists(st.integers(0, n_rows - 1), min_size=1,
+                         max_size=n_rows, unique=True))
+    return tuple(f"s{j}" for j in range(n_columns)), counts, labels, rows
+
+
+class TestTrainMatrix:
+    def test_vocabulary_is_the_columns_its_rows_use(self):
+        symbols, counts = count_matrix([ms_of({"a": 1}), ms_of({"b": 2}),
+                                        ms_of({"c": 3})])
+        mf = train_matrix(symbols, counts[[2, 0]], ["X", "Y"], tau=0.1)
+        assert mf.full_vocabulary == ["a", "c"]
+        assert classify_symbols(mf, ms_of({"c": 3}))[0] == "X"
+        assert classify_symbols(mf, ms_of({"a": 1}))[0] == "Y"
+
+    def test_no_rows_or_one_label_per_row(self):
+        symbols, counts = count_matrix([ms_of({"a": 1}), ms_of({"b": 2})])
+        with pytest.raises(EmptyCorpus):
+            train_matrix(symbols, counts[[]], [])
+        with pytest.raises(DimensionMismatch):
+            train_matrix(symbols, counts, ["X", "Y", "X"])
+
+    @given(matrix_rows())
+    @example((("s0", "s1"), np.array([[1, 0], [2, 0], [0, 3]], np.int32),
+              ["A", "A", "B"], [1, 0]))  # one class, a column all zero
+    @example((("s0", "s1", "s2"),
+              np.array([[1, 0, 0], [0, 0, 2], [0, 1, 2]], np.int32),
+              ["A", "B", "B"], [1, 0]))  # two classes, a column all zero
+    @settings(max_examples=200, deadline=None)
+    def test_rows_of_a_matrix_train_as_their_multisets(self, drawn):
+        symbols, counts, labels, rows = drawn
+        subset = [labels[i] for i in rows]
+        multisets = [Counter({s: int(c) for s, c in zip(symbols, counts[i])
+                              if c}) for i in rows]
+        for tau in (0.1, 0.5):
+            assert dumps_model(train_matrix(symbols, counts[rows], subset,
+                                            tau=tau, trained_at="")) \
+                == dumps_model(train_model(multisets, subset, tau=tau,
+                                           trained_at=""))
 
 
 class TestClassifyTree:

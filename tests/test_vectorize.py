@@ -1,16 +1,17 @@
 """Vocabulary construction and count vectorization."""
 
+import gc
+import weakref
 from array import array
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxtrace.errors import EmptyCorpus
 from boxtrace.vectorize import (
-    CountMatrix,
     Vocabulary,
     build_vocabulary,
     count_matrix,
@@ -100,30 +101,26 @@ class TestVectorize:
 class TestCountMatrix:
     def test_columns_are_the_sorted_vocabulary(self):
         corpus = [ms_of({"b/@x": 1, "a/@y": 2}), ms_of({"a/@y": 1, "c/@z": 4})]
-        matrix = count_matrix(corpus)
-        assert matrix.symbols == build_vocabulary(corpus).symbols
-        assert matrix.counts.tolist() == [[2, 1, 0], [1, 0, 4]]
+        symbols, counts = count_matrix(corpus)
+        assert symbols == build_vocabulary(corpus).symbols
+        assert counts.tolist() == [[2, 1, 0], [1, 0, 4]]
 
     def test_value_and_field_symbols_get_their_own_columns(self):
         ms = Counter({"ftyp/@majorBrand": 2, "ftyp/@majorBrand/a\\/b": 1})
-        matrix = count_matrix([ms])
-        assert matrix.symbols == ("ftyp/@majorBrand", "ftyp/@majorBrand/a\\/b")
-        assert matrix.counts.tolist() == [[2, 1]]
-
-    def test_take_keeps_the_columns_its_rows_use(self):
-        matrix = count_matrix([ms_of({"a": 1}), ms_of({"b": 2}), ms_of({"c": 3})])
-        part = matrix.take([2, 0])
-        assert part.symbols == ("a", "c")
-        assert part.counts.tolist() == [[0, 3], [1, 0]]
+        symbols, counts = count_matrix([ms])
+        assert symbols == ("ftyp/@majorBrand", "ftyp/@majorBrand/a\\/b")
+        assert counts.tolist() == [[2, 1]]
 
     def test_zero_counts_are_absent(self):
         ms = ms_of({"a": 1})
         ms["b"] = 0
-        assert count_matrix([ms]).symbols == ("a",)
+        assert count_matrix([ms])[0] == ("a",)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpus):
             count_matrix([])
+        with pytest.raises(EmptyCorpus):
+            count_matrix(iter([]))
 
     @given(st.lists(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]),
                                     st.integers(1, 5), max_size=4),
@@ -131,9 +128,9 @@ class TestCountMatrix:
     @settings(max_examples=60)
     def test_rows_equal_vectorize_over_the_columns(self, rows):
         corpus = [ms_of(counts) for counts in rows]
-        matrix = count_matrix(corpus)
-        vocab = Vocabulary.from_strings(matrix.symbols)
-        for ms, row in zip(corpus, matrix.counts.tolist()):
+        symbols, counts = count_matrix(corpus)
+        vocab = Vocabulary.from_strings(symbols)
+        for ms, row in zip(corpus, counts.tolist()):
             assert row == vectorize(ms, vocab)
 
     @given(st.lists(st.dictionaries(st.sampled_from(["a", "b", "c", "d", "e"]),
@@ -143,15 +140,65 @@ class TestCountMatrix:
     def test_equals_reference(self, rows):
         # Zero counts are drawn, so some symbols are zero in every row.
         corpus = [ms_of(counts) for counts in rows]
-        matrix = count_matrix(corpus)
-        expected = reference_count_matrix(corpus)
-        assert matrix.symbols == expected.symbols
-        assert matrix.counts.dtype == expected.counts.dtype
-        assert np.array_equal(matrix.counts, expected.counts)
+        assert_same_matrix(count_matrix(corpus),
+                           reference_count_matrix(corpus))
+
+    @given(st.lists(st.dictionaries(st.text(max_size=3), st.integers(-3, 5),
+                                    max_size=6), min_size=1, max_size=8),
+           st.integers(0, 3))
+    @example([{}], 2)  # no symbol at all: rows without columns
+    @settings(max_examples=300)
+    def test_one_pass_over_a_generator_equals_two_passes(self, rows,
+                                                         trailing_empty):
+        # Zero and negative counts, and empty multisets at the end, whose
+        # rows are all zeros.
+        corpus = [ms_of(counts) for counts in rows] + [Counter()] * trailing_empty
+        assert_same_matrix(count_matrix(ms for ms in corpus),
+                           two_pass_count_matrix(corpus))
+
+    def test_no_multiset_outlives_its_row(self):
+        # When the next multiset is made, at most the one before it (the
+        # one whose row was just read) may still be alive.
+        alive = []
+
+        def corpus():
+            for i in range(6):
+                gc.collect()
+                assert sum(ref() is not None for ref in alive) <= 1
+                ms = Counter({f"s{i}": 1, "shared": i + 1})
+                alive.append(weakref.ref(ms))
+                yield ms
+                del ms
+
+        symbols, counts = count_matrix(corpus())
+        gc.collect()
+        assert all(ref() is None for ref in alive)
+        assert symbols == ("s0", "s1", "s2", "s3", "s4", "s5", "shared")
+        assert counts[:, -1].tolist() == [1, 2, 3, 4, 5, 6]
+
+
+def assert_same_matrix(matrix, expected):
+    (symbols, counts), (expected_symbols, expected_counts) = matrix, expected
+    assert symbols == expected_symbols
+    assert counts.dtype == expected_counts.dtype
+    assert np.array_equal(counts, expected_counts)
+
+
+def two_pass_count_matrix(corpus):
+    """The earlier `count_matrix`: the sorted union of the nonzero symbols
+    gives the columns, then each multiset fills its row."""
+    symbols = sorted({s for ms in corpus for s, count in ms.items() if count})
+    column = {s: j for j, s in enumerate(symbols)}
+    counts = np.zeros((len(corpus), len(symbols)), dtype=np.int32)
+    for row, ms in zip(counts, corpus):
+        for s, count in ms.items():
+            if count:
+                row[column[s]] = count
+    return tuple(symbols), counts
 
 
 def reference_count_matrix(corpus):
-    """The earlier `count_matrix`: entries gathered into int buffers by
+    """An earlier `count_matrix`: entries gathered into int buffers by
     first-seen column, then scattered with ``np.add.at`` into the sorted
     columns."""
     first_seen: dict[str, int] = {}
@@ -170,4 +217,4 @@ def reference_count_matrix(corpus):
     np.add.at(counts, (np.frombuffer(rows, dtype=np.intc),
                        column[np.frombuffer(seen, dtype=np.intc)]),
               np.frombuffer(values, dtype=np.intc))
-    return CountMatrix(tuple(symbols), counts)
+    return tuple(symbols), counts

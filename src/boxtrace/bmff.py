@@ -162,16 +162,26 @@ def _u64(b: bytes, o: int) -> int:
     return _U64(b, o)[0]
 
 
-def _need(payload: bytes, n: int, what: str) -> None:
-    if len(payload) < n:
-        raise PayloadTooShort(f"{what} needs {n} bytes, payload holds {len(payload)}")
+# A box's fields in payload order: (field name, rendered value), the value
+# None where the name, ``@``-prefixed, is in the decode's drop set.
+_Fields = list[tuple[str, "str | None"]]
+_Decoder = Callable[[bytes, Collection[str]], _Fields]
 
 
-def _fullbox(payload: bytes, what: str) -> tuple[list[tuple[str, str]], bytes]:
+def _need(payload: bytes, n: int, what: str, at: int = 0) -> None:
+    """Raise unless the payload holds `n` bytes from offset `at`."""
+    if len(payload) - at < n:
+        raise PayloadTooShort(
+            f"{what} needs {n} bytes, payload holds {len(payload) - at}")
+
+
+def _fullbox(payload: bytes, what: str, drop: Collection[str]) -> _Fields:
+    """The version and flags fields of a full box, whose body starts at
+    offset 4."""
     _need(payload, 4, what)
-    version = payload[0]
-    flags = int.from_bytes(payload[1:4], "big")
-    return [("version", str(version)), ("flags", str(flags))], payload[4:]
+    return [("version", None if "@version" in drop else str(payload[0])),
+            ("flags", None if "@flags" in drop
+             else str(int.from_bytes(payload[1:4], "big")))]
 
 
 def _fixed16(raw: int) -> str:
@@ -200,19 +210,18 @@ def _language(code: int) -> str:
     return str(code)
 
 
-_Decoder = Callable[[bytes], list[tuple[str, str]]]
-
-
 def _fixed_layout(name: str, fields: list[tuple[str, Callable]],
                   *formats: str) -> _Decoder:
     """Decoder of a full box whose body is one fixed `struct` layout per
     version: ``formats[v]`` for version v, or any version if there is one
     format. The unpacked values pass, in order, through the writers of
-    `fields`, a ``(field name, writer)`` list."""
+    `fields`, a ``(field name, writer)`` list; a dropped field's writer is
+    not called."""
     layouts = [struct.Struct(f) for f in formats]
+    fields = [(key, "@" + key, write) for key, write in fields]
 
-    def decode(payload: bytes) -> list[tuple[str, str]]:
-        out, body = _fullbox(payload, name)
+    def decode(payload: bytes, drop: Collection[str]) -> _Fields:
+        out = _fullbox(payload, name, drop)
         version = payload[0]
         if len(layouts) == 1:
             layout, what = layouts[0], name
@@ -220,50 +229,59 @@ def _fixed_layout(name: str, fields: list[tuple[str, Callable]],
             layout, what = layouts[version], f"{name} v{version}"
         else:
             raise UnsupportedVersion(f"{name} version {version}")
-        _need(body, layout.size, what)
-        out += [(key, write(value)) for (key, write), value
-                in zip(fields, layout.unpack_from(body))]
+        _need(payload, layout.size, what, 4)
+        out += [(key, None if at in drop else write(value))
+                for (key, at, write), value
+                in zip(fields, layout.unpack_from(payload, 4))]
         return out
 
     return decode
 
 
-def _decode_ftyp(payload: bytes) -> list[tuple[str, str]]:
+def _decode_ftyp(payload: bytes, drop: Collection[str]) -> _Fields:
     _need(payload, 8, "ftyp")
     fields = [
-        ("majorBrand", ascii_or_hex(payload[0:4])),
-        ("minorVersion", str(_u32(payload, 4))),
+        ("majorBrand", None if "@majorBrand" in drop
+         else ascii_or_hex(payload[0:4])),
+        ("minorVersion", None if "@minorVersion" in drop
+         else str(_u32(payload, 4))),
     ]
     pos, n = 8, 1
     while pos + 4 <= len(payload):
-        fields.append((f"compatibleBrand_{n}", ascii_or_hex(payload[pos:pos + 4])))
+        fname = f"compatibleBrand_{n}"
+        fields.append((fname, None if "@" + fname in drop
+                       else ascii_or_hex(payload[pos:pos + 4])))
         pos += 4
         n += 1
     return fields
 
 
-def _decode_hdlr(payload: bytes) -> list[tuple[str, str]]:
-    fields, body = _fullbox(payload, "hdlr")
-    _need(body, 20, "hdlr")
-    name = body[20:].rstrip(b"\x00")
+def _decode_hdlr(payload: bytes, drop: Collection[str]) -> _Fields:
+    fields = _fullbox(payload, "hdlr", drop)
+    _need(payload, 20, "hdlr", 4)
     fields += [
-        ("handlerType", ascii_or_hex(body[4:8])),
-        ("name", ascii_or_hex(name)),
+        ("handlerType", None if "@handlerType" in drop
+         else ascii_or_hex(payload[8:12])),
+        ("name", None if "@name" in drop
+         else ascii_or_hex(payload[24:].rstrip(b"\x00"))),
     ]
     return fields
 
 
-def _decode_stsd(payload: bytes) -> list[tuple[str, str]]:
+def _decode_stsd(payload: bytes, drop: Collection[str]) -> _Fields:
     # Sample entry format codes only; codec-private data stays unparsed.
-    fields, body = _fullbox(payload, "stsd")
-    _need(body, 4, "stsd")
-    entry_count = _u32(body, 0)
-    fields.append(("entryCount", str(entry_count)))
-    pos, n = 4, 1
-    while pos + 8 <= len(body) and n <= min(entry_count, _MAX_STSD_ENTRIES):
-        entry_size = _u32(body, pos)
-        fields.append((f"format_{n}", ascii_or_hex(body[pos + 4:pos + 8])))
-        if entry_size < 8 or pos + entry_size > len(body):
+    fields = _fullbox(payload, "stsd", drop)
+    _need(payload, 4, "stsd", 4)
+    entry_count = _u32(payload, 4)
+    fields.append(("entryCount", None if "@entryCount" in drop
+                   else str(entry_count)))
+    pos, n = 8, 1
+    while pos + 8 <= len(payload) and n <= min(entry_count, _MAX_STSD_ENTRIES):
+        entry_size = _u32(payload, pos)
+        fname = f"format_{n}"
+        fields.append((fname, None if "@" + fname in drop
+                       else ascii_or_hex(payload[pos + 4:pos + 8])))
+        if entry_size < 8 or pos + entry_size > len(payload):
             break
         pos += entry_size
         n += 1
@@ -275,24 +293,26 @@ def _decode_stsd(payload: bytes) -> list[tuple[str, str]]:
 _ELST_ENTRIES = (struct.Struct(">Iii"), struct.Struct(">Qqi"))
 
 
-def _decode_elst(payload: bytes) -> list[tuple[str, str]]:
-    fields, body = _fullbox(payload, "elst")
+def _decode_elst(payload: bytes, drop: Collection[str]) -> _Fields:
+    fields = _fullbox(payload, "elst", drop)
     version = payload[0]
     if version not in (0, 1):
         raise UnsupportedVersion(f"elst version {version}")
-    _need(body, 4, "elst")
-    entry_count = _u32(body, 0)
-    fields.append(("entryCount", str(entry_count)))
+    _need(payload, 4, "elst", 4)
+    entry_count = _u32(payload, 4)
+    fields.append(("entryCount", None if "@entryCount" in drop
+                   else str(entry_count)))
     entry = _ELST_ENTRIES[version]
-    pos = 4
+    pos = 8
     for _ in range(min(entry_count, _MAX_ELST_ENTRIES)):
-        if pos + entry.size > len(body):
+        if pos + entry.size > len(payload):
             break
-        duration, media_time, rate = entry.unpack_from(body, pos)
+        duration, media_time, rate = entry.unpack_from(payload, pos)
         fields += [
-            ("segmentDuration", str(duration)),
-            ("mediaTime", str(media_time)),
-            ("mediaRate", _fixed16(rate)),
+            ("segmentDuration", None if "@segmentDuration" in drop
+             else str(duration)),
+            ("mediaTime", None if "@mediaTime" in drop else str(media_time)),
+            ("mediaRate", None if "@mediaRate" in drop else _fixed16(rate)),
         ]
         pos += entry.size
     return fields
@@ -338,18 +358,26 @@ def has_schema(type_code: str) -> bool:
     return type_code in _DECODERS or type_code == "uuid"
 
 
-def _opaque_fields(payload_len: int) -> list[tuple[str, str]]:
-    return [("stuff", "opaque"), ("count", str(payload_len))]
+def _opaque_fields(payload_len: int, drop: Collection[str]) -> _Fields:
+    return [("stuff", None if "@stuff" in drop else "opaque"),
+            ("count", None if "@count" in drop else str(payload_len))]
 
 
 def walk_boxes(
     stream: BinaryIO, warnings: list[str],
     decode: Collection[str] | None = None,
-) -> Iterator[tuple[int, str, tuple, list[tuple[str, str]]]]:
+    drop: Collection[str] = frozenset(),
+) -> Iterator[tuple[int, str, tuple, _Fields]]:
     """Yield ``(depth, path, header, fields)`` for every box of a seekable
     byte stream, in preorder; `path` is the box's symbol path (``moov/trak``)
     and `header` the values of its `BoxHeader`. Warnings go to `warnings` as
     they arise. Raises a `ParseError` as `parse_container` does.
+
+    `drop` holds ``@``-prefixed field names whose values are not wanted:
+    such a field is still yielded, with the value None, and its value is
+    never rendered. The fields, their order and every warning and error
+    are those of a walk without `drop`, since rendering a value never
+    fails.
 
     `decode`, if given, holds the paths of the boxes whose fields are
     wanted, and only those boxes yield an event: containers and other
@@ -475,15 +503,16 @@ def walk_boxes(
                                min(effective_len - header_len, _PAYLOAD_READ_CAP),
                                within)
                 try:
-                    fields = decoder(payload)
+                    fields = decoder(payload, drop)
                 except BoxDecodeError as exc:
                     warnings.append(f"box '{type_code}' at offset {pos}: "
                                     f"{exc}; treated as opaque")
-                    fields = _opaque_fields(effective_len - header_len)
+                    fields = _opaque_fields(effective_len - header_len, drop)
             elif user_type is not None:
-                fields = [("userType", user_type)]
+                fields = [("userType",
+                           None if "@userType" in drop else user_type)]
             else:
-                fields = _opaque_fields(effective_len - header_len)
+                fields = _opaque_fields(effective_len - header_len, drop)
             yield depth, path, (pos, size, type_code, header_len,
                                 effective_len, large_size, user_type), fields
         pos = box_end

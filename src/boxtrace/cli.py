@@ -103,10 +103,16 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    manifest = load_manifest(args.manifest)
+def _load_manifest(path: str):
+    """`load_manifest`, with the manifest's warnings printed on stderr."""
+    manifest = load_manifest(path)
     for warning in manifest.warnings:
         print(f"warning: {warning}", file=sys.stderr)
+    return manifest
+
+
+def cmd_train(args) -> int:
+    manifest = _load_manifest(args.manifest)
     rows, symbols, counts, labels = labeled_matrix(manifest, args.scenario)
     mf = train_matrix(symbols, counts, labels, tau=args.tau,
                       params=_tree_params(args), scenario=args.scenario.name,
@@ -154,9 +160,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    manifest = load_manifest(args.manifest)
-    for warning in manifest.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    manifest = _load_manifest(args.manifest)
     report = run_scenario(manifest, args.scenario,
                           filter_cfg=FilterConfig(args.tau),
                           tree_params=_tree_params(args))
@@ -169,7 +173,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_llr_report(args) -> int:
-    manifest = load_manifest(args.manifest)
+    manifest = _load_manifest(args.manifest)
     _, symbols, counts, labels = labeled_matrix(manifest, args.scenario)
     report = llr_report(symbols, counts, labels, FilterConfig(args.tau))
     sys.stdout.write(report_tsv(report))

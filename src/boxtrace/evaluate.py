@@ -125,11 +125,17 @@ def load_manifest(path: str | Path) -> DatasetManifest:
                            skipped_missing=skipped)
 
 
+def _row_line(r: ManifestRow) -> str:
+    return f"{r.file},{r.device},{r.os},{r.software},{r.platform}"
+
+
+def _digest_lines(lines: Sequence[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
 def digest_rows(rows: Sequence[ManifestRow]) -> str:
     """Digest of the rows a model was trained on, independent of file layout."""
-    lines = sorted(
-        f"{r.file},{r.device},{r.os},{r.software},{r.platform}" for r in rows)
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return _digest_lines(sorted(map(_row_line, rows)))
 
 
 @dataclass(frozen=True)
@@ -328,6 +334,8 @@ def run_scenario(
             f"leave-one-device-out needs at least 2 devices, got "
             f"{len(devices)} in scenario {scenario.name!r}")
     column = {s: j for j, s in enumerate(symbols)}
+    # Each fold's `digest_rows`: its rows' lines in one sorted order.
+    lines = sorted((_row_line(row), row.device) for row in rows)
     results: list[FoldResult] = []
     for held_out in devices:
         train = [i for device in devices if device != held_out
@@ -336,7 +344,9 @@ def run_scenario(
         started = time.perf_counter()
         mf = train_matrix(symbols, counts[train], [labels[i] for i in train],
                           tau=cfg.tau, params=params, scenario=scenario.name,
-                          manifest_digest=digest_rows([rows[i] for i in train]),
+                          manifest_digest=_digest_lines(
+                              [line for line, device in lines
+                               if device != held_out]),
                           trained_at="")
         train_seconds = time.perf_counter() - started
         cm = ConfusionMatrix.empty(classes)

@@ -491,12 +491,88 @@ REFERENCE_DECODERS = {
 }
 
 
-def decode_outcome(decoder, payload):
+# The hand-written decoders of the boxes with tails of varying length, as
+# they were before decoders took a set of fields to drop: the reference for
+# dropping fields of every decoder.
+def ref_decode_ftyp(payload):
+    _ref_need(payload, 8, "ftyp")
+    fields = [
+        ("majorBrand", ascii_or_hex(payload[0:4])),
+        ("minorVersion", str(_ref_u32(payload, 4))),
+    ]
+    pos, n = 8, 1
+    while pos + 4 <= len(payload):
+        fields.append((f"compatibleBrand_{n}", ascii_or_hex(payload[pos:pos + 4])))
+        pos += 4
+        n += 1
+    return fields
+
+
+def ref_decode_hdlr(payload):
+    fields, body = _ref_fullbox(payload, "hdlr")
+    _ref_need(body, 20, "hdlr")
+    name = body[20:].rstrip(b"\x00")
+    fields += [
+        ("handlerType", ascii_or_hex(body[4:8])),
+        ("name", ascii_or_hex(name)),
+    ]
+    return fields
+
+
+def ref_decode_stsd(payload):
+    fields, body = _ref_fullbox(payload, "stsd")
+    _ref_need(body, 4, "stsd")
+    entry_count = _ref_u32(body, 0)
+    fields.append(("entryCount", str(entry_count)))
+    pos, n = 4, 1
+    while pos + 8 <= len(body) and n <= min(entry_count, 32):
+        entry_size = _ref_u32(body, pos)
+        fields.append((f"format_{n}", ascii_or_hex(body[pos + 4:pos + 8])))
+        if entry_size < 8 or pos + entry_size > len(body):
+            break
+        pos += entry_size
+        n += 1
+    return fields
+
+
+VARIABLE_REFERENCES = {
+    "ftyp": (ref_decode_ftyp, 48),
+    "styp": (ref_decode_ftyp, 48),
+    "hdlr": (ref_decode_hdlr, 40),
+    "stsd": (ref_decode_stsd, 48),
+}
+
+
+def decode_outcome(decoder, payload, *drop):
     """The fields a decoder returns, or the type and message it raises."""
     try:
-        return decoder(payload)
+        return decoder(payload, *drop)
     except BoxDecodeError as exc:
         return type(exc), str(exc)
+
+
+def draw_payload(data, name, layout):
+    """A payload for box `name`, whose layout reads up to `layout` bytes:
+    random bytes, often a small entry count and, for stsd, sample entries
+    of plausible sizes, cut short at times."""
+    if name in ("ftyp", "styp"):
+        return data.draw(st.binary(max_size=layout), label="payload")
+    version = data.draw(st.sampled_from([0, 1, 2, 255]), label="version")
+    flags = data.draw(st.binary(min_size=3, max_size=3), label="flags")
+    n = data.draw(st.integers(0, layout + 8), label="body length")
+    body = data.draw(st.binary(min_size=n, max_size=n), label="body")
+    if name == "stsd" and data.draw(st.booleans(), label="entries"):
+        body += b"".join(
+            struct.pack(">I", size) + code + bytes(max(size - 8, 0))
+            for size, code in data.draw(st.lists(st.tuples(
+                st.integers(0, 20), st.binary(min_size=4, max_size=4)),
+                max_size=4), label="entries"))
+    if len(body) >= 4 and data.draw(st.booleans(), label="small count"):
+        body = struct.pack(">I", data.draw(st.integers(0, 20))) + body[4:]
+    payload = bytes([version]) + flags + body
+    # Payloads too short for the version and flags as well.
+    return payload[:data.draw(
+        st.sampled_from([len(payload), 0, 1, 2, 3]), label="cut")]
 
 
 class TestDecodersMatchReference:
@@ -511,18 +587,31 @@ class TestDecodersMatchReference:
     @settings(max_examples=300, deadline=None)
     def test_fields_or_error_equal_reference(self, name, data):
         reference, layout = REFERENCE_DECODERS[name]
-        version = data.draw(st.sampled_from([0, 1, 2, 255]), label="version")
-        flags = data.draw(st.binary(min_size=3, max_size=3), label="flags")
-        n = data.draw(st.integers(0, layout + 8), label="body length")
-        body = data.draw(st.binary(min_size=n, max_size=n), label="body")
-        if len(body) >= 4 and data.draw(st.booleans(), label="small count"):
-            body = struct.pack(">I", data.draw(st.integers(0, 20))) + body[4:]
-        payload = bytes([version]) + flags + body
-        # Payloads too short for the version and flags as well.
-        payload = payload[:data.draw(
-            st.sampled_from([len(payload), 0, 1, 2, 3]), label="cut")]
-        assert (decode_outcome(_DECODERS[name], payload)
+        payload = draw_payload(data, name, layout)
+        assert (decode_outcome(_DECODERS[name], payload, ())
                 == decode_outcome(reference, payload))
+
+    def test_every_decoder_has_a_reference(self):
+        assert set(_DECODERS) == {*REFERENCE_DECODERS, *VARIABLE_REFERENCES}
+
+    @pytest.mark.parametrize("name", sorted(_DECODERS))
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_dropped_fields_are_none(self, name, data):
+        # The same fields, with None for each dropped one, or the same
+        # error, for any subset of the field names and names of no field.
+        reference, layout = {**REFERENCE_DECODERS, **VARIABLE_REFERENCES}[name]
+        payload = draw_payload(data, name, layout)
+        expected = decode_outcome(reference, payload)
+        names = ["@version", "@flags", "@absent", "version"]
+        if isinstance(expected, list):
+            names += ["@" + key for key, _ in expected]
+        drop = frozenset(data.draw(st.sets(st.sampled_from(names)),
+                                   label="drop"))
+        if isinstance(expected, list):
+            expected = [(key, None if "@" + key in drop else value)
+                        for key, value in expected]
+        assert decode_outcome(_DECODERS[name], payload, drop) == expected
 
 
 class TestTypeCodeRendering:
@@ -834,15 +923,15 @@ def reference_walk_boxes(
                            min(effective_len - header_len, _PAYLOAD_READ_CAP),
                            within)
             try:
-                fields = decoder(payload)
+                fields = decoder(payload, ())
             except BoxDecodeError as exc:
                 warnings.append(f"box '{type_code}' at offset {pos}: "
                                 f"{exc}; treated as opaque")
-                fields = _opaque_fields(effective_len - header_len)
+                fields = _opaque_fields(effective_len - header_len, ())
         elif user_type is not None:
             fields = [("userType", user_type)]
         else:
-            fields = _opaque_fields(effective_len - header_len)
+            fields = _opaque_fields(effective_len - header_len, ())
         yield depth, path, header, fields
         pos = box_end
 

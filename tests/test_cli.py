@@ -478,6 +478,26 @@ class TestEvaluateCommand:
         assert "SingleDevice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--scenario", "integrity", "--out", "m.json"],
+    ["evaluate", "--scenario", "integrity"],
+    ["llr-report", "--scenario", "integrity"],
+], ids=lambda argv: argv[0])
+def test_missing_file_warns(corpus_dir, tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    text = (corpus_dir / "manifest.csv").read_text(encoding="utf-8")
+    rows = text.splitlines()
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        "\n".join([rows[0], "gone.mp4,D01,iOS,none,none"]
+                  + [f"{corpus_dir}/{row}" for row in rows[1:]]) + "\n",
+        encoding="utf-8")
+    assert main([argv[0], str(manifest), *argv[1:]]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "warning: row 2: missing file gone.mp4, skipped"
+    assert sum("missing file" in line for line in err) == 1
+
+
 class TestLlrReportCommand:
     def test_xmp_tops_native_vs_exiftool(self, corpus_dir, capsys):
         code = main(["llr-report", str(corpus_dir / "manifest.csv"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxtrace import symbols as symbols_module
 from boxtrace.bmff import (
     MAX_NESTING,
     AtomNode,
@@ -309,6 +310,133 @@ class TestByteSymbols:
         assert byte_outcome(data, None) == expected
         if depth > MAX_NESTING:
             assert expected[0] is NestingTooDeep
+
+
+def reference_outcome(data: bytes, blacklist):
+    """Symbols in key order and warnings, counted from the parsed tree by
+    `old_symbols` and `old_canonical`, or the `ParseError` type and
+    message."""
+    try:
+        tree = parse_container(io.BytesIO(data))
+    except ParseError as exc:
+        return type(exc), str(exc)
+    dropped = default_blacklist() if blacklist is None else blacklist
+    canonicals = [old_canonical(*sym) for sym in old_symbols(tree, dropped)]
+    return list(Counter(canonicals).items()), tree.warnings
+
+
+# The three blacklists, and one of names the default keeps, a uuid box's
+# user type among them.
+REFERENCE_BLACKLISTS = BLACKLISTS | st.just(frozenset(
+    {"@userType", "@majorBrand", "@compatibleBrand_2", "@format_1",
+     "@mediaRate", "@handlerType", "@rate"}))
+
+
+class TestByteSymbolsMatchReference:
+    """`container_symbols`, which renders only the values that become
+    symbols, gives what the reference symbol walk gives over a full parse."""
+
+    @given(st.booleans(), st.binary(max_size=300), REFERENCE_BLACKLISTS)
+    @settings(max_examples=300, deadline=None)
+    def test_random_bytes(self, after_ftyp, tail, blacklist):
+        data = (FTYP_MIN if after_ftyp else b"") + tail
+        assert byte_outcome(data, blacklist) \
+            == reference_outcome(data, blacklist)
+
+    @given(st.data(), REFERENCE_BLACKLISTS)
+    @settings(max_examples=300, deadline=None)
+    def test_hostile_fixture_variants(self, fixture_files, data, blacklist):
+        base, offsets = data.draw(st.sampled_from(fixture_files))
+        variant = hostile(data.draw, base, offsets)
+        assert byte_outcome(variant, blacklist) \
+            == reference_outcome(variant, blacklist)
+
+
+@pytest.fixture()
+def fresh_caches(monkeypatch):
+    """Empty symbol caches for one test; the process's stay as they are."""
+    monkeypatch.setattr(symbols_module, "_FIELD_SYMBOLS", {})
+    monkeypatch.setattr(symbols_module, "_VALUE_SYMBOLS", {})
+
+
+def all_symbols(files, blacklist):
+    """The multisets of `files` through the bytes and through the tree."""
+    out = []
+    for data, _ in files:
+        out.append(container_symbols(io.BytesIO(data), blacklist)[0])
+        out.append(extract_symbols(parse_bytes(data), blacklist))
+    return out
+
+
+@pytest.mark.usefixtures("fresh_caches")
+class TestSymbolCache:
+    """The process's field- and value-symbol strings: bounded, each built
+    as an uncached one is, and one object per distinct symbol."""
+
+    def test_bounded(self, fixture_files, monkeypatch):
+        expected = [list(ms.items())
+                    for ms in all_symbols(fixture_files, NO_BLACKLIST)]
+        monkeypatch.setattr(symbols_module, "_FIELD_SYMBOLS", {})
+        monkeypatch.setattr(symbols_module, "_VALUE_SYMBOLS", {})
+        monkeypatch.setattr(symbols_module, "_FIELD_SYMBOL_CACHE_SIZE", 7)
+        monkeypatch.setattr(symbols_module, "_VALUE_SYMBOL_CACHE_SIZE", 5)
+        for _ in range(2):  # the second pass reads from the full caches
+            assert [list(ms.items()) for ms in
+                    all_symbols(fixture_files, NO_BLACKLIST)] == expected
+            assert len(symbols_module._FIELD_SYMBOLS) == 7
+            assert len(symbols_module._VALUE_SYMBOLS) == 5
+
+    def test_symbols_past_the_bound_equal_uncached(self, fixture_files,
+                                                   monkeypatch):
+        monkeypatch.setattr(symbols_module, "_FIELD_SYMBOL_CACHE_SIZE", 0)
+        monkeypatch.setattr(symbols_module, "_VALUE_SYMBOL_CACHE_SIZE", 0)
+        uncached = all_symbols(fixture_files, None)
+        assert not symbols_module._FIELD_SYMBOLS
+        assert not symbols_module._VALUE_SYMBOLS
+        monkeypatch.undo()
+        monkeypatch.setattr(symbols_module, "_FIELD_SYMBOLS", {})
+        monkeypatch.setattr(symbols_module, "_VALUE_SYMBOLS", {})
+        for _ in range(2):
+            assert [list(ms.items()) for ms in all_symbols(fixture_files, None)] \
+                == [list(ms.items()) for ms in uncached]
+
+    def test_cached_strings_are_built_symbols(self, fixture_files):
+        all_symbols(fixture_files, NO_BLACKLIST)
+        all_symbols(fixture_files, default_blacklist())
+        assert symbols_module._VALUE_SYMBOLS
+        for (path, fname), symbol in symbols_module._FIELD_SYMBOLS.items():
+            assert symbol == f"{path}/@{fname}"
+        for (field_symbol, value), symbol in \
+                symbols_module._VALUE_SYMBOLS.items():
+            assert symbol == f"{field_symbol}/{escape_value(value)}"
+
+    def test_long_symbols_are_not_cached(self):
+        cap = symbols_module._CACHED_SYMBOL_LEN
+        value = "v" * cap
+        hdlr = mkfull(b"hdlr", 0, 0, bytes(20) + value.encode())
+        depth = cap // 5 + 1
+        data = FTYP_MIN + mkbox(b"moov", hdlr) + moov_nest(depth, mkbox(b"free"))
+        deep = "moov/" * depth + "free/@stuff"
+        for _ in range(2):
+            ms = container_symbols(io.BytesIO(data), NO_BLACKLIST)[0]
+            assert ms[f"moov/hdlr/@name/{value}"] == ms[deep] == 1
+        for cache in (symbols_module._FIELD_SYMBOLS,
+                      symbols_module._VALUE_SYMBOLS):
+            assert all(len(s) <= cap for s in cache.values())
+        assert "moov/hdlr/@handlerType/0x00000000" \
+            in symbols_module._VALUE_SYMBOLS.values()
+        assert "moov/hdlr/@name" in symbols_module._FIELD_SYMBOLS.values()
+
+    @pytest.mark.parametrize("blacklist", [None, NO_BLACKLIST])
+    def test_shared_symbols_are_one_object(self, fixture_files, blacklist):
+        # Two files' multisets, each through the bytes and the tree.
+        multisets = all_symbols([fixture_files[0], fixture_files[-1]],
+                                blacklist)
+        shared = multisets[0].keys() & multisets[2].keys()
+        assert any(symbol_kind(s) == "value" for s in shared)
+        first_seen: dict[str, str] = {}
+        for ms in multisets:
+            assert all(first_seen.setdefault(s, s) is s for s in ms)
 
 
 # Strings that name no symbol of a file, or no box of it.

@@ -539,14 +539,20 @@ def parse_container(byte_source: BinaryIO, source_id: str = "") -> ContainerTree
 def open_box_file(path: str) -> BinaryIO:
     """Open `path` for parsing. Anything but a regular file raises
     `NotBmff`, so a named pipe without a writer never blocks the caller;
-    so does a path that no file can have (one holding a NUL byte)."""
+    so does a path that no file can have (one holding a NUL byte).
+
+    The check is made on the open descriptor, so a path swapped between
+    a check and the open cannot slip through; the open does not wait for
+    a named pipe's writer (`O_NONBLOCK`, which a regular file's reads
+    ignore)."""
     try:
-        mode = os.stat(path).st_mode
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     except ValueError as exc:  # an embedded NUL byte
         raise NotBmff(f"unusable path: {exc}") from exc
-    if not stat.S_ISREG(mode):
+    if not stat.S_ISREG(os.fstat(fd).st_mode):
+        os.close(fd)
         raise NotBmff("not a regular file")
-    return open(path, "rb")
+    return open(fd, "rb")
 
 
 def parse_file(path: str) -> ContainerTree:

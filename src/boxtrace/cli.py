@@ -8,6 +8,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -28,9 +29,10 @@ from .fixtures import FixtureSpec, generate_corpus
 from .llr import DEFAULT_TAU, FilterConfig, llr_report, report_tsv
 from .modelfile import classify_symbols, load_model, save_model, train_matrix
 from .symbols import dump_symbols, file_symbols
-from .tree import TreeParams, preorder, to_dot
+from .tree import PathStep, TreeParams, preorder, to_dot
 
 EXIT_OK = 0
+EXIT_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
@@ -129,22 +131,30 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _classify_one(mf, file_name, explain, tested):
-    record: dict = {"file": file_name, "model": mf.file_digest}
-    try:
-        symbols = file_symbols(file_name, only=tested)[0]
-        verdict, steps = classify_symbols(mf, symbols)
-    except (ParseError, DataError, OSError) as exc:
-        record["error"] = f"{type(exc).__name__}: {exc}"
-        return record
-    record["prediction"] = verdict
-    if explain:
-        record["path"] = [
-            {"symbol": s.symbol, "threshold": s.threshold,
-             "count": s.count, "branch": s.branch}
-            for s in steps
-        ]
-    return record
+# `json.dumps`'s encoder for strings: ASCII, with any other character
+# (a lone surrogate of an undecodable file name too) as a \u escape.
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _error_line(file_name: str, digest: str, error: str) -> str:
+    """`json.dumps(record, sort_keys=True)` of an error record and a
+    newline, written directly."""
+    return (f'{{"error": {_json_str(error)}, "file": {_json_str(file_name)}, '
+            f'"model": {_json_str(digest)}}}\n')
+
+
+def _verdict_line(file_name: str, digest: str, verdict: str,
+                  steps: list[PathStep] | None) -> str:
+    """`json.dumps(record, sort_keys=True)` of a verdict, with its path
+    when `steps` is given, and a newline, written directly: keys in sorted
+    order, and counts and thresholds by `repr`, as `json` writes an int
+    and a finite float."""
+    path = "" if steps is None else ', "path": [' + ", ".join([
+        f'{{"branch": "{branch}", "count": {count!r}, '
+        f'"symbol": {_json_str(symbol)}, "threshold": {threshold!r}}}'
+        for symbol, threshold, count, branch in steps]) + "]"
+    return (f'{{"file": {_json_str(file_name)}, "model": {_json_str(digest)}'
+            f'{path}, "prediction": {_json_str(verdict)}}}\n')
 
 
 def cmd_classify(args) -> int:
@@ -153,9 +163,17 @@ def cmd_classify(args) -> int:
     model = mf.model
     tested = frozenset(model.vocabulary.symbols[node.split.feature_index]
                        for node in preorder(model.root) if not node.is_leaf)
+    write = sys.stdout.write
     for file_name in args.files:
-        record = _classify_one(mf, file_name, args.explain, tested)
-        print(json.dumps(record, sort_keys=True))
+        try:
+            symbols = file_symbols(file_name, only=tested)[0]
+            verdict, steps = classify_symbols(mf, symbols)
+        except (ParseError, DataError, OSError) as exc:
+            write(_error_line(file_name, mf.file_digest,
+                              f"{type(exc).__name__}: {exc}"))
+            continue
+        write(_verdict_line(file_name, mf.file_digest, verdict,
+                            steps if args.explain else None))
     return EXIT_OK
 
 
@@ -254,7 +272,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Any write to a closed pipe fails here, not at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output (`| head`). Exit 1 without a
+        # message, and send what is still buffered to /dev/null, so the
+        # flush at exit does not fail again (the recipe in Python's
+        # `signal` documentation).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_FAILURE
     except ParseError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PARSE

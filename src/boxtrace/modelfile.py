@@ -26,12 +26,11 @@ from .tree import (
     SplitCandidate,
     TreeNode,
     TreeParams,
-    decision_path,
-    predict,
+    decide,
     preorder,
     train_tree,
 )
-from .vectorize import Vocabulary, count_matrix, vectorize
+from .vectorize import Vocabulary, count_matrix
 
 MODEL_FORMAT_VERSION = 1
 
@@ -362,6 +361,8 @@ def train_model(corpus: Iterable[Counter[str]], labels: Sequence[str],
 
 
 def classify_symbols(mf: ModelFile, symbols: Counter[str]) -> tuple[str, list[PathStep]]:
-    """Predict a file's class from its symbols, and the path that decided it."""
-    row = vectorize(symbols, mf.model.vocabulary)
-    return predict(mf.model, row), decision_path(mf.model, row)
+    """Predict a file's class from its symbols, and the path that decided
+    it: one walk of the tree, which reads from `symbols` the count of each
+    symbol it tests, so its cost does not grow with the vocabulary."""
+    names, count = mf.model.vocabulary.symbols, symbols.get
+    return decide(mf.model, lambda j: count(names[j], 0))

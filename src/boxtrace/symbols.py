@@ -14,6 +14,7 @@ and a ``/`` after it starts a value.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from typing import BinaryIO, Collection, Iterable, Iterator
 
@@ -119,6 +120,14 @@ def extract_symbols(
                           if blacklist is None else blacklist)
 
 
+@functools.lru_cache(maxsize=1)
+def _decoded_boxes(only: frozenset[str]) -> frozenset[str]:
+    """The box paths that `only`'s symbols name: a symbol's box path ends
+    where its first field name starts. Kept for the last `only`, so a
+    batch that passes one frozenset derives them once."""
+    return frozenset(s.partition("/@")[0] for s in only)
+
+
 def container_symbols(
     stream: BinaryIO, blacklist: frozenset[str] | None = None,
     only: Collection[str] | None = None,
@@ -138,8 +147,7 @@ def container_symbols(
     drop = _DEFAULT_BLACKLIST if blacklist is None else blacklist
     if only is None:
         return _count_symbols(walk_boxes(stream, warnings, None, drop)), warnings
-    # A symbol's box path ends where its first field name starts.
-    boxes = {s.partition("/@")[0] for s in only}
+    boxes = _decoded_boxes(frozenset(only))
     counted = _count_symbols(walk_boxes(stream, warnings, boxes, drop))
     return Counter({s: n for s, n in counted.items() if s in only}), warnings
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -434,6 +434,24 @@ def display_symbol(canonical: str) -> str:
     return f"root/{canonical}"
 
 
+def decide(model: DecisionTreeModel,
+           count_of: Callable[[int], int]) -> tuple[str, list[PathStep]]:
+    """The leaf label and the decision path of a file whose count of
+    feature j is `count_of(j)`: one root-to-leaf walk, which reads the
+    count of each feature it tests and of no other."""
+    symbols = model.vocabulary.symbols
+    steps: list[PathStep] = []
+    node = model.root
+    while not node.is_leaf:
+        split = node.split
+        count = count_of(split.feature_index)
+        branch = "left" if count <= split.threshold else "right"
+        steps.append(PathStep(display_symbol(symbols[split.feature_index]),
+                              split.threshold, count, branch))
+        node = node.left if branch == "left" else node.right
+    return node.label, steps
+
+
 def decision_path(model: DecisionTreeModel, row: Sequence[int]) -> list[PathStep]:
     """One entry per internal node visited on the way to the verdict.
 
@@ -441,17 +459,7 @@ def decision_path(model: DecisionTreeModel, row: Sequence[int]) -> list[PathStep
     steps that serialize to JSON.
     """
     _check_vector(model, row)
-    steps: list[PathStep] = []
-    node = model.root
-    while not node.is_leaf:
-        split = node.split
-        count = row[split.feature_index]
-        branch = "left" if count <= split.threshold else "right"
-        steps.append(PathStep(
-            symbol=display_symbol(model.vocabulary.symbols[split.feature_index]),
-            threshold=split.threshold, count=count, branch=branch))
-        node = node.left if branch == "left" else node.right
-    return steps
+    return decide(model, row.__getitem__)[1]
 
 
 def replay_path(model: DecisionTreeModel, steps: Sequence[PathStep]) -> str:

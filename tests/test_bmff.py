@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import signal
 import struct
 import uuid as _uuidlib
 from decimal import Decimal
@@ -28,6 +29,7 @@ from boxtrace.bmff import (
     _u64,
     ascii_or_hex,
     dump_tree,
+    open_box_file,
     parse_container,
     parse_file,
     render_type_code,
@@ -1197,6 +1199,53 @@ class TestStreamingBehavior:
             for read in (parse_file, file_symbols):
                 with pytest.raises(NotBmff, match="^not a regular file$"):
                     read(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo")
+                        or not hasattr(signal, "SIGALRM"),
+                        reason="no named pipes or alarms")
+    def test_path_swapped_for_a_named_pipe(self, tmp_path, tiny_ftyp_file,
+                                           monkeypatch):
+        # Another process swaps the path for a named pipe with no writer
+        # right after it is first checked. A check of the path, not of the
+        # open descriptor, then opens the pipe and blocks; the alarm turns
+        # that block into a failure.
+        path = str(tmp_path / "swapped.mp4")
+        data = tiny_ftyp_file.read_bytes()
+        with open(path, "wb") as handle:
+            handle.write(data)
+        real_stat = os.stat
+        swapped = []
+
+        def stat_then_swap(target, *args, **kwargs):
+            result = real_stat(target, *args, **kwargs)
+            if target == path and not swapped:
+                swapped.append(target)
+                os.unlink(path)
+                os.mkfifo(path)
+            return result
+
+        def blocked(signum, frame):
+            raise TimeoutError("open_box_file blocked on a named pipe")
+
+        monkeypatch.setattr(os, "stat", stat_then_swap)
+        previous = signal.signal(signal.SIGALRM, blocked)
+        signal.alarm(10)
+        try:
+            try:
+                with open_box_file(path) as handle:
+                    assert handle.read() == data
+            except NotBmff:
+                assert swapped  # the pipe was seen on the open descriptor
+            # A path that is a pipe when it is opened is refused, and the
+            # open does not wait for a writer.
+            if not swapped:
+                os.unlink(path)
+                os.mkfifo(path)
+            with pytest.raises(NotBmff, match="^not a regular file$"):
+                open_box_file(path)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestDumpTree:

@@ -5,12 +5,17 @@ import json
 import os
 import random
 import struct
+import subprocess
+import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import boxtrace
 from boxtrace.bmff import parse_file
-from boxtrace.cli import main
+from boxtrace.cli import _error_line, _verdict_line, main
 from boxtrace.errors import ParseError
 from boxtrace.fixtures import FixtureSpec, generate_corpus
 from boxtrace.modelfile import (
@@ -21,6 +26,7 @@ from boxtrace.modelfile import (
 )
 from boxtrace.symbols import file_symbols
 from boxtrace.tree import PathStep, preorder, replay_path
+from boxtrace.vectorize import vectorize
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +289,92 @@ class TestClassifyCommand:
         assert capsys.readouterr().out == first
 
 
+# Strings a record can hold: file names and messages with quotes,
+# backslashes, control characters, non-ASCII text and lone surrogates (an
+# undecodable byte of a file name, as `os.fsdecode` gives it).
+RECORD_TEXT = st.one_of(
+    st.text(st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028'),
+        st.characters(min_codepoint=0xDC80, max_codepoint=0xDCFF))),
+    st.sampled_from(['a"b.mp4', "a\\b.mp4", "\x00\x1f\x7f\n\t",
+                     "caf\u00e9 \u2028 \U0001f3a5", os.fsdecode(b"\xff\xfe.mp4"),
+                     "FileNotFoundError: [Errno 2] No such file: 'x\"y'"]))
+THRESHOLDS = st.one_of(st.sampled_from([0.5, 1e-07, 1e16, -0.0, 2.5e-308]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+PATH_STEPS = st.lists(st.builds(
+    PathStep, RECORD_TEXT, THRESHOLDS,
+    st.one_of(st.sampled_from([0, 2**31 - 1]), st.integers(0, 2**31 - 1)),
+    st.sampled_from(["left", "right"])), max_size=6)
+
+
+class TestRecordLines:
+    """Each line is `json.dumps(record, sort_keys=True)` and a newline."""
+
+    @given(RECORD_TEXT, RECORD_TEXT, RECORD_TEXT, PATH_STEPS, st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_line(self, file_name, digest, verdict, steps, explain):
+        record = {"file": file_name, "model": digest, "prediction": verdict}
+        if explain:
+            record["path"] = [
+                {"symbol": s.symbol, "threshold": s.threshold,
+                 "count": s.count, "branch": s.branch} for s in steps]
+        assert _verdict_line(file_name, digest, verdict,
+                             steps if explain else None) \
+            == json.dumps(record, sort_keys=True) + "\n"
+
+    @given(RECORD_TEXT, RECORD_TEXT, RECORD_TEXT)
+    @settings(max_examples=300, deadline=None)
+    def test_error_line(self, file_name, digest, error):
+        record = {"file": file_name, "model": digest, "error": error}
+        assert _error_line(file_name, digest, error) \
+            == json.dumps(record, sort_keys=True) + "\n"
+
+
+def test_classify_never_vectorizes(corpus_dir, trained_model, monkeypatch,
+                                   capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify built a vocabulary-sized row")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("boxtrace.") \
+                and getattr(module, "vectorize", None) is vectorize:
+            monkeypatch.setattr(module, "vectorize", refuse)
+    files = sorted(str(p) for p in corpus_dir.glob("D01_*.mp4"))
+    for explain in ([], ["--explain"]):
+        assert main(["classify", str(trained_model), *files, *explain]) == 0
+        records = [json.loads(line)
+                   for line in capsys.readouterr().out.splitlines()]
+        assert len(records) == len(files)
+        assert all("prediction" in r for r in records)
+
+
+@pytest.mark.parametrize("copies,buffered", [(1, True), (400, True),
+                                             (1, False)],
+                         ids=["at-exit", "mid-batch", "unbuffered"])
+def test_closed_output_pipe_exits_1_quietly(trained_model, tiny_ftyp_file,
+                                            copies, buffered):
+    # The reader has gone before the first write, as after `| head -n 1`.
+    # Buffered, one record fails at the final flush, and 400 fill the
+    # buffer, so a write in the middle of the batch fails; unbuffered,
+    # the first write fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(boxtrace.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *([] if buffered else ["-u"]), "-m",
+             "boxtrace.cli", "classify", "--explain", str(trained_model),
+             *[str(tiny_ftyp_file)] * copies],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 class TestSuccessiveCalls:
     """`main` builds its parser once per process; calls share no state."""
 
@@ -435,6 +527,21 @@ class TestClassifyDecodesTestedBoxes:
         assert records == full_symbol_records(model_path, files)
         assert any("prediction" in r for r in records)
         assert any("error" in r for r in records)
+
+    @pytest.mark.parametrize("explain", [False, True])
+    def test_lines_are_json_dumps_of_the_records(self, trained_model,
+                                                 tmp_path, files, capsys,
+                                                 explain):
+        model_path = self.models(trained_model, tmp_path)["trak"]
+        argv = ["classify", str(model_path), *files, "/no/such/file.mp4"]
+        assert main(argv + ["--explain"] * explain) == 0
+        records = full_symbol_records(model_path,
+                                      files + ["/no/such/file.mp4"])
+        if not explain:
+            for record in records:
+                record.pop("path", None)
+        assert capsys.readouterr().out == "".join(
+            json.dumps(r, sort_keys=True) + "\n" for r in records)
 
     def test_trak_model_reads_hostile_counts(self, trained_model, tmp_path,
                                              files):

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import sys
 from collections import Counter
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from boxtrace.bmff import parse_container
 from boxtrace.errors import DimensionMismatch, EmptyCorpus, ModelFormatError
 from boxtrace.modelfile import (
+    ModelFile,
     canonical_dumps,
     classify_symbols,
     dumps_model,
@@ -25,8 +27,17 @@ from boxtrace.modelfile import (
     train_model,
 )
 from boxtrace.symbols import extract_symbols
-from boxtrace.tree import TreeParams, predict
-from boxtrace.vectorize import count_matrix, vectorize
+from boxtrace.tree import (
+    DecisionTreeModel,
+    PathStep,
+    SplitCandidate,
+    TreeNode,
+    TreeParams,
+    decision_path,
+    predict,
+    replay_path,
+)
+from boxtrace.vectorize import Vocabulary, count_matrix, vectorize
 
 from conftest import FTYP_MIN, mkbox
 
@@ -394,6 +405,96 @@ class TestTrainMatrix:
                                             tau=tau, trained_at="")) \
                 == dumps_model(train_model(multisets, subset, tau=tau,
                                            trained_at=""))
+
+
+def reference_walk(model, row):
+    """The leaf label and the decision path of a count row, walked here
+    without the library's traversal."""
+    steps, node = [], model.root
+    while not node.is_leaf:
+        j, threshold = node.split.feature_index, node.split.threshold
+        branch = "left" if row[j] <= threshold else "right"
+        steps.append(PathStep(f"root/{model.vocabulary.symbols[j]}",
+                              threshold, row[j], branch))
+        node = node.left if branch == "left" else node.right
+    return node.label, steps
+
+
+def model_file(root, vocabulary, classes=("A", "B", "C")):
+    model = DecisionTreeModel(root=root, vocabulary=vocabulary,
+                              classes=list(classes),
+                              class_weights={c: 1.0 for c in classes},
+                              params=TreeParams())
+    return ModelFile(full_vocabulary=list(vocabulary.symbols),
+                     kept=[True] * len(vocabulary), tau=0.5, model=model)
+
+
+@st.composite
+def walk_cases(draw):
+    """A random tree over a small vocabulary, and a file's symbols: some
+    in the vocabulary, some outside it, some with a count of 0."""
+    vocabulary = Vocabulary.from_strings(
+        f"moov/trak/s{j}/@f" for j in range(draw(st.integers(1, 6))))
+    thresholds = st.one_of(st.sampled_from([-0.5, 0.5, 1.5, 2.5, 1e16]),
+                           st.floats(-2, 5, allow_nan=False))
+    root = TreeNode(distribution={}, label="")
+    open_leaves = [(root, 0)]
+    while open_leaves:
+        node, depth = open_leaves.pop()
+        if depth >= 8 or draw(st.integers(0, 2)) == 0:
+            node.label = draw(st.sampled_from(["A", "B", "C"]))
+            node.distribution = {node.label: 1.0}
+            continue
+        node.split = SplitCandidate(
+            draw(st.integers(0, len(vocabulary) - 1)), draw(thresholds), 0.0)
+        node.left = TreeNode(distribution={}, label="")
+        node.right = TreeNode(distribution={}, label="")
+        open_leaves += [(node.right, depth + 1), (node.left, depth + 1)]
+    names = st.one_of(st.sampled_from(vocabulary.symbols),
+                      st.sampled_from(["moov/trak/zz/@f", "free/@count/1"]))
+    symbols = Counter(draw(st.dictionaries(
+        names, st.one_of(st.just(0), st.integers(0, 2**31 - 1)))))
+    return model_file(root, vocabulary), symbols
+
+
+class TestClassifyWalk:
+    """`classify_symbols` walks the tree once over the file's counts; it
+    agrees with `predict` and `decision_path` over the vectorized row."""
+
+    @given(walk_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_predict_and_decision_path(self, case):
+        mf, symbols = case
+        row = vectorize(symbols, mf.model.vocabulary)
+        verdict, steps = classify_symbols(mf, symbols)
+        assert (verdict, steps) == reference_walk(mf.model, row)
+        assert verdict == predict(mf.model, row)
+        assert steps == decision_path(mf.model, row)
+        assert replay_path(mf.model, steps) == verdict
+        assert all(type(step.count) is int for step in steps)
+
+    def test_chain_deeper_than_the_recursion_limit(self):
+        # Split k tests symbol k % 3 against k % 4 - 0.5: a file whose
+        # counts are all 5 goes right down the whole chain.
+        vocabulary = Vocabulary.from_strings(["a/@f", "b/@f", "c/@f"])
+        depth = sys.getrecursionlimit() + 500
+        leaf = TreeNode(distribution={"B": 1.0}, label="B")
+        root = node = TreeNode(distribution={}, label="")
+        for k in range(depth):
+            node.split = SplitCandidate(k % 3, k % 4 - 0.5, 0.0)
+            node.left = TreeNode(distribution={"A": 1.0}, label="A")
+            node.right = TreeNode(distribution={}, label="") \
+                if k < depth - 1 else leaf
+            node = node.right
+        mf = model_file(root, vocabulary)
+        for symbols in (Counter({"a/@f": 5, "b/@f": 5, "c/@f": 5}),
+                        Counter({"a/@f": 5, "b/@f": 0, "zz/@f": 9})):
+            row = vectorize(symbols, vocabulary)
+            verdict, steps = classify_symbols(mf, symbols)
+            assert (verdict, steps) == reference_walk(mf.model, row)
+            assert steps == decision_path(mf.model, row)
+        assert len(classify_symbols(mf, Counter(
+            {"a/@f": 5, "b/@f": 5, "c/@f": 5}))[1]) == depth
 
 
 class TestClassifyTree:

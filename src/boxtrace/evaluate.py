@@ -12,10 +12,10 @@ import csv
 import hashlib
 import io
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     SingleDevice,
     UnknownEnum,
 )
-from .llr import FilterConfig
+from .llr import FilterConfig, class_presence
 from .modelfile import ModelFile, train_matrix
 from .symbols import file_symbols
 from .tree import TreeParams, decision_path, predict, replay_path
@@ -129,7 +129,7 @@ def _row_line(r: ManifestRow) -> str:
     return f"{r.file},{r.device},{r.os},{r.software},{r.platform}"
 
 
-def _digest_lines(lines: Sequence[str]) -> str:
+def _digest_lines(lines: Iterable[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
@@ -237,10 +237,10 @@ class ConfusionMatrix:
         n = len(classes)
         return cls(list(classes), np.zeros((n, n), dtype=np.int64))
 
-    def add(self, true_label: str, predicted: str) -> None:
+    def add(self, true_label: str, predicted: str, count: int = 1) -> None:
         i = self.classes.index(true_label)
         j = self.classes.index(predicted)
-        self.counts[i, j] += 1
+        self.counts[i, j] += count
 
     def row_normalized(self) -> np.ndarray:
         totals = self.counts.sum(axis=1, keepdims=True)
@@ -305,6 +305,23 @@ def labeled_matrix(
     return rows, symbols, counts, [label for _, label in labeled]
 
 
+def _distinct_rows(counts: np.ndarray,
+                   groups: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct (group, count row) pair, in row
+    order, and how many rows each stands for. Rows are compared by their
+    bytes, so only equal rows are merged."""
+    first: dict[tuple[int, bytes], int] = {}  # pair -> its entry number
+    entry_rows: list[int] = []
+    entry = np.empty(len(counts), dtype=np.intp)
+    for i, (group, row) in enumerate(zip(groups, counts)):
+        e = first.setdefault((group, row.tobytes()), len(entry_rows))
+        if e == len(entry_rows):
+            entry_rows.append(i)
+        entry[i] = e
+    return (np.array(entry_rows, dtype=np.intp),
+            np.bincount(entry, minlength=len(entry_rows)))
+
+
 def run_scenario(
     manifest: DatasetManifest,
     scenario: Scenario,
@@ -314,46 +331,65 @@ def run_scenario(
     """Leave-one-device-out evaluation of one scenario.
 
     `labeled_matrix` parses every scenario file once into one count
-    matrix. There is one fold per device with a row in the scenario. Each
-    fold passes `train_matrix` the rows of the other devices, so its
-    vocabulary, filter, weights and tree never see the held-out device;
-    its test files are the held-out rows over the columns its model kept,
-    passed to the tree as count rows. Every prediction's decision path is
-    replayed as a self-check before it is counted.
+    matrix. Files of one device and label with equal count rows are one
+    entry with a multiplicity, so each fold trains and tests every
+    distinct row once. Once per run, the entries give a device x class x
+    symbol presence table. There is one fold per device with a row in the
+    scenario. Its `train_matrix` gets the other devices' entries (the
+    held-out device's multiplicities are 0) and the run's presence table
+    minus the held-out device's, so its vocabulary, filter, weights and
+    tree are those of training on the other devices' files alone. Each
+    held-out entry is passed to the tree as a count row over the columns
+    its model kept; every prediction's decision path is replayed as a
+    self-check, and the verdict counts once per file the entry stands for.
     """
     cfg = filter_cfg if filter_cfg is not None else FilterConfig()
     params = tree_params if tree_params is not None else TreeParams()
     rows, symbols, counts, labels = labeled_matrix(manifest, scenario)
     classes = sorted(set(labels))
-    by_device: dict[str, list[int]] = defaultdict(list)
-    for i, row in enumerate(rows):
-        by_device[row.device].append(i)
-    devices = sorted(by_device)
+    devices = sorted({row.device for row in rows})
     if len(devices) < 2:
         raise SingleDevice(
             f"leave-one-device-out needs at least 2 devices, got "
             f"{len(devices)} in scenario {scenario.name!r}")
+    n_classes = len(classes)
+    device_of = {device: d for d, device in enumerate(devices)}
+    class_of = {label: c for c, label in enumerate(classes)}
+    groups = [device_of[row.device] * n_classes + class_of[label]
+              for row, label in zip(rows, labels)]
+    first, multiplicity = _distinct_rows(counts, groups)
+    # The entries' rows alone stay; the full matrix goes here.
+    entries = counts if len(first) == len(counts) else counts[first]
+    del counts
+    group = np.array(groups, dtype=np.intp)[first]
+    entry_device = group // n_classes
+    entry_labels = [labels[i] for i in first]
+    presence = class_presence(entries, group, len(devices) * n_classes,
+                              multiplicity).reshape(len(devices), n_classes, -1)
+    scenario_presence = presence.sum(axis=0)
     column = {s: j for j, s in enumerate(symbols)}
     # Each fold's `digest_rows`: its rows' lines in one sorted order.
-    lines = sorted((_row_line(row), row.device) for row in rows)
+    ordered = sorted((_row_line(row), device_of[row.device]) for row in rows)
+    lines = [line for line, _ in ordered]
+    line_device = np.array([d for _, d in ordered])
     results: list[FoldResult] = []
-    for held_out in devices:
-        train = [i for device in devices if device != held_out
-                 for i in by_device[device]]
-        test = by_device[held_out]
+    for d, held_out in enumerate(devices):
+        held = entry_device == d
         started = time.perf_counter()
-        mf = train_matrix(symbols, counts[train], [labels[i] for i in train],
+        mf = train_matrix(symbols, entries, entry_labels,
+                          np.where(held, 0, multiplicity),
+                          presence=scenario_presence - presence[d],
                           tau=cfg.tau, params=params, scenario=scenario.name,
                           manifest_digest=_digest_lines(
-                              [line for line, device in lines
-                               if device != held_out]),
+                              compress(lines, (line_device != d).tolist())),
                           trained_at="")
         train_seconds = time.perf_counter() - started
         cm = ConfusionMatrix.empty(classes)
         started = time.perf_counter()
+        test = np.flatnonzero(held).tolist()
         kept_columns = [column[s] for s in mf.model.vocabulary.symbols]
-        test_rows = counts[np.ix_(test, kept_columns)].tolist()
-        for i, row_counts in zip(test, test_rows):
+        test_rows = entries[np.ix_(test, kept_columns)].tolist()
+        for e, row_counts in zip(test, test_rows):
             verdict = predict(mf.model, row_counts)
             # Every verdict must be reproducible from its own explanation.
             steps = decision_path(mf.model, row_counts)
@@ -361,12 +397,13 @@ def run_scenario(
             if replayed != verdict:
                 raise AssertionError(
                     f"decision path replay gave {replayed!r}, "
-                    f"predict gave {verdict!r} for {rows[i].file}")
-            cm.add(labels[i], verdict)
+                    f"predict gave {verdict!r} for {rows[first[e]].file}")
+            cm.add(entry_labels[e], verdict, int(multiplicity[e]))
         test_seconds = time.perf_counter() - started
+        n_test = int(cm.counts.sum())
         results.append(FoldResult(
-            device=held_out, n_train=len(train),
-            n_test=len(test), balanced_accuracy=balanced_accuracy(cm),
+            device=held_out, n_train=len(rows) - n_test,
+            n_test=n_test, balanced_accuracy=balanced_accuracy(cm),
             confusion=cm, train_seconds=train_seconds,
             test_seconds=test_seconds, model=mf))
     global_bacc = float(np.mean([r.balanced_accuracy for r in results]))

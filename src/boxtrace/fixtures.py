@@ -5,6 +5,13 @@ exercised end to end. Each class edit leaves a distinct structural trace
 (an extra metadata box, rewritten brands, a flattened layout), while
 per-file noise lands only in fields whose values the default blacklist
 or the likelihood-ratio filter is expected to remove.
+
+With `FixtureSpec.varied`, the seed also draws each device's layout
+(extra compatible brands, track order, version-1 headers, `co64`, edit
+lists, a `uuid` box in `moov`) and optional parts of each file (a `free`
+box in `moov`, with a 64-bit size or not, QuickTime zero padding, a
+size-0 final `mdat`), so corpora of two seeds train different models and
+files of one device and class need not be equal.
 """
 
 from __future__ import annotations
@@ -35,6 +42,11 @@ _ANDROID_UUID = bytes.fromhex("ffcc8263f8554a938814587a02521fdd")
 def box(type4: bytes, payload: bytes = b"") -> bytes:
     assert len(type4) == 4
     return struct.pack(">I4s", 8 + len(payload), type4) + payload
+
+
+def large_box(type4: bytes, payload: bytes = b"") -> bytes:
+    """A box whose size is in the 64-bit field (size 1)."""
+    return struct.pack(">I4sQ", 1, type4, 16 + len(payload)) + payload
 
 
 def full_box(type4: bytes, version: int, flags: int, body: bytes) -> bytes:
@@ -85,37 +97,70 @@ class FixtureSpec:
     profiles: tuple[DeviceProfile, ...] = DEFAULT_PROFILES
     classes: tuple[str, ...] = SUPPORTED_CLASSES
     videos_per_cell: int = 4
+    varied: bool = False
+
+
+# The layout of a file with no seeded variation: every default corpus.
+_PLAIN_LAYOUT = {
+    "brands": (), "audio_first": False, "version": 0, "co64": False,
+    "edit_list": False, "uuid": None, "free": None, "padding": False,
+    "open_mdat": False,
+}
+_EXTRA_BRANDS = (b"iso5", b"3gp4", b"M4V ", b"avc1", b"dby1")
+
+
+def _draw_layout(seed: int, profile_id: str, cls: str, index: int) -> dict:
+    """The seeded layout of one varied file: the device's choices, then
+    the file's own."""
+    device = random.Random(f"{seed}/{profile_id}/layout")
+    one = random.Random(f"{seed}/{profile_id}/{cls}/{index}/layout")
+    return {
+        "brands": tuple(device.sample(_EXTRA_BRANDS, device.randrange(3))),
+        "audio_first": device.random() < 0.5,
+        "version": int(device.random() < 0.5),
+        "co64": device.random() < 0.5,
+        "edit_list": device.random() < 0.5,
+        "uuid": device.randbytes(16) if device.random() < 0.5 else None,
+        # A `free` box in `moov`: absent, or with a 32- or 64-bit size.
+        "free": one.choice((None, None, 32, 64)),
+        "padding": one.random() < 0.3,
+        "open_mdat": one.random() < 0.3,
+    }
 
 
 def _ftyp(major: bytes, minor: int, brands: tuple[bytes, ...]) -> bytes:
     return box(b"ftyp", struct.pack(">4sI", major, minor) + b"".join(brands))
 
 
-def _mvhd(creation: int, timescale: int, duration: int, next_track: int) -> bytes:
-    body = struct.pack(">IIII", creation, creation, timescale, duration)
+def _mvhd(creation: int, timescale: int, duration: int, next_track: int,
+          version: int) -> bytes:
+    body = struct.pack(">QQIQ" if version else ">IIII", creation, creation,
+                       timescale, duration)
     body += struct.pack(">ihH", 0x00010000, 0x0100, 0)
     body += struct.pack(">II", 0, 0)
     body += _MATRIX
     body += b"\x00" * 24
     body += struct.pack(">I", next_track)
-    return full_box(b"mvhd", 0, 0, body)
+    return full_box(b"mvhd", version, 0, body)
 
 
 def _tkhd(creation: int, track_id: int, duration: int,
-          width: int, height: int, volume: int) -> bytes:
-    body = struct.pack(">IIIII", creation, creation, track_id, 0, duration)
+          width: int, height: int, volume: int, version: int) -> bytes:
+    body = struct.pack(">QQIIQ" if version else ">IIIII", creation, creation,
+                       track_id, 0, duration)
     body += b"\x00" * 8
     body += struct.pack(">hhhH", 0, 0, volume, 0)
     body += _MATRIX
     body += struct.pack(">II", width << 16, height << 16)
-    return full_box(b"tkhd", 0, 3, body)
+    return full_box(b"tkhd", version, 3, body)
 
 
-def _mdhd(creation: int, timescale: int, duration: int) -> bytes:
+def _mdhd(creation: int, timescale: int, duration: int,
+          version: int) -> bytes:
     language = ((ord("u") - 0x60) << 10) | ((ord("n") - 0x60) << 5) | (ord("d") - 0x60)
-    body = struct.pack(">IIIIHH", creation, creation, timescale, duration,
-                       language, 0)
-    return full_box(b"mdhd", 0, 0, body)
+    body = struct.pack(">QQIQHH" if version else ">IIIIHH", creation,
+                       creation, timescale, duration, language, 0)
+    return full_box(b"mdhd", version, 0, body)
 
 
 def _hdlr(handler: bytes, name: bytes) -> bytes:
@@ -148,35 +193,40 @@ def _stsz(sample_count: int, rng: random.Random) -> bytes:
     return full_box(b"stsz", 0, 0, body)
 
 
-def _stco() -> bytes:
+def _stco(co64: bool) -> bytes:
+    if co64:
+        return full_box(b"co64", 0, 0, struct.pack(">IQ", 1, 48))
     return full_box(b"stco", 0, 0, struct.pack(">II", 1, 48))
 
 
-def _elst(duration: int) -> bytes:
-    body = struct.pack(">IIihH", 1, duration, 1024, 1, 0)
-    return full_box(b"elst", 0, 0, body)
+def _elst(duration: int, version: int) -> bytes:
+    body = struct.pack(">IQqhH" if version else ">IIihH", 1, duration, 1024,
+                       1, 0)
+    return full_box(b"elst", version, 0, body)
 
 
 def _trak(creation: int, track_id: int, duration: int, timescale: int,
           handler: bytes, handler_name: bytes, entry_format: bytes,
           entry_body_len: int, media_header: bytes, width: int, height: int,
           volume: int, sample_count: int, rng: random.Random,
-          with_edit_list: bool) -> bytes:
+          with_edit_list: bool, layout: dict) -> bytes:
+    version = layout["version"]
     stbl = container_box(
         b"stbl",
         _stsd(entry_format, entry_body_len),
         _stts(sample_count, 512),
         _stsc(),
         _stsz(sample_count, rng),
-        _stco(),
+        _stco(layout["co64"]),
     )
     minf = container_box(b"minf", media_header, container_box(b"dinf", _dref()),
                          stbl)
-    mdia = container_box(b"mdia", _mdhd(creation, timescale, duration),
+    mdia = container_box(b"mdia", _mdhd(creation, timescale, duration, version),
                          _hdlr(handler, handler_name), minf)
-    parts = [_tkhd(creation, track_id, duration, width, height, volume)]
+    parts = [_tkhd(creation, track_id, duration, width, height, volume,
+                   version)]
     if with_edit_list:
-        parts.append(container_box(b"edts", _elst(duration)))
+        parts.append(container_box(b"edts", _elst(duration, version)))
     parts.append(mdia)
     return container_box(b"trak", *parts)
 
@@ -220,92 +270,121 @@ def _draw_noise(rng: random.Random, index: int) -> _Noise:
     )
 
 
+def _moov(layout: dict, mvhd: bytes, video: bytes, audio: bytes | None,
+          *rest: bytes) -> bytes:
+    """`moov` with its tracks in the layout's order and the layout's
+    optional boxes after `rest`."""
+    tracks = [video] if audio is None else \
+        [audio, video] if layout["audio_first"] else [video, audio]
+    extra = []
+    if layout["uuid"] is not None:
+        extra.append(_uuid_box(layout["uuid"], bytes(4)))
+    if layout["free"] is not None:
+        extra.append((large_box if layout["free"] == 64 else box)(
+            b"free", bytes(8)))
+    if layout["padding"]:
+        extra.append(bytes(4))  # QuickTime's zero terminator
+    return container_box(b"moov", mvhd, *tracks, *rest, *extra)
+
+
+def _mdat(noise: _Noise, layout: dict) -> bytes:
+    if layout["open_mdat"]:  # size 0: the box runs to the end of the file
+        return struct.pack(">I4s", 0, b"mdat") + bytes(noise.mdat_len)
+    return box(b"mdat", bytes(noise.mdat_len))
+
+
 def _build_device_style(profile: DeviceProfile, noise: _Noise,
-                        rng: random.Random, with_xmp: bool) -> bytes:
+                        rng: random.Random, with_xmp: bool,
+                        layout: dict) -> bytes:
     """Native-style layout; the exiftool edit adds XMP and drops `wide`."""
     udta_children = []
     os_tag = b"auth" if profile.os == "iOS" else b"smta"
     udta_children.append(box(os_tag, bytes(noise.meta_len % 48 + 6)))
     if with_xmp:
         udta_children.append(box(b"XMP_", bytes(noise.meta_len)))
-    moov = container_box(
-        b"moov",
+    version = layout["version"]
+    moov = _moov(
+        layout,
         _mvhd(noise.creation, profile.movie_timescale, noise.duration,
-              noise.next_track),
+              noise.next_track, version),
         _trak(noise.creation, 1, noise.duration, profile.movie_timescale,
               b"vide", profile.video_handler_name, profile.video_format, 70,
               _vmhd(), profile.width, profile.height, 0, noise.video_samples,
-              rng, with_edit_list=False),
+              rng, layout["edit_list"], layout),
         _trak(noise.creation, 2, noise.duration, 44100, b"soun",
               b"Core Media Audio" if profile.os == "iOS" else b"SoundHandle",
               b"mp4a", 28, _smhd(), 0, 0, 0x0100, noise.audio_samples, rng,
-              with_edit_list=False),
+              layout["edit_list"], layout),
         container_box(b"udta", *udta_children),
     )
-    parts = [_ftyp(profile.major_brand, 0, profile.compatible_brands)]
+    parts = [_ftyp(profile.major_brand, 0,
+                   profile.compatible_brands + layout["brands"])]
     if profile.os == "Android":
         parts.append(_uuid_box(_ANDROID_UUID, bytes(8)))
     parts.append(moov)
     parts.append(box(profile.vendor_box, bytes(noise.vendor_len)))
     if profile.os == "iOS" and not with_xmp:
         parts.append(box(b"wide"))
-    parts.append(box(b"mdat", bytes(noise.mdat_len)))
+    parts.append(_mdat(noise, layout))
     return b"".join(parts)
 
 
 def _build_ffmpeg_style(profile: DeviceProfile, noise: _Noise,
-                        rng: random.Random) -> bytes:
+                        rng: random.Random, layout: dict) -> bytes:
     """Remuxed layout: new brands and edit lists, codec entries copied."""
-    moov = container_box(
-        b"moov",
-        _mvhd(noise.creation, 1000, noise.duration, noise.next_track),
+    moov = _moov(
+        layout,
+        _mvhd(noise.creation, 1000, noise.duration, noise.next_track,
+              layout["version"]),
         _trak(noise.creation, 1, noise.duration, 1000, b"vide",
               b"VideoHandler", profile.video_format, 70, _vmhd(),
               profile.width, profile.height, 0, noise.video_samples, rng,
-              with_edit_list=True),
+              True, layout),
         _trak(noise.creation, 2, noise.duration, 44100, b"soun",
               b"SoundHandler", b"mp4a", 28, _smhd(), 0, 0, 0x0100,
-              noise.audio_samples, rng, with_edit_list=True),
+              noise.audio_samples, rng, True, layout),
     )
     return b"".join([
         _ftyp(b"isom", 512, (b"isom", b"iso2", profile.video_format, b"mp41")),
         moov,
         box(b"free", bytes(8)),
         box(profile.vendor_box, bytes(noise.vendor_len)),
-        box(b"mdat", bytes(noise.mdat_len)),
+        _mdat(noise, layout),
     ])
 
 
 def _build_platform_style(profile: DeviceProfile, noise: _Noise,
-                          rng: random.Random) -> bytes:
+                          rng: random.Random, layout: dict) -> bytes:
     """Transcoded layout: uniform structure regardless of the source OS."""
-    moov = container_box(
-        b"moov",
-        _mvhd(noise.creation, 15360, noise.duration, noise.next_track),
+    moov = _moov(
+        layout,
+        _mvhd(noise.creation, 15360, noise.duration, noise.next_track,
+              layout["version"]),
         _trak(noise.creation, 1, noise.duration, 15360, b"vide",
               b"ISO Media file produced by Google Inc.", b"avc1", 70,
               _vmhd(), 1280, 720, 0, noise.video_samples, rng,
-              with_edit_list=False),
+              False, layout),
+        None,
     )
     return b"".join([
         _ftyp(b"dash", 0, (b"iso6", b"avc1", b"mp41")),
         box(b"sidx", bytes(32)),
         moov,
         box(profile.vendor_box, bytes(noise.vendor_len)),
-        box(b"mdat", bytes(noise.mdat_len)),
+        _mdat(noise, layout),
     ])
 
 
 def build_file(profile: DeviceProfile, cls: str, noise: _Noise,
-               rng: random.Random) -> bytes:
+               rng: random.Random, layout: dict = _PLAIN_LAYOUT) -> bytes:
     if cls == "native":
-        return _build_device_style(profile, noise, rng, with_xmp=False)
+        return _build_device_style(profile, noise, rng, False, layout)
     if cls == "exiftool":
-        return _build_device_style(profile, noise, rng, with_xmp=True)
+        return _build_device_style(profile, noise, rng, True, layout)
     if cls == "ffmpeg":
-        return _build_ffmpeg_style(profile, noise, rng)
+        return _build_ffmpeg_style(profile, noise, rng, layout)
     if cls == "youtube":
-        return _build_platform_style(profile, noise, rng)
+        return _build_platform_style(profile, noise, rng, layout)
     raise ValueError(f"unsupported fixture class {cls!r}")
 
 
@@ -323,7 +402,10 @@ def generate_corpus(spec: FixtureSpec, out_dir: str | Path) -> DatasetManifest:
                 rng = random.Random(
                     f"{spec.seed}/{profile.profile_id}/{cls}/{index}")
                 noise = _draw_noise(rng, index)
-                data = build_file(profile, cls, noise, rng)
+                layout = (_draw_layout(spec.seed, profile.profile_id, cls,
+                                       index)
+                          if spec.varied else _PLAIN_LAYOUT)
+                data = build_file(profile, cls, noise, rng, layout)
                 name = f"{profile.profile_id}_{cls}_{index:02d}.mp4"
                 (out / name).write_bytes(data)
                 software, platform = _CLASS_TO_ROW[cls]

@@ -101,12 +101,18 @@ def llr(canonical: str, cu: str, cv: str, table: ClassFrequencyTable) -> float:
         table.frequency(canonical, cv))
 
 
-def class_presence(counts: np.ndarray, y: np.ndarray, n_classes: int) -> np.ndarray:
+def class_presence(counts: np.ndarray, y: np.ndarray, n_classes: int,
+                   multiplicity: np.ndarray | None = None) -> np.ndarray:
     """K x V table of how many files of each class contain each column:
-    ``onehot(y).T @ (counts > 0)``, summed class by class so that no
-    int64 copy of the matrix is made."""
+    row i of `counts` is a file of class ``y[i]``, or ``multiplicity[i]``
+    such files. ``onehot(y).T @ (counts > 0)``, weighted, summed class by
+    class so that no int64 copy of the matrix is made: `np.einsum` casts
+    the presence rows in buffered chunks."""
     present = counts > 0
-    return np.stack([present[y == c].sum(axis=0) for c in range(n_classes)])
+    m = np.ones(len(y), dtype=np.intp) if multiplicity is None \
+        else multiplicity
+    return np.stack([np.einsum("i,ij->j", m[y == c], present[y == c])
+                     for c in range(n_classes)])
 
 
 def pairwise_llr(

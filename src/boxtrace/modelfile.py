@@ -18,8 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyCorpus, ModelFormatError
-from .llr import DEFAULT_TAU, FilterConfig, llr_report
+from .errors import DataError, DimensionMismatch, EmptyCorpus, ModelFormatError
+from .llr import DEFAULT_TAU, FilterConfig, class_presence, pairwise_llr
 from .tree import (
     DecisionTreeModel,
     PathStep,
@@ -35,49 +35,53 @@ from .vectorize import Vocabulary, count_matrix
 MODEL_FORMAT_VERSION = 1
 
 
+def _emit(value, indent: int, pieces: list[str]) -> None:
+    """Append the canonical JSON of `value` to `pieces`. A plain function,
+    not a closure over `pieces`: a closure that calls itself is a reference
+    cycle, which would keep a large model's pieces alive until the cyclic
+    garbage collector next ran."""
+    pad = "  " * indent
+    if value is None or isinstance(value, bool):
+        pieces.append(json.dumps(value))
+    elif isinstance(value, int):
+        pieces.append(str(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ModelFormatError(f"non-finite float {value!r} in model")
+        pieces.append(format(value, ".12g"))
+    elif isinstance(value, str):
+        pieces.append(json.dumps(value, ensure_ascii=True))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append("[]")
+            return
+        pieces.append("[\n")
+        for i, item in enumerate(value):
+            pieces.append(pad + "  ")
+            _emit(item, indent + 1, pieces)
+            pieces.append(",\n" if i < len(value) - 1 else "\n")
+        pieces.append(pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        keys = sorted(value)
+        pieces.append("{\n")
+        for i, key in enumerate(keys):
+            if not isinstance(key, str):
+                raise ModelFormatError(f"non-string key {key!r}")
+            pieces.append(pad + "  " + json.dumps(key, ensure_ascii=True) + ": ")
+            _emit(value[key], indent + 1, pieces)
+            pieces.append(",\n" if i < len(keys) - 1 else "\n")
+        pieces.append(pad + "}")
+    else:
+        raise ModelFormatError(f"unserializable value of type {type(value)}")
+
+
 def canonical_dumps(obj) -> str:
     """Deterministic JSON: sorted keys, ``.12g`` floats, newline-terminated."""
     pieces: list[str] = []
-
-    def emit(value, indent: int) -> None:
-        pad = "  " * indent
-        if value is None or isinstance(value, bool):
-            pieces.append(json.dumps(value))
-        elif isinstance(value, int):
-            pieces.append(str(value))
-        elif isinstance(value, float):
-            if not math.isfinite(value):
-                raise ModelFormatError(f"non-finite float {value!r} in model")
-            pieces.append(format(value, ".12g"))
-        elif isinstance(value, str):
-            pieces.append(json.dumps(value, ensure_ascii=True))
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                pieces.append("[]")
-                return
-            pieces.append("[\n")
-            for i, item in enumerate(value):
-                pieces.append(pad + "  ")
-                emit(item, indent + 1)
-                pieces.append(",\n" if i < len(value) - 1 else "\n")
-            pieces.append(pad + "]")
-        elif isinstance(value, dict):
-            if not value:
-                pieces.append("{}")
-                return
-            keys = sorted(value)
-            pieces.append("{\n")
-            for i, key in enumerate(keys):
-                if not isinstance(key, str):
-                    raise ModelFormatError(f"non-string key {key!r}")
-                pieces.append(pad + "  " + json.dumps(key, ensure_ascii=True) + ": ")
-                emit(value[key], indent + 1)
-                pieces.append(",\n" if i < len(keys) - 1 else "\n")
-            pieces.append(pad + "}")
-        else:
-            raise ModelFormatError(f"unserializable value of type {type(value)}")
-
-    emit(obj, 0)
+    _emit(obj, 0, pieces)
     pieces.append("\n")
     return "".join(pieces)
 
@@ -316,7 +320,9 @@ def train_matrix(
     symbols: Sequence[str],
     counts: np.ndarray,
     labels: Sequence[str],
+    multiplicity: Sequence[int] | np.ndarray | None = None,
     *,
+    presence: np.ndarray | None = None,
     tau: float = DEFAULT_TAU,
     params: TreeParams = TreeParams(),
     scenario: str = "",
@@ -325,28 +331,58 @@ def train_matrix(
 ) -> ModelFile:
     """Vocabulary, LLR filter, class weights and tree, in training order.
 
-    `counts` has one row per training file, labeled by `labels`, and one
-    column per symbol of `symbols`. The vocabulary is the columns that
-    are nonzero in these rows, so a leave-one-device-out fold passes its
-    rows of the scenario's matrix and trains as on its files alone.
+    `counts` has one column per symbol of `symbols` and one row per label
+    of `labels`. Row i stands for ``multiplicity[i]`` training files with
+    its counts and label (default one), and 0 leaves it out; the model is
+    that of training on the files themselves, byte for byte. So a
+    leave-one-device-out fold passes the scenario's distinct rows with
+    its held-out device's multiplicities set to 0.
+
+    `presence` is ``class_presence`` of the rows over the classes of
+    `labels`: how many training files of each class contain each symbol.
+    It is computed when not given; a fold passes the scenario's table
+    minus its held-out device's. The vocabulary is the symbols that some
+    training file contains, and the filter reads only this table.
     """
     if len(counts) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
     if len(counts) != len(labels):
         raise DimensionMismatch(
             f"{len(counts)} files but {len(labels)} labels")
-    used = np.flatnonzero(counts.any(axis=0))
+    cfg = FilterConfig(tau)
+    classes = sorted(set(labels))
+    to_int = {c: i for i, c in enumerate(classes)}
+    y = np.array([to_int[label] for label in labels], dtype=np.intp)
+    m = np.ones(len(y), dtype=np.intp) if multiplicity is None \
+        else np.asarray(multiplicity)
+    if m.shape != y.shape:
+        raise DimensionMismatch(f"{m.size} multiplicities for {len(y)} rows")
+    if m.dtype.kind not in "iu" or (m < 0).any():
+        raise DataError("multiplicities must be integers of at least 0")
+    sizes = np.bincount(y, weights=m, minlength=len(classes)).astype(np.int64)
+    if not sizes.any():
+        raise EmptyCorpus("cannot train on an empty corpus")
+    if presence is None:
+        presence = class_presence(counts, y, len(classes), m)
+    elif presence.shape != (len(classes), counts.shape[1]):
+        raise DimensionMismatch(
+            f"presence table of shape {presence.shape} for {len(classes)} "
+            f"classes and {counts.shape[1]} symbols")
+    used = np.flatnonzero(presence.any(axis=0))
     vocab = [symbols[j] for j in used]
-    counts = counts[:, used]
-    if len(set(labels)) < 2:
+    trained = sizes > 0
+    if np.count_nonzero(trained) < 2:
         # The pairwise filter is undefined for one class; keep everything
         # and let training degenerate to a single leaf.
         kept = np.ones(len(vocab), dtype=bool)
     else:
-        report = llr_report(vocab, counts, labels, FilterConfig(tau))
-        kept = np.array([r.kept for r in report.records], dtype=bool)
+        kept = pairwise_llr(presence[np.ix_(trained, used)],
+                            sizes[trained])[0] > cfg.tau
+    rows = np.flatnonzero(m)
     filtered = Vocabulary.from_strings(s for s, k in zip(vocab, kept) if k)
-    model = train_tree(counts[:, kept], list(labels), filtered, params)
+    model = train_tree(counts[np.ix_(rows, used[kept])],
+                       [labels[i] for i in rows], filtered, params,
+                       multiplicity=m[rows])
     return ModelFile(full_vocabulary=vocab, kept=kept.tolist(), tau=tau,
                      model=model, scenario=scenario,
                      manifest_digest=manifest_digest,

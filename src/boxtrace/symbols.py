@@ -66,10 +66,12 @@ def symbol_kind(symbol: str) -> str:
 
 
 def _count_symbols(events: Iterable[tuple],
-                   blacklist: frozenset[str] = frozenset()) -> Counter[str]:
+                   blacklist: frozenset[str] = frozenset(),
+                   only: Collection[str] | None = None) -> Counter[str]:
     """The symbols of `walk_boxes` events, counted in the order given. A
     field gives its field-symbol, and its value-symbol unless its value is
-    None or its ``@``-prefixed name is in `blacklist`."""
+    None or its ``@``-prefixed name is in `blacklist`. With `only`, only
+    the symbols in `only` are counted."""
     field_symbols, value_symbols = _FIELD_SYMBOLS, _VALUE_SYMBOLS
     symbols: list[str] = []
     append = symbols.append
@@ -93,7 +95,8 @@ def _count_symbols(events: Iterable[tuple],
                         and len(value_symbol) <= _CACHED_SYMBOL_LEN):
                     value_symbols[key] = value_symbol
             append(value_symbol)
-    return Counter(symbols)
+    return Counter(symbols if only is None
+                   else filter(only.__contains__, symbols))
 
 
 def _tree_events(tree: ContainerTree) -> Iterator[tuple]:
@@ -148,8 +151,8 @@ def container_symbols(
     if only is None:
         return _count_symbols(walk_boxes(stream, warnings, None, drop)), warnings
     boxes = _decoded_boxes(frozenset(only))
-    counted = _count_symbols(walk_boxes(stream, warnings, boxes, drop))
-    return Counter({s: n for s, n in counted.items() if s in only}), warnings
+    return (_count_symbols(walk_boxes(stream, warnings, boxes, drop),
+                           only=only), warnings)
 
 
 def file_symbols(

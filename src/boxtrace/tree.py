@@ -5,16 +5,25 @@ pruned by minimal cost-complexity, and able to report the exact decision
 path behind every prediction. All tie-breaks are pinned so that training
 is bit-reproducible across machines.
 
+A training row may stand for several files with equal counts and label:
+its multiplicity. A tree grown on distinct rows with multiplicities is
+the tree grown on every file. Every count of rows (`min_samples_leaf`,
+candidate boundaries, class masses) counts files, and a class mass is
+read from per-class prefix sums: k files of class c weigh
+``prefix[c][k]``, the running sum of the class weight k times, which is
+what a sum over the files in any order gives, since every file of class c
+weighs the same.
+
 A node's split search is a few array passes per block of its columns,
 with no Python loop over features or thresholds. Sorting the columns
-gives every candidate boundary. For each class, its rows' values, sorted
-per column and shifted so that each column has its own key range, give
-with one `searchsorted` the number of that class's rows left of every
-boundary. The result is bit-for-bit that of scanning each candidate with
-a running sum of class masses in sorted row order: that sum adds a
-class's weight once per row of the class and an exact 0.0 for every other
-row, so its value is read from the prefix sums of the class weight, and
-the Gini decreases are computed with the same elementwise operations.
+gives every candidate boundary. When every row is one file, each class's
+rows' values, sorted per column and shifted so that each column has its
+own key range, give with one `searchsorted` the number of that class's
+files left of every boundary. Otherwise the files of each class among the
+rows holding each distinct value of a column are counted, and running
+sums over the values in order give those numbers. The result is bit-for-bit that of scanning each candidate with a
+running sum of class masses in sorted row order, and the Gini decreases
+are computed with the same elementwise operations.
 
 A tree searches one column per group of columns that are equal over its
 training rows, the first of the group. Equal at the root, they are equal
@@ -25,6 +34,7 @@ search over every column.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -43,13 +53,32 @@ _INT32 = np.iinfo(np.int32)
 _BLOCK_ELEMENTS = 1 << 16
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TreeParams:
-    """Growth and pruning hyperparameters."""
+    """Growth and pruning hyperparameters. `min_samples_leaf` counts
+    files: a row of multiplicity m is m files."""
 
     max_depth: int | None = None
     min_samples_leaf: int = 1
     ccp_alpha: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not (self.max_depth is None
+                or _is_int(self.max_depth) and self.max_depth >= 0):
+            raise ValueError(f"max_depth must be None or an integer of at "
+                             f"least 0, got {self.max_depth!r}")
+        if not (_is_int(self.min_samples_leaf) and self.min_samples_leaf >= 1):
+            raise ValueError(f"min_samples_leaf must be an integer of at "
+                             f"least 1, got {self.min_samples_leaf!r}")
+        alpha = self.ccp_alpha
+        if not (_is_int(alpha) or isinstance(alpha, float)
+                and math.isfinite(alpha)) or alpha < 0:
+            raise ValueError(f"ccp_alpha must be a finite number of at "
+                             f"least 0, got {self.ccp_alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -96,12 +125,20 @@ class PathStep(NamedTuple):
     branch: str  # "left" (count <= threshold) or "right"
 
 
-def compute_class_weights(labels: Sequence[str]) -> dict[str, float]:
-    """Weights inversely proportional to class frequency: N / (K * n_c)."""
+def compute_class_weights(
+    labels: Sequence[str], multiplicity: Sequence[int] | None = None,
+) -> dict[str, float]:
+    """Weights inversely proportional to class frequency: N / (K * n_c),
+    where a label of multiplicity m counts as m files."""
     if not labels:
         raise EmptyTrainingSet("no labels given")
-    counts = Counter(labels)
-    n_total, n_classes = len(labels), len(counts)
+    counts = Counter()
+    if multiplicity is None:
+        counts.update(labels)
+    else:
+        for label, m in zip(labels, multiplicity):
+            counts[label] += int(m)
+    n_total, n_classes = sum(counts.values()), len(counts)
     return {c: n_total / (n_classes * n) for c, n in sorted(counts.items())}
 
 
@@ -117,8 +154,25 @@ def preorder(root: TreeNode) -> list[TreeNode]:
     return nodes
 
 
-def _leaf(y: np.ndarray, w: np.ndarray, classes: Sequence[str]) -> TreeNode:
-    dist = np.bincount(y, weights=w, minlength=len(classes))
+def _class_files(y: np.ndarray, m: np.ndarray, n_classes: int) -> np.ndarray:
+    """The number of files of each class among rows of classes `y` and
+    multiplicities `m`."""
+    return np.bincount(y, weights=m, minlength=n_classes).astype(np.intp)
+
+
+def _prefix_sums(class_w: np.ndarray, files: np.ndarray) -> np.ndarray:
+    """``prefix[c][k]``, the mass of k files of class c: the running sum
+    of the class weight, whose bits any sum over such files in row order
+    (`np.bincount` with weights, a running sum in sorted order) has."""
+    prefix = np.zeros((len(files), int(files.max()) + 1))
+    for c, n in enumerate(files):
+        np.cumsum(np.full(n, class_w[c]), out=prefix[c, 1:n + 1])
+    return prefix
+
+
+def _leaf(prefix: np.ndarray, files: np.ndarray,
+          classes: Sequence[str]) -> TreeNode:
+    dist = prefix[np.arange(len(classes)), files]
     # argmax returns the first maximum; classes are sorted, so ties break
     # lexicographically.
     return TreeNode(
@@ -145,64 +199,109 @@ def _scan_order_best(decrease: np.ndarray,
     return chosen
 
 
+def _unit_candidates(block, columns, offset, in_class, n, leaf):
+    """The candidates of a block of columns whose rows are one file each:
+    their features, the values either side of each boundary, and the files
+    of each class left of it."""
+    n_rows, cols = block.shape
+    # A boundary after sorted row b sends b + 1 files left. It is a
+    # candidate if the value changes there and both sides keep at least
+    # `leaf` files. Row-major indices are re-sorted into scan order.
+    changes = columns[leaf - 1:n - leaf] != columns[leaf:n - leaf + 1]
+    flat = np.flatnonzero(changes)
+    feature, row = np.divmod(np.sort(flat % cols * n_rows + flat // cols),
+                             n_rows)
+    row += leaf - 1
+    below = columns[row, feature]
+    boundary_keys = offset[feature] + below
+    left_files = np.empty((feature.size, len(in_class)), dtype=np.intp)
+    for c, rows in enumerate(in_class):
+        # Class c's keys, each column sorted: they ascend, and column j's
+        # n_c keys start at j * n_c.
+        keys = block[rows].T.astype(np.int64, order="C")
+        keys.sort(axis=1)
+        keys += offset[:, None]
+        k = np.searchsorted(keys.ravel(), boundary_keys, side="right")
+        left_files[:, c] = k - feature * keys.shape[1]
+    return feature, below, columns[row + 1, feature], left_files
+
+
+def _weighted_candidates(block, columns, offset, y, m, n_classes, n, leaf):
+    """The candidates of a block of columns whose row i stands for m[i]
+    files, as `_unit_candidates` gives them. The rows holding one value of
+    a column form a segment, and the files of each class are summed per
+    segment, so the work tracks the distinct rows and values."""
+    n_rows, cols = block.shape
+    # Each column's distinct values, ascending, one column after another:
+    # the segments in scan order, whose keys ascend.
+    is_first = np.ones((cols, n_rows), dtype=bool)
+    np.not_equal(columns.T[:, 1:], columns.T[:, :-1], out=is_first[:, 1:])
+    values = columns.T[is_first]
+    per_column = is_first.sum(axis=1)
+    feature = np.repeat(np.arange(cols), per_column)
+    segment = np.searchsorted(values + offset[feature], block + offset)
+    files = np.bincount((segment * n_classes + y[:, None]).ravel(),
+                        np.repeat(m, cols), values.size * n_classes)
+    # Files of each class at or below each segment's value in its column:
+    # a running sum over the segments, less the earlier columns' total.
+    # They are integers, so the float sums are exact.
+    left_files = np.cumsum(files.reshape(-1, n_classes), axis=0)
+    last = np.cumsum(per_column) - 1
+    left_files[per_column[0]:] -= np.repeat(left_files[last[:-1]],
+                                            per_column[1:], axis=0)
+    n_left = left_files.sum(axis=1)
+    # A boundary after a segment other than its column's last is a
+    # candidate if both sides keep at least `leaf` files.
+    after = np.ones(values.size, dtype=bool)
+    after[last] = False
+    s = np.flatnonzero(after & (n_left >= leaf) & (n_left <= n - leaf))
+    return (feature[s], values[s], values[s + 1],
+            left_files[s].astype(np.intp))
+
+
 def _best_split_arrays(
     X: np.ndarray,
     y: np.ndarray,
-    w: np.ndarray,
-    n_classes: int,
+    m: np.ndarray,
+    prefix: np.ndarray,
     min_samples_leaf: int,
 ) -> SplitCandidate | None:
-    # X holds int32 counts, and every row of class c weighs the same w_c
-    # (see `_encode`).
-    n, n_features = X.shape
-    parent = np.bincount(y, weights=w, minlength=n_classes)
+    # X holds int32 counts; row i stands for m[i] files of class y[i], and
+    # k files of class c weigh prefix[c][k] (see `_prefix_sums`).
+    n_rows, n_features = X.shape
+    n_classes = len(prefix)
+    classes = np.arange(n_classes)
+    files = _class_files(y, m, n_classes)
+    n = int(files.sum())
+    parent = prefix[classes, files]
     total = float(parent.sum())
     parent_gini = 1.0 - float(np.square(parent / total).sum())
     leaf = max(min_samples_leaf, 1)
     if n < 2 * leaf:
         return None
-    class_w = np.zeros(n_classes)
-    class_w[y] = w
-    in_class = [y == c for c in range(n_classes)]
-    # k rows of class c weigh prefix[c][k], the running sum's bits.
-    prefix = []
-    for c in range(n_classes):
-        sums = np.zeros(int(np.count_nonzero(in_class[c])) + 1)
-        np.cumsum(np.full(len(sums) - 1, class_w[c]), out=sums[1:])
-        prefix.append(sums)
+    unit = n == n_rows  # multiplicities are at least 1: every row is a file
+    in_class = [y == c for c in range(n_classes)] if unit else None
     best: SplitCandidate | None = None
     # Blocks of columns bound the memory of the sorted copies, keys and
     # candidate arrays; taken in order, they keep the scan order.
-    width = max(1, _BLOCK_ELEMENTS // n)
+    width = max(1, _BLOCK_ELEMENTS // n_rows)
     for start in range(0, n_features, width):
         block = X[:, start:start + width]
-        cols = block.shape[1]
         columns = np.sort(block, axis=0)
-        # A boundary after sorted row b sends b + 1 rows left. It is a
-        # candidate if the value changes there and both sides keep at least
-        # `leaf` rows. Row-major indices are re-sorted into scan order.
-        changes = columns[leaf - 1:n - leaf] != columns[leaf:n - leaf + 1]
-        flat = np.flatnonzero(changes)
-        if flat.size == 0:
-            continue
-        feature, row = np.divmod(np.sort(flat % cols * n + flat // cols), n)
-        row += leaf - 1
         # Column j's values map into a key range of its own, offset[j] +
         # value. Counts are int32, so the keys fit in int64.
         low = columns[0].astype(np.int64)
         span = columns[-1] - low + 1
         offset = np.cumsum(span) - span - low
-        boundary_keys = offset[feature] + columns[row, feature]
-        left = np.empty((feature.size, n_classes))
-        for c in range(n_classes):
-            # Class c's keys, each column sorted: they ascend, and column
-            # j's n_c keys start at j * n_c.
-            keys = block[in_class[c]].T.astype(np.int64, order="C")
-            keys.sort(axis=1)
-            keys += offset[:, None]
-            k = np.searchsorted(keys.ravel(), boundary_keys, side="right")
-            k -= feature * keys.shape[1]
-            left[:, c] = prefix[c][k]
+        if unit:
+            feature, below, above, left_files = _unit_candidates(
+                block, columns, offset, in_class, n, leaf)
+        else:
+            feature, below, above, left_files = _weighted_candidates(
+                block, columns, offset, y, m, n_classes, n, leaf)
+        if feature.size == 0:
+            continue
+        left = prefix[classes, left_files]
         right = parent - left
         w_left = left.sum(axis=1)
         w_right = total - w_left
@@ -214,9 +313,9 @@ def _best_split_arrays(
         i = _scan_order_best(
             decrease, None if best is None else best.weighted_gini_decrease)
         if i is not None:
-            j, b = int(feature[i]), int(row[i])
-            threshold = (float(columns[b, j]) + float(columns[b + 1, j])) / 2.0
-            best = SplitCandidate(feature_index=start + j, threshold=threshold,
+            threshold = (float(below[i]) + float(above[i])) / 2.0
+            best = SplitCandidate(feature_index=start + int(feature[i]),
+                                  threshold=threshold,
                                   weighted_gini_decrease=float(decrease[i]))
     return best
 
@@ -225,6 +324,7 @@ def _encode(
     vectors: Sequence[Sequence[int]] | np.ndarray,
     labels: Sequence[str],
     class_weights: Mapping[str, float] | None,
+    multiplicity: Sequence[int] | np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], dict[str, float]]:
     if len(vectors) == 0:
         raise EmptyTrainingSet("no training vectors")
@@ -248,16 +348,25 @@ def _encode(
         raise DataError(
             f"counts in [{X.min()}, {X.max()}] do not fit in int32")
     X = X.astype(np.int32, copy=False)
+    if multiplicity is None:
+        m = np.ones(len(labels), dtype=np.intp)
+    else:
+        m = np.asarray(multiplicity)
+        if m.shape != (len(labels),):
+            raise DimensionMismatch(
+                f"{m.size} multiplicities for {len(labels)} rows")
+        if m.dtype.kind not in "iu" or (m < 1).any():
+            raise DataError("multiplicities must be integers of at least 1")
+        m = m.astype(np.intp)
     classes = sorted(set(labels))
     weights = dict(class_weights) if class_weights is not None \
-        else compute_class_weights(labels)
+        else compute_class_weights(labels, multiplicity)
     for c in classes:
         if c not in weights:
             raise DataError(f"no weight for class {c!r}")
     to_int = {c: i for i, c in enumerate(classes)}
     y = np.array([to_int[label] for label in labels], dtype=np.intp)
-    w = np.array([weights[label] for label in labels], dtype=np.float64)
-    return X, y, w, classes, weights
+    return X, y, m, classes, weights
 
 
 def best_split(
@@ -282,15 +391,18 @@ def best_split(
     candidate either became the running best or was within `EPS` of it),
     so a candidate no larger than an earlier one cannot beat it by more.
     """
-    X, y, w, classes, _ = _encode(vectors, labels, class_weights)
-    return _best_split_arrays(X, y, w, len(classes), min_samples_leaf)
+    X, y, m, classes, weights = _encode(vectors, labels, class_weights)
+    prefix = _prefix_sums(np.array([weights[c] for c in classes]),
+                          _class_files(y, m, len(classes)))
+    return _best_split_arrays(X, y, m, prefix, min_samples_leaf)
 
 
 def _grow(
     X: np.ndarray,
     y: np.ndarray,
-    w: np.ndarray,
+    m: np.ndarray,
     classes: list[str],
+    weights: Mapping[str, float],
     params: TreeParams,
 ) -> TreeNode:
     # Columns equal at the root are equal at every node, and a later copy's
@@ -301,9 +413,11 @@ def _grow(
         first.setdefault(column.tobytes(), j)
     searched = list(first.values())
     X = X[:, searched]
-    # A node to split, its rows and its depth. Rows stay in ascending order,
-    # so each class mass sums its floats in the order of the input rows.
-    root = _leaf(y, w, classes)
+    n_classes = len(classes)
+    files = _class_files(y, m, n_classes)
+    prefix = _prefix_sums(np.array([weights[c] for c in classes]), files)
+    # A node to split, its rows and its depth.
+    root = _leaf(prefix, files, classes)
     stack = [(root, np.arange(len(y)), 0)]
     while stack:
         node, rows, depth = stack.pop()
@@ -311,15 +425,17 @@ def _grow(
                 params.max_depth is not None and depth >= params.max_depth):
             continue
         Xr = X[rows]
-        cand = _best_split_arrays(Xr, y[rows], w[rows], len(classes),
+        cand = _best_split_arrays(Xr, y[rows], m[rows], prefix,
                                   params.min_samples_leaf)
         if cand is None:
             continue
         mask = Xr[:, cand.feature_index] <= cand.threshold
         left, right = rows[mask], rows[~mask]
         node.split = replace(cand, feature_index=searched[cand.feature_index])
-        node.left = _leaf(y[left], w[left], classes)
-        node.right = _leaf(y[right], w[right], classes)
+        node.left = _leaf(prefix, _class_files(y[left], m[left], n_classes),
+                          classes)
+        node.right = _leaf(prefix, _class_files(y[right], m[right], n_classes),
+                           classes)
         stack += ((node.right, right, depth + 1), (node.left, left, depth + 1))
     return root
 
@@ -331,8 +447,8 @@ def grow(
     params: TreeParams = TreeParams(),
 ) -> TreeNode:
     """Partitioning, without recursion, until purity or a stopping cap binds."""
-    X, y, w, classes, _ = _encode(vectors, labels, class_weights)
-    return _grow(X, y, w, classes, params)
+    X, y, m, classes, weights = _encode(vectors, labels, class_weights)
+    return _grow(X, y, m, classes, weights, params)
 
 
 def _weakest_link(root: TreeNode, total: float) -> tuple[float, TreeNode]:
@@ -392,18 +508,23 @@ def train_tree(
     vocabulary: Vocabulary,
     params: TreeParams = TreeParams(),
     class_weights: Mapping[str, float] | None = None,
+    multiplicity: Sequence[int] | np.ndarray | None = None,
 ) -> DecisionTreeModel:
     """Grow and prune a tree whose features index `vocabulary`.
 
-    `vectors` is a files x features count matrix, or a sequence of
-    equal-length count rows.
+    `vectors` is a rows x features count matrix, or a sequence of
+    equal-length count rows. Row i stands for `multiplicity[i]` files
+    (default one) with its counts and label, so the tree grown on the
+    distinct rows of a training set, each with its number of copies, is
+    the tree grown on every file, bit for bit.
     """
-    X, y, w, classes, weights = _encode(vectors, labels, class_weights)
+    X, y, m, classes, weights = _encode(vectors, labels, class_weights,
+                                        multiplicity)
     if X.shape[1] != len(vocabulary):
         raise DimensionMismatch(
             f"vectors of length {X.shape[1]} over a vocabulary of "
             f"{len(vocabulary)} symbols")
-    root = _grow(X, y, w, classes, params)
+    root = _grow(X, y, m, classes, weights, params)
     if params.ccp_alpha > 0:
         root = prune(root, params.ccp_alpha)
     return DecisionTreeModel(root=root, vocabulary=vocabulary, classes=classes,

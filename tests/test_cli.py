@@ -211,11 +211,12 @@ class TestClassifyCommand:
         worker = threading.Thread(target=main, args=(argv,), daemon=True)
         worker.start()
         worker.join(timeout=30)
-        if worker.is_alive():
+        finished = not worker.is_alive()
+        if not finished:
             # Release a reader blocked on the pipe before failing.
             os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
             worker.join(timeout=30)
-        assert not worker.is_alive()
+        assert finished, "opening the pipe blocked until a writer came"
         records = [json.loads(line)
                    for line in capsys.readouterr().out.splitlines()]
         assert [r.get("error") for r in records] == [

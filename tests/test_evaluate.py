@@ -3,10 +3,11 @@
 import gc
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boxtrace.evaluate
@@ -34,10 +35,11 @@ from boxtrace.evaluate import (
     run_scenario,
 )
 from boxtrace.fixtures import FixtureSpec, generate_corpus
-from boxtrace.llr import FilterConfig
-from boxtrace.modelfile import dumps_model, train_model
+from boxtrace.llr import FilterConfig, class_presence
+from boxtrace.modelfile import dumps_model, train_matrix, train_model
 from boxtrace.symbols import default_blacklist, extract_symbols, file_symbols
 from boxtrace.bmff import parse_file
+from boxtrace.tree import predict
 from boxtrace.vectorize import count_matrix
 
 
@@ -380,3 +382,95 @@ class TestScenarioFolds:
             uploads, {"D02", "D03", "D04", "D05", "D06"}, "one_device.csv")
         with pytest.raises(SingleDevice):
             run_scenario(manifest, get_scenario("social_integrity:youtube"))
+
+
+@st.composite
+def scenario_matrices(draw):
+    """A scenario's rows, symbols, count matrix and labels, as
+    `labeled_matrix` gives them: rows of one device and label are often
+    equal, so they collapse into entries of uneven multiplicity."""
+    n_devices = draw(st.integers(2, 4))
+    n_columns = draw(st.integers(1, 5))
+    patterns = draw(st.lists(st.lists(st.sampled_from([0, 0, 1, 2, 5]),
+                                      min_size=n_columns,
+                                      max_size=n_columns),
+                             min_size=1, max_size=4))
+    n_rows = draw(st.integers(2, 16))
+    devices = [0, 1] + draw(st.lists(st.integers(0, n_devices - 1),
+                                     min_size=n_rows - 2,
+                                     max_size=n_rows - 2))
+    labels = draw(st.lists(st.sampled_from("ABC"), min_size=n_rows,
+                           max_size=n_rows))
+    counts = np.array(draw(st.lists(st.sampled_from(patterns),
+                                    min_size=n_rows, max_size=n_rows)),
+                      dtype=np.int32).reshape(n_rows, n_columns)
+    rows = [row(device=f"D{d}", file=f"f{i}.mp4")
+            for i, d in enumerate(devices)]
+    symbols = tuple(f"s{j}" for j in range(n_columns))
+    tau = draw(st.sampled_from([0.1, 0.5]))
+    return rows, symbols, counts, labels, tau
+
+
+def reference_folds(rows, symbols, counts, labels, tau):
+    """The fold loop before rows became weighted entries: each fold trains
+    on a copy of its own rows and tests every held-out row."""
+    column = {s: j for j, s in enumerate(symbols)}
+    classes = sorted(set(labels))
+    for device in sorted({r.device for r in rows}):
+        train = [i for i, r in enumerate(rows) if r.device != device]
+        mf = train_matrix(symbols, counts[train], [labels[i] for i in train],
+                          tau=tau, scenario="blind",
+                          manifest_digest=digest_rows([rows[i] for i in train]),
+                          trained_at="")
+        kept = [column[s] for s in mf.model.vocabulary.symbols]
+        cm = ConfusionMatrix.empty(classes)
+        for i, r in enumerate(rows):
+            if r.device == device:
+                cm.add(labels[i], predict(mf.model, counts[i, kept].tolist()))
+        yield device, len(train), mf, cm
+
+
+class TestFoldsFromEntries:
+    """Folds trained on distinct weighted entries and the scenario's
+    presence table less the held-out device's are the folds trained on
+    each fold's own rows."""
+
+    @given(scenario_matrices())
+    @example(([row(device="D0", file="a"), row(device="D0", file="b"),
+               row(device="D1", file="c"), row(device="D1", file="d")],
+              ("s0", "s1"), np.array([[1, 0], [1, 0], [0, 1], [0, 2]],
+                                     dtype=np.int32),
+              ["A", "A", "A", "B"], 0.5))  # D1's fold has one class
+    @example(([row(device="D0", file="a"), row(device="D1", file="b"),
+               row(device="D1", file="c"), row(device="D2", file="d")],
+              ("s0", "s1"), np.array([[1, 0], [1, 1], [1, 1], [0, 2]],
+                                     dtype=np.int32),
+              ["C", "A", "A", "B"], 0.1))  # D0's fold lacks class C
+    @settings(max_examples=150, deadline=None)
+    def test_match_folds_trained_on_their_rows(self, drawn):
+        rows, symbols, counts, labels, tau = drawn
+        classes = sorted(set(labels))
+        y = np.array([classes.index(label) for label in labels])
+        tables = []
+
+        def spy(*args, presence, **kwargs):
+            tables.append(presence)
+            return train_matrix(*args, presence=presence, **kwargs)
+
+        with mock.patch.object(boxtrace.evaluate, "labeled_matrix",
+                               lambda *_: (rows, symbols, counts.copy(),
+                                           labels)), \
+                mock.patch.object(boxtrace.evaluate, "train_matrix", spy):
+            report = run_scenario(manifest_of(rows), get_scenario("blind"),
+                                  filter_cfg=FilterConfig(tau))
+        expected = list(reference_folds(rows, symbols, counts, labels, tau))
+        assert [f.device for f in report.folds] == [d for d, *_ in expected]
+        for fold, table, (device, n_train, mf, cm) in zip(
+                report.folds, tables, expected):
+            train = [i for i, r in enumerate(rows) if r.device != device]
+            assert np.array_equal(table, class_presence(
+                counts[train], y[train], len(classes)))
+            assert dumps_model(fold.model) == dumps_model(mf)
+            assert (fold.n_train, fold.n_test) == (n_train,
+                                                   len(rows) - n_train)
+            assert fold.confusion.counts.tolist() == cm.counts.tolist()

@@ -1,5 +1,7 @@
 """Synthetic corpus generator: validity, determinism, and class traces."""
 
+from collections import Counter
+
 import pytest
 
 from boxtrace.bmff import parse_file
@@ -100,3 +102,32 @@ class TestClassTraces:
     def test_profiles_have_distinct_vendor_boxes(self):
         vendors = [p.vendor_box for p in DEFAULT_PROFILES]
         assert len(set(vendors)) == len(vendors)
+
+
+class TestVariedLayouts:
+    def test_rare_forms_appear_and_parse(self, tmp_path):
+        manifest = generate_corpus(
+            FixtureSpec(seed=7, videos_per_cell=3, varied=True), tmp_path)
+        forms = Counter()
+        for row in manifest.rows:
+            tree = parse_file(str(row.path))
+            forms["padding"] += len(tree.warnings)
+            assert all("zero bytes of padding" in w for w in tree.warnings)
+            stack = [(node, "") for node in tree.root.children]
+            while stack:
+                node, parent = stack.pop()
+                stack += [(child, node.name) for child in node.children]
+                fields = dict(node.fields)
+                if fields.get("version") == "1":
+                    forms[f"{node.name} v1"] += 1
+                if node.name == "co64":
+                    forms["co64"] += 1
+                if node.header.large_size is not None and parent == "moov":
+                    forms["64-bit size in moov"] += 1
+                if node.header.size == 0:
+                    forms["size 0"] += 1
+                if node.name == "uuid" and parent == "moov":
+                    forms["uuid in moov"] += 1
+        assert set(forms) == {"padding", "mvhd v1", "tkhd v1", "mdhd v1",
+                              "elst v1", "co64", "64-bit size in moov",
+                              "size 0", "uuid in moov"}

@@ -1,5 +1,6 @@
 """Canonical serialization and the train/classify pipeline."""
 
+import gc
 import hashlib
 import io
 import json
@@ -86,6 +87,18 @@ class TestCanonicalDumps:
         first = canonical_dumps(obj)
         second = canonical_dumps(json.loads(first))
         assert first == second
+
+    def test_leaves_no_garbage_cycle(self):
+        # A cycle would keep the serialized pieces of every model dumped
+        # alive until the cyclic collector ran.
+        obj = {"x": [[1, {"y": "z"}], 0.5], "w": {}}
+        gc.collect()
+        gc.disable()
+        try:
+            canonical_dumps(obj)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestModelRoundTrip:

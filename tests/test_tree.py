@@ -83,6 +83,87 @@ def oracle_best_split(rows, labels, weights, min_samples_leaf=1):
     return None if best is None else (best[1], best[2])
 
 
+# The split search as it was before rows could stand for several files:
+# every row one file of weight w[i], class masses counted with
+# `searchsorted` over each class's sorted keys. On rows expanded to one per
+# file it must return what the search over distinct rows with
+# multiplicities returns, bits of the decrease included.
+def reference_best_split_arrays(
+    X: np.ndarray,
+    y: np.ndarray,
+    w: np.ndarray,
+    n_classes: int,
+    min_samples_leaf: int,
+) -> SplitCandidate | None:
+    # X holds int32 counts, and every row of class c weighs the same w_c
+    # (see `_encode`).
+    n, n_features = X.shape
+    parent = np.bincount(y, weights=w, minlength=n_classes)
+    total = float(parent.sum())
+    parent_gini = 1.0 - float(np.square(parent / total).sum())
+    leaf = max(min_samples_leaf, 1)
+    if n < 2 * leaf:
+        return None
+    class_w = np.zeros(n_classes)
+    class_w[y] = w
+    in_class = [y == c for c in range(n_classes)]
+    # k rows of class c weigh prefix[c][k], the running sum's bits.
+    prefix = []
+    for c in range(n_classes):
+        sums = np.zeros(int(np.count_nonzero(in_class[c])) + 1)
+        np.cumsum(np.full(len(sums) - 1, class_w[c]), out=sums[1:])
+        prefix.append(sums)
+    best: SplitCandidate | None = None
+    # Blocks of columns bound the memory of the sorted copies, keys and
+    # candidate arrays; taken in order, they keep the scan order.
+    width = max(1, tree._BLOCK_ELEMENTS // n)
+    for start in range(0, n_features, width):
+        block = X[:, start:start + width]
+        cols = block.shape[1]
+        columns = np.sort(block, axis=0)
+        # A boundary after sorted row b sends b + 1 rows left. It is a
+        # candidate if the value changes there and both sides keep at least
+        # `leaf` rows. Row-major indices are re-sorted into scan order.
+        changes = columns[leaf - 1:n - leaf] != columns[leaf:n - leaf + 1]
+        flat = np.flatnonzero(changes)
+        if flat.size == 0:
+            continue
+        feature, row = np.divmod(np.sort(flat % cols * n + flat // cols), n)
+        row += leaf - 1
+        # Column j's values map into a key range of its own, offset[j] +
+        # value. Counts are int32, so the keys fit in int64.
+        low = columns[0].astype(np.int64)
+        span = columns[-1] - low + 1
+        offset = np.cumsum(span) - span - low
+        boundary_keys = offset[feature] + columns[row, feature]
+        left = np.empty((feature.size, n_classes))
+        for c in range(n_classes):
+            # Class c's keys, each column sorted: they ascend, and column
+            # j's n_c keys start at j * n_c.
+            keys = block[in_class[c]].T.astype(np.int64, order="C")
+            keys.sort(axis=1)
+            keys += offset[:, None]
+            k = np.searchsorted(keys.ravel(), boundary_keys, side="right")
+            k -= feature * keys.shape[1]
+            left[:, c] = prefix[c][k]
+        right = parent - left
+        w_left = left.sum(axis=1)
+        w_right = total - w_left
+        g_left = 1.0 - np.square(left / w_left[:, None]).sum(axis=1)
+        g_right = 1.0 - np.square(right / w_right[:, None]).sum(axis=1)
+        decrease = (parent_gini
+                    - (w_left / total) * g_left
+                    - (w_right / total) * g_right)
+        i = tree._scan_order_best(
+            decrease, None if best is None else best.weighted_gini_decrease)
+        if i is not None:
+            j, b = int(feature[i]), int(row[i])
+            threshold = (float(columns[b, j]) + float(columns[b + 1, j])) / 2.0
+            best = SplitCandidate(feature_index=start + j, threshold=threshold,
+                                  weighted_gini_decrease=float(decrease[i]))
+    return best
+
+
 # The split search as it was before it became one array pass per node: a
 # stable sort, a one-hot cumulative sum and a loop over every boundary of
 # each feature. The array search must return the same candidate, bits of
@@ -156,7 +237,8 @@ def recursive_grow(X, y, w, classes, params, depth=0):
     if (np.all(y == y[0]) or len(y) < 2
             or (params.max_depth is not None and depth >= params.max_depth)):
         return node
-    cand = _best_split_arrays(X, y, w, len(classes), params.min_samples_leaf)
+    cand = reference_best_split_arrays(X, y, w, len(classes),
+                                       params.min_samples_leaf)
     if cand is None:
         return node
     mask = X[:, cand.feature_index] <= cand.threshold
@@ -297,6 +379,60 @@ def split_nodes(draw):
     return X, y, w, n_classes, draw(st.integers(1, 4))
 
 
+INT32_MIN = -2**31
+
+
+@st.composite
+def weighted_rows(draw):
+    """Count rows, some equal, each with a multiplicity, a class code and
+    tree parameters: the distinct rows of a training set and how many
+    files each stands for."""
+    n_classes = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 24))
+    values = draw(st.sampled_from([
+        st.integers(0, 3),
+        st.integers(-3, 10**6),
+        st.sampled_from([INT32_MIN, -1, 0, 1, INT32_MAX - 1, INT32_MAX]),
+    ]))
+    rows = []
+    for _ in range(n):
+        if rows and draw(st.integers(0, 3)) == 0:
+            rows.append(draw(st.sampled_from(rows)))  # an equal row
+        else:
+            rows.append(draw(st.lists(values, min_size=3, max_size=3)))
+    columns = [list(column) for column in zip(*rows)]
+    for _ in range(draw(st.integers(0, 2))):  # equal columns
+        columns.insert(draw(st.integers(0, len(columns))),
+                       list(draw(st.sampled_from(columns))))
+    X = np.array(columns, dtype=np.int32).T
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                               min_size=n, max_size=n)), dtype=np.intp)
+    m = np.array(draw(st.lists(st.integers(1, 6) | st.just(1),
+                               min_size=n, max_size=n)), dtype=np.intp)
+    # Class weights a few rounding steps apart give decreases that tie
+    # within EPS.
+    class_w = draw(st.lists(
+        st.sampled_from([1.0, 1.0 + 3e-13, 1.0 - 3e-13, 0.5, 3.0])
+        | st.floats(0.25, 4.0), min_size=n_classes, max_size=n_classes))
+    params = TreeParams(
+        max_depth=draw(st.none() | st.integers(0, 6)),
+        min_samples_leaf=draw(st.integers(1, 5)),
+        ccp_alpha=draw(st.sampled_from([0.0, 1e-9, 0.02, 0.1])
+                       | st.floats(1e-6, 0.5)))
+    return X, y, m, class_w, params
+
+
+def array_search(X, y, w, n_classes, min_samples_leaf, m=None):
+    """`_best_split_arrays` on a node given as the reference searches take
+    it, one weight per row; row i stands for m[i] files (default one)."""
+    m = np.ones(len(y), dtype=np.intp) if m is None else m
+    class_w = np.zeros(n_classes)
+    class_w[y] = w
+    files = np.bincount(y, weights=m, minlength=n_classes).astype(np.intp)
+    return _best_split_arrays(X, y, m, tree._prefix_sums(class_w, files),
+                              min_samples_leaf)
+
+
 def same_candidate(got, expected):
     assert got == expected
     if expected is not None:
@@ -335,6 +471,25 @@ class TestClassWeights:
         weights = compute_class_weights(labels)
         total = sum(weights[l] for l in labels)
         assert total == pytest.approx(len(labels))
+
+
+class TestTreeParams:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_depth": -1}, {"max_depth": 1.5}, {"max_depth": True},
+        {"min_samples_leaf": 0}, {"min_samples_leaf": 2.0},
+        {"min_samples_leaf": None}, {"ccp_alpha": -0.1},
+        {"ccp_alpha": float("nan")}, {"ccp_alpha": float("inf")},
+        {"ccp_alpha": "0.1"}, {"ccp_alpha": None},
+    ])
+    def test_bad_values_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            TreeParams(**kwargs)
+
+    def test_bounds_accepted(self):
+        assert TreeParams(max_depth=0, min_samples_leaf=1, ccp_alpha=0) \
+            == TreeParams(max_depth=0, ccp_alpha=0.0)
+        assert TreeParams(max_depth=None, min_samples_leaf=np.int64(3),
+                          ccp_alpha=0.5).min_samples_leaf == 3
 
 
 class TestGini:
@@ -412,7 +567,7 @@ class TestArraySplitSearch:
         # Small blocks split the node's columns into several blocks, and
         # the running best carries from one block to the next.
         with mock.patch.object(tree, "_BLOCK_ELEMENTS", block_elements):
-            got = _best_split_arrays(*node)
+            got = array_search(*node)
         same_candidate(got, loop_best_split_arrays(*node))
 
     def test_matches_the_loop_on_a_wide_random_node(self):
@@ -424,7 +579,7 @@ class TestArraySplitSearch:
         for leaf, block_elements in ((1, 300 * 7), (7, tree._BLOCK_ELEMENTS)):
             node = (X, y, w, 4, leaf)
             with mock.patch.object(tree, "_BLOCK_ELEMENTS", block_elements):
-                got = _best_split_arrays(*node)
+                got = array_search(*node)
             same_candidate(got, loop_best_split_arrays(*node))
 
     def test_nodes_without_a_boundary(self):
@@ -437,7 +592,7 @@ class TestArraySplitSearch:
         too_small_for_leaves = (np.array([[0], [1], [2]], np.int32),
                                 np.array([0, 1, 1]), np.ones(3), 2, 2)
         for node in (single_row, constant, no_features, too_small_for_leaves):
-            assert _best_split_arrays(*node) is None
+            assert array_search(*node) is None
             assert loop_best_split_arrays(*node) is None
 
     def test_counts_up_to_int32_max(self):
@@ -455,6 +610,64 @@ class TestArraySplitSearch:
                      [[0.5], [1.0]]):
             with pytest.raises(DataError):
                 best_split(rows, ["A", "B"])
+
+
+class TestRowsWithMultiplicities:
+    """A row of multiplicity m grows the tree that m copies of it grow."""
+
+    @given(weighted_rows(), st.randoms(use_true_random=False),
+           st.sampled_from([7, tree._BLOCK_ELEMENTS]))
+    @settings(max_examples=400, deadline=None)
+    def test_split_search_matches_the_reference_on_copies(
+            self, drawn, rng, block_elements):
+        X, y, m, class_w, params = drawn
+        n_classes = len(class_w)
+        w = np.array([class_w[c] for c in y])
+        copies = rng.sample(range(int(m.sum())), int(m.sum()))
+        expanded = [np.repeat(a, m, axis=0)[copies] for a in (X, y, w)]
+        with mock.patch.object(tree, "_BLOCK_ELEMENTS", block_elements):
+            got = array_search(X, y, w, n_classes, params.min_samples_leaf, m)
+        same_candidate(got, reference_best_split_arrays(
+            *expanded, n_classes, params.min_samples_leaf))
+
+    @given(weighted_rows(), st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_trees_models_and_dot_match_the_copies(self, drawn, rng):
+        X, y, m, class_w, params = drawn
+        classes = [f"C{c}" for c in range(len(class_w))]
+        labels = [classes[c] for c in y]
+        weights = {c: w for c, w in zip(classes, class_w)}
+        copies = rng.sample(range(int(m.sum())), int(m.sum()))
+        rows = np.repeat(X, m, axis=0)[copies]
+        copy_labels = [labels[i] for i in np.repeat(np.arange(len(y)), m)[copies]]
+        vocab = Vocabulary.from_strings(f"f{j}" for j in range(X.shape[1]))
+        for class_weights in (weights, None):
+            expected = train_tree(rows, copy_labels, vocab, params,
+                                  class_weights)
+            got = train_tree(X, labels, vocab, params, class_weights,
+                             multiplicity=m)
+            assert got.class_weights == expected.class_weights
+            assert to_dot(got) == to_dot(expected)
+            kept = [True] * X.shape[1]
+            assert dumps_model(ModelFile(vocab.symbols, kept, 0.5, got)) == \
+                dumps_model(ModelFile(vocab.symbols, kept, 0.5, expected))
+
+    def test_min_samples_leaf_counts_files(self):
+        # Two rows of three files each: a leaf of 3 is allowed, of 4 is not.
+        vocab = Vocabulary.from_strings(["s"])
+        for leaf, splits in ((3, True), (4, False)):
+            model = train_tree([[0], [1]], ["A", "B"], vocab,
+                               TreeParams(min_samples_leaf=leaf),
+                               multiplicity=[3, 3])
+            assert model.root.is_leaf != splits
+
+    def test_multiplicities_are_checked(self):
+        vocab = Vocabulary.from_strings(["s"])
+        for bad in ([1, 0], [1, -2], [1.0, 2.0]):
+            with pytest.raises(DataError):
+                train_tree([[0], [1]], ["A", "B"], vocab, multiplicity=bad)
+        with pytest.raises(DimensionMismatch):
+            train_tree([[0], [1]], ["A", "B"], vocab, multiplicity=[1])
 
 
 class TestScanOrderRule:
@@ -678,7 +891,8 @@ class TestWalksWithoutRecursion:
     @settings(max_examples=150, deadline=None)
     def test_match_the_recursive_walks(self, data):
         rows, labels, weights, params = data
-        X, y, w, classes, _ = tree._encode(rows, labels, weights)
+        X, y, _, classes, class_weights = tree._encode(rows, labels, weights)
+        w = np.array([class_weights[classes[c]] for c in y])
         expected = recursive_grow(X, y, w, classes, params)
         grown = grow(rows, labels, weights, params)
         assert grown == expected

@@ -27,7 +27,7 @@ from .errors import (
     SingleDevice,
     UnknownEnum,
 )
-from .llr import FilterConfig, class_presence
+from .llr import FilterConfig
 from .modelfile import ModelFile, train_matrix
 from .symbols import file_symbols
 from .tree import TreeParams, decision_path, predict, replay_path
@@ -333,12 +333,10 @@ def run_scenario(
     `labeled_matrix` parses every scenario file once into one count
     matrix. Files of one device and label with equal count rows are one
     entry with a multiplicity, so each fold trains and tests every
-    distinct row once. Once per run, the entries give a device x class x
-    symbol presence table. There is one fold per device with a row in the
-    scenario. Its `train_matrix` gets the other devices' entries (the
-    held-out device's multiplicities are 0) and the run's presence table
-    minus the held-out device's, so its vocabulary, filter, weights and
-    tree are those of training on the other devices' files alone. Each
+    distinct row once. There is one fold per device with a row in the
+    scenario. Its `train_matrix` gets every entry, with the held-out
+    device's multiplicities set to 0, so its vocabulary, filter, weights
+    and tree are those of training on the other devices' files alone. Each
     held-out entry is passed to the tree as a count row over the columns
     its model kept; every prediction's decision path is replayed as a
     self-check, and the verdict counts once per file the entry stands for.
@@ -361,12 +359,8 @@ def run_scenario(
     # The entries' rows alone stay; the full matrix goes here.
     entries = counts if len(first) == len(counts) else counts[first]
     del counts
-    group = np.array(groups, dtype=np.intp)[first]
-    entry_device = group // n_classes
+    entry_device = np.array(groups, dtype=np.intp)[first] // n_classes
     entry_labels = [labels[i] for i in first]
-    presence = class_presence(entries, group, len(devices) * n_classes,
-                              multiplicity).reshape(len(devices), n_classes, -1)
-    scenario_presence = presence.sum(axis=0)
     column = {s: j for j, s in enumerate(symbols)}
     # Each fold's `digest_rows`: its rows' lines in one sorted order.
     ordered = sorted((_row_line(row), device_of[row.device]) for row in rows)
@@ -378,7 +372,6 @@ def run_scenario(
         started = time.perf_counter()
         mf = train_matrix(symbols, entries, entry_labels,
                           np.where(held, 0, multiplicity),
-                          presence=scenario_presence - presence[d],
                           tau=cfg.tau, params=params, scenario=scenario.name,
                           manifest_digest=_digest_lines(
                               compress(lines, (line_device != d).tolist())),

@@ -6,12 +6,14 @@ exercised end to end. Each class edit leaves a distinct structural trace
 per-file noise lands only in fields whose values the default blacklist
 or the likelihood-ratio filter is expected to remove.
 
-With `FixtureSpec.varied`, the seed also draws each device's layout
-(extra compatible brands, track order, version-1 headers, `co64`, edit
-lists, a `uuid` box in `moov`) and optional parts of each file (a `free`
-box in `moov`, with a 64-bit size or not, QuickTime zero padding, a
-size-0 final `mdat`), so corpora of two seeds train different models and
-files of one device and class need not be equal.
+With `FixtureSpec.varied`, the seed also draws traces that edits leave
+(where exiftool writes its XMP, the brands ffmpeg and the platform
+write), each device's layout (extra compatible brands, track order,
+version-1 headers, `co64`, edit lists, a `uuid` box in `moov`) and
+optional parts of each file (a `free` box in `moov`, with a 64-bit size
+or not, QuickTime zero padding, a size-0 final `mdat`), so corpora of
+two seeds train different trees and files of one device and class need
+not be equal.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ _MATRIX = struct.pack(">9i", 0x10000, 0, 0, 0, 0x10000, 0, 0, 0, 0x40000000)
 
 # Shared by every Android profile; survives the exiftool edit only.
 _ANDROID_UUID = bytes.fromhex("ffcc8263f8554a938814587a02521fdd")
+_XMP_UUID = bytes.fromhex("be7acfcb97a942e89c71999491e3afac")
 
 
 def box(type4: bytes, payload: bytes = b"") -> bytes:
@@ -102,19 +105,31 @@ class FixtureSpec:
 
 # The layout of a file with no seeded variation: every default corpus.
 _PLAIN_LAYOUT = {
-    "brands": (), "audio_first": False, "version": 0, "co64": False,
-    "edit_list": False, "uuid": None, "free": None, "padding": False,
-    "open_mdat": False,
+    "xmp": "udta", "remux_brands": (b"isom", b"iso2", None, b"mp41"),
+    "dash_brands": (b"iso6", b"avc1", b"mp41"), "brands": (),
+    "audio_first": False, "version": 0, "co64": False, "edit_list": False,
+    "uuid": None, "free": None, "padding": False, "open_mdat": False,
 }
+# ffmpeg's compatible brands (None: the video format) and a platform's.
+_REMUX_BRANDS = ((b"isom", b"iso2", None, b"mp41"), (b"mp42", b"isom", None),
+                 (b"isom", b"iso6", b"mp41"))
+_DASH_BRANDS = ((b"iso6", b"avc1", b"mp41"), (b"iso5", b"dash", b"avc1"))
 _EXTRA_BRANDS = (b"iso5", b"3gp4", b"M4V ", b"avc1", b"dby1")
 
 
 def _draw_layout(seed: int, profile_id: str, cls: str, index: int) -> dict:
-    """The seeded layout of one varied file: the device's choices, then
-    the file's own."""
+    """The seeded layout of one varied file: the corpus's choices, the
+    device's, then the file's own."""
+    corpus = random.Random(f"{seed}/edits")
     device = random.Random(f"{seed}/{profile_id}/layout")
     one = random.Random(f"{seed}/{profile_id}/{cls}/{index}/layout")
     return {
+        # exiftool's XMP: an `XMP_` box in `udta` or `moov`, or a
+        # top-level XMP `uuid` box.
+        "xmp": corpus.choice(("udta", "moov", "uuid")),
+        # The brands of ffmpeg's and the platform's `ftyp`.
+        "remux_brands": corpus.choice(_REMUX_BRANDS),
+        "dash_brands": corpus.choice(_DASH_BRANDS),
         "brands": tuple(device.sample(_EXTRA_BRANDS, device.randrange(3))),
         "audio_first": device.random() < 0.5,
         "version": int(device.random() < 0.5),
@@ -300,8 +315,9 @@ def _build_device_style(profile: DeviceProfile, noise: _Noise,
     udta_children = []
     os_tag = b"auth" if profile.os == "iOS" else b"smta"
     udta_children.append(box(os_tag, bytes(noise.meta_len % 48 + 6)))
-    if with_xmp:
-        udta_children.append(box(b"XMP_", bytes(noise.meta_len)))
+    xmp = box(b"XMP_", bytes(noise.meta_len)) if with_xmp else None
+    if xmp and layout["xmp"] == "udta":
+        udta_children.append(xmp)
     version = layout["version"]
     moov = _moov(
         layout,
@@ -316,12 +332,15 @@ def _build_device_style(profile: DeviceProfile, noise: _Noise,
               b"mp4a", 28, _smhd(), 0, 0, 0x0100, noise.audio_samples, rng,
               layout["edit_list"], layout),
         container_box(b"udta", *udta_children),
+        *([xmp] if xmp and layout["xmp"] == "moov" else []),
     )
     parts = [_ftyp(profile.major_brand, 0,
                    profile.compatible_brands + layout["brands"])]
     if profile.os == "Android":
         parts.append(_uuid_box(_ANDROID_UUID, bytes(8)))
     parts.append(moov)
+    if xmp and layout["xmp"] == "uuid":
+        parts.append(_uuid_box(_XMP_UUID, bytes(noise.meta_len)))
     parts.append(box(profile.vendor_box, bytes(noise.vendor_len)))
     if profile.os == "iOS" and not with_xmp:
         parts.append(box(b"wide"))
@@ -344,8 +363,10 @@ def _build_ffmpeg_style(profile: DeviceProfile, noise: _Noise,
               b"SoundHandler", b"mp4a", 28, _smhd(), 0, 0, 0x0100,
               noise.audio_samples, rng, True, layout),
     )
+    brands = tuple(profile.video_format if brand is None else brand
+                   for brand in layout["remux_brands"])
     return b"".join([
-        _ftyp(b"isom", 512, (b"isom", b"iso2", profile.video_format, b"mp41")),
+        _ftyp(b"isom", 512, brands),
         moov,
         box(b"free", bytes(8)),
         box(profile.vendor_box, bytes(noise.vendor_len)),
@@ -367,7 +388,7 @@ def _build_platform_style(profile: DeviceProfile, noise: _Noise,
         None,
     )
     return b"".join([
-        _ftyp(b"dash", 0, (b"iso6", b"avc1", b"mp41")),
+        _ftyp(b"dash", 0, layout["dash_brands"]),
         box(b"sidx", bytes(32)),
         moov,
         box(profile.vendor_box, bytes(noise.vendor_len)),

@@ -322,7 +322,6 @@ def train_matrix(
     labels: Sequence[str],
     multiplicity: Sequence[int] | np.ndarray | None = None,
     *,
-    presence: np.ndarray | None = None,
     tau: float = DEFAULT_TAU,
     params: TreeParams = TreeParams(),
     scenario: str = "",
@@ -338,11 +337,9 @@ def train_matrix(
     leave-one-device-out fold passes the scenario's distinct rows with
     its held-out device's multiplicities set to 0.
 
-    `presence` is ``class_presence`` of the rows over the classes of
-    `labels`: how many training files of each class contain each symbol.
-    It is computed when not given; a fold passes the scenario's table
-    minus its held-out device's. The vocabulary is the symbols that some
-    training file contains, and the filter reads only this table.
+    The vocabulary is the symbols that some training file contains, and
+    the filter reads only ``class_presence``, the table of how many
+    training files of each class contain each symbol.
     """
     if len(counts) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
@@ -362,12 +359,7 @@ def train_matrix(
     sizes = np.bincount(y, weights=m, minlength=len(classes)).astype(np.int64)
     if not sizes.any():
         raise EmptyCorpus("cannot train on an empty corpus")
-    if presence is None:
-        presence = class_presence(counts, y, len(classes), m)
-    elif presence.shape != (len(classes), counts.shape[1]):
-        raise DimensionMismatch(
-            f"presence table of shape {presence.shape} for {len(classes)} "
-            f"classes and {counts.shape[1]} symbols")
+    presence = class_presence(counts, y, len(classes), m)
     used = np.flatnonzero(presence.any(axis=0))
     vocab = [symbols[j] for j in used]
     trained = sizes > 0

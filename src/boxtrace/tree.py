@@ -16,14 +16,15 @@ weighs the same.
 
 A node's split search is a few array passes per block of its columns,
 with no Python loop over features or thresholds. Sorting the columns
-gives every candidate boundary. When every row is one file, each class's
-rows' values, sorted per column and shifted so that each column has its
-own key range, give with one `searchsorted` the number of that class's
-files left of every boundary. Otherwise the files of each class among the
-rows holding each distinct value of a column are counted, and running
-sums over the values in order give those numbers. The result is bit-for-bit that of scanning each candidate with a
-running sum of class masses in sorted row order, and the Gini decreases
-are computed with the same elementwise operations.
+gives every candidate boundary. The rows of one class and one
+multiplicity form a group: its values, sorted per column and shifted so
+that each column has its own key range, give with one `searchsorted`
+the number of its rows left of every boundary, and each of them stands
+for the same number of files of its class. When every row is one file,
+the groups are the classes. The result is bit-for-bit that of scanning
+each candidate with a running sum of class masses in sorted row order,
+and the Gini decreases are computed with the same elementwise
+operations.
 
 A tree searches one column per group of columns that are equal over its
 training rows, the first of the group. Equal at the root, they are equal
@@ -199,64 +200,33 @@ def _scan_order_best(decrease: np.ndarray,
     return chosen
 
 
-def _unit_candidates(block, columns, offset, in_class, n, leaf):
-    """The candidates of a block of columns whose rows are one file each:
-    their features, the values either side of each boundary, and the files
-    of each class left of it."""
+def _candidates(block, columns, offset, groups, n_classes, n, leaf):
+    """The candidates of a block of columns: their features, the values
+    either side of each boundary, and the files of each class left of it.
+    `groups` holds each class and multiplicity present with its rows."""
     n_rows, cols = block.shape
-    # A boundary after sorted row b sends b + 1 files left. It is a
-    # candidate if the value changes there and both sides keep at least
-    # `leaf` files. Row-major indices are re-sorted into scan order.
-    changes = columns[leaf - 1:n - leaf] != columns[leaf:n - leaf + 1]
-    flat = np.flatnonzero(changes)
+    # A boundary between sorted rows whose values differ is a candidate if
+    # both sides keep at least `leaf` files. Row-major indices are
+    # re-sorted into scan order.
+    flat = np.flatnonzero(columns[:-1] != columns[1:])
     feature, row = np.divmod(np.sort(flat % cols * n_rows + flat // cols),
                              n_rows)
-    row += leaf - 1
     below = columns[row, feature]
     boundary_keys = offset[feature] + below
-    left_files = np.empty((feature.size, len(in_class)), dtype=np.intp)
-    for c, rows in enumerate(in_class):
-        # Class c's keys, each column sorted: they ascend, and column j's
-        # n_c keys start at j * n_c.
+    left_files = np.zeros((feature.size, n_classes), dtype=np.intp)
+    for c, files_each, rows in groups:
+        # The group's keys, each column sorted: they ascend, and column j's
+        # keys start at j * len(rows). Each row left of a boundary stands
+        # for `files_each` files of class c.
         keys = block[rows].T.astype(np.int64, order="C")
         keys.sort(axis=1)
         keys += offset[:, None]
         k = np.searchsorted(keys.ravel(), boundary_keys, side="right")
-        left_files[:, c] = k - feature * keys.shape[1]
-    return feature, below, columns[row + 1, feature], left_files
-
-
-def _weighted_candidates(block, columns, offset, y, m, n_classes, n, leaf):
-    """The candidates of a block of columns whose row i stands for m[i]
-    files, as `_unit_candidates` gives them. The rows holding one value of
-    a column form a segment, and the files of each class are summed per
-    segment, so the work tracks the distinct rows and values."""
-    n_rows, cols = block.shape
-    # Each column's distinct values, ascending, one column after another:
-    # the segments in scan order, whose keys ascend.
-    is_first = np.ones((cols, n_rows), dtype=bool)
-    np.not_equal(columns.T[:, 1:], columns.T[:, :-1], out=is_first[:, 1:])
-    values = columns.T[is_first]
-    per_column = is_first.sum(axis=1)
-    feature = np.repeat(np.arange(cols), per_column)
-    segment = np.searchsorted(values + offset[feature], block + offset)
-    files = np.bincount((segment * n_classes + y[:, None]).ravel(),
-                        np.repeat(m, cols), values.size * n_classes)
-    # Files of each class at or below each segment's value in its column:
-    # a running sum over the segments, less the earlier columns' total.
-    # They are integers, so the float sums are exact.
-    left_files = np.cumsum(files.reshape(-1, n_classes), axis=0)
-    last = np.cumsum(per_column) - 1
-    left_files[per_column[0]:] -= np.repeat(left_files[last[:-1]],
-                                            per_column[1:], axis=0)
+        left_files[:, c] += files_each * (k - feature * rows.size)
     n_left = left_files.sum(axis=1)
-    # A boundary after a segment other than its column's last is a
-    # candidate if both sides keep at least `leaf` files.
-    after = np.ones(values.size, dtype=bool)
-    after[last] = False
-    s = np.flatnonzero(after & (n_left >= leaf) & (n_left <= n - leaf))
-    return (feature[s], values[s], values[s + 1],
-            left_files[s].astype(np.intp))
+    s = np.flatnonzero((n_left >= leaf) & (n_left <= n - leaf))
+    return feature[s], below[s], columns[row[s] + 1, feature[s]], \
+        left_files[s]
 
 
 def _best_split_arrays(
@@ -279,8 +249,14 @@ def _best_split_arrays(
     leaf = max(min_samples_leaf, 1)
     if n < 2 * leaf:
         return None
-    unit = n == n_rows  # multiplicities are at least 1: every row is a file
-    in_class = [y == c for c in range(n_classes)] if unit else None
+    # The rows of each class and multiplicity. A class of N files has
+    # fewer than sqrt(2N) distinct multiplicities, as k of them sum to at
+    # least k(k + 1)/2. A set, not `np.unique`, which imports `numpy.ma`
+    # (1.3 MB more peak RSS on `triage`).
+    base = int(m.max()) + 1
+    code = y * base + m
+    groups = [(*divmod(g, base), np.flatnonzero(code == g))
+              for g in sorted(set(code.tolist()))]
     best: SplitCandidate | None = None
     # Blocks of columns bound the memory of the sorted copies, keys and
     # candidate arrays; taken in order, they keep the scan order.
@@ -293,12 +269,8 @@ def _best_split_arrays(
         low = columns[0].astype(np.int64)
         span = columns[-1] - low + 1
         offset = np.cumsum(span) - span - low
-        if unit:
-            feature, below, above, left_files = _unit_candidates(
-                block, columns, offset, in_class, n, leaf)
-        else:
-            feature, below, above, left_files = _weighted_candidates(
-                block, columns, offset, y, m, n_classes, n, leaf)
+        feature, below, above, left_files = _candidates(
+            block, columns, offset, groups, n_classes, n, leaf)
         if feature.size == 0:
             continue
         left = prefix[classes, left_files]

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import boxtrace.evaluate
+import boxtrace.modelfile
 from boxtrace.errors import (
     DataError,
     EmptyMatrix,
@@ -431,9 +432,9 @@ def reference_folds(rows, symbols, counts, labels, tau):
 
 
 class TestFoldsFromEntries:
-    """Folds trained on distinct weighted entries and the scenario's
-    presence table less the held-out device's are the folds trained on
-    each fold's own rows."""
+    """Folds trained on distinct weighted entries, the held-out device's
+    at multiplicity 0, are the folds trained on each fold's own rows, and
+    their presence tables those of the fold's rows."""
 
     @given(scenario_matrices())
     @example(([row(device="D0", file="a"), row(device="D0", file="b"),
@@ -453,14 +454,14 @@ class TestFoldsFromEntries:
         y = np.array([classes.index(label) for label in labels])
         tables = []
 
-        def spy(*args, presence, **kwargs):
-            tables.append(presence)
-            return train_matrix(*args, presence=presence, **kwargs)
+        def spy(*args):
+            tables.append(class_presence(*args))
+            return tables[-1]
 
         with mock.patch.object(boxtrace.evaluate, "labeled_matrix",
                                lambda *_: (rows, symbols, counts.copy(),
                                            labels)), \
-                mock.patch.object(boxtrace.evaluate, "train_matrix", spy):
+                mock.patch.object(boxtrace.modelfile, "class_presence", spy):
             report = run_scenario(manifest_of(rows), get_scenario("blind"),
                                   filter_cfg=FilterConfig(tau))
         expected = list(reference_folds(rows, symbols, counts, labels, tau))

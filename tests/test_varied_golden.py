@@ -1,10 +1,10 @@
 """Byte-identity goldens on corpora whose structure varies with the seed.
 
-`FixtureSpec(varied=True)` draws each device's layout and optional parts
-of each file from the seed, so, unlike the default corpora, seeds 7 and
-11 give different symbols and different models, and files of one device
-and class repeat unevenly. The digests were recorded before training
-collapsed equal count rows into weighted entries.
+`FixtureSpec(varied=True)` draws two edits' traces, each device's layout
+and optional parts of each file from the seed, so, unlike the default
+corpora, seeds 7 and 11 give different symbols and different trees, and
+files of one device and class repeat unevenly. The digests were recorded
+before training collapsed equal count rows into weighted entries.
 """
 
 import hashlib
@@ -65,62 +65,62 @@ def symbols_digest(corpus) -> str:
 
 GOLDEN = {
     "7/blind": {
-        "dot": "3ba8eda7770913f9c372ce890f63717c7c636d6424bba2651a509b9f551ffcdb",
+        "dot": "2f9af56214ccc98777dbbf324ddbd1c3910a736e79af0bdca4bc1ddce77d27eb",
         "folds": [
-            "7081bbdd8b3ff8336c5f44025d0e19ab56b82517e8b8b3f4a12ea0373b50c43f",
-            "47d3dd65b1cbf60bd573f1b26358f5ad42dad7bdaf3bc5d170a5fda33c43353e",
-            "5ecb91b3c610f226243fe2bf42faf62c9fa78b2e6726891e30edb08c49e76184",
-            "d9be57ba096473433f413497c281abe7c12a002a7f61403c55b02fd013efdf95",
-            "fd1f46507549f633f39a6c51f8c27decd2f6745299fc41d0d94d5908bf0c5c58",
-            "c02ba6d53f938213b78e8a6f49978e3576de57360aa2c99bdb474637d91c6920",
+            "dc0b9aabc0575fd2a603f6b1d40ba549b267e938fab4dd747a60bce4effedaff",
+            "386123f57b9bb8a051396dfd4d921684cf9660ca2082b365c61e28b708f69f8a",
+            "bc4b58dea9d8baeea151cc54b5eb7f8f5579c41531908599bda10906de06d739",
+            "053b96b17704ca1dc7372e6455b00aea61bab3e1b771be3113c2506e4b70a8e2",
+            "483ac06546424abc05b5776d74c576778bd948ff054a4da72e2985e25ef171cd",
+            "1d76cdc6024ebcfc2394af565059dbe1769b30695e44817be16a52fd3f87f37e",
         ],
-        "llr_report": "0ecc446493099f931f88e24de214d645d18cb837fee0f00db7b9539f688977c9",
-        "train": "a9b607d2ca36e556d42d32d672599bba2ffbf848e0f409468069b11d87dc150f",
+        "llr_report": "5759f44d323817561fcb3307371ae23ae166828524763317345672f470cab7ce",
+        "train": "0d7bbead3a33e42b5b01faeb8bf001bd8ff791950b8e1f9a800548ade58226b2",
     },
     "7/integrity": {
         "dot": "71404b1c14d721efcf9c552c086f7bd5a06d4561f195391ab11d71500cbc0d82",
         "folds": [
-            "29aa597c21964c43f94f7694598177e61a66076d751f0410fd35d1d91dfccc85",
-            "862cc5824d2cd1f4db2e57f9a0585559903ab42fd73ad5d9a6c3a983bd50063e",
-            "dc610663b99dbe8376252aa2ed04080ff1e4ae0d7adb3ad95782356b98a67fe1",
-            "8621293c92055b47b8d987f9f56bd04741fa20569348f229d4de49ae60ad5fec",
-            "dd6677b2285240936ff919f08188ecad4424e752b9036afa0c2112d65e5bdfb8",
-            "b1847f1f7693b33d5e4521ec30073f3511f2176acb090aa92886bf4984e2b07e",
+            "0b91cc9c0ce706df69b9e93efd93acdbbdffa9a9b11b0e5fd5014a70407492b4",
+            "96293c43c88ec00c4738adaae2178e29dfd8020fa0faccfaa633331e1eb07c3e",
+            "e0bd542cf1b70f9eaa3cb311583540f7808bcbe5a0049eab014c0c11cec26fdf",
+            "4361805aa4981d2d81730c4d707b39b14eb7003ab22f5f7c0ad2801ba8eabd83",
+            "de54a496be5ef6d4cb30017c86974013af98654a3062697b00ac526b4777da0d",
+            "6b4b9a213ddecadfb4d3f58a3ef13fce10f285e978c132d7afc9cf737d48f6d3",
         ],
-        "llr_report": "626b2d9628d312d3dc2d506d1688999dc15913a16d672669f4c9835db6514cb2",
-        "train": "4dc91154a805b40ad093ef284b69290a3626ca0925071c6a2beca3832aa10d1c",
+        "llr_report": "2df56d1a54ce95551d68d7659d9d73f265762f4b9393cfa481461fcc25fe94c9",
+        "train": "e5d5c5b20342534ffcf584b53b29ffd2c23e857db26f8895fc81afe153c0f49f",
     },
     "11/blind": {
         "dot": "3ba8eda7770913f9c372ce890f63717c7c636d6424bba2651a509b9f551ffcdb",
         "folds": [
-            "68488603c4a0b351aa8f130b37f8a8430cbfb52685bff9e6ec3cf3bba4f46164",
-            "64ed48d2cd41888fcfdb2484b9bffc03e487e18f9f717d6cc0ed48bcbaeefe0e",
-            "3fc6d024d7a8a0552a6f7dce6aa8687f129c3c1869aeb77e895c29e4743e2b93",
-            "76ea69bbf6e1bf9c1edb354910e760891aad2fb131910c8e3ba9d58105853a52",
-            "b9218c135c014e17e060ebd358348226d395e52fa52d76921f18f1967a0d7ea1",
-            "6d3a7863b6c90cc4f1cccf58379e3d7da093f1bc72d53d9768fcc7f998313cc8",
+            "54ee8c5b15f148ce79c69326c996ec4e8d54afd3445962b2b31c2bf616f0dce8",
+            "aab75a7e31729a933476b9d867ed5345915bb677b1fec25927517bc8579a6554",
+            "003b0f1f73c0f2748e5f16c3f5ce5a63727095415c53f23aa815cc862402d3de",
+            "864b984e33087c5af5c22b8501f1ed00357a937d7468924892b582fcd0886b56",
+            "a55572f66bb6978ed7a794882b1640dded3e62ac6e084273dd9559be4937e79a",
+            "8fbc841685d3c66d47738efbba95829c682842fcc166a20f991290add3068692",
         ],
-        "llr_report": "144e781747fd99fcef29ba5dbc093257f30ccb029d8fea9c532bb1df4c775aaf",
-        "train": "e8a52f71223ebefdd48b9adbadd305f5d57a4bb1cf619044b856aaad05c229f3",
+        "llr_report": "aa71699d67372575d7dc6e19ad635bee3dbe0dca78d13137a9453f0491e457c3",
+        "train": "f3b07e8a9148b7706e0769fc2d14259510cb194b588620b2a584a6c4259df497",
     },
     "11/integrity": {
         "dot": "71404b1c14d721efcf9c552c086f7bd5a06d4561f195391ab11d71500cbc0d82",
         "folds": [
-            "a6513db1a41ac4d40ef83d153736e1745a4aa7bc1f24253ac148d03f3ab6247d",
-            "257f3794afbde040413839b103c4983546f437fe66dad85618f180094bbf0a9d",
-            "5a0b8cfb17c5b942a34307a62f45a27c755a883ba5d3ff79c7dc65a8469f9c3e",
-            "f4dab6d761f97ba9d3299fd6bd52fe9e1b33f614bce2baaa7ffdb68135c30a14",
-            "53f55ec4716887eb9ae49cf4658f40dcee40788a42e40e8b76759e1a0de2b69f",
-            "6763fc7952d47772df1ba5b7262f8f0e6644930a7e6d5901f5f355138008afbd",
+            "a9a8e0950bb171abb78b2eca12fe0a21f0a98186df2c9c6408996607749bfa03",
+            "1a6e267370498cb34485030ad7b96d660d61466ea06a78d9c2d43f4039706d52",
+            "042d884c8870b9ba2870c21ff14cc969e16d52268c08ff3ac00291cb748982bb",
+            "0824fefa2c3cbfacfa23bbb62f22a3881f3a341e3c6279df4cf75b0bdce06798",
+            "a6650a875843bea73d48d50be0563c93a2691e1e5094aa3324c86a414f6d0dc1",
+            "4fd99563e540ac4cd9b40cb8d37b52886fd24d0bd9708d3b9f971e708320c367",
         ],
-        "llr_report": "9e236365b6c415927a8fd1b28e9b0589df2c30bd15043c97747684521e24a3ea",
-        "train": "a0f4986f5652e38ca51916a15176bd7258e054db12ec86090d2eac734fe02500",
+        "llr_report": "18764372e41c51ad1287459ec8f6a18a48ba493cdc501d14b8fbe3503e584aa8",
+        "train": "543442fabac3b6c46876914edaeb862cef9e1a0dfc4b32f30d0fb79099397a93",
     },
 }
 
 SYMBOLS_GOLDEN = {
-    7: "8dea1abe899056e56c025bb70f35198e013f0466ef873bd87b2d52ee328a5c4b",
-    11: "cc96319d55a09f61d77eda2cb2a4fe00c6e4dd599d30ffbfd6d13d6529dc10a0",
+    7: "da1b1cd03b821567edf6208b67a879bbd53f7212291157322c697c390b406078",
+    11: "8f107bf496607a4ef8ee6c25da1414c0bc0ad48014ef84cbf2ee32251ee76e7e",
 }
 
 
@@ -143,6 +143,10 @@ def test_seeds_reach_the_models():
         assert first["train"] != second["train"]
         assert first["llr_report"] != second["llr_report"]
         assert not set(first["folds"]) & set(second["folds"])
+    # The trees themselves differ, not only the vocabularies they carry.
+    assert any(GOLDEN[f"{SEEDS[0]}/{scenario}"]["dot"]
+               != GOLDEN[f"{SEEDS[1]}/{scenario}"]["dot"]
+               for scenario in SCENARIOS)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

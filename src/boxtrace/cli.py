@@ -27,7 +27,13 @@ from .evaluate import (
 )
 from .fixtures import FixtureSpec, generate_corpus
 from .llr import DEFAULT_TAU, FilterConfig, llr_report, report_tsv
-from .modelfile import classify_symbols, load_model, save_model, train_matrix
+from .modelfile import (
+    _json_str,
+    classify_symbols,
+    load_model,
+    save_model,
+    train_matrix,
+)
 from .symbols import dump_symbols, file_symbols
 from .tree import PathStep, TreeParams, preorder, to_dot
 
@@ -129,11 +135,6 @@ def cmd_train(args) -> int:
           f"{len(mf.model.vocabulary)}/{len(mf.full_vocabulary)} symbols kept, "
           f"classes: {', '.join(mf.model.classes)}", file=sys.stderr)
     return EXIT_OK
-
-
-# `json.dumps`'s encoder for strings: ASCII, with any other character
-# (a lone surrogate of an undecodable file name too) as a \u escape.
-_json_str = json.encoder.encode_basestring_ascii
 
 
 def _error_line(file_name: str, digest: str, error: str) -> str:

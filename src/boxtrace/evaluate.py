@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import compress
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -70,6 +70,16 @@ class DatasetManifest:
         return sorted({row.device for row in self.rows})
 
 
+def _csv_records(text: str) -> Iterator[list[str]]:
+    """The records of a CSV text. One that `csv` refuses, such as a field
+    over its length limit, raises `MalformedRow` naming its line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise MalformedRow(f"line {reader.line_num}: {exc}") from exc
+
+
 def load_manifest(path: str | Path) -> DatasetManifest:
     """Read and validate a `file,device,os,software,platform` CSV."""
     path = Path(path)
@@ -88,7 +98,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         raise MalformedRow(
             f"line {line}: manifest is not UTF-8 text ({exc.reason} at "
             f"byte {exc.start})") from exc
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = _csv_records(text)
     try:
         header = next(reader)
     except StopIteration:

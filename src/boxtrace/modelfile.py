@@ -34,6 +34,10 @@ from .vectorize import Vocabulary, count_matrix
 
 MODEL_FORMAT_VERSION = 1
 
+# `json.dumps`'s encoder for strings: ASCII, with any other character
+# (a lone surrogate too) as a \u escape. `cli` writes its records with it.
+_json_str = json.encoder.encode_basestring_ascii
+
 
 def _emit(value, indent: int, pieces: list[str]) -> None:
     """Append the canonical JSON of `value` to `pieces`. A plain function,
@@ -50,7 +54,7 @@ def _emit(value, indent: int, pieces: list[str]) -> None:
             raise ModelFormatError(f"non-finite float {value!r} in model")
         pieces.append(format(value, ".12g"))
     elif isinstance(value, str):
-        pieces.append(json.dumps(value, ensure_ascii=True))
+        pieces.append(_json_str(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             pieces.append("[]")
@@ -70,7 +74,7 @@ def _emit(value, indent: int, pieces: list[str]) -> None:
         for i, key in enumerate(keys):
             if not isinstance(key, str):
                 raise ModelFormatError(f"non-string key {key!r}")
-            pieces.append(pad + "  " + json.dumps(key, ensure_ascii=True) + ": ")
+            pieces.append(pad + "  " + _json_str(key) + ": ")
             _emit(value[key], indent + 1, pieces)
             pieces.append(",\n" if i < len(keys) - 1 else "\n")
         pieces.append(pad + "}")

@@ -15,6 +15,7 @@ and a ``/`` after it starts a value.
 from __future__ import annotations
 
 import functools
+import sys
 from collections import Counter
 from typing import BinaryIO, Collection, Iterable, Iterator
 
@@ -31,20 +32,21 @@ _DEFAULT_BLACKLIST = frozenset(f"@{name}" for name in (
 ))
 
 
-# One string per distinct symbol, shared by every multiset the process
-# counts: field-symbols by (box path, field name), value-symbols by
-# (field-symbol, value). Like `bmff`'s type-code cache, each dict stops
-# growing at its bound; any other symbol is built each time it is met, as
-# is a symbol longer than `_CACHED_SYMBOL_LEN` characters. The bounds cover
-# the ~4.2k distinct symbols of 24 devices with 4096 extra opaque boxes.
-# An entry holds a pair and at most 128 characters of strings besides the
-# symbol, so filled with the longest symbols they take 525 and 494 bytes
-# an entry, 6.3 MB in all (tracemalloc, CPython 3.11).
-_FIELD_SYMBOLS: dict[tuple[str, str], str] = {}
-_FIELD_SYMBOL_CACHE_SIZE = 8192
-_VALUE_SYMBOLS: dict[tuple[str, str], str] = {}
-_VALUE_SYMBOL_CACHE_SIZE = 4096
-_CACHED_SYMBOL_LEN = 128
+# The symbols of each distinct box, in field order, by its event's
+# (path, *fields), the values of blacklisted fields None. Like `bmff`'s
+# type-code cache it stops growing at its bound; any other box's symbols
+# are built each time it is met, as are those of a box whose symbols
+# together exceed `_CACHED_BOX_LEN` characters. The seed-7 fixture
+# corpora hold 37 (`triage` training), 55 (`lodo`) and 2073 (`lodo-wide`)
+# distinct boxes with fields; the largest, a `tkhd` with every value, has
+# 646 characters of symbols. Filled with boxes of the most fields the cap
+# allows, the cache takes 16.5 MB (tracemalloc, CPython 3.11). A cached
+# symbol is interned, so each distinct one is one string, shared by every
+# multiset that holds it; only cached ones are, since CPython 3.12 never
+# frees an interned string.
+_BOX_SYMBOLS: dict[tuple, tuple[str, ...]] = {}
+_BOX_CACHE_SIZE = 4096
+_CACHED_BOX_LEN = 1024
 
 
 def escape_value(value: str) -> str:
@@ -66,45 +68,42 @@ def symbol_kind(symbol: str) -> str:
 
 
 def _count_symbols(events: Iterable[tuple],
-                   blacklist: frozenset[str] = frozenset(),
                    only: Collection[str] | None = None) -> Counter[str]:
-    """The symbols of `walk_boxes` events, counted in the order given. A
+    """The symbols of `walk_boxes` events, counted in the order given: a
     field gives its field-symbol, and its value-symbol unless its value is
-    None or its ``@``-prefixed name is in `blacklist`. With `only`, only
-    the symbols in `only` are counted."""
-    field_symbols, value_symbols = _FIELD_SYMBOLS, _VALUE_SYMBOLS
+    None. With `only`, only the symbols in `only` are counted."""
+    cache = _BOX_SYMBOLS
     symbols: list[str] = []
-    append = symbols.append
+    extend = symbols.extend
     for _, path, _, fields in events:
-        for fname, fvalue in fields:
-            key = path, fname
-            field_symbol = field_symbols.get(key)
-            if field_symbol is None:
-                field_symbol = f"{path}/@{fname}"
-                if (len(field_symbols) < _FIELD_SYMBOL_CACHE_SIZE
-                        and len(field_symbol) <= _CACHED_SYMBOL_LEN):
-                    field_symbols[key] = field_symbol
-            append(field_symbol)
-            if fvalue is None or blacklist and "@" + fname in blacklist:
-                continue
-            key = field_symbol, fvalue
-            value_symbol = value_symbols.get(key)
-            if value_symbol is None:
-                value_symbol = f"{field_symbol}/{escape_value(fvalue)}"
-                if (len(value_symbols) < _VALUE_SYMBOL_CACHE_SIZE
-                        and len(value_symbol) <= _CACHED_SYMBOL_LEN):
-                    value_symbols[key] = value_symbol
-            append(value_symbol)
+        if not fields:  # a container
+            continue
+        key = path, *fields
+        box = cache.get(key)
+        if box is None:
+            box = []
+            for fname, fvalue in fields:
+                box.append(f"{path}/@{fname}")
+                if fvalue is not None:
+                    box.append(f"{box[-1]}/{escape_value(fvalue)}")
+            if (len(cache) < _BOX_CACHE_SIZE
+                    and sum(map(len, box)) <= _CACHED_BOX_LEN):
+                box = cache[key] = tuple(map(sys.intern, box))
+        extend(box)
     return Counter(symbols if only is None
                    else filter(only.__contains__, symbols))
 
 
-def _tree_events(tree: ContainerTree) -> Iterator[tuple]:
-    """The `walk_boxes` events of a parsed or hand-built tree."""
+def _tree_events(tree: ContainerTree,
+                 blacklist: Collection[str]) -> Iterator[tuple]:
+    """The `walk_boxes` events of a parsed or hand-built tree, a field
+    whose ``@``-prefixed name is in `blacklist` with the value None, as
+    the walk's `drop` gives it."""
     stack = [(child, child.name, 0) for child in reversed(tree.root.children)]
     while stack:
         node, path, depth = stack.pop()
-        yield depth, path, node.header, node.fields
+        yield depth, path, node.header, [
+            (f[0], None) if "@" + f[0] in blacklist else f for f in node.fields]
         for child in reversed(node.children):
             stack.append((child, f"{path}/{child.name}", depth + 1))
 
@@ -119,8 +118,8 @@ def extract_symbols(
     produce no standalone symbol; opaque nodes are reached through their
     `stuff`/`count` fields. Counts aggregate across sibling duplicates.
     """
-    return _count_symbols(_tree_events(tree), _DEFAULT_BLACKLIST
-                          if blacklist is None else blacklist)
+    return _count_symbols(_tree_events(tree, _DEFAULT_BLACKLIST
+                                       if blacklist is None else blacklist))
 
 
 @functools.lru_cache(maxsize=1)
@@ -139,7 +138,7 @@ def container_symbols(
     `extract_symbols` and `parse_container` give them, with no tree built.
     The walk is passed the blacklist as its `drop` set, so only the values
     that become symbols are rendered, and each symbol is the process's one
-    string for it while the symbol caches have room.
+    string for it while the box cache has room.
 
     With `only`, the symbols are those of the full count that are in
     `only`. Only the boxes they name are decoded, and only those reach

@@ -635,6 +635,23 @@ def test_manifest_not_utf8_is_data_error(tmp_path, monkeypatch, capsys,
         "MalformedRow: line 2: manifest is not UTF-8 text")
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "manifest.csv", "--scenario", "integrity", "--out", "m.json"],
+    ["evaluate", "manifest.csv", "--scenario", "integrity"],
+    ["llr-report", "manifest.csv", "--scenario", "integrity"],
+], ids=lambda argv: argv[0])
+def test_field_over_csv_limit_is_data_error(tmp_path, monkeypatch, capsys,
+                                            argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "manifest.csv").write_text(
+        "file,device,os,software,platform\n"
+        + "v" * 200_000 + ".mp4,D01,iOS,none,none\n", encoding="utf-8")
+    assert main(argv) == 65
+    assert capsys.readouterr().err == ("MalformedRow: line 2: field larger "
+                                       "than field limit (131072)\n")
+    assert not (tmp_path / "m.json").exists()
+
+
 OUT_OF_RANGE_FLAGS = (
     [("--tau", v) for v in ("0", "-1", "nan", "inf")]
     + [("--max-depth", "-2"), ("--max-depth", "1.5"),

@@ -1,5 +1,6 @@
 """Manifest handling, scenarios, folds, and the evaluation harness."""
 
+import csv
 import gc
 import weakref
 from pathlib import Path
@@ -114,6 +115,17 @@ class TestLoadManifest:
         assert len(manifest.rows) == 1
         assert manifest.skipped_missing == 1
         assert any("gone.mp4" in w for w in manifest.warnings)
+
+    def test_field_over_csv_limit_is_malformed_row(self, tmp_path):
+        (tmp_path / "v.mp4").write_bytes(b"x")
+        path = self.write(tmp_path, [
+            "file,device,os,software,platform",
+            "v.mp4,D01,iOS,none,none",
+            "v.mp4,D01,iOS,none," + "x" * (csv.field_size_limit() + 1),
+        ])
+        with pytest.raises(MalformedRow, match=r"^line 3: field larger "
+                                               r"than field limit"):
+            load_manifest(path)
 
     def test_nul_byte_path_is_data_error(self):
         with pytest.raises(DataError, match="unusable manifest path: "

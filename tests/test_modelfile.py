@@ -63,7 +63,48 @@ FIG_MODEL_TEXT = dumps_model(train_model(*fig_style_corpus(), tau=0.5,
                                          trained_at=""))
 
 
+def json_dumps_canonical(obj) -> str:
+    """`canonical_dumps` as it was written with every string and key
+    through ``json.dumps(..., ensure_ascii=True)``: the reference for its
+    string encoding."""
+    def emit(value, indent):
+        pad = "  " * indent
+        if value is None or isinstance(value, bool):
+            return json.dumps(value)
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, float):
+            return format(value, ".12g")
+        if isinstance(value, str):
+            return json.dumps(value, ensure_ascii=True)
+        if isinstance(value, list):
+            items = [pad + "  " + emit(item, indent + 1) for item in value]
+            return "[\n" + ",\n".join(items) + "\n" + pad + "]" if value \
+                else "[]"
+        items = [pad + "  " + json.dumps(key, ensure_ascii=True) + ": "
+                 + emit(value[key], indent + 1) for key in sorted(value)]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}" if value else "{}"
+
+    return emit(obj, 0) + "\n"
+
+
+# Text with lone surrogates, control characters, quotes, backslashes and
+# characters past ASCII and past the Basic Multilingual Plane.
+JSON_TEXT = st.text(st.characters(codec=None) | st.sampled_from(
+    ["\ud800", "\udfff", "\x00", "\x1f", "\x7f", '"', "\\", "\u00e9",
+     "\u2028", "\U0001f600"]))
+JSON_VALUES = st.recursive(
+    JSON_TEXT | st.none() | st.booleans() | st.integers(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4), max_leaves=20)
+
+
 class TestCanonicalDumps:
+    @given(JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_strings_and_keys_as_json_dumps_writes_them(self, obj):
+        assert canonical_dumps(obj) == json_dumps_canonical(obj)
+
     def test_sorted_keys_and_newline(self):
         text = canonical_dumps({"b": 1, "a": 2})
         assert text.index('"a"') < text.index('"b"')

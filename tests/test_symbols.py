@@ -14,6 +14,7 @@ from boxtrace.bmff import (
     ContainerTree,
     parse_container,
     render_type_code,
+    walk_boxes,
 )
 from boxtrace.errors import NestingTooDeep, ParseError
 from boxtrace.fixtures import FixtureSpec, generate_corpus
@@ -353,10 +354,9 @@ class TestByteSymbolsMatchReference:
 
 
 @pytest.fixture()
-def fresh_caches(monkeypatch):
-    """Empty symbol caches for one test; the process's stay as they are."""
-    monkeypatch.setattr(symbols_module, "_FIELD_SYMBOLS", {})
-    monkeypatch.setattr(symbols_module, "_VALUE_SYMBOLS", {})
+def fresh_cache(monkeypatch):
+    """An empty box cache for one test; the process's stays as it is."""
+    monkeypatch.setattr(symbols_module, "_BOX_SYMBOLS", {})
 
 
 def all_symbols(files, blacklist):
@@ -368,34 +368,38 @@ def all_symbols(files, blacklist):
     return out
 
 
-@pytest.mark.usefixtures("fresh_caches")
+def built_symbols(path, fields):
+    """A box's symbols as `old_symbols` makes them, None for no value."""
+    out = []
+    for fname, fvalue in fields:
+        out.append(f"{path}/@{fname}")
+        if fvalue is not None:
+            out.append(f"{path}/@{fname}/{escape_value(fvalue)}")
+    return out
+
+
+@pytest.mark.usefixtures("fresh_cache")
 class TestSymbolCache:
-    """The process's field- and value-symbol strings: bounded, each built
-    as an uncached one is, and one object per distinct symbol."""
+    """The process's symbols of each distinct box: bounded, each built as
+    an uncached one is, and one object per distinct symbol."""
 
     def test_bounded(self, fixture_files, monkeypatch):
         expected = [list(ms.items())
                     for ms in all_symbols(fixture_files, NO_BLACKLIST)]
-        monkeypatch.setattr(symbols_module, "_FIELD_SYMBOLS", {})
-        monkeypatch.setattr(symbols_module, "_VALUE_SYMBOLS", {})
-        monkeypatch.setattr(symbols_module, "_FIELD_SYMBOL_CACHE_SIZE", 7)
-        monkeypatch.setattr(symbols_module, "_VALUE_SYMBOL_CACHE_SIZE", 5)
-        for _ in range(2):  # the second pass reads from the full caches
+        monkeypatch.setattr(symbols_module, "_BOX_SYMBOLS", {})
+        monkeypatch.setattr(symbols_module, "_BOX_CACHE_SIZE", 7)
+        for _ in range(2):  # the second pass reads from the full cache
             assert [list(ms.items()) for ms in
                     all_symbols(fixture_files, NO_BLACKLIST)] == expected
-            assert len(symbols_module._FIELD_SYMBOLS) == 7
-            assert len(symbols_module._VALUE_SYMBOLS) == 5
+            assert len(symbols_module._BOX_SYMBOLS) == 7
 
     def test_symbols_past_the_bound_equal_uncached(self, fixture_files,
                                                    monkeypatch):
-        monkeypatch.setattr(symbols_module, "_FIELD_SYMBOL_CACHE_SIZE", 0)
-        monkeypatch.setattr(symbols_module, "_VALUE_SYMBOL_CACHE_SIZE", 0)
+        monkeypatch.setattr(symbols_module, "_BOX_CACHE_SIZE", 0)
         uncached = all_symbols(fixture_files, None)
-        assert not symbols_module._FIELD_SYMBOLS
-        assert not symbols_module._VALUE_SYMBOLS
+        assert not symbols_module._BOX_SYMBOLS
         monkeypatch.undo()
-        monkeypatch.setattr(symbols_module, "_FIELD_SYMBOLS", {})
-        monkeypatch.setattr(symbols_module, "_VALUE_SYMBOLS", {})
+        monkeypatch.setattr(symbols_module, "_BOX_SYMBOLS", {})
         for _ in range(2):
             assert [list(ms.items()) for ms in all_symbols(fixture_files, None)] \
                 == [list(ms.items()) for ms in uncached]
@@ -403,29 +407,37 @@ class TestSymbolCache:
     def test_cached_strings_are_built_symbols(self, fixture_files):
         all_symbols(fixture_files, NO_BLACKLIST)
         all_symbols(fixture_files, default_blacklist())
-        assert symbols_module._VALUE_SYMBOLS
-        for (path, fname), symbol in symbols_module._FIELD_SYMBOLS.items():
-            assert symbol == f"{path}/@{fname}"
-        for (field_symbol, value), symbol in \
-                symbols_module._VALUE_SYMBOLS.items():
-            assert symbol == f"{field_symbol}/{escape_value(value)}"
+        cache = symbols_module._BOX_SYMBOLS
+        assert any(None in dict(fields).values() for _, *fields in cache)
+        for (path, *fields), symbols in cache.items():
+            assert type(symbols) is tuple
+            assert list(symbols) == built_symbols(path, fields)
+
+    def test_blacklisted_values_are_not_keys(self, fixture_files):
+        # A tree holds every value; its blacklisted ones, durations and
+        # timestamps among them, reach the cache as None.
+        for data, _ in fixture_files:
+            extract_symbols(parse_bytes(data))
+        assert symbols_module._BOX_SYMBOLS
+        for _, *fields in symbols_module._BOX_SYMBOLS:
+            assert all(fvalue is None for fname, fvalue in fields
+                       if "@" + fname in default_blacklist())
 
     def test_long_symbols_are_not_cached(self):
-        cap = symbols_module._CACHED_SYMBOL_LEN
+        cap = symbols_module._CACHED_BOX_LEN
         value = "v" * cap
         hdlr = mkfull(b"hdlr", 0, 0, bytes(20) + value.encode())
-        depth = cap // 5 + 1
+        depth = cap // 20 + 1  # four symbols of over 5 * depth characters
         data = FTYP_MIN + mkbox(b"moov", hdlr) + moov_nest(depth, mkbox(b"free"))
         deep = "moov/" * depth + "free/@stuff"
         for _ in range(2):
             ms = container_symbols(io.BytesIO(data), NO_BLACKLIST)[0]
             assert ms[f"moov/hdlr/@name/{value}"] == ms[deep] == 1
-        for cache in (symbols_module._FIELD_SYMBOLS,
-                      symbols_module._VALUE_SYMBOLS):
-            assert all(len(s) <= cap for s in cache.values())
-        assert "moov/hdlr/@handlerType/0x00000000" \
-            in symbols_module._VALUE_SYMBOLS.values()
-        assert "moov/hdlr/@name" in symbols_module._FIELD_SYMBOLS.values()
+            assert extract_symbols(parse_bytes(data), NO_BLACKLIST) == ms
+        cache = symbols_module._BOX_SYMBOLS
+        assert all(sum(map(len, symbols)) <= cap
+                   for symbols in cache.values())
+        assert {path for path, *_ in cache} == {"ftyp"}
 
     @pytest.mark.parametrize("blacklist", [None, NO_BLACKLIST])
     def test_shared_symbols_are_one_object(self, fixture_files, blacklist):
@@ -437,6 +449,52 @@ class TestSymbolCache:
         first_seen: dict[str, str] = {}
         for ms in multisets:
             assert all(first_seen.setdefault(s, s) is s for s in ms)
+
+
+def event_outcome(events):
+    """The ``(depth, path, fields)`` of events, or the `ParseError` type
+    and message."""
+    try:
+        return [(depth, path, fields) for depth, path, _, fields in events]
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+def tree_events_outcome(data: bytes, blacklist):
+    try:
+        tree = parse_bytes(data)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return event_outcome(symbols_module._tree_events(tree, blacklist))
+
+
+# Any set of the names the decoders give, so a blacklist may drop a value
+# that the default keeps or keep one that it drops.
+DROPPABLE = sorted(default_blacklist() | {
+    "@userType", "@majorBrand", "@minorVersion", "@compatibleBrand_0",
+    "@compatibleBrand_2", "@format_1", "@handlerType", "@mediaRate",
+    "@mediaTime", "@rate", "@volume", "@graphicsMode", "@opColor"})
+
+
+class TestTreeEventsMatchWalk:
+    """`_tree_events` over a parsed tree gives the events of `walk_boxes`
+    over the bytes, a value whose name the blacklist holds as None."""
+
+    @given(st.booleans(), st.binary(max_size=300),
+           st.sets(st.sampled_from(DROPPABLE)))
+    @settings(max_examples=300, deadline=None)
+    def test_random_bytes(self, after_ftyp, tail, blacklist):
+        data = (FTYP_MIN if after_ftyp else b"") + tail
+        assert tree_events_outcome(data, blacklist) == event_outcome(
+            walk_boxes(io.BytesIO(data), [], drop=blacklist))
+
+    @given(st.data(), st.sets(st.sampled_from(DROPPABLE)))
+    @settings(max_examples=200, deadline=None)
+    def test_hostile_fixture_variants(self, fixture_files, data, blacklist):
+        base, offsets = data.draw(st.sampled_from(fixture_files))
+        variant = hostile(data.draw, base, offsets)
+        assert tree_events_outcome(variant, blacklist) == event_outcome(
+            walk_boxes(io.BytesIO(variant), [], drop=blacklist))
 
 
 # Strings that name no symbol of a file, or no box of it.

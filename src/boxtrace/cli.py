@@ -35,7 +35,7 @@ from .modelfile import (
     train_matrix,
 )
 from .symbols import dump_symbols, file_symbols
-from .tree import PathStep, TreeParams, preorder, to_dot
+from .tree import PathStep, TreeParams, _is_int, preorder, to_dot
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -76,8 +76,10 @@ _TAU = _checked(float, lambda v: math.isfinite(v) and v > 0,
                 "a finite number above 0")
 _CCP_ALPHA = _checked(float, lambda v: math.isfinite(v) and v >= 0,
                       "a finite number of at least 0")
-_MAX_DEPTH = _checked(int, lambda v: v >= 0, "an integer of at least 0")
-_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer of at least 1")
+_MAX_DEPTH = _checked(int, lambda v: _is_int(v) and v >= 0,
+                      "a finite integer of at least 0")
+_POSITIVE_INT = _checked(int, lambda v: _is_int(v) and v >= 1,
+                         "a finite integer of at least 1")
 _PATH = _checked(str, lambda v: "\0" not in v, "a path: it holds a NUL byte")
 
 

@@ -70,12 +70,14 @@ class DatasetManifest:
         return sorted({row.device for row in self.rows})
 
 
-def _csv_records(text: str) -> Iterator[list[str]]:
-    """The records of a CSV text. One that `csv` refuses, such as a field
-    over its length limit, raises `MalformedRow` naming its line."""
+def _csv_records(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The records of a CSV text, each with the physical line it ends on.
+    One that `csv` refuses, such as a field over its length limit, raises
+    `MalformedRow` naming its line."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        yield from reader
+        for record in reader:
+            yield reader.line_num, record
     except csv.Error as exc:
         raise MalformedRow(f"line {reader.line_num}: {exc}") from exc
 
@@ -100,33 +102,33 @@ def load_manifest(path: str | Path) -> DatasetManifest:
             f"byte {exc.start})") from exc
     reader = _csv_records(text)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise MalformedRow("manifest is empty, expected a header row")
     if [h.strip() for h in header] != _MANIFEST_HEADER:
         raise MalformedRow(
             f"bad header {header!r}, expected {','.join(_MANIFEST_HEADER)}")
-    for line_no, raw in enumerate(reader, start=2):
+    for line_no, raw in reader:
         if not raw or all(not cell.strip() for cell in raw):
             continue
         if len(raw) != 5:
             raise MalformedRow(
-                f"row {line_no}: expected 5 columns, got {len(raw)}")
+                f"line {line_no}: expected 5 columns, got {len(raw)}")
         file_name, device, os_name, software, platform = (
             cell.strip() for cell in raw)
         if not file_name or not device:
-            raise MalformedRow(f"row {line_no}: empty file or device")
+            raise MalformedRow(f"line {line_no}: empty file or device")
         if os_name not in OS_VALUES:
-            raise UnknownEnum(f"row {line_no}: unknown os {os_name!r}")
+            raise UnknownEnum(f"line {line_no}: unknown os {os_name!r}")
         if software not in SOFTWARE_VALUES:
-            raise UnknownEnum(f"row {line_no}: unknown software {software!r}")
+            raise UnknownEnum(f"line {line_no}: unknown software {software!r}")
         if platform not in PLATFORM_VALUES:
-            raise UnknownEnum(f"row {line_no}: unknown platform {platform!r}")
+            raise UnknownEnum(f"line {line_no}: unknown platform {platform!r}")
         resolved = Path(file_name)
         if not resolved.is_absolute():
             resolved = base / resolved
         if not resolved.exists():
-            warnings.append(f"row {line_no}: missing file {file_name}, skipped")
+            warnings.append(f"line {line_no}: missing file {file_name}, skipped")
             skipped += 1
             continue
         rows.append(ManifestRow(file_name, device, os_name, software,

@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyClass, SingleClass, UnknownClass
+from .tree import _is_finite, encode_counts
 from .vectorize import Vocabulary, vectorize
 
 DEFAULT_TAU = 0.5
@@ -27,13 +28,17 @@ DEFAULT_TAU = 0.5
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Threshold for the symbol filter; the log base is fixed to e."""
+    """Threshold for the symbol filter (log base e) and the one statement
+    of its range: `tau` is a number above 0, as `TreeParams` defines a
+    number, stored as a plain `float`; any other raises `ValueError`."""
 
     tau: float = DEFAULT_TAU
 
     def __post_init__(self) -> None:
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not (_is_finite(self.tau) and self.tau > 0):
+            raise ValueError(
+                f"tau must be a finite number above 0, got {self.tau!r}")
+        object.__setattr__(self, "tau", float(self.tau))
 
 
 @dataclass
@@ -148,12 +153,10 @@ def llr_report(symbols: Sequence[str], counts: np.ndarray,
                labels: Sequence[str], cfg: FilterConfig) -> LLRReport:
     """Max pairwise LLR, best pair and keep decision of every column of a
     training count matrix: `counts` has one column per symbol of
-    `symbols` and one row per label of `labels`."""
-    classes = sorted(set(labels))
+    `symbols` and one row per label of `labels` (see `encode_counts`)."""
+    counts, y, _, classes = encode_counts(counts, labels, len(symbols))
     if len(classes) < 2:
         raise SingleClass(f"need at least 2 classes, got {len(classes)}")
-    to_int = {c: i for i, c in enumerate(classes)}
-    y = np.array([to_int[label] for label in labels], dtype=np.intp)
     best, hi, lo = pairwise_llr(class_presence(counts, y, len(classes)),
                                 np.bincount(y, minlength=len(classes)))
     report = LLRReport(tau=cfg.tau)

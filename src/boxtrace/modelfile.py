@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, DimensionMismatch, EmptyCorpus, ModelFormatError
+from .errors import DataError, EmptyCorpus, ModelFormatError
 from .llr import DEFAULT_TAU, FilterConfig, class_presence, pairwise_llr
 from .tree import (
     DecisionTreeModel,
@@ -26,7 +26,10 @@ from .tree import (
     SplitCandidate,
     TreeNode,
     TreeParams,
+    _is_finite,
+    _is_int,
     decide,
+    encode_counts,
     preorder,
     train_tree,
 )
@@ -133,20 +136,6 @@ def _check(condition: bool, message: str) -> None:
         raise ModelFormatError(message)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    """A JSON number that converts to a finite float."""
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        return False
-
-
 def _is_sorted_strings(value) -> bool:
     """A list of distinct strings in ascending order."""
     return (isinstance(value, list)
@@ -243,30 +232,24 @@ def loads_model(text: str) -> ModelFile:
            "classes must be a sorted, non-empty list of distinct strings")
     filter_obj = obj.get("filter")
     _check(isinstance(filter_obj, dict), "filter must be an object")
-    kept, tau = filter_obj.get("kept"), filter_obj.get("tau")
+    kept = filter_obj.get("kept")
     _check(isinstance(kept, list) and all(_is_int(k) and k in (0, 1)
                                           for k in kept),
            "kept mask must be a list of 0 and 1")
     _check(len(kept) == len(full_vocab),
            "kept mask length does not match vocabulary")
-    _check(_is_finite(tau) and tau > 0,
-           f"tau {tau!r} is not finite and above 0")
     weights = obj.get("class_weights")
     _check(isinstance(weights, dict) and sorted(weights) == classes
            and all(_is_finite(w) for w in weights.values()),
            "class_weights must map each class to a finite number")
-    params = obj.get("params")
-    _check(isinstance(params, dict), "params must be an object")
-    max_depth = params.get("max_depth")
-    min_samples_leaf = params.get("min_samples_leaf")
-    ccp_alpha = params.get("ccp_alpha")
-    _check(max_depth is None or _is_int(max_depth) and max_depth >= 0,
-           f"max_depth {max_depth!r} is not null or an integer of at least 0")
-    _check(_is_int(min_samples_leaf) and min_samples_leaf >= 1,
-           f"min_samples_leaf {min_samples_leaf!r} is not an integer "
-           f"of at least 1")
-    _check(_is_finite(ccp_alpha) and ccp_alpha >= 0,
-           f"ccp_alpha {ccp_alpha!r} is not finite and at least 0")
+    params_obj = obj.get("params")
+    _check(isinstance(params_obj, dict), "params must be an object")
+    try:  # the two classes own the hyperparameters' ranges
+        cfg = FilterConfig(filter_obj.get("tau"))
+        params = TreeParams(**{name: params_obj.get(name) for name in (
+            "max_depth", "min_samples_leaf", "ccp_alpha")})
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from exc
     tree_nodes = obj.get("tree")
     _check(isinstance(tree_nodes, list), "tree must be a list of nodes")
     metadata = obj.get("metadata", {})
@@ -280,11 +263,9 @@ def loads_model(text: str) -> ModelFile:
     model = DecisionTreeModel(
         root=root, vocabulary=filtered, classes=classes,
         class_weights={c: float(w) for c, w in weights.items()},
-        params=TreeParams(max_depth=max_depth,
-                          min_samples_leaf=min_samples_leaf,
-                          ccp_alpha=float(ccp_alpha)))
+        params=params)
     return ModelFile(full_vocabulary=full_vocab, kept=[k == 1 for k in kept],
-                     tau=float(tau), model=model,
+                     tau=cfg.tau, model=model,
                      scenario=metadata.get("scenario", ""),
                      manifest_digest=metadata.get("manifest_digest", ""),
                      trained_at=metadata.get("trained_at", ""))
@@ -345,21 +326,13 @@ def train_matrix(
     the filter reads only ``class_presence``, the table of how many
     training files of each class contain each symbol.
     """
-    if len(counts) == 0:
-        raise EmptyCorpus("cannot train on an empty corpus")
-    if len(counts) != len(labels):
-        raise DimensionMismatch(
-            f"{len(counts)} files but {len(labels)} labels")
     cfg = FilterConfig(tau)
-    classes = sorted(set(labels))
-    to_int = {c: i for i, c in enumerate(classes)}
-    y = np.array([to_int[label] for label in labels], dtype=np.intp)
-    m = np.ones(len(y), dtype=np.intp) if multiplicity is None \
-        else np.asarray(multiplicity)
-    if m.shape != y.shape:
-        raise DimensionMismatch(f"{m.size} multiplicities for {len(y)} rows")
-    if m.dtype.kind not in "iu" or (m < 0).any():
-        raise DataError("multiplicities must be integers of at least 0")
+    if len(labels) == 0:
+        raise EmptyCorpus("cannot train on an empty corpus")
+    if any(a >= b for a, b in zip(symbols, symbols[1:])):
+        raise DataError("symbols must be sorted and distinct")
+    counts, y, m, classes = encode_counts(counts, labels, len(symbols),
+                                          multiplicity, least=0)
     sizes = np.bincount(y, weights=m, minlength=len(classes)).astype(np.int64)
     if not sizes.any():
         raise EmptyCorpus("cannot train on an empty corpus")
@@ -379,7 +352,7 @@ def train_matrix(
     model = train_tree(counts[np.ix_(rows, used[kept])],
                        [labels[i] for i in rows], filtered, params,
                        multiplicity=m[rows])
-    return ModelFile(full_vocabulary=vocab, kept=kept.tolist(), tau=tau,
+    return ModelFile(full_vocabulary=vocab, kept=kept.tolist(), tau=cfg.tau,
                      model=model, scenario=scenario,
                      manifest_digest=manifest_digest,
                      trained_at=resolve_timestamp(trained_at))

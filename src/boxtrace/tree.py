@@ -54,32 +54,50 @@ _INT32 = np.iinfo(np.int32)
 _BLOCK_ELEMENTS = 1 << 16
 
 
+def _is_finite(value) -> bool:
+    """A number, not a bool, that converts to a finite float."""
+    try:
+        return isinstance(value, (int, float, np.integer, np.floating)) \
+            and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """An integer, not a bool, that converts to a finite float."""
+    return isinstance(value, (int, np.integer)) and _is_finite(value)
 
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Growth and pruning hyperparameters. `min_samples_leaf` counts
-    files: a row of multiplicity m is m files."""
+    """Growth and pruning hyperparameters and the one statement of their
+    ranges, which the training flags and `loads_model` apply: `max_depth`
+    is None or an integer of at least 0, `min_samples_leaf` an integer of
+    at least 1 (it counts files: a row of multiplicity m is m files), and
+    `ccp_alpha` a number of at least 0. A number is not a bool and converts
+    to a finite float. Each is stored as a plain `int` or `float`, so every
+    accepted value serializes; any other raises `ValueError`."""
 
     max_depth: int | None = None
     min_samples_leaf: int = 1
     ccp_alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.max_depth is None
-                or _is_int(self.max_depth) and self.max_depth >= 0):
+        depth, leaf, alpha = self.max_depth, self.min_samples_leaf, \
+            self.ccp_alpha
+        if not (depth is None or _is_int(depth) and depth >= 0):
             raise ValueError(f"max_depth must be None or an integer of at "
-                             f"least 0, got {self.max_depth!r}")
-        if not (_is_int(self.min_samples_leaf) and self.min_samples_leaf >= 1):
+                             f"least 0, got {depth!r}")
+        if not (_is_int(leaf) and leaf >= 1):
             raise ValueError(f"min_samples_leaf must be an integer of at "
-                             f"least 1, got {self.min_samples_leaf!r}")
-        alpha = self.ccp_alpha
-        if not (_is_int(alpha) or isinstance(alpha, float)
-                and math.isfinite(alpha)) or alpha < 0:
+                             f"least 1, got {leaf!r}")
+        if not (_is_finite(alpha) and alpha >= 0):
             raise ValueError(f"ccp_alpha must be a finite number of at "
-                             f"least 0, got {self.ccp_alpha!r}")
+                             f"least 0, got {alpha!r}")
+        object.__setattr__(self, "max_depth",
+                           None if depth is None else int(depth))
+        object.__setattr__(self, "min_samples_leaf", int(leaf))
+        object.__setattr__(self, "ccp_alpha", float(alpha))
 
 
 @dataclass(frozen=True)
@@ -292,52 +310,69 @@ def _best_split_arrays(
     return best
 
 
-def _encode(
-    vectors: Sequence[Sequence[int]] | np.ndarray,
+def encode_counts(
+    counts: Sequence[Sequence[int]] | np.ndarray,
     labels: Sequence[str],
-    class_weights: Mapping[str, float] | None,
+    n_columns: int | None = None,
     multiplicity: Sequence[int] | np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], dict[str, float]]:
-    if len(vectors) == 0:
-        raise EmptyTrainingSet("no training vectors")
-    if len(vectors) != len(labels):
-        raise DimensionMismatch(
-            f"{len(vectors)} vectors but {len(labels)} labels")
-    # Counts stay integers: sorting, boundaries and the `<=` tests match
-    # their float values, and the matrix is half the size of a float copy.
+    least: int = 1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """The one check of a training matrix: its counts as int32, each
+    row's class index and multiplicity, and the labels' sorted classes.
+
+    `counts` is a matrix, or equal-length rows, with one row per label
+    and `n_columns` columns when that is given, and `multiplicity` has
+    one entry per row (default 1); other shapes raise `DimensionMismatch`.
+    Counts must be integers that fit in int32, so that the split search's
+    int64 keys cannot overflow; labels, strings; multiplicities, integers
+    of at least `least`. Others raise `DataError`. Integer counts give the
+    `<=` tests of their floats in half the memory."""
     try:
-        X = np.asarray(vectors)
+        X = np.asarray(counts)
     except ValueError as exc:  # rows of different lengths
         raise DimensionMismatch(f"ragged count rows: {exc}") from exc
     if X.ndim != 2:
         raise DimensionMismatch(
             f"expected a files x features matrix, got shape {X.shape}")
-    # int32, as in a count matrix: the split search's int64 sort keys then
-    # cannot overflow.
+    if len(X) != len(labels):
+        raise DimensionMismatch(f"{len(X)} count rows but {len(labels)} labels")
+    if n_columns is not None and X.shape[1] != n_columns:
+        raise DimensionMismatch(
+            f"{X.shape[1]} count columns for {n_columns} symbols")
     if X.size and X.dtype.kind not in "biu":
         raise DataError(f"counts must be integers, got {X.dtype}")
     if X.size and (X.min() < _INT32.min or X.max() > _INT32.max):
         raise DataError(
             f"counts in [{X.min()}, {X.max()}] do not fit in int32")
-    X = X.astype(np.int32, copy=False)
-    if multiplicity is None:
-        m = np.ones(len(labels), dtype=np.intp)
-    else:
-        m = np.asarray(multiplicity)
-        if m.shape != (len(labels),):
-            raise DimensionMismatch(
-                f"{m.size} multiplicities for {len(labels)} rows")
-        if m.dtype.kind not in "iu" or (m < 1).any():
-            raise DataError("multiplicities must be integers of at least 1")
-        m = m.astype(np.intp)
+    if not all(isinstance(label, str) for label in labels):
+        raise DataError("labels must be strings")
+    m = np.ones(len(X), dtype=np.intp) if multiplicity is None \
+        else np.asarray(multiplicity)
+    if m.shape != (len(X),):
+        raise DimensionMismatch(f"{m.size} multiplicities for {len(X)} rows")
+    if m.dtype.kind not in "iu" or (m < least).any():
+        raise DataError(f"multiplicities must be integers of at least {least}")
     classes = sorted(set(labels))
+    to_int = {c: i for i, c in enumerate(classes)}
+    y = np.array([to_int[label] for label in labels], dtype=np.intp)
+    return X.astype(np.int32, copy=False), y, m.astype(np.intp), classes
+
+
+def _encode(
+    vectors: Sequence[Sequence[int]] | np.ndarray,
+    labels: Sequence[str],
+    class_weights: Mapping[str, float] | None,
+    multiplicity: Sequence[int] | np.ndarray | None = None,
+    n_columns: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[str], dict[str, float]]:
+    if len(labels) == 0:
+        raise EmptyTrainingSet("no training vectors")
+    X, y, m, classes = encode_counts(vectors, labels, n_columns, multiplicity)
     weights = dict(class_weights) if class_weights is not None \
         else compute_class_weights(labels, multiplicity)
     for c in classes:
         if c not in weights:
             raise DataError(f"no weight for class {c!r}")
-    to_int = {c: i for i, c in enumerate(classes)}
-    y = np.array([to_int[label] for label in labels], dtype=np.intp)
     return X, y, m, classes, weights
 
 
@@ -412,17 +447,6 @@ def _grow(
     return root
 
 
-def grow(
-    vectors: Sequence[Sequence[int]] | np.ndarray,
-    labels: Sequence[str],
-    class_weights: Mapping[str, float] | None = None,
-    params: TreeParams = TreeParams(),
-) -> TreeNode:
-    """Partitioning, without recursion, until purity or a stopping cap binds."""
-    X, y, m, classes, weights = _encode(vectors, labels, class_weights)
-    return _grow(X, y, m, classes, weights, params)
-
-
 def _weakest_link(root: TreeNode, total: float) -> tuple[float, TreeNode]:
     """(g, node) of the internal node with the smallest effective alpha;
     on a tie, the one first in preorder (the shallowest, leftmost)."""
@@ -448,8 +472,7 @@ def _weakest_link(root: TreeNode, total: float) -> tuple[float, TreeNode]:
 
 def prune(tree: TreeNode, ccp_alpha: float) -> TreeNode:
     """Minimal cost-complexity pruning; ccp_alpha 0 is the identity."""
-    if ccp_alpha < 0:
-        raise ValueError(f"ccp_alpha must be non-negative, got {ccp_alpha}")
+    ccp_alpha = TreeParams(ccp_alpha=ccp_alpha).ccp_alpha  # checks its range
     # Copy bottom-up: a node's two copies are the top of `copies`.
     copies: list[TreeNode] = []
     for node in reversed(preorder(tree)):
@@ -491,11 +514,7 @@ def train_tree(
     the tree grown on every file, bit for bit.
     """
     X, y, m, classes, weights = _encode(vectors, labels, class_weights,
-                                        multiplicity)
-    if X.shape[1] != len(vocabulary):
-        raise DimensionMismatch(
-            f"vectors of length {X.shape[1]} over a vocabulary of "
-            f"{len(vocabulary)} symbols")
+                                        multiplicity, len(vocabulary))
     root = _grow(X, y, m, classes, weights, params)
     if params.ccp_alpha > 0:
         root = prune(root, params.ccp_alpha)

@@ -18,6 +18,7 @@ from boxtrace.bmff import parse_file
 from boxtrace.cli import _error_line, _verdict_line, main
 from boxtrace.errors import ParseError
 from boxtrace.fixtures import FixtureSpec, generate_corpus
+from boxtrace.llr import FilterConfig
 from boxtrace.modelfile import (
     canonical_dumps,
     classify_symbols,
@@ -25,7 +26,7 @@ from boxtrace.modelfile import (
     load_model,
 )
 from boxtrace.symbols import file_symbols
-from boxtrace.tree import PathStep, preorder, replay_path
+from boxtrace.tree import PathStep, TreeParams, preorder, replay_path
 from boxtrace.vectorize import vectorize
 
 
@@ -602,7 +603,7 @@ def test_missing_file_warns(corpus_dir, tmp_path, monkeypatch, capsys, argv):
         encoding="utf-8")
     assert main([argv[0], str(manifest), *argv[1:]]) == 0
     err = capsys.readouterr().err.splitlines()
-    assert err[0] == "warning: row 2: missing file gone.mp4, skipped"
+    assert err[0] == "warning: line 2: missing file gone.mp4, skipped"
     assert sum("missing file" in line for line in err) == 1
 
 
@@ -652,17 +653,38 @@ def test_field_over_csv_limit_is_data_error(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "m.json").exists()
 
 
+HUGE_INTEGER = "1" + "0" * 400  # no float holds it
 OUT_OF_RANGE_FLAGS = (
-    [("--tau", v) for v in ("0", "-1", "nan", "inf")]
+    [("--tau", v) for v in ("0", "-1", "nan", "inf", "1e999", "-inf")]
     + [("--max-depth", "-2"), ("--max-depth", "1.5"),
+       ("--max-depth", HUGE_INTEGER), ("--max-depth", "3.0"),
        ("--min-samples-leaf", "0"), ("--min-samples-leaf", "-3"),
-       ("--ccp-alpha", "-1"), ("--ccp-alpha", "nan"), ("--ccp-alpha", "inf")])
+       ("--min-samples-leaf", HUGE_INTEGER), ("--min-samples-leaf", "1e999"),
+       ("--ccp-alpha", "-1"), ("--ccp-alpha", "nan"), ("--ccp-alpha", "inf"),
+       ("--ccp-alpha", "1e999")])
+
+
+def flag_value_id(value):
+    """A test id part: pytest's own, but a name for the huge integer."""
+    return "HUGE_INTEGER" if value == HUGE_INTEGER else None
+
+
+def library_config(flag: str, text: str):
+    """The `FilterConfig` or `TreeParams` of a training flag's value, read
+    as an int when it is one and as a float otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = float(text)
+    if flag == "--tau":
+        return FilterConfig(value)
+    return TreeParams(**{flag[2:].replace("-", "_"): value})
 
 
 @pytest.mark.parametrize("command,flag,value", [
     (command, flag, value) for command in ("train", "evaluate", "llr-report")
     for flag, value in OUT_OF_RANGE_FLAGS
-    if command != "llr-report" or flag == "--tau"])
+    if command != "llr-report" or flag == "--tau"], ids=flag_value_id)
 def test_out_of_range_flag_is_usage_error(command, flag, value, corpus_dir,
                                           tmp_path, capsys):
     argv = [command, str(corpus_dir / "manifest.csv"),
@@ -677,14 +699,30 @@ def test_out_of_range_flag_is_usage_error(command, flag, value, corpus_dir,
     assert f"error: argument {flag}: " in err
 
 
+@pytest.mark.parametrize("flag,value", OUT_OF_RANGE_FLAGS, ids=flag_value_id)
+def test_out_of_range_flag_is_out_of_the_library_range(flag, value):
+    # The flags and the classes that the model loader also applies state
+    # one range.
+    with pytest.raises(ValueError):
+        library_config(flag, value)
+
+
+LOWEST_TREE_FLAGS = [("--max-depth", "0"), ("--min-samples-leaf", "1"),
+                     ("--ccp-alpha", "0")]
+
+
 def test_lowest_tree_flags_train(corpus_dir, tmp_path):
     model_path = tmp_path / "m.json"
     code = main(["train", str(corpus_dir / "manifest.csv"),
                  "--scenario", "integrity", "--out", str(model_path),
-                 "--max-depth", "0", "--min-samples-leaf", "1",
-                 "--ccp-alpha", "0"])
+                 *(part for flag in LOWEST_TREE_FLAGS for part in flag)])
     assert code == 0
-    assert load_model(str(model_path)).model.root.is_leaf
+    mf = load_model(str(model_path))
+    assert mf.model.root.is_leaf
+    for flag, value in LOWEST_TREE_FLAGS:
+        library_config(flag, value)  # in the library's range too
+    assert mf.model.params == TreeParams(max_depth=0, min_samples_leaf=1,
+                                         ccp_alpha=0)
 
 
 class TestMakeFixturesCommand:

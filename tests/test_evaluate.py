@@ -88,7 +88,7 @@ class TestLoadManifest:
             "file,device,os,software,platform",
             "v.mp4,D17,Windows,none,none",
         ])
-        with pytest.raises(UnknownEnum, match="row 2"):
+        with pytest.raises(UnknownEnum, match="^line 2: "):
             load_manifest(path)
 
     def test_wrong_column_count_rejected(self, tmp_path):
@@ -96,7 +96,7 @@ class TestLoadManifest:
             "file,device,os,software,platform",
             "v.mp4,D01,iOS,none",
         ])
-        with pytest.raises(MalformedRow, match="row 2"):
+        with pytest.raises(MalformedRow, match="^line 2: "):
             load_manifest(path)
 
     def test_bad_header_rejected(self, tmp_path):
@@ -115,6 +115,26 @@ class TestLoadManifest:
         assert len(manifest.rows) == 1
         assert manifest.skipped_missing == 1
         assert any("gone.mp4" in w for w in manifest.warnings)
+
+    def test_messages_name_physical_lines(self, tmp_path):
+        # Row 2 quotes a file name that holds a newline, so the next
+        # record is on line 4, and a blank line puts the one after on 6.
+        for name in ("a\nb.mp4", "v.mp4"):
+            (tmp_path / name).write_bytes(b"x")
+        path = self.write(tmp_path, [
+            "file,device,os,software,platform",
+            '"a', 'b.mp4",D01,iOS,none,none',
+            "gone.mp4,D01,iOS,none,none",
+            "",
+            "v.mp4,D01,Windows,none,none",
+        ])
+        with pytest.raises(UnknownEnum, match="^line 6: unknown os"):
+            load_manifest(path)
+        path.write_text(path.read_text(encoding="utf-8").replace(
+            "Windows", "iOS"), encoding="utf-8")
+        manifest = load_manifest(path)
+        assert [r.file for r in manifest.rows] == ["a\nb.mp4", "v.mp4"]
+        assert manifest.warnings == ["line 4: missing file gone.mp4, skipped"]
 
     def test_field_over_csv_limit_is_malformed_row(self, tmp_path):
         (tmp_path / "v.mp4").write_bytes(b"x")

@@ -188,10 +188,14 @@ class TestFilterVocabulary:
         assert kept.symbols == tuple(report.kept_symbols())
 
     def test_invalid_tau_rejected(self):
-        with pytest.raises(ValueError):
-            FilterConfig(0.0)
-        with pytest.raises(ValueError):
-            FilterConfig(-1.0)
+        for tau in (0.0, -1.0, float("inf"), float("nan"), 10**400, "1",
+                    None, True, np.float64("-inf")):
+            with pytest.raises(ValueError):
+                FilterConfig(tau)
+
+    def test_tau_is_stored_as_a_float(self):
+        assert type(FilterConfig(np.float32(0.5)).tau) is float
+        assert FilterConfig(3) == FilterConfig(3.0)
 
 
 class TestReportTsv:

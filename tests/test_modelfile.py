@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from boxtrace.bmff import parse_container
-from boxtrace.errors import DimensionMismatch, EmptyCorpus, ModelFormatError
+from boxtrace.errors import (
+    DataError,
+    DimensionMismatch,
+    EmptyCorpus,
+    ModelFormatError,
+)
+from boxtrace.llr import FilterConfig, llr_report
 from boxtrace.modelfile import (
     ModelFile,
     canonical_dumps,
@@ -290,6 +297,18 @@ MALFORMED_MODELS = [
                  id="tau-negative"),
     pytest.param(_json_edit(lambda o: o["filter"].update(tau=0)),
                  id="tau-zero"),
+    pytest.param(_json_edit(lambda o: o["params"].update(max_depth="3")),
+                 id="max-depth-string"),
+    pytest.param(_json_edit(lambda o: o["params"].update(ccp_alpha=True)),
+                 id="ccp-alpha-true"),
+    pytest.param(_json_edit(lambda o: o["params"].update(
+        min_samples_leaf=2.0)), id="min-samples-leaf-float"),
+    pytest.param(_json_edit(lambda o: o["params"].pop("min_samples_leaf")),
+                 id="min-samples-leaf-missing"),
+    pytest.param(_json_edit(lambda o: o["filter"].update(tau=HUGE)),
+                 id="tau-integer-too-large-for-a-float"),
+    pytest.param(lambda o: json.dumps(o).replace(
+        '"tau": 0.5', '"tau": 1e999').encode("ascii"), id="tau-overflows"),
     pytest.param(_json_edit(lambda o: o.update(format_version=1.0)),
                  id="format-version-float"),
     pytest.param(_json_edit(lambda o: o.update(format_version=True)),
@@ -408,6 +427,25 @@ class TestTrainModel:
         mf = train_model(multisets, labels, params=params)
         assert loads_model(dumps_model(mf)).model.params == params
 
+    @pytest.mark.parametrize("tau", [float("inf"), float("nan"), "1", 0,
+                                     10**400],
+                             ids=["inf", "nan", "string", "zero", "huge"])
+    def test_tau_out_of_range_rejected_before_training(self, tau):
+        multisets, labels = fig_style_corpus()
+        with pytest.raises(ValueError):
+            train_model(multisets, labels, tau=tau)
+
+    def test_numpy_hyperparameters_serialize(self):
+        multisets, labels = fig_style_corpus()
+        params = TreeParams(max_depth=np.int64(3),
+                            min_samples_leaf=np.int32(1),
+                            ccp_alpha=np.float64(0.0))
+        mf = train_model(multisets, labels, tau=np.float64(0.5),
+                         params=params, trained_at="")
+        assert dumps_model(mf) == dumps_model(train_model(
+            multisets, labels, tau=0.5, params=TreeParams(max_depth=3),
+            trained_at=""))
+
 
 @st.composite
 def matrix_rows(draw):
@@ -426,6 +464,33 @@ def matrix_rows(draw):
     return tuple(f"s{j}" for j in range(n_columns)), counts, labels, rows
 
 
+COUNT_DTYPES = st.sampled_from([np.int8, np.int32, np.int64, np.uint64,
+                                np.float64, np.bool_])
+
+
+@st.composite
+def malformed_training_data(draw):
+    """Symbols, counts and labels, often of one number of rows and
+    of one column per symbol: counts of any shape, numeric dtype and range
+    (0-d, 1-D and 3-D too) or nested lists, ragged or not, of numbers and
+    strings, and labels that are not always strings."""
+    symbols = draw(st.lists(st.text(max_size=2), max_size=3))
+    if draw(st.booleans()):
+        symbols = sorted(set(symbols))
+    labels = draw(st.lists(st.sampled_from(["A", "B", "A", "B", 0, None]),
+                           max_size=4))
+    n_rows = draw(st.just(len(labels)) | st.integers(0, 4))
+    width = draw(st.just(len(symbols)) | st.integers(0, 4))
+    counts = draw(st.one_of(
+        hnp.arrays(COUNT_DTYPES, (n_rows, width)),
+        hnp.arrays(COUNT_DTYPES, hnp.array_shapes(
+            min_dims=0, max_dims=3, min_side=0, max_side=3)),
+        st.lists(st.lists(st.integers(-2**40, 2**40) | st.floats()
+                          | st.text(max_size=1), max_size=4),
+                 min_size=n_rows, max_size=n_rows)))
+    return symbols, counts, labels
+
+
 class TestTrainMatrix:
     def test_vocabulary_is_the_columns_its_rows_use(self):
         symbols, counts = count_matrix([ms_of({"a": 1}), ms_of({"b": 2}),
@@ -434,6 +499,36 @@ class TestTrainMatrix:
         assert mf.full_vocabulary == ["a", "c"]
         assert classify_symbols(mf, ms_of({"c": 3}))[0] == "X"
         assert classify_symbols(mf, ms_of({"a": 1}))[0] == "Y"
+
+    @pytest.mark.parametrize("symbols,counts", [
+        (("a",), np.array([[1, 0], [0, 2]])),
+        (("a", "b"), np.array([[1], [3]])),
+        (("a", "b"), [[1, 0], [3]]),
+    ], ids=["more-columns", "fewer-columns", "ragged-rows"])
+    def test_columns_must_be_the_symbols(self, symbols, counts):
+        with pytest.raises(DimensionMismatch):
+            train_matrix(symbols, counts, ["X", "Y"])
+        with pytest.raises(DimensionMismatch):
+            llr_report(symbols, counts, ["X", "Y"], FilterConfig())
+
+    def test_symbols_must_be_sorted_and_distinct(self):
+        # The model's vocabulary is sorted: unsorted symbols would name
+        # the wrong columns.
+        counts = np.array([[1, 0], [1, 0], [0, 1], [0, 1]])
+        for symbols in (("b", "a"), ("a", "a")):
+            with pytest.raises(DataError):
+                train_matrix(symbols, counts, ["X", "X", "Y", "Y"], tau=0.1)
+
+    @given(malformed_training_data())
+    @settings(max_examples=400, deadline=None)
+    def test_malformed_data_raises_data_errors(self, data):
+        # Well-formed draws may train; nothing but a DataError may come out.
+        for train in (train_matrix, lambda *args: llr_report(
+                *args, FilterConfig())):
+            try:
+                train(*data)
+            except DataError:
+                pass
 
     def test_no_rows_or_one_label_per_row(self):
         symbols, counts = count_matrix([ms_of({"a": 1}), ms_of({"b": 2})])

@@ -26,7 +26,6 @@ from boxtrace.tree import (
     best_split,
     compute_class_weights,
     decision_path,
-    grow,
     predict,
     prune,
     replay_path,
@@ -480,6 +479,11 @@ class TestTreeParams:
         {"min_samples_leaf": None}, {"ccp_alpha": -0.1},
         {"ccp_alpha": float("nan")}, {"ccp_alpha": float("inf")},
         {"ccp_alpha": "0.1"}, {"ccp_alpha": None},
+        # Values no model file could record: bools, infinities and
+        # integers that no float holds.
+        {"ccp_alpha": 10**400}, {"max_depth": 10**400},
+        {"min_samples_leaf": 10**400}, {"ccp_alpha": True},
+        {"max_depth": np.bool_(True)}, {"ccp_alpha": np.float64("inf")},
     ])
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -490,6 +494,16 @@ class TestTreeParams:
             == TreeParams(max_depth=0, ccp_alpha=0.0)
         assert TreeParams(max_depth=None, min_samples_leaf=np.int64(3),
                           ccp_alpha=0.5).min_samples_leaf == 3
+
+    def test_values_are_stored_as_plain_numbers(self):
+        params = TreeParams(max_depth=np.int64(3),
+                            min_samples_leaf=np.uint8(2),
+                            ccp_alpha=np.float32(0.25))
+        assert params == TreeParams(max_depth=3, min_samples_leaf=2,
+                                    ccp_alpha=0.25)
+        assert [type(v) for v in (params.max_depth, params.min_samples_leaf,
+                                  params.ccp_alpha)] == [int, int, float]
+        assert type(TreeParams(ccp_alpha=2).ccp_alpha) is float
 
 
 class TestGini:
@@ -689,11 +703,17 @@ class TestScanOrderRule:
             scan_order_best(decreases)
 
 
+def grown(vectors, labels, class_weights=None, params=TreeParams()):
+    """The root of the tree trained on count rows over f0, f1, ..."""
+    vocab = Vocabulary.from_strings(f"f{i}" for i in range(len(vectors[0])))
+    return train_tree(vectors, labels, vocab, params, class_weights).root
+
+
 class TestGrow:
     def test_single_symbol_depth_one_tree(self):
         vectors = [fv(0), fv(0), fv(1), fv(1)]
         labels = ["Native-iOS", "Native-iOS", "Exiftool-iOS", "Exiftool-iOS"]
-        root = grow(vectors, labels)
+        root = grown(vectors, labels)
         assert not root.is_leaf
         assert root.split.feature_index == 0
         assert root.split.threshold == 0.5
@@ -701,7 +721,7 @@ class TestGrow:
         assert root.right.is_leaf and root.right.label == "Exiftool-iOS"
 
     def test_pure_input_yields_single_leaf(self):
-        root = grow([fv(1), fv(2)], ["A", "A"])
+        root = grown([fv(1), fv(2)], ["A", "A"])
         assert root.is_leaf and root.label == "A"
 
     def test_xor_like_needs_depth_two(self):
@@ -744,11 +764,11 @@ class TestGrow:
                        for v, l in zip(vectors, labels))
 
     def test_max_depth_zero_single_leaf(self):
-        root = grow([fv(0), fv(1)], ["A", "B"], params=TreeParams(max_depth=0))
+        root = grown([fv(0), fv(1)], ["A", "B"], params=TreeParams(max_depth=0))
         assert root.is_leaf
 
     def test_leaf_tie_breaks_lexicographically(self):
-        root = grow([fv(0), fv(0)], ["B", "A"], params=TreeParams(max_depth=0))
+        root = grown([fv(0), fv(0)], ["B", "A"], params=TreeParams(max_depth=0))
         assert root.label == "A"
 
     def test_ragged_training_rows_rejected(self):
@@ -760,7 +780,7 @@ class TestGrow:
 
     def test_rows_must_form_a_matrix(self):
         with pytest.raises(DimensionMismatch):
-            grow([0, 1], ["A", "B"])
+            train_tree([0, 1], ["A", "B"], Vocabulary.from_strings(["f0"]))
 
 
 class TestPrune:
@@ -769,7 +789,7 @@ class TestPrune:
         vectors = [fv(0, 0), fv(0, 1), fv(0, 0), fv(1, 0), fv(1, 0), fv(1, 1)]
         labels = ["A", "A", "A", "B", "B", "C"]
         weights = {"A": 1.0, "B": 1.0, "C": 1.0}
-        return grow(vectors, labels, weights)
+        return grown(vectors, labels, weights)
 
     def test_alpha_zero_is_identity(self):
         tree = self.build_depth_two()
@@ -891,14 +911,15 @@ class TestWalksWithoutRecursion:
     @settings(max_examples=150, deadline=None)
     def test_match_the_recursive_walks(self, data):
         rows, labels, weights, params = data
-        X, y, _, classes, class_weights = tree._encode(rows, labels, weights)
+        X, y, m, classes, class_weights = tree._encode(rows, labels, weights)
         w = np.array([class_weights[classes[c]] for c in y])
         expected = recursive_grow(X, y, w, classes, params)
-        grown = grow(rows, labels, weights, params)
-        assert grown == expected
-        assert prune(grown, params.ccp_alpha) == \
+        # Unpruned, whatever `params.ccp_alpha` is.
+        root = tree._grow(X, y, m, classes, class_weights, params)
+        assert root == expected
+        assert prune(root, params.ccp_alpha) == \
             recursive_prune(expected, params.ccp_alpha)
-        assert grown == expected  # pruning works on a copy
+        assert root == expected  # pruning works on a copy
         vocab = Vocabulary.from_strings(f"f{i}" for i in range(X.shape[1]))
         model = train_tree(rows, labels, vocab, params, weights)
         assert model.root == recursive_prune(expected, params.ccp_alpha)

@@ -218,8 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Classify a video file's processing history from its "
                     "container structure alone.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # The arguments of every command that reads a manifest's scenario.
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("manifest")
+    scenario.add_argument("--scenario", type=_scenario, required=True,
+                          help=f"one of: {', '.join(scenario_names())}")
 
-    p = sub.add_parser("parse", parents=[], help="dump a file's box tree "
+    p = sub.add_parser("parse", help="dump a file's box tree "
                        "or its symbol multiset")
     p.add_argument("file")
     p.add_argument("--symbols", action="store_true",
@@ -227,10 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("train", help="train a model on a full manifest")
-    p.add_argument("manifest")
-    p.add_argument("--scenario", type=_scenario, required=True,
-                   help=f"one of: {', '.join(scenario_names())}")
+    p = sub.add_parser("train", parents=[scenario],
+                       help="train a model on a full manifest")
     _add_training_flags(p)
     p.add_argument("--out", type=_PATH, required=True,
                    help="model file to write")
@@ -245,19 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="include the decision path in each verdict")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("evaluate", help="leave-one-device-out evaluation")
-    p.add_argument("manifest")
-    p.add_argument("--scenario", type=_scenario, required=True,
-                   help=f"one of: {', '.join(scenario_names())}")
+    p = sub.add_parser("evaluate", parents=[scenario],
+                       help="leave-one-device-out evaluation")
     _add_training_flags(p)
     p.add_argument("--report", type=_PATH,
                    help="also write the report as JSON here")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("llr-report", help="per-symbol log-likelihood ratios")
-    p.add_argument("manifest")
-    p.add_argument("--scenario", type=_scenario, required=True,
-                   help=f"one of: {', '.join(scenario_names())}")
+    p = sub.add_parser("llr-report", parents=[scenario],
+                       help="per-symbol log-likelihood ratios")
     p.add_argument("--tau", type=_TAU, default=DEFAULT_TAU)
     p.set_defaults(func=cmd_llr_report)
 

@@ -33,12 +33,10 @@ from .symbols import file_symbols
 from .tree import TreeParams, decision_path, predict, replay_path
 from .vectorize import count_matrix
 
-OS_VALUES = ("Android", "iOS")
-SOFTWARE_VALUES = ("none", "avidemux", "exiftool", "ffmpeg", "kdenlive", "premiere")
-PLATFORM_VALUES = ("none", "facebook", "tiktok", "weibo", "youtube")
+MANIFEST_HEADER = ("file", "device", "os", "software", "platform")
 
-_MANIFEST_HEADER = ["file", "device", "os", "software", "platform"]
-
+# The manifest's values and the classes the scenarios name them by: the
+# one statement of both.
 _SOFTWARE_CLASS = {
     "none": "Native", "avidemux": "Avidemux", "exiftool": "Exiftool",
     "ffmpeg": "ffmpeg", "kdenlive": "Kdenlive", "premiere": "Premiere",
@@ -47,6 +45,9 @@ _PLATFORM_CLASS = {
     "facebook": "Facebook", "tiktok": "TikTok",
     "weibo": "Weibo", "youtube": "YouTube",
 }
+OS_VALUES = ("Android", "iOS")
+SOFTWARE_VALUES = tuple(_SOFTWARE_CLASS)
+PLATFORM_VALUES = ("none", *_PLATFORM_CLASS)
 
 
 @dataclass(frozen=True)
@@ -105,9 +106,9 @@ def load_manifest(path: str | Path) -> DatasetManifest:
         _, header = next(reader)
     except StopIteration:
         raise MalformedRow("manifest is empty, expected a header row")
-    if [h.strip() for h in header] != _MANIFEST_HEADER:
+    if tuple(h.strip() for h in header) != MANIFEST_HEADER:
         raise MalformedRow(
-            f"bad header {header!r}, expected {','.join(_MANIFEST_HEADER)}")
+            f"bad header {header!r}, expected {','.join(MANIFEST_HEADER)}")
     for line_no, raw in reader:
         if not raw or all(not cell.strip() for cell in raw):
             continue
@@ -168,40 +169,35 @@ def _integrity_label(row: ManifestRow) -> str:
     return "Pristine" if row.software == "none" else "Tampered"
 
 
+def _no_platform(row: ManifestRow) -> bool:
+    return row.platform == "none"
+
+
+# Each scenario's row filter and label function.
+_SCENARIOS: dict[str, tuple[Callable[[ManifestRow], bool],
+                            Callable[[ManifestRow], str]]] = {
+    "integrity": (_no_platform, _integrity_label),
+    "software": (_no_platform, lambda r: _SOFTWARE_CLASS[r.software]),
+    "software_os": (_no_platform, _software_os_label),
+    "blind": (lambda r: True,
+              lambda r: (_software_os_label(r) if r.platform == "none"
+                         else _PLATFORM_CLASS[r.platform])),
+    **{f"social_integrity:{p}": (lambda r, p=p: r.platform == p,
+                                 _integrity_label)
+       for p in _PLATFORM_CLASS},
+}
+
+
 def scenario_names() -> list[str]:
-    names = ["integrity", "software", "software_os", "blind"]
-    names += [f"social_integrity:{p}" for p in _PLATFORM_CLASS]
-    return names
+    return list(_SCENARIOS)
 
 
 def get_scenario(name: str) -> Scenario:
-    if name == "integrity":
-        return Scenario("integrity",
-                        matches=lambda r: r.platform == "none",
-                        label=_integrity_label)
-    if name == "software":
-        return Scenario("software",
-                        matches=lambda r: r.platform == "none",
-                        label=lambda r: _SOFTWARE_CLASS[r.software])
-    if name == "software_os":
-        return Scenario("software_os",
-                        matches=lambda r: r.platform == "none",
-                        label=_software_os_label)
-    if name == "blind":
-        return Scenario("blind",
-                        matches=lambda r: True,
-                        label=lambda r: (_software_os_label(r)
-                                         if r.platform == "none"
-                                         else _PLATFORM_CLASS[r.platform]))
-    if name.startswith("social_integrity:"):
-        platform = name.split(":", 1)[1]
-        if platform not in _PLATFORM_CLASS:
-            raise UnknownEnum(f"unknown platform {platform!r} in scenario name")
-        return Scenario(name,
-                        matches=lambda r: r.platform == platform,
-                        label=_integrity_label)
-    raise UnknownEnum(
-        f"unknown scenario {name!r}; valid: {', '.join(scenario_names())}")
+    try:
+        return Scenario(name, *_SCENARIOS[name])
+    except KeyError:
+        raise UnknownEnum(f"unknown scenario {name!r}; valid: "
+                          f"{', '.join(_SCENARIOS)}") from None
 
 
 def derive_labels(

@@ -22,18 +22,10 @@ import csv
 import random
 import struct
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from .evaluate import DatasetManifest, load_manifest
-
-SUPPORTED_CLASSES = ("native", "exiftool", "ffmpeg", "youtube")
-
-_CLASS_TO_ROW = {
-    "native": ("none", "none"),
-    "exiftool": ("exiftool", "none"),
-    "ffmpeg": ("ffmpeg", "none"),
-    "youtube": ("none", "youtube"),
-}
+from .evaluate import MANIFEST_HEADER, DatasetManifest, load_manifest
 
 _MATRIX = struct.pack(">9i", 0x10000, 0, 0, 0, 0x10000, 0, 0, 0, 0x40000000)
 
@@ -90,17 +82,6 @@ DEFAULT_PROFILES = (
     DeviceProfile("D06", "iOS", b"qt  ", (b"qt  ",), b"avc1",
                   b"Core Media Video", b"apld", 600, 1280, 720),
 )
-
-
-@dataclass(frozen=True)
-class FixtureSpec:
-    """Seeded recipe for a labeled corpus; same seed, same bytes."""
-
-    seed: int = 7
-    profiles: tuple[DeviceProfile, ...] = DEFAULT_PROFILES
-    classes: tuple[str, ...] = SUPPORTED_CLASSES
-    videos_per_cell: int = 4
-    varied: bool = False
 
 
 # The layout of a file with no seeded variation: every default corpus.
@@ -309,8 +290,8 @@ def _mdat(noise: _Noise, layout: dict) -> bytes:
 
 
 def _build_device_style(profile: DeviceProfile, noise: _Noise,
-                        rng: random.Random, with_xmp: bool,
-                        layout: dict) -> bytes:
+                        rng: random.Random, layout: dict,
+                        with_xmp: bool = False) -> bytes:
     """Native-style layout; the exiftool edit adds XMP and drops `wide`."""
     udta_children = []
     os_tag = b"auth" if profile.os == "iOS" else b"smta"
@@ -396,22 +377,32 @@ def _build_platform_style(profile: DeviceProfile, noise: _Noise,
     ])
 
 
-def build_file(profile: DeviceProfile, cls: str, noise: _Noise,
-               rng: random.Random, layout: dict = _PLAIN_LAYOUT) -> bytes:
-    if cls == "native":
-        return _build_device_style(profile, noise, rng, False, layout)
-    if cls == "exiftool":
-        return _build_device_style(profile, noise, rng, True, layout)
-    if cls == "ffmpeg":
-        return _build_ffmpeg_style(profile, noise, rng, layout)
-    if cls == "youtube":
-        return _build_platform_style(profile, noise, rng, layout)
-    raise ValueError(f"unsupported fixture class {cls!r}")
+# Each fixture class: its manifest `software` and `platform` values and
+# the builder of its files.
+_CLASSES = {
+    "native": ("none", "none", _build_device_style),
+    "exiftool": ("exiftool", "none", partial(_build_device_style,
+                                             with_xmp=True)),
+    "ffmpeg": ("ffmpeg", "none", _build_ffmpeg_style),
+    "youtube": ("none", "youtube", _build_platform_style),
+}
+SUPPORTED_CLASSES = tuple(_CLASSES)
+
+
+@dataclass(frozen=True)
+class FixtureSpec:
+    """Seeded recipe for a labeled corpus; same seed, same bytes."""
+
+    seed: int = 7
+    profiles: tuple[DeviceProfile, ...] = DEFAULT_PROFILES
+    classes: tuple[str, ...] = SUPPORTED_CLASSES
+    videos_per_cell: int = 4
+    varied: bool = False
 
 
 def generate_corpus(spec: FixtureSpec, out_dir: str | Path) -> DatasetManifest:
     """Write one file per (profile, class, index) cell plus a manifest CSV."""
-    unknown = [c for c in spec.classes if c not in SUPPORTED_CLASSES]
+    unknown = [c for c in spec.classes if c not in _CLASSES]
     if unknown:
         raise ValueError(f"unsupported fixture classes: {unknown}")
     out = Path(out_dir)
@@ -419,6 +410,7 @@ def generate_corpus(spec: FixtureSpec, out_dir: str | Path) -> DatasetManifest:
     rows = []
     for profile in spec.profiles:
         for cls in spec.classes:
+            software, platform, build = _CLASSES[cls]
             for index in range(spec.videos_per_cell):
                 rng = random.Random(
                     f"{spec.seed}/{profile.profile_id}/{cls}/{index}")
@@ -426,15 +418,13 @@ def generate_corpus(spec: FixtureSpec, out_dir: str | Path) -> DatasetManifest:
                 layout = (_draw_layout(spec.seed, profile.profile_id, cls,
                                        index)
                           if spec.varied else _PLAIN_LAYOUT)
-                data = build_file(profile, cls, noise, rng, layout)
                 name = f"{profile.profile_id}_{cls}_{index:02d}.mp4"
-                (out / name).write_bytes(data)
-                software, platform = _CLASS_TO_ROW[cls]
+                (out / name).write_bytes(build(profile, noise, rng, layout))
                 rows.append((name, profile.profile_id, profile.os,
                              software, platform))
     manifest_path = out / "manifest.csv"
     with open(manifest_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["file", "device", "os", "software", "platform"])
+        writer.writerow(MANIFEST_HEADER)
         writer.writerows(rows)
     return load_manifest(manifest_path)

@@ -52,6 +52,10 @@ EPS = 1e-12
 _INT32 = np.iinfo(np.int32)
 # The split search sorts at most about this many counts of a node at once.
 _BLOCK_ELEMENTS = 1 << 16
+# The most files a training matrix may stand for. The prefix table (see
+# `_prefix_sums`) is K x (largest class's files + 1) floats, so this bounds
+# it to K x 8 MiB; the paper's dataset is 7000 files.
+_MAX_FILES = 1 << 20
 
 
 def _is_finite(value) -> bool:
@@ -325,8 +329,9 @@ def encode_counts(
     one entry per row (default 1); other shapes raise `DimensionMismatch`.
     Counts must be integers that fit in int32, so that the split search's
     int64 keys cannot overflow; labels, strings; multiplicities, integers
-    of at least `least`. Others raise `DataError`. Integer counts give the
-    `<=` tests of their floats in half the memory."""
+    of at least `least` that sum to at most `_MAX_FILES`. Others raise
+    `DataError`. Integer counts give the `<=` tests of their floats in
+    half the memory."""
     try:
         X = np.asarray(counts)
     except ValueError as exc:  # rows of different lengths
@@ -352,6 +357,8 @@ def encode_counts(
         raise DimensionMismatch(f"{m.size} multiplicities for {len(X)} rows")
     if m.dtype.kind not in "iu" or (m < least).any():
         raise DataError(f"multiplicities must be integers of at least {least}")
+    if sum(m.tolist()) > _MAX_FILES:  # Python ints: an int64 sum can wrap
+        raise DataError(f"the rows stand for more than {_MAX_FILES} files")
     classes = sorted(set(labels))
     to_int = {c: i for i, c in enumerate(classes)}
     y = np.array([to_int[label] for label in labels], dtype=np.intp)
@@ -533,12 +540,7 @@ def predict(model: DecisionTreeModel, row: Sequence[int]) -> str:
     """Root-to-leaf traversal of a count row over the model's vocabulary;
     returns the leaf's class label."""
     _check_vector(model, row)
-    node = model.root
-    while not node.is_leaf:
-        split = node.split
-        node = node.left if row[split.feature_index] <= split.threshold \
-            else node.right
-    return node.label
+    return decide(model, row.__getitem__)[0]
 
 
 def display_symbol(canonical: str) -> str:

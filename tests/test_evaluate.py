@@ -35,6 +35,7 @@ from boxtrace.evaluate import (
     lodo_folds,
     report_to_obj,
     run_scenario,
+    scenario_names,
 )
 from boxtrace.fixtures import FixtureSpec, generate_corpus
 from boxtrace.llr import FilterConfig, class_presence
@@ -235,6 +236,50 @@ class TestScenarios:
             get_scenario("nope")
         with pytest.raises(UnknownEnum):
             get_scenario("social_integrity:myspace")
+
+    def test_every_scenario_on_every_row_kind(self):
+        """Each scenario's filter and label on all 60 (os, software,
+        platform) combinations, against README's scenario table: None
+        where the scenario drops the row."""
+        software_class = {"none": "Native", "avidemux": "Avidemux",
+                          "exiftool": "Exiftool", "ffmpeg": "ffmpeg",
+                          "kdenlive": "Kdenlive", "premiere": "Premiere"}
+        platform_class = {"facebook": "Facebook", "tiktok": "TikTok",
+                          "weibo": "Weibo", "youtube": "YouTube"}
+
+        def software_os(os, software):
+            return f"{os}-{'native' if software == 'none' else software}"
+
+        def integrity(software):
+            return "Pristine" if software == "none" else "Tampered"
+
+        expected = {
+            "integrity": lambda os, sw, pf:
+                integrity(sw) if pf == "none" else None,
+            "software": lambda os, sw, pf:
+                software_class[sw] if pf == "none" else None,
+            "software_os": lambda os, sw, pf:
+                software_os(os, sw) if pf == "none" else None,
+            "blind": lambda os, sw, pf:
+                software_os(os, sw) if pf == "none" else platform_class[pf],
+        }
+        for platform in platform_class:
+            expected[f"social_integrity:{platform}"] = \
+                lambda os, sw, pf, p=platform: integrity(sw) if pf == p else None
+        assert scenario_names() == list(expected)
+        combos = [(os, sw, pf) for os in ("Android", "iOS")
+                  for sw in software_class
+                  for pf in ("none", *platform_class)]
+        assert len(combos) == 60
+        for name, label_of in expected.items():
+            scenario = get_scenario(name)
+            assert scenario.name == name
+            for os, sw, pf in combos:
+                r = row(os=os, software=sw, platform=pf)
+                want = label_of(os, sw, pf)
+                assert scenario.matches(r) == (want is not None), (name, r)
+                if want is not None:
+                    assert scenario.label(r) == want, (name, r)
 
     def test_empty_scenario_raises(self):
         manifest = manifest_of([row(platform="none")])

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import boxtrace.tree
 from boxtrace.bmff import parse_container
 from boxtrace.errors import (
     DataError,
@@ -470,10 +471,11 @@ COUNT_DTYPES = st.sampled_from([np.int8, np.int32, np.int64, np.uint64,
 
 @st.composite
 def malformed_training_data(draw):
-    """Symbols, counts and labels, often of one number of rows and
-    of one column per symbol: counts of any shape, numeric dtype and range
-    (0-d, 1-D and 3-D too) or nested lists, ragged or not, of numbers and
-    strings, and labels that are not always strings."""
+    """Symbols, counts, labels and multiplicities, often of one number of
+    rows and of one column per symbol: counts of any shape, numeric dtype
+    and range (0-d, 1-D and 3-D too) or nested lists, ragged or not, of
+    numbers and strings, labels that are not always strings, and
+    multiplicities of any length, dtype and range, or None."""
     symbols = draw(st.lists(st.text(max_size=2), max_size=3))
     if draw(st.booleans()):
         symbols = sorted(set(symbols))
@@ -488,7 +490,12 @@ def malformed_training_data(draw):
         st.lists(st.lists(st.integers(-2**40, 2**40) | st.floats()
                           | st.text(max_size=1), max_size=4),
                  min_size=n_rows, max_size=n_rows)))
-    return symbols, counts, labels
+    multiplicity = draw(st.one_of(
+        st.none(),
+        hnp.arrays(COUNT_DTYPES, st.just(n_rows) | st.integers(0, 4)),
+        st.lists(st.integers(-1, 2**63 - 1) | st.sampled_from([2**62]),
+                 min_size=n_rows, max_size=n_rows)))
+    return symbols, counts, labels, multiplicity
 
 
 class TestTrainMatrix:
@@ -523,12 +530,24 @@ class TestTrainMatrix:
     @settings(max_examples=400, deadline=None)
     def test_malformed_data_raises_data_errors(self, data):
         # Well-formed draws may train; nothing but a DataError may come out.
-        for train in (train_matrix, lambda *args: llr_report(
-                *args, FilterConfig())):
+        for train in (train_matrix, lambda symbols, counts, labels, _:
+                      llr_report(symbols, counts, labels, FilterConfig())):
             try:
                 train(*data)
             except DataError:
                 pass
+
+    def test_files_past_the_bound_raise_data_error(self):
+        # 2**62 + 2**62 wraps to -2**63 in int64.
+        with pytest.raises(DataError):
+            train_matrix(("a",), np.array([[1], [0]]), ["X", "Y"],
+                         np.array([2**62, 2**62]))
+        with pytest.raises(DataError):
+            train_matrix(("a",), np.array([[1], [0]]), ["X", "Y"],
+                         [boxtrace.tree._MAX_FILES, 1])
+        mf = train_matrix(("a",), np.array([[1], [0]]), ["X", "Y"],
+                          [boxtrace.tree._MAX_FILES - 1, 1])
+        assert not mf.model.root.is_leaf
 
     def test_no_rows_or_one_label_per_row(self):
         symbols, counts = count_matrix([ms_of({"a": 1}), ms_of({"b": 2})])

@@ -210,29 +210,61 @@ def _language(code: int) -> str:
     return str(code)
 
 
+# Plans each fixed-layout decoder keeps, one per drop set: like the
+# type-code cache, once full the first drop sets stay and any other one's
+# plan is made at each decode. A process meets few drop sets: the default
+# blacklist, the empty set of a full parse, and a caller's own blacklists.
+_PLAN_CACHE_SIZE = 16
+
+
+def _flags(raw: bytes) -> str:
+    return str(int.from_bytes(raw, "big"))
+
+
 def _fixed_layout(name: str, fields: list[tuple[str, Callable]],
                   *formats: str) -> _Decoder:
     """Decoder of a full box whose body is one fixed `struct` layout per
     version: ``formats[v]`` for version v, or any version if there is one
     format. The unpacked values pass, in order, through the writers of
-    `fields`, a ``(field name, writer)`` list; a dropped field's writer is
-    not called."""
-    layouts = [struct.Struct(f) for f in formats]
-    fields = [(key, "@" + key, write) for key, write in fields]
+    `fields`, a ``(field name, writer)`` list.
+
+    A drop set's plan is the fields' list with every value None, and the
+    index, name and writer of each field the set keeps, so a dropped
+    field costs no work."""
+    # Each layout unpacks the whole payload: version, flags, then the body.
+    layouts = [(struct.Struct(">B3s" + f.removeprefix(">")),
+                name if len(formats) == 1 else f"{name} v{v}")
+               for v, f in enumerate(formats)]
+    fields = [("version", str), ("flags", _flags), *fields]
+    plans: dict[frozenset[str], tuple[_Fields, tuple]] = {}
+
+    def plan_of(drop: Collection[str]) -> tuple[_Fields, tuple]:
+        plan = ([(key, None) for key, _ in fields],
+                tuple((i, key, write) for i, (key, write) in enumerate(fields)
+                      if "@" + key not in drop))
+        if len(plans) < _PLAN_CACHE_SIZE:
+            plans[frozenset(drop)] = plan
+        return plan
 
     def decode(payload: bytes, drop: Collection[str]) -> _Fields:
-        out = _fullbox(payload, name, drop)
-        version = payload[0]
+        if len(payload) < 4:
+            _need(payload, 4, name)
         if len(layouts) == 1:
-            layout, what = layouts[0], name
-        elif version < len(layouts):
-            layout, what = layouts[version], f"{name} v{version}"
+            layout, what = layouts[0]
+        elif (version := payload[0]) < len(layouts):
+            layout, what = layouts[version]
         else:
             raise UnsupportedVersion(f"{name} version {version}")
-        _need(payload, layout.size, what, 4)
-        out += [(key, None if at in drop else write(value))
-                for (key, at, write), value
-                in zip(fields, layout.unpack_from(payload, 4))]
+        if len(payload) < layout.size:
+            _need(payload, layout.size - 4, what, 4)
+        # Another collection may be unhashable, so only a frozenset is
+        # looked up; the walk passes one.
+        template, kept = (plans.get(drop) if type(drop) is frozenset
+                          else None) or plan_of(drop)
+        values = layout.unpack_from(payload)
+        out = template.copy()
+        for i, key, write in kept:
+            out[i] = key, write(values[i])
         return out
 
     return decode

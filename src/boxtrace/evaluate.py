@@ -29,9 +29,8 @@ from .errors import (
 )
 from .llr import FilterConfig
 from .modelfile import ModelFile, train_matrix
-from .symbols import file_symbols
+from .symbols import file_count_matrix
 from .tree import TreeParams, decision_path, predict, replay_path
-from .vectorize import count_matrix
 
 MANIFEST_HEADER = ("file", "device", "os", "software", "platform")
 
@@ -300,13 +299,14 @@ def labeled_matrix(
     manifest: DatasetManifest, scenario: Scenario
 ) -> tuple[list[ManifestRow], tuple[str, ...], np.ndarray, list[str]]:
     """The scenario's rows, the columns and counts of their count matrix,
-    and their labels. Each file is symbolized once, even if listed on
-    several rows, and its multiset goes as soon as its row is filled."""
+    and their labels: `count_matrix` of the rows' `file_symbols`. Each
+    file is read once, even if listed on several rows, and its boxes are
+    counted straight into columns by `file_count_matrix`, so no multiset
+    is built."""
     labeled = derive_labels(manifest, scenario)
     rows = [row for row, _ in labeled]
     paths = list(dict.fromkeys(row.path for row in rows))
-    symbols, counts = count_matrix(file_symbols(str(path))[0]
-                                   for path in paths)
+    symbols, counts = file_count_matrix(map(str, paths))
     if len(paths) < len(rows):  # a file listed on several rows
         file_row = {path: i for i, path in enumerate(paths)}
         counts = counts[[file_row[row.path] for row in rows]]
@@ -338,16 +338,17 @@ def run_scenario(
 ) -> EvaluationReport:
     """Leave-one-device-out evaluation of one scenario.
 
-    `labeled_matrix` parses every scenario file once into one count
-    matrix. Files of one device and label with equal count rows are one
-    entry with a multiplicity, so each fold trains and tests every
-    distinct row once. There is one fold per device with a row in the
-    scenario. Its `train_matrix` gets every entry, with the held-out
-    device's multiplicities set to 0, so its vocabulary, filter, weights
-    and tree are those of training on the other devices' files alone. Each
-    held-out entry is passed to the tree as a count row over the columns
-    its model kept; every prediction's decision path is replayed as a
-    self-check, and the verdict counts once per file the entry stands for.
+    `labeled_matrix` reads every scenario file once and counts its boxes
+    straight into the columns of one count matrix. Files of one device
+    and label with equal count rows are one entry with a multiplicity, so
+    each fold trains and tests every distinct row once. There is one fold
+    per device with a row in the scenario. Its `train_matrix` gets every
+    entry, with the held-out device's multiplicities set to 0, so its
+    vocabulary, filter, weights and tree are those of training on the
+    other devices' files alone. Each held-out entry is passed to the tree
+    as a count row over the columns its model kept; every prediction's
+    decision path is replayed as a self-check, and the verdict counts
+    once per file the entry stands for.
     """
     cfg = filter_cfg if filter_cfg is not None else FilterConfig()
     params = tree_params if tree_params is not None else TreeParams()

@@ -16,10 +16,15 @@ from __future__ import annotations
 
 import functools
 import sys
+from array import array
 from collections import Counter
+from itertools import islice
 from typing import BinaryIO, Collection, Iterable, Iterator
 
+import numpy as np
+
 from .bmff import ContainerTree, open_box_file, walk_boxes
+from .vectorize import _scatter_counts
 
 # Value-symbols for these fields carry only intra-class variability
 # (durations, dates, byte counts, ...) and are suppressed; their
@@ -32,6 +37,12 @@ _DEFAULT_BLACKLIST = frozenset(f"@{name}" for name in (
 ))
 
 
+# Files whose symbol occurrences `file_count_matrix` sums in one numpy
+# call. 64 `lodo` files hold about 8k occurrences, so each summing array
+# stays under glibc's 128 KiB mmap threshold; at 256 files they did not,
+# and the `lodo` benchmark's peak RSS rose 0.2 MB at the same speed.
+_CHUNK_FILES = 64
+
 # The symbols of each distinct box, in field order, by its event's
 # (path, *fields), the values of blacklisted fields None. Like `bmff`'s
 # type-code cache it stops growing at its bound; any other box's symbols
@@ -43,7 +54,9 @@ _DEFAULT_BLACKLIST = frozenset(f"@{name}" for name in (
 # allows, the cache takes 16.5 MB (tracemalloc, CPython 3.11). A cached
 # symbol is interned, so each distinct one is one string, shared by every
 # multiset that holds it; only cached ones are, since CPython 3.12 never
-# frees an interned string.
+# frees an interned string. The multisets read it; `file_count_matrix`
+# does not: it maps each distinct box to its columns in a dict of its own
+# call, so training fills no cache that outlives it.
 _BOX_SYMBOLS: dict[tuple, tuple[str, ...]] = {}
 _BOX_CACHE_SIZE = 4096
 _CACHED_BOX_LEN = 1024
@@ -67,6 +80,18 @@ def symbol_kind(symbol: str) -> str:
     return "value" if "/" in symbol.partition("@")[2] else "field"
 
 
+def _box_symbols(path: str, fields: Iterable[tuple[str, str | None]]
+                 ) -> list[str]:
+    """The symbols of a box at `path`, in field order: each field's
+    field-symbol, then its value-symbol unless its value is None."""
+    box: list[str] = []
+    for fname, fvalue in fields:
+        box.append(f"{path}/@{fname}")
+        if fvalue is not None:
+            box.append(f"{box[-1]}/{escape_value(fvalue)}")
+    return box
+
+
 def _count_symbols(events: Iterable[tuple],
                    only: Collection[str] | None = None) -> Counter[str]:
     """The symbols of `walk_boxes` events, counted in the order given: a
@@ -81,11 +106,7 @@ def _count_symbols(events: Iterable[tuple],
         key = path, *fields
         box = cache.get(key)
         if box is None:
-            box = []
-            for fname, fvalue in fields:
-                box.append(f"{path}/@{fname}")
-                if fvalue is not None:
-                    box.append(f"{box[-1]}/{escape_value(fvalue)}")
+            box = _box_symbols(path, fields)
             if (len(cache) < _BOX_CACHE_SIZE
                     and sum(map(len, box)) <= _CACHED_BOX_LEN):
                 box = cache[key] = tuple(map(sys.intern, box))
@@ -161,6 +182,58 @@ def file_symbols(
     `container_symbols` gives them with the default blacklist."""
     with open_box_file(path) as handle:
         return container_symbols(handle, only=only)
+
+
+def file_count_matrix(paths: Iterable[str]
+                      ) -> tuple[tuple[str, ...], np.ndarray]:
+    """The `count_matrix` of the files' `file_symbols` multisets, one row
+    per path, counted straight into columns with no multiset built.
+
+    Each distinct box, by its event's (path, *fields), maps once per call
+    to the columns of its symbols, which `_box_symbols` builds on its
+    first sight. The files are read `_CHUNK_FILES` at a time, and only
+    each row's distinct columns and counts are kept. A file that does not
+    parse raises the `ParseError` that `file_symbols` raises for it.
+    """
+    column: dict[str, int] = {}  # symbol -> column, in first-seen order
+    box_columns: dict[tuple, tuple[int, ...]] = {}
+    seen, values, lengths = array("i"), array("i"), []  # entries, per row
+    paths = iter(paths)
+    while chunk := list(islice(paths, _CHUNK_FILES)):
+        _count_chunk(chunk, column, box_columns, seen, values, lengths)
+    return _scatter_counts(column, seen, values, lengths)
+
+
+def _count_chunk(paths: list[str], column: dict[str, int],
+                 box_columns: dict[tuple, tuple[int, ...]],
+                 seen: array, values: array, lengths: list[int]) -> None:
+    """Append the rows of the files at `paths` to the entry buffers. The
+    files' symbol occurrences are gathered as column numbers, file after
+    file, and summed per row in numpy; they go when it returns."""
+    occurrences: list[int] = []
+    sizes: list[int] = []  # occurrences per file
+    for path in paths:
+        before = len(occurrences)
+        with open_box_file(path) as handle:
+            for _, box_path, _, fields in walk_boxes(
+                    handle, [], None, _DEFAULT_BLACKLIST):
+                if not fields:  # a container
+                    continue
+                key = box_path, *fields
+                columns = box_columns.get(key)
+                if columns is None:
+                    columns = box_columns[key] = tuple(
+                        column.setdefault(s, len(column))
+                        for s in _box_symbols(box_path, fields))
+                occurrences += columns
+        sizes.append(len(occurrences) - before)
+    width = max(len(column), 1)
+    cells = (np.repeat(np.arange(len(paths), dtype=np.int64), sizes) * width
+             + np.array(occurrences, dtype=np.int64))  # row * width + column
+    cells, counts = np.unique(cells, return_counts=True)
+    seen.frombytes((cells % width).astype(np.intc).tobytes())
+    values.frombytes(counts.astype(np.intc).tobytes())
+    lengths += np.bincount(cells // width, minlength=len(paths)).tolist()
 
 
 def dump_symbols(symbols: Counter[str]) -> str:

@@ -76,6 +76,16 @@ def count_matrix(corpus: Iterable[Counter[str]]
         seen.fromlist(row_columns)
         values.fromlist(row_counts)
         lengths.append(len(row_columns))
+    return _scatter_counts(column, seen, values, lengths)
+
+
+def _scatter_counts(column: dict[str, int], seen: array, values: array,
+                    lengths: Sequence[int]
+                    ) -> tuple[tuple[str, ...], np.ndarray]:
+    """The count matrix of entries gathered row by row: `column` numbers
+    each symbol in first-seen order, and `seen` and `values` hold each
+    row's distinct columns and their nonzero counts, `lengths` how many
+    entries each row has. Columns are ranked by sorted symbol."""
     if not lengths:
         raise EmptyCorpus("cannot build a count matrix from an empty corpus")
     rank = {s: j for j, s in enumerate(sorted(column))}

@@ -1,12 +1,15 @@
 """Parser tests over hand-crafted byte-level fixtures."""
 
+import contextlib
 import io
+import itertools
 import json
 import os
 import signal
 import struct
 import uuid as _uuidlib
 from decimal import Decimal
+from inspect import getclosurevars
 from typing import BinaryIO, Collection, Iterator
 
 import pytest
@@ -577,6 +580,50 @@ def draw_payload(data, name, layout):
         st.sampled_from([len(payload), 0, 1, 2, 3]), label="cut")]
 
 
+def decoder_plans() -> list[dict]:
+    """The plan dict of each fixed-layout decoder."""
+    return [plans for decoder in _DECODERS.values()
+            if (plans := getclosurevars(decoder).nonlocals.get("plans"))
+            is not None]
+
+
+@contextlib.contextmanager
+def no_plans():
+    """Every fixed-layout decoder without plans, as in a fresh process,
+    until the block ends; then the process's plans are put back."""
+    saved = [(plans, dict(plans)) for plans in decoder_plans()]
+    for plans, _ in saved:
+        plans.clear()
+    try:
+        yield
+    finally:
+        for plans, kept in saved:
+            plans.clear()
+            plans.update(kept)
+
+
+# Numbers of field names no box has, so each drop set holding one is new
+# to every plan dict.
+_FRESH_NAMES = itertools.count()
+
+
+def interleaved_drops(data, names: list[str]) -> list:
+    """More drop sets than a decoder keeps plans for, each twice, in an
+    order drawn at random: `()`, a list, a set and frozensets, most of
+    which name a field of no box."""
+    drops = [(), ["@flags"], set(names), frozenset(), frozenset(names)]
+    for _ in range(bmff._PLAN_CACHE_SIZE + 2):
+        drop = data.draw(st.sets(st.sampled_from(names)), label="drop")
+        drops.append(frozenset(drop | {f"@fresh{next(_FRESH_NAMES)}"}))
+    return data.draw(st.permutations(drops * 2), label="order")
+
+
+def dropped(fields, drop):
+    """`fields` with the value of each field whose name `drop` holds None."""
+    return [(key, None if "@" + key in drop else value)
+            for key, value in fields]
+
+
 class TestDecodersMatchReference:
     def test_every_decoder_is_covered(self):
         # ftyp/styp, hdlr and stsd have variable-length tails and keep
@@ -611,9 +658,60 @@ class TestDecodersMatchReference:
         drop = frozenset(data.draw(st.sets(st.sampled_from(names)),
                                    label="drop"))
         if isinstance(expected, list):
-            expected = [(key, None if "@" + key in drop else value)
-                        for key, value in expected]
+            expected = dropped(expected, drop)
         assert decode_outcome(_DECODERS[name], payload, drop) == expected
+
+    def test_fixed_layouts_keep_plans(self):
+        assert len(decoder_plans()) == len(REFERENCE_DECODERS) - 1  # elst
+
+    @pytest.mark.parametrize("name", sorted(_DECODERS))
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_interleaved_drop_sets_past_the_plan_bound(self, name, data):
+        # A plan made for one drop set is never used for another, whether
+        # it was kept or the bound was reached, and no type of collection
+        # is refused.
+        reference, layout = {**REFERENCE_DECODERS, **VARIABLE_REFERENCES}[name]
+        payloads = [draw_payload(data, name, layout) for _ in range(3)]
+        names = ["@version", "@flags", "@absent", "version",
+                 *("@" + key for key, _ in reference(bytes(4 + layout)))]
+        with no_plans():
+            for drop in interleaved_drops(data, names):
+                for payload in payloads:
+                    expected = decode_outcome(reference, payload)
+                    if isinstance(expected, list):
+                        expected = dropped(expected, drop)
+                    assert decode_outcome(_DECODERS[name], payload,
+                                          drop) == expected
+            assert all(len(plans) <= bmff._PLAN_CACHE_SIZE
+                       for plans in decoder_plans())
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_walks_with_interleaved_drop_sets(self, walked_fixtures, data):
+        # The walk of a hostile variant under each drop set: the
+        # reference walk's events with the dropped values None, its
+        # warnings and its errors.
+        base, offsets = data.draw(st.sampled_from(walked_fixtures))
+        variant = hostile(data.draw, base, offsets)
+        names = sorted({"@" + key for _, _, _, fields
+                        in reference_walk_boxes(io.BytesIO(base), [])
+                        for key, _ in fields})
+        expected = walk_outcome(reference_walk_boxes, variant)
+        with no_plans():
+            for drop in interleaved_drops(data, names):
+                want = expected
+                if isinstance(expected[0], list):
+                    want = ([(depth, path, header, dropped(fields, drop))
+                             for depth, path, header, fields in expected[0]],
+                            expected[1])
+                warnings: list[str] = []
+                try:
+                    outcome = list(walk_boxes(io.BytesIO(variant), warnings,
+                                              None, drop)), warnings
+                except ParseError as exc:
+                    outcome = type(exc), str(exc)
+                assert outcome == want
 
 
 class TestTypeCodeRendering:

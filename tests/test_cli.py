@@ -17,6 +17,7 @@ import boxtrace
 from boxtrace.bmff import parse_file
 from boxtrace.cli import _error_line, _verdict_line, main
 from boxtrace.errors import ParseError
+from boxtrace.evaluate import derive_labels, digest_rows, get_scenario
 from boxtrace.fixtures import FixtureSpec, generate_corpus
 from boxtrace.llr import FilterConfig
 from boxtrace.modelfile import (
@@ -24,6 +25,8 @@ from boxtrace.modelfile import (
     classify_symbols,
     dumps_model,
     load_model,
+    save_model,
+    train_model,
 )
 from boxtrace.symbols import file_symbols
 from boxtrace.tree import PathStep, TreeParams, preorder, replay_path
@@ -137,6 +140,35 @@ class TestTrainCommand:
         text = dot_path.read_text()
         assert text.startswith("digraph")
         assert "count(root/" in text
+
+
+class TestTrainFrontEnds:
+    """`train` counts each file's boxes straight into matrix columns; its
+    model file is the one trained on the files' multisets."""
+
+    @pytest.fixture(scope="class")
+    def seed7_manifest(self, tmp_path_factory):
+        return generate_corpus(FixtureSpec(seed=7),
+                               tmp_path_factory.mktemp("seed7"))
+
+    @pytest.mark.parametrize("scenario", ["integrity", "blind"])
+    def test_model_file_equals_multiset_training(self, seed7_manifest,
+                                                 tmp_path, monkeypatch,
+                                                 scenario):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+        written = tmp_path / "train.json"
+        assert main(["train", str(seed7_manifest.path), "--scenario",
+                     scenario, "--out", str(written)]) == 0
+        labeled = derive_labels(seed7_manifest, get_scenario(scenario))
+        rows = [row for row, _ in labeled]
+        expected = tmp_path / "expected.json"
+        save_model(train_model([file_symbols(str(row.path))[0]
+                                for row in rows],
+                               [label for _, label in labeled],
+                               scenario=scenario,
+                               manifest_digest=digest_rows(rows)),
+                   str(expected))
+        assert written.read_bytes() == expected.read_bytes()
 
 
 class TestClassifyCommand:

@@ -1,8 +1,7 @@
 """Manifest handling, scenarios, folds, and the evaluation harness."""
 
 import csv
-import gc
-import weakref
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 
 import boxtrace.evaluate
 import boxtrace.modelfile
+import boxtrace.symbols
 from boxtrace.errors import (
     DataError,
     EmptyMatrix,
@@ -41,7 +41,7 @@ from boxtrace.fixtures import FixtureSpec, generate_corpus
 from boxtrace.llr import FilterConfig, class_presence
 from boxtrace.modelfile import dumps_model, train_matrix, train_model
 from boxtrace.symbols import default_blacklist, extract_symbols, file_symbols
-from boxtrace.bmff import parse_file
+from boxtrace.bmff import open_box_file, parse_file
 from boxtrace.tree import predict
 from boxtrace.vectorize import count_matrix
 
@@ -161,11 +161,11 @@ class TestLabeledMatrix:
         manifest = manifest_of(small_corpus.rows + [twice])
         calls = []
 
-        def counted(path, *args, **kwargs):
+        def counted(path):
             calls.append(path)
-            return file_symbols(path, *args, **kwargs)
+            return open_box_file(path)
 
-        monkeypatch.setattr(boxtrace.evaluate, "file_symbols", counted)
+        monkeypatch.setattr(boxtrace.symbols, "open_box_file", counted)
         rows, symbols, counts, labels = labeled_matrix(
             manifest, get_scenario("integrity"))
         assert sorted(calls) == sorted({str(r.path) for r in manifest.rows})
@@ -178,23 +178,23 @@ class TestLabeledMatrix:
         assert np.array_equal(counts[-1], counts[1])
 
     def test_no_multiset_outlives_its_row(self, small_corpus, monkeypatch):
-        # When a file is symbolized, at most the multiset of the file
-        # before it (whose row was just read) may still be alive.
-        alive = []
+        # The files' boxes are counted straight into columns: no multiset
+        # is built, so none can outlive its row.
+        built = []
 
-        def watched(path, *args, **kwargs):
-            gc.collect()
-            assert sum(ref() is not None for ref in alive) <= 1
-            symbols, warnings = file_symbols(path, *args, **kwargs)
-            alive.append(weakref.ref(symbols))
-            return symbols, warnings
+        class Watched(Counter):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(boxtrace.evaluate, "file_symbols", watched)
+        monkeypatch.setattr(boxtrace.symbols, "Counter", Watched)
+        file_symbols(str(small_corpus.rows[0].path))
+        assert built  # the patch sees the multisets `file_symbols` builds
+        built.clear()
         rows, _, counts, _ = labeled_matrix(small_corpus,
                                             get_scenario("integrity"))
-        gc.collect()
-        assert len(alive) == len(rows) == len(counts) > 2
-        assert all(ref() is None for ref in alive)
+        assert len(rows) == len(counts) > 2
+        assert not built
 
 
 class TestScenarios:

@@ -2,6 +2,8 @@
 
 import io
 from collections import Counter
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from boxtrace.bmff import (
     render_type_code,
     walk_boxes,
 )
-from boxtrace.errors import NestingTooDeep, ParseError
+from boxtrace.errors import EmptyCorpus, NestingTooDeep, ParseError
 from boxtrace.fixtures import FixtureSpec, generate_corpus
 from boxtrace.symbols import (
     container_symbols,
@@ -24,8 +26,11 @@ from boxtrace.symbols import (
     dump_symbols,
     escape_value,
     extract_symbols,
+    file_count_matrix,
+    file_symbols,
     symbol_kind,
 )
+from boxtrace.vectorize import count_matrix
 
 from conftest import (
     FTYP_MIN,
@@ -566,3 +571,93 @@ class TestRestrictedSymbols:
         assert warnings == full_warnings
         assert container_symbols(io.BytesIO(data), only=set()) \
             == (Counter(), [])
+
+
+@pytest.fixture(scope="module")
+def count_corpora(tmp_path_factory):
+    """The paths, bytes and box offsets of the files of four fixture
+    corpora, seeds 7 and 11, plain and varied, by (seed, varied)."""
+    corpora = {}
+    for seed in (7, 11):
+        for varied in (False, True):
+            manifest = generate_corpus(
+                FixtureSpec(seed=seed, videos_per_cell=1, varied=varied),
+                tmp_path_factory.mktemp(f"count_{seed}_{varied}"))
+            files = []
+            for row in manifest.rows:
+                data = row.path.read_bytes()
+                offsets = [header[0] for _, _, header, _
+                           in walk_boxes(io.BytesIO(data), [])]
+                files.append((str(row.path), data, offsets))
+            corpora[seed, varied] = files
+    return corpora
+
+
+def matrix_outcome(count, paths):
+    """A count matrix's symbols, dtype, shape and counts, or the type and
+    message of the `ParseError` its making raised."""
+    try:
+        symbols, counts = count(paths)
+    except ParseError as exc:
+        return type(exc), str(exc)
+    return symbols, counts.dtype, counts.shape, counts.tolist()
+
+
+def multiset_matrix(paths):
+    """The count matrix of the files' `file_symbols` multisets."""
+    return count_matrix(file_symbols(path)[0] for path in paths)
+
+
+class TestFileCountMatrix:
+    """`file_count_matrix`, which counts each file's boxes straight into
+    columns, gives `count_matrix` of the files' `file_symbols`, or raises
+    the error `file_symbols` raises for the first bad file."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_count_matrix_of_file_symbols(self, count_corpora,
+                                                 tmp_path_factory, data):
+        files = count_corpora[data.draw(st.sampled_from(sorted(count_corpora)),
+                                        label="corpus")]
+        chosen = data.draw(st.just(files)
+                           | st.lists(st.sampled_from(files), min_size=1,
+                                      max_size=30), label="files")
+        paths = [path for path, _, _ in chosen]
+        out = tmp_path_factory.getbasetemp() / "count_variants"
+        out.mkdir(exist_ok=True)
+        for i in range(data.draw(st.integers(0, 3), label="extra files")):
+            if data.draw(st.booleans(), label="hostile"):
+                _, base, offsets = data.draw(st.sampled_from(files))
+                raw = hostile(data.draw, base, offsets)
+            else:  # a file with no symbols
+                raw = mkbox(b"moov")
+            path = out / f"extra_{i}.mp4"
+            path.write_bytes(raw)
+            paths.insert(data.draw(st.integers(0, len(paths))), str(path))
+        chunk = data.draw(st.sampled_from(
+            [1, 2, 3, symbols_module._CHUNK_FILES]), label="chunk")
+        with mock.patch.object(symbols_module, "_CHUNK_FILES", chunk):
+            outcome = matrix_outcome(file_count_matrix, paths)
+        assert outcome == matrix_outcome(multiset_matrix, paths)
+
+    @pytest.mark.parametrize("bad", ["truncated", "directory", "no symbols"])
+    def test_one_bad_file_raises_its_error(self, count_corpora, tmp_path, bad):
+        files = [path for path, _, _ in count_corpora[7, False]]
+        path = tmp_path / "bad.mp4"
+        if bad == "truncated":
+            path.write_bytes(Path(files[0]).read_bytes()[:100])
+        elif bad == "directory":
+            path.mkdir()
+        else:  # not a bad file: a row of zeros
+            path.write_bytes(mkbox(b"moov"))
+        paths = files[:5] + [str(path)] + files[5:]
+        outcome = matrix_outcome(file_count_matrix, paths)
+        assert outcome == matrix_outcome(multiset_matrix, paths)
+        if bad == "no symbols":
+            assert not any(outcome[3][5])
+        else:
+            assert outcome == matrix_outcome(file_symbols, str(path))
+
+    def test_no_files_is_empty_corpus(self):
+        with pytest.raises(EmptyCorpus):
+            file_count_matrix([])

@@ -2,8 +2,8 @@
 
 Only box headers and the payloads of schema-registered boxes are
 decoded; the rest of an opaque payload larger than the read window (mdat
-included) is skipped by seeking, so parsing a multi-gigabyte file costs
-time proportional to its box count, not its size. Parsing is strict about
+included) is never read, so parsing a multi-gigabyte file costs time
+proportional to its box count, not its size. Parsing is strict about
 sizes and lenient about content: unknown boxes become opaque nodes, never
 failures; containers nested deeper than `MAX_NESTING` raise
 `NestingTooDeep`.
@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import stat
 import struct
 import uuid as _uuidlib
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import lru_cache
-from typing import BinaryIO, Callable, Collection, Iterator
+from typing import BinaryIO, Callable, Collection, Hashable, Iterator
 
 from .errors import (
     BoxDecodeError,
@@ -166,6 +167,10 @@ def _u64(b: bytes, o: int) -> int:
 # None where the name, ``@``-prefixed, is in the decode's drop set.
 _Fields = list[tuple[str, "str | None"]]
 _Decoder = Callable[[bytes, Collection[str]], _Fields]
+# A decoder's identity maps a payload and a drop set to a key: payloads
+# with equal keys decode to equal fields under that set, or raise the same
+# error. A payload that fails the decoder's checks is its own key.
+_Identity = Callable[[bytes, Collection[str]], Hashable]
 
 
 def _need(payload: bytes, n: int, what: str, at: int = 0) -> None:
@@ -221,53 +226,89 @@ def _flags(raw: bytes) -> str:
     return str(int.from_bytes(raw, "big"))
 
 
-def _fixed_layout(name: str, fields: list[tuple[str, Callable]],
-                  *formats: str) -> _Decoder:
-    """Decoder of a full box whose body is one fixed `struct` layout per
-    version: ``formats[v]`` for version v, or any version if there is one
-    format. The unpacked values pass, in order, through the writers of
-    `fields`, a ``(field name, writer)`` list.
+def _padded(layout: struct.Struct, kept: Collection[int]) -> struct.Struct:
+    """`layout` with each value whose index `kept` lacks read as pad
+    bytes, so it unpacks only the kept values."""
+    tokens, i = [">"], 0
+    for token in re.findall(r"\d*[a-zA-Z]", layout.format):
+        if not token.endswith("x"):
+            if i not in kept:
+                token = f"{struct.calcsize('>' + token)}x"
+            i += 1
+        tokens.append(token)
+    return struct.Struct("".join(tokens))
 
-    A drop set's plan is the fields' list with every value None, and the
+
+def _fixed_layout(name: str, fields: list[tuple[str, Callable]],
+                  *formats: str) -> tuple[_Decoder, _Identity]:
+    """Decoder and identity of a full box whose body is one fixed
+    `struct` layout per version: ``formats[v]`` for version v, or any
+    version if there is one format. The unpacked values pass, in order,
+    through the writers of `fields`, a ``(field name, writer)`` list.
+
+    A drop set's plan is the fields' list with every value None, the
     index, name and writer of each field the set keeps, so a dropped
-    field costs no work."""
+    field costs no work, and per version a layout that unpacks only the
+    kept values, and the version when it picks the layout. Those values
+    are the identity of a payload that the checks pass."""
     # Each layout unpacks the whole payload: version, flags, then the body.
     layouts = [(struct.Struct(">B3s" + f.removeprefix(">")),
                 name if len(formats) == 1 else f"{name} v{v}")
                for v, f in enumerate(formats)]
     fields = [("version", str), ("flags", _flags), *fields]
-    plans: dict[frozenset[str], tuple[_Fields, tuple]] = {}
+    plans: dict[frozenset[str], tuple[_Fields, tuple, tuple]] = {}
 
-    def plan_of(drop: Collection[str]) -> tuple[_Fields, tuple]:
-        plan = ([(key, None) for key, _ in fields],
-                tuple((i, key, write) for i, (key, write) in enumerate(fields)
-                      if "@" + key not in drop))
+    def plan_of(drop: Collection[str]) -> tuple[_Fields, tuple, tuple]:
+        kept = tuple((i, key, write) for i, (key, write) in enumerate(fields)
+                     if "@" + key not in drop)
+        keys = {i for i, _, _ in kept} | ({0} if len(layouts) > 1 else set())
+        plan = ([(key, None) for key, _ in fields], kept,
+                tuple(_padded(layout, keys) for layout, _ in layouts))
         if len(plans) < _PLAN_CACHE_SIZE:
             plans[frozenset(drop)] = plan
         return plan
 
-    def decode(payload: bytes, drop: Collection[str]) -> _Fields:
+    def version_of(payload: bytes) -> int:
+        """The version whose layout reads `payload`; raises the decoder's
+        `BoxDecodeError` if there is none or the payload is too short."""
         if len(payload) < 4:
             _need(payload, 4, name)
         if len(layouts) == 1:
-            layout, what = layouts[0]
-        elif (version := payload[0]) < len(layouts):
-            layout, what = layouts[version]
-        else:
+            version = 0
+        elif (version := payload[0]) >= len(layouts):
             raise UnsupportedVersion(f"{name} version {version}")
+        layout, what = layouts[version]
         if len(payload) < layout.size:
             _need(payload, layout.size - 4, what, 4)
+        return version
+
+    def decode(payload: bytes, drop: Collection[str]) -> _Fields:
+        version = version_of(payload)
         # Another collection may be unhashable, so only a frozenset is
-        # looked up; the walk passes one.
-        template, kept = (plans.get(drop) if type(drop) is frozenset
-                          else None) or plan_of(drop)
-        values = layout.unpack_from(payload)
+        # looked up; the callers pass one.
+        template, kept, _ = (plans.get(drop) if type(drop) is frozenset
+                             else None) or plan_of(drop)
+        values = layouts[version][0].unpack_from(payload)
         out = template.copy()
         for i, key, write in kept:
             out[i] = key, write(values[i])
         return out
 
-    return decode
+    def identity(payload: bytes, drop: Collection[str]) -> Hashable:
+        try:
+            version = version_of(payload)
+        except BoxDecodeError:
+            return payload
+        keys = ((plans.get(drop) if type(drop) is frozenset else None)
+                or plan_of(drop))[2]
+        return keys[version].unpack_from(payload)
+
+    return decode, identity
+
+
+def _whole(payload: bytes, drop: Collection[str]) -> bytes:
+    """A payload as its own identity."""
+    return payload
 
 
 def _decode_ftyp(payload: bytes, drop: Collection[str]) -> _Fields:
@@ -300,29 +341,61 @@ def _decode_hdlr(payload: bytes, drop: Collection[str]) -> _Fields:
     return fields
 
 
+def _hdlr_identity(payload: bytes, drop: Collection[str]) -> bytes:
+    # The name is the payload's tail from offset 24.
+    return payload if "@name" not in drop else payload[:24]
+
+
+def _stsd_formats(payload: bytes) -> list[bytes]:
+    """The format codes of the sample entries that an stsd payload of 8
+    bytes or more lists, up to its entry count and `_MAX_STSD_ENTRIES`.
+    The codes are read entry by entry, each at its offset plus 4, until
+    one's size is under 8 or runs past the payload."""
+    count = min(_u32(payload, 4), _MAX_STSD_ENTRIES)
+    formats: list[bytes] = []
+    pos = 8
+    while pos + 8 <= len(payload) and len(formats) < count:
+        formats.append(payload[pos + 4:pos + 8])
+        entry_size = _u32(payload, pos)
+        if entry_size < 8 or pos + entry_size > len(payload):
+            break
+        pos += entry_size
+    return formats
+
+
 def _decode_stsd(payload: bytes, drop: Collection[str]) -> _Fields:
     # Sample entry format codes only; codec-private data stays unparsed.
     fields = _fullbox(payload, "stsd", drop)
     _need(payload, 4, "stsd", 4)
-    entry_count = _u32(payload, 4)
     fields.append(("entryCount", None if "@entryCount" in drop
-                   else str(entry_count)))
-    pos, n = 8, 1
-    while pos + 8 <= len(payload) and n <= min(entry_count, _MAX_STSD_ENTRIES):
-        entry_size = _u32(payload, pos)
+                   else str(_u32(payload, 4))))
+    for n, code in enumerate(_stsd_formats(payload), 1):
         fname = f"format_{n}"
         fields.append((fname, None if "@" + fname in drop
-                       else ascii_or_hex(payload[pos + 4:pos + 8])))
-        if entry_size < 8 or pos + entry_size > len(payload):
-            break
-        pos += entry_size
-        n += 1
+                       else ascii_or_hex(code)))
     return fields
+
+
+def _stsd_identity(payload: bytes, drop: Collection[str]) -> Hashable:
+    # Not the payload: its sample entries hold codec-private data.
+    return payload if len(payload) < 8 else (payload[:8],
+                                             *_stsd_formats(payload))
 
 
 # One edit list entry per version: segment duration, media time, and the
 # 16.16 media rate (rate integer and fraction read as one i32).
 _ELST_ENTRIES = (struct.Struct(">Iii"), struct.Struct(">Qqi"))
+_ELST_FIELDS = ("segmentDuration", "mediaTime", "mediaRate")
+
+
+def _elst_entries(payload: bytes) -> list[tuple[int, int, int]]:
+    """The entries of a version 0 or 1 elst payload of 8 bytes or more:
+    up to its entry count and `_MAX_ELST_ENTRIES`, as many as it holds."""
+    entry = _ELST_ENTRIES[payload[0]]
+    count = min(_u32(payload, 4), _MAX_ELST_ENTRIES,
+                (len(payload) - 8) // entry.size)
+    return [entry.unpack_from(payload, 8 + i * entry.size)
+            for i in range(count)]
 
 
 def _decode_elst(payload: bytes, drop: Collection[str]) -> _Fields:
@@ -331,32 +404,36 @@ def _decode_elst(payload: bytes, drop: Collection[str]) -> _Fields:
     if version not in (0, 1):
         raise UnsupportedVersion(f"elst version {version}")
     _need(payload, 4, "elst", 4)
-    entry_count = _u32(payload, 4)
     fields.append(("entryCount", None if "@entryCount" in drop
-                   else str(entry_count)))
-    entry = _ELST_ENTRIES[version]
-    pos = 8
-    for _ in range(min(entry_count, _MAX_ELST_ENTRIES)):
-        if pos + entry.size > len(payload):
-            break
-        duration, media_time, rate = entry.unpack_from(payload, pos)
+                   else str(_u32(payload, 4))))
+    for duration, media_time, rate in _elst_entries(payload):
         fields += [
             ("segmentDuration", None if "@segmentDuration" in drop
              else str(duration)),
             ("mediaTime", None if "@mediaTime" in drop else str(media_time)),
             ("mediaRate", None if "@mediaRate" in drop else _fixed16(rate)),
         ]
-        pos += entry.size
     return fields
+
+
+def _elst_identity(payload: bytes, drop: Collection[str]) -> Hashable:
+    # Not the payload: segment durations, dropped by default, differ in
+    # every file.
+    if len(payload) < 8 or payload[0] > 1:
+        return payload
+    kept = ["@" + key not in drop for key in _ELST_FIELDS]
+    return payload[:8], *(tuple(value if keep else None
+                                for value, keep in zip(entry, kept))
+                          for entry in _elst_entries(payload))
 
 
 _TIMES = [("creationTime", str), ("modificationTime", str)]
 
-# Fixed layouts follow ISO/IEC 14496-12; `x` pads are reserved and
-# pre-defined fields.
-_DECODERS: dict[str, _Decoder] = {
-    "ftyp": _decode_ftyp,
-    "styp": _decode_ftyp,
+# The decoder and identity of each box type with a schema. Fixed layouts
+# follow ISO/IEC 14496-12; `x` pads are reserved and pre-defined fields.
+_SCHEMAS: dict[str, tuple[_Decoder, _Identity]] = {
+    "ftyp": (_decode_ftyp, _whole),
+    "styp": (_decode_ftyp, _whole),
     "mvhd": _fixed_layout(
         "mvhd",
         [*_TIMES, ("timescale", str), ("duration", str), ("rate", _fixed16),
@@ -373,7 +450,7 @@ _DECODERS: dict[str, _Decoder] = {
         [*_TIMES, ("timescale", str), ("duration", str),
          ("language", _language)],
         ">IIIIH2x", ">QQIQH2x"),
-    "hdlr": _decode_hdlr,
+    "hdlr": (_decode_hdlr, _hdlr_identity),
     "vmhd": _fixed_layout("vmhd", [("graphicsMode", str), ("opColor", _opcolor)],
                           ">H6s"),
     "smhd": _fixed_layout("smhd", [("balance", _fixed8)], ">h2x"),
@@ -381,9 +458,11 @@ _DECODERS: dict[str, _Decoder] = {
        for name in ("dref", "stts", "stsc", "stco", "co64")},
     "stsz": _fixed_layout("stsz", [("sampleSize", str), ("sampleCount", str)],
                           ">II"),
-    "stsd": _decode_stsd,
-    "elst": _decode_elst,
+    "stsd": (_decode_stsd, _stsd_identity),
+    "elst": (_decode_elst, _elst_identity),
 }
+_DECODERS = {name: decode for name, (decode, _) in _SCHEMAS.items()}
+_IDENTITIES = {name: identity for name, (_, identity) in _SCHEMAS.items()}
 
 
 def has_schema(type_code: str) -> bool:
@@ -395,44 +474,81 @@ def _opaque_fields(payload_len: int, drop: Collection[str]) -> _Fields:
             ("count", None if "@count" in drop else str(payload_len))]
 
 
-def walk_boxes(
-    stream: BinaryIO, warnings: list[str],
-    decode: Collection[str] | None = None,
-    drop: Collection[str] = frozenset(),
-) -> Iterator[tuple[int, str, tuple, _Fields]]:
-    """Yield ``(depth, path, header, fields)`` for every box of a seekable
-    byte stream, in preorder; `path` is the box's symbol path (``moov/trak``)
-    and `header` the values of its `BoxHeader`. Warnings go to `warnings` as
-    they arise. Raises a `ParseError` as `parse_container` does.
+def box_fields(header: tuple, payload: bytes, drop: Collection[str],
+               warnings: list[str]) -> _Fields:
+    """The fields of a box that `walk_boxes` yields with its `header` and
+    `payload`, not a container: a decoder's, a uuid box's user type, or
+    the stuff and count of an opaque box. A field whose ``@``-prefixed
+    name is in `drop` has the value None, and its value is never
+    rendered; the fields, their order and the warnings are otherwise
+    those of an empty `drop`. A payload that its decoder refuses adds a
+    warning, and the box is opaque."""
+    decoder = _DECODERS.get(header[2])
+    if decoder is not None:
+        try:
+            return decoder(payload, drop)
+        except BoxDecodeError as exc:
+            warnings.append(f"box '{header[2]}' at offset {header[0]}: "
+                            f"{exc}; treated as opaque")
+    elif header[6] is not None:
+        return [("userType", None if "@userType" in drop else header[6])]
+    return _opaque_fields(header[4] - header[3], drop)
 
-    `drop` holds ``@``-prefixed field names whose values are not wanted:
-    such a field is still yielded, with the value None, and its value is
-    never rendered. The fields, their order and every warning and error
-    are those of a walk without `drop`, since rendering a value never
-    fails.
+
+def box_identity(header: tuple, payload: bytes,
+                 drop: Collection[str]) -> Hashable:
+    """A key for `box_fields` of the same arguments: boxes of one path
+    with equal keys have equal fields, and warnings that differ only in
+    the offset. It is the decoder's identity of the payload, which for a
+    fixed layout is the version and the values of the kept fields; the
+    user type of a uuid box; and None for an opaque box. The payload
+    length is added when `drop` keeps the count that an opaque box
+    shows."""
+    identity = _IDENTITIES.get(header[2])
+    key = header[6] if identity is None else identity(payload, drop)
+    return key if "@count" in drop else (key, header[4] - header[3])
+
+
+def walk_boxes(
+    source: BinaryIO | int, warnings: list[str],
+    decode: Collection[str] | None = None,
+) -> Iterator[tuple[int, str, tuple, bytes | None]]:
+    """Yield ``(depth, path, header, payload)`` for every box of a
+    seekable byte stream, or of the open descriptor of a regular file,
+    in preorder; `path` is the box's symbol path (``moov/trak``) and
+    `header` the values of its `BoxHeader`. `payload` is None for a
+    container; for a box with a decoder, its payload's first
+    `_PAYLOAD_READ_CAP` bytes, which `box_fields` decodes; for any other
+    box, empty. Warnings go to `warnings` as they arise. Raises a
+    `ParseError` as `parse_container` does.
 
     `decode`, if given, holds the paths of the boxes whose fields are
     wanted, and only those boxes yield an event: containers and other
-    boxes are walked past, and their payloads are neither read nor
-    decoded. Every header is still checked, so the same bytes raise the
-    same `ParseError`, but warnings then cover only the structure and the
-    decoded boxes.
+    boxes are walked past, and their payloads are not read. Every header
+    is still checked, so the same bytes raise the same `ParseError`, but
+    warnings then cover only the structure and the decoded boxes.
 
+    A descriptor is read with `os.pread` at each offset, and its length
+    taken from `os.fstat`; a stream is read with ``seek`` and ``read``.
     A header whose 8 bytes lie in the window is unpacked in place; a
     64-bit size, a uuid user type, a header that crosses the window's end
     and a scope's last bytes under 8 go through `read` and its checks.
     """
-    stream.seek(0, 2)
-    file_len = stream.tell()
+    if isinstance(source, int):
+        fd, file_len = source, os.fstat(source).st_size
+    else:
+        fd = None
+        source.seek(0, 2)
+        file_len = source.tell()
     if file_len == 0:
         raise NotBmff("empty file")
     # The window: the last bytes read, which serve any read they cover.
     data, start = b"", 0
 
     def read(offset: int, n: int, within: int | None) -> bytes:
-        """The `n` bytes at `offset`, or those the stream holds there.
+        """The `n` bytes at `offset`, or those the source holds there.
         `within` ends the enclosing box (None between top-level boxes); a
-        read past it still returns the stream's bytes, as a 64-bit size or
+        read past it still returns the source's bytes, as a 64-bit size or
         uuid user type may lie past its parent's end for the size checks."""
         nonlocal data, start
         at = offset - start
@@ -442,8 +558,11 @@ def walk_boxes(
             size = min(_TOP_READ_AHEAD, file_len - offset)
         else:
             size = min(_PAYLOAD_READ_CAP, within - offset)
-        stream.seek(offset)
-        data = stream.read(max(n, size))
+        if fd is None:
+            source.seek(offset)
+            data = source.read(max(n, size))
+        else:
+            data = os.pread(fd, max(n, size), offset)
         start = offset
         return data[:n]
 
@@ -525,33 +644,24 @@ def walk_boxes(
                 raise NestingTooDeep(pos, type_code, MAX_NESTING)
             if decode is None:
                 yield depth, path, (pos, size, type_code, header_len,
-                                    effective_len, large_size, user_type), []
+                                    effective_len, large_size, user_type), None
             stack.append((box_end, end, depth, prefix))
             pos, end, depth, prefix = pos + header_len, box_end, depth + 1, path + "/"
             continue
         if decode is None or path in decode:
-            if (decoder := _DECODERS.get(type_code)) is not None:
-                payload = read(pos + header_len,
-                               min(effective_len - header_len, _PAYLOAD_READ_CAP),
-                               within)
-                try:
-                    fields = decoder(payload, drop)
-                except BoxDecodeError as exc:
-                    warnings.append(f"box '{type_code}' at offset {pos}: "
-                                    f"{exc}; treated as opaque")
-                    fields = _opaque_fields(effective_len - header_len, drop)
-            elif user_type is not None:
-                fields = [("userType",
-                           None if "@userType" in drop else user_type)]
-            else:
-                fields = _opaque_fields(effective_len - header_len, drop)
+            payload = (read(pos + header_len,
+                            min(effective_len - header_len, _PAYLOAD_READ_CAP),
+                            within)
+                       if type_code in _DECODERS else b"")
             yield depth, path, (pos, size, type_code, header_len,
-                                effective_len, large_size, user_type), fields
+                                effective_len, large_size, user_type), payload
         pos = box_end
 
 
-def parse_container(byte_source: BinaryIO, source_id: str = "") -> ContainerTree:
-    """Parse the full top-level box sequence of a seekable byte stream.
+def parse_container(byte_source: BinaryIO | int,
+                    source_id: str = "") -> ContainerTree:
+    """Parse the full top-level box sequence of a seekable byte stream,
+    or of the open descriptor of a regular file.
 
     Raises a `ParseError` for any bytes that do not form a box tree,
     containers nested deeper than `MAX_NESTING` included.
@@ -560,7 +670,9 @@ def parse_container(byte_source: BinaryIO, source_id: str = "") -> ContainerTree
     root = AtomNode("root", None, [], [])
     # levels[d] holds the children of the latest box at depth d - 1.
     levels = [root.children]
-    for depth, _, header, fields in walk_boxes(byte_source, warnings):
+    for depth, _, header, payload in walk_boxes(byte_source, warnings):
+        fields = ([] if payload is None
+                  else box_fields(header, payload, frozenset(), warnings))
         node = AtomNode(header[2], BoxHeader(*header), fields, [])
         del levels[depth + 1:]
         levels[depth].append(node)
@@ -568,15 +680,17 @@ def parse_container(byte_source: BinaryIO, source_id: str = "") -> ContainerTree
     return ContainerTree(root=root, source_id=source_id, warnings=warnings)
 
 
-def open_box_file(path: str) -> BinaryIO:
-    """Open `path` for parsing. Anything but a regular file raises
-    `NotBmff`, so a named pipe without a writer never blocks the caller;
-    so does a path that no file can have (one holding a NUL byte).
+def open_box_file(path: str) -> int:
+    """Open `path` for parsing, and return its descriptor, which the
+    caller closes. Anything but a regular file raises `NotBmff`, so a
+    named pipe without a writer never blocks the caller; so does a path
+    that no file can have (one holding a NUL byte).
 
     The check is made on the open descriptor, so a path swapped between
     a check and the open cannot slip through; the open does not wait for
     a named pipe's writer (`O_NONBLOCK`, which a regular file's reads
-    ignore)."""
+    ignore). No buffered reader is made: `walk_boxes` reads the
+    descriptor at offsets."""
     try:
         fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     except ValueError as exc:  # an embedded NUL byte
@@ -584,13 +698,16 @@ def open_box_file(path: str) -> BinaryIO:
     if not stat.S_ISREG(os.fstat(fd).st_mode):
         os.close(fd)
         raise NotBmff("not a regular file")
-    return open(fd, "rb")
+    return fd
 
 
 def parse_file(path: str) -> ContainerTree:
     """Open `path` and parse its container structure."""
-    with open_box_file(path) as handle:
-        return parse_container(handle, source_id=str(path))
+    fd = open_box_file(path)
+    try:
+        return parse_container(fd, source_id=str(path))
+    finally:
+        os.close(fd)
 
 
 def _node_to_obj(node: AtomNode) -> dict:

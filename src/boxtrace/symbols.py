@@ -15,6 +15,7 @@ and a ``/`` after it starts a value.
 from __future__ import annotations
 
 import functools
+import os
 import sys
 from array import array
 from collections import Counter
@@ -23,7 +24,13 @@ from typing import BinaryIO, Collection, Iterable, Iterator
 
 import numpy as np
 
-from .bmff import ContainerTree, open_box_file, walk_boxes
+from .bmff import (
+    ContainerTree,
+    box_fields,
+    box_identity,
+    open_box_file,
+    walk_boxes,
+)
 from .vectorize import _scatter_counts
 
 # Value-symbols for these fields carry only intra-class variability
@@ -43,8 +50,14 @@ _DEFAULT_BLACKLIST = frozenset(f"@{name}" for name in (
 # and the `lodo` benchmark's peak RSS rose 0.2 MB at the same speed.
 _CHUNK_FILES = 64
 
-# The symbols of each distinct box, in field order, by its event's
-# (path, *fields), the values of blacklisted fields None. Like `bmff`'s
+# Symbol occurrences whose columns the memo of one `file_count_matrix`
+# call keeps, summed over its boxes, so the memo stays bounded when no box
+# repeats. The seed-7 `lodo` corpus fills 55 entries with 237 of them.
+_MEMO_COLUMNS = 1 << 16
+
+# The symbols of each distinct box, in field order, by its
+# (path, *fields), the values of blacklisted fields None. Only walks and
+# trees under the default blacklist fill it. Like `bmff`'s
 # type-code cache it stops growing at its bound; any other box's symbols
 # are built each time it is met, as are those of a box whose symbols
 # together exceed `_CACHED_BOX_LEN` characters. The seed-7 fixture
@@ -55,7 +68,7 @@ _CHUNK_FILES = 64
 # symbol is interned, so each distinct one is one string, shared by every
 # multiset that holds it; only cached ones are, since CPython 3.12 never
 # frees an interned string. The multisets read it; `file_count_matrix`
-# does not: it maps each distinct box to its columns in a dict of its own
+# does not: it maps each distinct box to its columns in a memo of its own
 # call, so training fills no cache that outlives it.
 _BOX_SYMBOLS: dict[tuple, tuple[str, ...]] = {}
 _BOX_CACHE_SIZE = 4096
@@ -92,22 +105,24 @@ def _box_symbols(path: str, fields: Iterable[tuple[str, str | None]]
     return box
 
 
-def _count_symbols(events: Iterable[tuple],
+def _count_symbols(boxes: Iterable[tuple[str, list]], fill: bool,
                    only: Collection[str] | None = None) -> Counter[str]:
-    """The symbols of `walk_boxes` events, counted in the order given: a
-    field gives its field-symbol, and its value-symbol unless its value is
-    None. With `only`, only the symbols in `only` are counted."""
+    """The symbols of ``(path, fields)`` boxes, counted in the order given:
+    a field gives its field-symbol, and its value-symbol unless its value
+    is None. A box with no fields, a container, gives none. With `fill`,
+    the box cache takes the symbols of boxes it lacks. With `only`, only
+    the symbols in `only` are counted."""
     cache = _BOX_SYMBOLS
     symbols: list[str] = []
     extend = symbols.extend
-    for _, path, _, fields in events:
-        if not fields:  # a container
+    for path, fields in boxes:
+        if not fields:
             continue
         key = path, *fields
         box = cache.get(key)
         if box is None:
             box = _box_symbols(path, fields)
-            if (len(cache) < _BOX_CACHE_SIZE
+            if (fill and len(cache) < _BOX_CACHE_SIZE
                     and sum(map(len, box)) <= _CACHED_BOX_LEN):
                 box = cache[key] = tuple(map(sys.intern, box))
         extend(box)
@@ -139,8 +154,10 @@ def extract_symbols(
     produce no standalone symbol; opaque nodes are reached through their
     `stuff`/`count` fields. Counts aggregate across sibling duplicates.
     """
-    return _count_symbols(_tree_events(tree, _DEFAULT_BLACKLIST
-                                       if blacklist is None else blacklist))
+    drop = _DEFAULT_BLACKLIST if blacklist is None else blacklist
+    return _count_symbols(((path, fields) for _, path, _, fields
+                           in _tree_events(tree, drop)),
+                          drop == _DEFAULT_BLACKLIST)
 
 
 @functools.lru_cache(maxsize=1)
@@ -152,14 +169,16 @@ def _decoded_boxes(only: frozenset[str]) -> frozenset[str]:
 
 
 def container_symbols(
-    stream: BinaryIO, blacklist: frozenset[str] | None = None,
+    stream: BinaryIO | int, blacklist: Collection[str] | None = None,
     only: Collection[str] | None = None,
 ) -> tuple[Counter[str], list[str]]:
-    """The symbols and parse warnings of a seekable byte stream, as
-    `extract_symbols` and `parse_container` give them, with no tree built.
-    The walk is passed the blacklist as its `drop` set, so only the values
-    that become symbols are rendered, and each symbol is the process's one
-    string for it while the box cache has room.
+    """The symbols and parse warnings of a seekable byte stream, or of the
+    open descriptor of a regular file, as `extract_symbols` and
+    `parse_container` give them, with no tree built. `box_fields` is
+    passed the blacklist, as a frozenset, as its `drop` set, so only the
+    values that become symbols are rendered. Under the default blacklist,
+    each symbol is the process's one string for it while the box cache
+    has room.
 
     With `only`, the symbols are those of the full count that are in
     `only`. Only the boxes they name are decoded, and only those reach
@@ -167,12 +186,14 @@ def container_symbols(
     `walk_boxes`), though it still checks every header.
     """
     warnings: list[str] = []
-    drop = _DEFAULT_BLACKLIST if blacklist is None else blacklist
-    if only is None:
-        return _count_symbols(walk_boxes(stream, warnings, None, drop)), warnings
-    boxes = _decoded_boxes(frozenset(only))
-    return (_count_symbols(walk_boxes(stream, warnings, boxes, drop),
-                           only=only), warnings)
+    # A frozenset finds the decoders' plans for its drop set.
+    drop = _DEFAULT_BLACKLIST if blacklist is None else frozenset(blacklist)
+    events = walk_boxes(stream, warnings, None if only is None
+                        else _decoded_boxes(frozenset(only)))
+    return _count_symbols(((path, box_fields(header, payload, drop, warnings))
+                           for _, path, header, payload in events
+                           if payload is not None),
+                          drop == _DEFAULT_BLACKLIST, only), warnings
 
 
 def file_symbols(
@@ -180,8 +201,11 @@ def file_symbols(
 ) -> tuple[Counter[str], list[str]]:
     """Open `path` and return its symbols and parse warnings, as
     `container_symbols` gives them with the default blacklist."""
-    with open_box_file(path) as handle:
-        return container_symbols(handle, only=only)
+    fd = open_box_file(path)
+    try:
+        return container_symbols(fd, only=only)
+    finally:
+        os.close(fd)
 
 
 def file_count_matrix(paths: Iterable[str]
@@ -189,43 +213,56 @@ def file_count_matrix(paths: Iterable[str]
     """The `count_matrix` of the files' `file_symbols` multisets, one row
     per path, counted straight into columns with no multiset built.
 
-    Each distinct box, by its event's (path, *fields), maps once per call
-    to the columns of its symbols, which `_box_symbols` builds on its
-    first sight. The files are read `_CHUNK_FILES` at a time, and only
-    each row's distinct columns and counts are kept. A file that does not
-    parse raises the `ParseError` that `file_symbols` raises for it.
+    Each box is looked up by its path and `box_identity`, and decoded
+    only on the first sight of that identity in the call, when its
+    symbols' columns are noted. A box whose decode warns is decoded, and
+    warns, at each sight. The files are read `_CHUNK_FILES` at a time,
+    and only each row's distinct columns and counts are kept. A file that
+    does not parse raises the `ParseError` that `file_symbols` raises for
+    it.
     """
     column: dict[str, int] = {}  # symbol -> column, in first-seen order
-    box_columns: dict[tuple, tuple[int, ...]] = {}
+    memo: dict[tuple, tuple[int, ...]] = {}  # (path, identity) -> columns
+    room = _MEMO_COLUMNS
     seen, values, lengths = array("i"), array("i"), []  # entries, per row
     paths = iter(paths)
     while chunk := list(islice(paths, _CHUNK_FILES)):
-        _count_chunk(chunk, column, box_columns, seen, values, lengths)
+        room = _count_chunk(chunk, column, memo, room, seen, values, lengths)
     return _scatter_counts(column, seen, values, lengths)
 
 
 def _count_chunk(paths: list[str], column: dict[str, int],
-                 box_columns: dict[tuple, tuple[int, ...]],
-                 seen: array, values: array, lengths: list[int]) -> None:
-    """Append the rows of the files at `paths` to the entry buffers. The
-    files' symbol occurrences are gathered as column numbers, file after
-    file, and summed per row in numpy; they go when it returns."""
+                 memo: dict[tuple, tuple[int, ...]], room: int,
+                 seen: array, values: array, lengths: list[int]) -> int:
+    """Append the rows of the files at `paths` to the entry buffers, and
+    return the memo's room left. The files' symbol occurrences are
+    gathered as column numbers, file after file, and summed per row in
+    numpy; they go when it returns."""
     occurrences: list[int] = []
     sizes: list[int] = []  # occurrences per file
+    drop = _DEFAULT_BLACKLIST
     for path in paths:
         before = len(occurrences)
-        with open_box_file(path) as handle:
-            for _, box_path, _, fields in walk_boxes(
-                    handle, [], None, _DEFAULT_BLACKLIST):
-                if not fields:  # a container
+        warnings: list[str] = []
+        fd = open_box_file(path)
+        try:
+            for _, box_path, header, payload in walk_boxes(fd, warnings):
+                if payload is None:  # a container
                     continue
-                key = box_path, *fields
-                columns = box_columns.get(key)
+                key = box_path, box_identity(header, payload, drop)
+                columns = memo.get(key)
                 if columns is None:
-                    columns = box_columns[key] = tuple(
+                    warned = len(warnings)
+                    columns = tuple(
                         column.setdefault(s, len(column))
-                        for s in _box_symbols(box_path, fields))
+                        for s in _box_symbols(box_path, box_fields(
+                            header, payload, drop, warnings)))
+                    if len(warnings) == warned and len(columns) <= room:
+                        memo[key] = columns
+                        room -= len(columns)
                 occurrences += columns
+        finally:
+            os.close(fd)
         sizes.append(len(occurrences) - before)
     width = max(len(column), 1)
     cells = (np.repeat(np.arange(len(paths), dtype=np.int64), sizes) * width
@@ -234,6 +271,7 @@ def _count_chunk(paths: list[str], column: dict[str, int],
     seen.frombytes((cells % width).astype(np.intc).tobytes())
     values.frombytes(counts.astype(np.intc).tobytes())
     lengths += np.bincount(cells // width, minlength=len(paths)).tolist()
+    return room
 
 
 def dump_symbols(symbols: Counter[str]) -> str:

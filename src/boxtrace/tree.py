@@ -538,9 +538,14 @@ def _check_vector(model: DecisionTreeModel, row: Sequence[int]) -> None:
 
 def predict(model: DecisionTreeModel, row: Sequence[int]) -> str:
     """Root-to-leaf traversal of a count row over the model's vocabulary;
-    returns the leaf's class label."""
+    returns the leaf's class label. No path is recorded."""
     _check_vector(model, row)
-    return decide(model, row.__getitem__)[0]
+    node = model.root
+    while not node.is_leaf:
+        split = node.split
+        node = (node.left if row[split.feature_index] <= split.threshold
+                else node.right)
+    return node.label
 
 
 def display_symbol(canonical: str) -> str:

@@ -10,7 +10,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyCorpus
+from .errors import DataError, EmptyCorpus
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,9 @@ def count_matrix(corpus: Iterable[Counter[str]]
     """The sorted union of the multisets' nonzero symbols, and their int32
     files x symbols counts. `corpus` is read once, and of each multiset
     only its column numbers and counts are kept, with one string per
-    distinct symbol, so a generator's multisets can go row by row."""
+    distinct symbol, so a generator's multisets can go row by row. A
+    count that does not fit in int32 raises `DataError`, as
+    `tree.encode_counts` does."""
     column: dict[str, int] = {}  # symbol -> column, in first-seen order
     seen, values, lengths = array("i"), array("i"), []  # entries, per row
     for ms in corpus:
@@ -73,8 +75,14 @@ def count_matrix(corpus: Iterable[Counter[str]]
             if count:
                 row_columns.append(column.setdefault(s, len(column)))
                 row_counts.append(count)
+        try:
+            values.fromlist(row_counts)
+        except OverflowError:
+            s, count = next((s, c) for s, c in ms.items()
+                            if not -2**31 <= c < 2**31)
+            raise DataError(f"count {count} of {s!r} does not fit in "
+                            f"int32") from None
         seen.fromlist(row_columns)
-        values.fromlist(row_counts)
         lengths.append(len(row_columns))
     return _scatter_counts(column, seen, values, lengths)
 

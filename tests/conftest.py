@@ -1,13 +1,27 @@
-"""Shared byte-level builders for hand-crafted container fixtures.
+"""Shared byte-level builders for hand-crafted container fixtures, and
+the walk with its boxes decoded that the parser and symbol tests compare.
 
-Deliberately independent of the package's own fixture generator so that
-parser tests do not trust the code under test to produce their inputs.
+The builders are deliberately independent of the package's own fixture
+generator so that parser tests do not trust the code under test to
+produce their inputs.
 """
 
 import struct
 
 import pytest
 from hypothesis import strategies as st
+
+from boxtrace.bmff import box_fields, walk_boxes
+
+
+def decoded_walk(source, warnings, decode=None, drop=frozenset()):
+    """`walk_boxes` with each box's payload replaced by its `box_fields`
+    under `drop`, and a container's by no fields: the events of the walk
+    before it yielded payloads."""
+    for depth, path, header, payload in walk_boxes(source, warnings, decode):
+        yield depth, path, header, ([] if payload is None else
+                                    box_fields(header, payload, drop,
+                                               warnings))
 
 
 def mkbox(type4: bytes, payload: bytes = b"") -> bytes:

@@ -20,6 +20,7 @@ from boxtrace import bmff
 from boxtrace.bmff import (
     _DECODERS,
     _HEADER,
+    _IDENTITIES,
     _PAYLOAD_READ_CAP,
     _TOP_READ_AHEAD,
     _TYPE_CODE_CACHE_SIZE,
@@ -49,11 +50,18 @@ from boxtrace.errors import (
     ZeroSizeNonFinal,
 )
 from boxtrace.fixtures import FixtureSpec, generate_corpus
-from boxtrace.symbols import container_symbols, extract_symbols, file_symbols
+from boxtrace.symbols import (
+    container_symbols,
+    default_blacklist,
+    extract_symbols,
+    file_count_matrix,
+    file_symbols,
+)
 
 from conftest import (
     FTYP_MIN,
     NEST_INNER,
+    decoded_walk,
     hostile,
     mkbox,
     mkfull,
@@ -707,11 +715,88 @@ class TestDecodersMatchReference:
                             expected[1])
                 warnings: list[str] = []
                 try:
-                    outcome = list(walk_boxes(io.BytesIO(variant), warnings,
-                                              None, drop)), warnings
+                    outcome = list(decoded_walk(io.BytesIO(variant), warnings,
+                                                None, drop)), warnings
                 except ParseError as exc:
                     outcome = type(exc), str(exc)
                 assert outcome == want
+
+
+def rewritten(data, payload: bytes, key, identity, drop) -> bytes:
+    """`payload` with bytes at drawn offsets rewritten, each rewrite kept
+    only while the payload's identity under `drop` stays `key`: the
+    dropped fields, pads and unread bytes."""
+    out = bytearray(payload)
+    for at in data.draw(st.lists(st.integers(0, max(len(out) - 1, 0)),
+                                 max_size=64), label="offsets"):
+        if at >= len(out):
+            break
+        old = out[at]
+        out[at] = data.draw(st.integers(0, 255), label="byte")
+        if identity(bytes(out), drop) != key:
+            out[at] = old
+    return bytes(out)
+
+
+class TestIdentities:
+    """A decoder's identity: payloads with equal keys decode to equal
+    fields, or raise the same error, and a payload the decoder refuses is
+    its own key."""
+
+    def test_every_decoder_has_an_identity(self):
+        assert set(_IDENTITIES) == set(_DECODERS)
+
+    @pytest.mark.parametrize("name", sorted(_DECODERS))
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_identities_decode_alike(self, name, data):
+        reference, layout = {**REFERENCE_DECODERS, **VARIABLE_REFERENCES}[name]
+        decode, identity = _DECODERS[name], _IDENTITIES[name]
+        if data.draw(st.booleans(), label="whole layout"):
+            # Version 0 or 1 and a body as long as the longest layout's.
+            payload = bytes([data.draw(st.integers(0, 1))]) + data.draw(
+                st.binary(min_size=3 + layout, max_size=11 + layout))
+        else:
+            payload = draw_payload(data, name, layout)
+        expected = decode_outcome(reference, payload)
+        names = {"@" + key for key, _ in reference(bytes(4 + layout))}
+        if isinstance(expected, list):
+            names.update("@" + key for key, _ in expected)
+        drop = data.draw(st.sampled_from([
+            frozenset(), default_blacklist(), frozenset(names)])
+            | st.sets(st.sampled_from(sorted(names))).map(frozenset),
+            label="drop")
+        key = identity(payload, drop)
+        outcome = decode_outcome(decode, payload, drop)
+        if not isinstance(outcome, list):
+            assert key == payload
+        # A rewrite of bytes that leave the key as it is, and payloads cut
+        # short or with a version out of range.
+        version = data.draw(st.sampled_from([2, 7, 255]), label="version")
+        others = [rewritten(data, payload, key, identity, drop),
+                  payload[:data.draw(st.integers(0, len(payload)),
+                                     label="cut")],
+                  bytes([version]) + payload[1:]]
+        for other in others:
+            other_outcome = decode_outcome(decode, other, drop)
+            if not isinstance(other_outcome, list):
+                assert identity(other, drop) == other
+            if identity(other, drop) == key:
+                assert other_outcome == outcome
+
+    def test_dropped_fields_leave_fixed_layout_keys_equal(self):
+        # Two tkhd payloads that differ only in times, duration, matrix,
+        # width and height: one key under the default blacklist, and two
+        # keys once the width is kept.
+        first = bytes(4) + bytes(range(80))
+        second = bytearray(first)
+        for at in [*range(4, 12), *range(20, 24), *range(40, 84)]:
+            second[at] ^= 0xFF
+        identity = _IDENTITIES["tkhd"]
+        blacklist = default_blacklist()
+        assert identity(first, blacklist) == identity(bytes(second), blacklist)
+        kept = blacklist - {"@width"}
+        assert identity(first, kept) != identity(bytes(second), kept)
 
 
 class TestTypeCodeRendering:
@@ -1048,12 +1133,13 @@ def walk_outcome(walk, data: bytes, decode=None):
 
 
 def assert_walks_agree(data: bytes, decode=None) -> None:
-    """`walk_boxes` gives the reference's outcome; with `decode`, only the
-    reference's events that carry fields."""
+    """`walk_boxes`, its boxes decoded by `box_fields`, gives the
+    reference's outcome; with `decode`, only the reference's events that
+    carry fields."""
     expected = walk_outcome(reference_walk_boxes, data, decode)
     if decode is not None and isinstance(expected[0], list):
         expected = [e for e in expected[0] if e[3]], expected[1]
-    assert walk_outcome(walk_boxes, data, decode) == expected
+    assert walk_outcome(decoded_walk, data, decode) == expected
 
 
 def box_paths(data: bytes) -> list[str]:
@@ -1190,9 +1276,28 @@ class TestWalkMatchesReference:
                 (struct.pack(">I4s", 0, b"mdat"), None),
                 (bytes(3), TruncatedBox)]:
             raw = mkbox(b"free", bytes(_TOP_READ_AHEAD - 4 - 8)) + form
-            outcome = walk_outcome(walk_boxes, raw)
+            outcome = walk_outcome(decoded_walk, raw)
             assert outcome == walk_outcome(reference_walk_boxes, raw)
             assert (outcome[0] is error) if error else len(outcome[0]) == 2
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_descriptor_walks_as_the_stream(self, walked_fixtures,
+                                            tmp_path_factory, data):
+        # The positioned reads of a file's descriptor give the outcome of
+        # seek and read on a stream of its bytes.
+        base, offsets = data.draw(st.sampled_from(walked_fixtures))
+        variant = hostile(data.draw, base, offsets)
+        decode = data.draw(st.none() | decode_sets(base))
+        path = tmp_path_factory.getbasetemp() / "descriptor_walk.mp4"
+        path.write_bytes(variant)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            outcome = walk_outcome(lambda _, *args: decoded_walk(fd, *args),
+                                   variant, decode)
+        finally:
+            os.close(fd)
+        assert outcome == walk_outcome(decoded_walk, variant, decode)
 
     def test_reads_do_not_rise(self, walked_fixtures):
         for data, _ in walked_fixtures:
@@ -1298,6 +1403,29 @@ class TestStreamingBehavior:
                 with pytest.raises(NotBmff, match="^not a regular file$"):
                     read(path)
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd")
+                        or not hasattr(os, "mkfifo"),
+                        reason="no descriptor listing or named pipes")
+    def test_no_descriptor_left_open(self, tmp_path, tiny_ftyp_file):
+        # A raw descriptor left open is not reported as an unclosed file,
+        # so the open descriptors are compared.
+        truncated = tmp_path / "truncated.mp4"
+        truncated.write_bytes(FTYP_MIN + mkbox(b"moov", mkmvhd())[:-5])
+        directory = tmp_path / "directory"
+        directory.mkdir()
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        good = str(tiny_ftyp_file)
+        readers = [parse_file, file_symbols,
+                   lambda path: file_count_matrix([good, path, good])]
+        before = sorted(os.listdir("/proc/self/fd"))
+        for read in readers:
+            for bad in (truncated, directory, pipe):
+                with pytest.raises(ParseError):
+                    read(str(bad))
+            read(good)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo")
                         or not hasattr(signal, "SIGALRM"),
                         reason="no named pipes or alarms")
@@ -1330,8 +1458,11 @@ class TestStreamingBehavior:
         signal.alarm(10)
         try:
             try:
-                with open_box_file(path) as handle:
-                    assert handle.read() == data
+                fd = open_box_file(path)
+                try:
+                    assert os.read(fd, len(data) + 1) == data
+                finally:
+                    os.close(fd)
             except NotBmff:
                 assert swapped  # the pipe was seen on the open descriptor
             # A path that is a pipe when it is opened is refused, and the

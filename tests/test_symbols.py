@@ -1,6 +1,7 @@
 """Symbol extraction and blacklist behavior."""
 
 import io
+import itertools
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -35,11 +36,13 @@ from boxtrace.vectorize import count_matrix
 from conftest import (
     FTYP_MIN,
     NEST_INNER,
+    decoded_walk,
     hostile,
     mkbox,
     mkfull,
     mkmvhd,
     moov_nest,
+    mvhd_v0_payload,
 )
 
 
@@ -390,13 +393,27 @@ class TestSymbolCache:
 
     def test_bounded(self, fixture_files, monkeypatch):
         expected = [list(ms.items())
-                    for ms in all_symbols(fixture_files, NO_BLACKLIST)]
+                    for ms in all_symbols(fixture_files, None)]
         monkeypatch.setattr(symbols_module, "_BOX_SYMBOLS", {})
         monkeypatch.setattr(symbols_module, "_BOX_CACHE_SIZE", 7)
         for _ in range(2):  # the second pass reads from the full cache
             assert [list(ms.items()) for ms in
-                    all_symbols(fixture_files, NO_BLACKLIST)] == expected
+                    all_symbols(fixture_files, None)] == expected
             assert len(symbols_module._BOX_SYMBOLS) == 7
+
+    @pytest.mark.parametrize("blacklist", [NO_BLACKLIST, ["@count"],
+                                           set(default_blacklist()) - {"@name"}])
+    def test_other_blacklists_leave_the_cache_unchanged(self, fixture_files,
+                                                        blacklist):
+        # A pass under another blacklist reads the cache and adds nothing
+        # to it, so the default's boxes keep their room.
+        all_symbols(fixture_files[:3], None)
+        before = dict(symbols_module._BOX_SYMBOLS)
+        uncached = all_symbols(fixture_files, blacklist)
+        assert symbols_module._BOX_SYMBOLS == before
+        symbols_module._BOX_SYMBOLS.clear()
+        assert all_symbols(fixture_files, blacklist) == uncached
+        assert not symbols_module._BOX_SYMBOLS
 
     def test_symbols_past_the_bound_equal_uncached(self, fixture_files,
                                                    monkeypatch):
@@ -430,21 +447,24 @@ class TestSymbolCache:
 
     def test_long_symbols_are_not_cached(self):
         cap = symbols_module._CACHED_BOX_LEN
-        value = "v" * cap
-        hdlr = mkfull(b"hdlr", 0, 0, bytes(20) + value.encode())
-        depth = cap // 20 + 1  # four symbols of over 5 * depth characters
-        data = FTYP_MIN + mkbox(b"moov", hdlr) + moov_nest(depth, mkbox(b"free"))
-        deep = "moov/" * depth + "free/@stuff"
+        brands = cap // 40  # two symbols of over 40 characters each
+        ftyp = mkbox(b"ftyp", b"isom" + bytes(4) + b"isom" * brands)
+        hdlr = mkfull(b"hdlr", 0, 0, bytes(4) + b"vide" + bytes(12))
+        depth = cap // 25 + 1  # five symbols of over 5 * depth characters
+        data = ftyp + mkbox(b"moov", hdlr) + moov_nest(depth, hdlr)
+        deep = "moov/" * depth + "hdlr/@handlerType/vide"
         for _ in range(2):
-            ms = container_symbols(io.BytesIO(data), NO_BLACKLIST)[0]
-            assert ms[f"moov/hdlr/@name/{value}"] == ms[deep] == 1
-            assert extract_symbols(parse_bytes(data), NO_BLACKLIST) == ms
+            ms = container_symbols(io.BytesIO(data))[0]
+            assert ms[f"ftyp/@compatibleBrand_{brands}/isom"] == ms[deep] == 1
+            assert extract_symbols(parse_bytes(data)) == ms
         cache = symbols_module._BOX_SYMBOLS
         assert all(sum(map(len, symbols)) <= cap
                    for symbols in cache.values())
-        assert {path for path, *_ in cache} == {"ftyp"}
+        assert {path for path, *_ in cache} == {"moov/hdlr"}
 
-    @pytest.mark.parametrize("blacklist", [None, NO_BLACKLIST])
+    # The default blacklist, by default and given; only its walks fill the
+    # cache that shares the strings.
+    @pytest.mark.parametrize("blacklist", [None, default_blacklist()])
     def test_shared_symbols_are_one_object(self, fixture_files, blacklist):
         # Two files' multisets, each through the bytes and the tree.
         multisets = all_symbols([fixture_files[0], fixture_files[-1]],
@@ -483,7 +503,8 @@ DROPPABLE = sorted(default_blacklist() | {
 
 class TestTreeEventsMatchWalk:
     """`_tree_events` over a parsed tree gives the events of `walk_boxes`
-    over the bytes, a value whose name the blacklist holds as None."""
+    over the bytes, decoded by `box_fields` with the blacklist as the drop
+    set: a value whose name the blacklist holds as None."""
 
     @given(st.booleans(), st.binary(max_size=300),
            st.sets(st.sampled_from(DROPPABLE)))
@@ -491,7 +512,7 @@ class TestTreeEventsMatchWalk:
     def test_random_bytes(self, after_ftyp, tail, blacklist):
         data = (FTYP_MIN if after_ftyp else b"") + tail
         assert tree_events_outcome(data, blacklist) == event_outcome(
-            walk_boxes(io.BytesIO(data), [], drop=blacklist))
+            decoded_walk(io.BytesIO(data), [], drop=blacklist))
 
     @given(st.data(), st.sets(st.sampled_from(DROPPABLE)))
     @settings(max_examples=200, deadline=None)
@@ -499,7 +520,7 @@ class TestTreeEventsMatchWalk:
         base, offsets = data.draw(st.sampled_from(fixture_files))
         variant = hostile(data.draw, base, offsets)
         assert tree_events_outcome(variant, blacklist) == event_outcome(
-            walk_boxes(io.BytesIO(variant), [], drop=blacklist))
+            decoded_walk(io.BytesIO(variant), [], drop=blacklist))
 
 
 # Strings that name no symbol of a file, or no box of it.
@@ -661,3 +682,86 @@ class TestFileCountMatrix:
     def test_no_files_is_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             file_count_matrix([])
+
+
+class TestCountMemo:
+    """`file_count_matrix` decodes each distinct box once per call, by its
+    path and `box_identity`, and its memo stays bounded."""
+
+    def test_good_short_and_unsupported_boxes_of_one_path(self, tmp_path):
+        # moov/mvhd holds a good version 0 box, one cut short, one of
+        # version 7 and a good version 1 box, each more than once and in
+        # more than one file. The refused ones are opaque at each sight.
+        good = mkmvhd(timescale=600)
+        other = mkfull(b"mvhd", 1, 0, bytes(108))
+        short = mkbox(b"mvhd", mvhd_v0_payload()[:50])
+        version = mkfull(b"mvhd", 7, 0, bytes(96))
+        files = [[good, short, version, good, short],
+                 [version, other, good],
+                 [short, short, other, version, version]]
+        paths = []
+        for i, boxes in enumerate(files):
+            path = tmp_path / f"mixed_{i}.mp4"
+            path.write_bytes(FTYP_MIN + mkbox(b"moov", b"".join(boxes)))
+            paths.append(str(path))
+        outcome = matrix_outcome(file_count_matrix, paths)
+        assert outcome == matrix_outcome(multiset_matrix, paths)
+        symbols, _, _, counts = outcome
+        stuff = symbols.index("moov/mvhd/@stuff")
+        assert [row[stuff] for row in counts] == [3, 1, 4]
+
+    def test_each_distinct_box_is_decoded_once(self, count_corpora,
+                                               monkeypatch):
+        paths = [path for path, _, _ in count_corpora[7, False]]
+        distinct, boxes = set(), 0
+        for path in paths:
+            with open(path, "rb") as handle:
+                for _, box_path, _, fields in decoded_walk(
+                        handle, [], drop=default_blacklist()):
+                    if fields:
+                        distinct.add((box_path, *fields))
+                        boxes += 1
+        decoded = []
+        real = symbols_module.box_fields
+
+        def counted(*args):
+            decoded.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(symbols_module, "box_fields", counted)
+        expected = matrix_outcome(multiset_matrix, paths)
+        decoded.clear()
+        assert matrix_outcome(file_count_matrix, paths) == expected
+        assert len(decoded) == len(distinct) < boxes
+        # With no room, every box is decoded at each sight.
+        monkeypatch.setattr(symbols_module, "_MEMO_COLUMNS", 0)
+        decoded.clear()
+        assert matrix_outcome(file_count_matrix, paths) == expected
+        assert len(decoded) == boxes
+
+    @pytest.mark.parametrize("room", [0, 7, 300])
+    def test_memo_bounded_when_no_box_repeats(self, count_corpora,
+                                              monkeypatch, room):
+        # Every box gets an identity of its own; the memo takes boxes
+        # only while their columns fit in its room.
+        paths = [path for path, _, _ in count_corpora[11, True]]
+        expected = matrix_outcome(multiset_matrix, paths)
+        unique = itertools.count()
+        real = symbols_module.box_identity
+        sizes = []
+        real_chunk = symbols_module._count_chunk
+
+        def chunk(paths, column, memo, room, *rest):
+            left = real_chunk(paths, column, memo, room, *rest)
+            sizes.append((len(memo), sum(map(len, memo.values())), left))
+            return left
+
+        monkeypatch.setattr(symbols_module, "box_identity",
+                            lambda *args: (real(*args), next(unique)))
+        monkeypatch.setattr(symbols_module, "_count_chunk", chunk)
+        monkeypatch.setattr(symbols_module, "_MEMO_COLUMNS", room)
+        monkeypatch.setattr(symbols_module, "_CHUNK_FILES", 5)
+        assert matrix_outcome(file_count_matrix, paths) == expected
+        assert len(sizes) > 1
+        for _, columns, left in sizes:
+            assert columns + left == room and left >= 0

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boxtrace.errors import EmptyCorpus
+from boxtrace.errors import DataError, EmptyCorpus
+from boxtrace.modelfile import train_matrix, train_model
 from boxtrace.vectorize import (
     Vocabulary,
     build_vocabulary,
@@ -155,6 +156,23 @@ class TestCountMatrix:
         corpus = [ms_of(counts) for counts in rows] + [Counter()] * trailing_empty
         assert_same_matrix(count_matrix(ms for ms in corpus),
                            two_pass_count_matrix(corpus))
+
+    @pytest.mark.parametrize("count", [2**31, 2**40, -2**31 - 1, 2**70])
+    def test_count_outside_int32_is_a_data_error(self, count):
+        # The error train_matrix raises for the same counts; an
+        # OverflowError once escaped here.
+        corpus = [Counter({"a": 1}), Counter({"b": 2, "c": count})]
+        with pytest.raises(DataError, match=f"^count {count} of 'c' does "
+                                            "not fit in int32$"):
+            count_matrix(corpus)
+        with pytest.raises(DataError):
+            train_matrix(("a", "b", "c"), [[1, 0, 0], [0, 2, count]],
+                         ["x", "y"])
+
+    def test_train_model_with_a_count_outside_int32(self):
+        with pytest.raises(DataError, match="does not fit in int32"):
+            train_model([Counter({"a": 2**40}), Counter({"b": 1})],
+                        ["x", "y"])
 
     def test_no_multiset_outlives_its_row(self):
         # When the next multiset is made, at most the one before it (the

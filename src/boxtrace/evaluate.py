@@ -28,7 +28,7 @@ from .errors import (
     UnknownEnum,
 )
 from .llr import FilterConfig
-from .modelfile import ModelFile, train_matrix
+from .modelfile import ModelFile, train_folds
 from .symbols import file_count_matrix
 from .tree import TreeParams, decision_path, predict, replay_path
 
@@ -290,6 +290,7 @@ class EvaluationReport:
     folds: list[FoldResult]
     global_balanced_accuracy: float
     mean_confusion: np.ndarray
+    train_seconds: float  # all folds', trained together
     positive_class: str | None = None
     tpr: float | None = None
     tnr: float | None = None
@@ -375,17 +376,18 @@ def run_scenario(
     ordered = sorted((_row_line(row), device_of[row.device]) for row in rows)
     lines = [line for line, _ in ordered]
     line_device = np.array([d for _, d in ordered])
+    started = time.perf_counter()
+    models = train_folds(
+        symbols, entries, entry_labels, multiplicity, entry_device,
+        tau=cfg.tau, params=params, scenario=scenario.name,
+        manifest_digests=[_digest_lines(compress(lines, (line_device != d)
+                                                 .tolist()))
+                          for d in range(len(devices))],
+        trained_at="")
+    train_seconds = time.perf_counter() - started
     results: list[FoldResult] = []
-    for d, held_out in enumerate(devices):
+    for d, (held_out, mf) in enumerate(zip(devices, models)):
         held = entry_device == d
-        started = time.perf_counter()
-        mf = train_matrix(symbols, entries, entry_labels,
-                          np.where(held, 0, multiplicity),
-                          tau=cfg.tau, params=params, scenario=scenario.name,
-                          manifest_digest=_digest_lines(
-                              compress(lines, (line_device != d).tolist())),
-                          trained_at="")
-        train_seconds = time.perf_counter() - started
         cm = ConfusionMatrix.empty(classes)
         started = time.perf_counter()
         test = np.flatnonzero(held).tolist()
@@ -406,7 +408,7 @@ def run_scenario(
         results.append(FoldResult(
             device=held_out, n_train=len(rows) - n_test,
             n_test=n_test, balanced_accuracy=balanced_accuracy(cm),
-            confusion=cm, train_seconds=train_seconds,
+            confusion=cm, train_seconds=train_seconds / len(devices),
             test_seconds=test_seconds, model=mf))
     global_bacc = float(np.mean([r.balanced_accuracy for r in results]))
     n = len(classes)
@@ -423,7 +425,8 @@ def run_scenario(
     report = EvaluationReport(scenario=scenario.name, classes=classes,
                               folds=results,
                               global_balanced_accuracy=global_bacc,
-                              mean_confusion=mean_confusion)
+                              mean_confusion=mean_confusion,
+                              train_seconds=train_seconds)
     if len(classes) == 2:
         positive = "Tampered" if "Tampered" in classes else classes[1]
         negative = next(c for c in classes if c != positive)
@@ -448,6 +451,7 @@ def report_to_obj(report: EvaluationReport) -> dict:
         "global_balanced_accuracy": report.global_balanced_accuracy,
         "mean_confusion": [[float(x) for x in row]
                            for row in report.mean_confusion],
+        "train_seconds": report.train_seconds,
         "folds": [
             {
                 "device": r.device,

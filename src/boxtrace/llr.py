@@ -120,6 +120,17 @@ def class_presence(counts: np.ndarray, y: np.ndarray, n_classes: int,
                      for c in range(n_classes)])
 
 
+def _log_frequencies(presence: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``math.log((k + 1) / (n + 1))`` of each presence count k of a class
+    of n files, as in `llr`; `sizes` broadcasts against `presence`. The
+    quotient of two integers below 2**53 is the correctly rounded one in
+    numpy as in Python, and `math.log` runs once per distinct quotient."""
+    ratio = (presence + 1) / (sizes + 1)
+    distinct, inverse = np.unique(ratio.ravel(), return_inverse=True)
+    logs = np.array([math.log(r) for r in distinct.tolist()])
+    return logs[inverse].reshape(ratio.shape)
+
+
 def pairwise_llr(
     presence: np.ndarray, sizes: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,17 +147,27 @@ def pairwise_llr(
     frequencies differ in log by far more than one rounding step, so only
     exact ties can share the maximum.
     """
-    logs = np.empty(presence.shape, dtype=np.float64)
-    for c, n in enumerate(sizes):
-        ks, inverse = np.unique(presence[c], return_inverse=True)
-        logs[c] = np.array([math.log((int(k) + 1) / (int(n) + 1))
-                            for k in ks])[inverse]
+    logs = _log_frequencies(presence, np.asarray(sizes)[:, None])
     hi, lo = logs.argmax(axis=0), logs.argmin(axis=0)
     columns = np.arange(logs.shape[1])
     best = logs[hi, columns] - logs[lo, columns]
     tied = best == 0
     hi[tied], lo[tied] = 0, 1
     return best, hi, lo
+
+
+def pairwise_keep(presence: np.ndarray, sizes: np.ndarray,
+                  tau: float) -> np.ndarray:
+    """Fold by fold, the columns the filter keeps: those whose maximum LLR
+    over ordered pairs of the fold's classes, the classes it has files
+    of, is above `tau` (see `pairwise_llr`); every column when it has
+    fewer than two. `presence` is folds x classes x columns, a
+    `class_presence` table per fold, and `sizes` folds x classes."""
+    trained = (sizes > 0)[:, :, None]
+    logs = _log_frequencies(presence, sizes[:, :, None])
+    best = (np.where(trained, logs, -np.inf).max(axis=1)
+            - np.where(trained, logs, np.inf).min(axis=1))
+    return (best > tau) | (np.count_nonzero(sizes, axis=1) < 2)[:, None]
 
 
 def llr_report(symbols: Sequence[str], counts: np.ndarray,

@@ -18,20 +18,22 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, EmptyCorpus, ModelFormatError
-from .llr import DEFAULT_TAU, FilterConfig, class_presence, pairwise_llr
+from .errors import DataError, DimensionMismatch, EmptyCorpus, ModelFormatError
+from .llr import DEFAULT_TAU, FilterConfig, class_presence, pairwise_keep
 from .tree import (
     DecisionTreeModel,
     PathStep,
     SplitCandidate,
     TreeNode,
     TreeParams,
+    _grow,
     _is_finite,
     _is_int,
+    compute_class_weights,
     decide,
     encode_counts,
     preorder,
-    train_tree,
+    prune,
 )
 from .vectorize import Vocabulary, count_matrix
 
@@ -301,6 +303,102 @@ def model_digest(mf: ModelFile) -> str:
     return hashlib.sha256(dumps_model(mf).encode("ascii")).hexdigest()
 
 
+def train_folds(
+    symbols: Sequence[str],
+    counts: np.ndarray,
+    labels: Sequence[str],
+    multiplicity: Sequence[int] | np.ndarray | None = None,
+    groups: Sequence[int] | np.ndarray | None = None,
+    *,
+    tau: float = DEFAULT_TAU,
+    params: TreeParams = TreeParams(),
+    scenario: str = "",
+    manifest_digests: Sequence[str] | None = None,
+    trained_at: str | None = None,
+) -> list[ModelFile]:
+    """The models of folds that each leave one group of rows out, trained
+    together: vocabulary, LLR filter, class weights and tree.
+
+    `counts` has one column per symbol of `symbols` and one row per label
+    of `labels`. Row i stands for ``multiplicity[i]`` training files with
+    its counts and label (default one), and 0 leaves it out. Row i is in
+    group ``groups[i]``, an integer, and there is one fold per group, in
+    ascending order, which leaves out the rows of that group. Without
+    `groups` there is one fold, which leaves nothing out. Fold f's
+    model is that of training on its files alone, byte for byte, and
+    carries ``manifest_digests[f]`` (default empty).
+
+    A fold's vocabulary is the symbols that some of its files contain, and
+    its filter reads only its presence table, how many of its files of
+    each class contain each symbol, and its class sizes. These are made
+    once per (group, class), and a fold's are their totals minus its
+    group's. The trees grow together (see `tree._grow`).
+    """
+    cfg = FilterConfig(tau)
+    if len(labels) == 0:
+        raise EmptyCorpus("cannot train on an empty corpus")
+    if any(a >= b for a, b in zip(symbols, symbols[1:])):
+        raise DataError("symbols must be sorted and distinct")
+    counts, y, m, classes = encode_counts(counts, labels, len(symbols),
+                                          multiplicity, least=0)
+    if groups is None:
+        group, held = np.zeros(len(y), dtype=np.intp), np.array([1])
+    else:
+        group = np.asarray(groups)
+        if group.shape != (len(y),):
+            raise DimensionMismatch(f"{group.size} groups for {len(y)} rows")
+        if group.dtype.kind not in "iu":
+            raise DataError("groups must be integers")
+        group = np.unique(group, return_inverse=True)[1].reshape(-1)
+        held = np.arange(int(group.max()) + 1)
+    digests = [""] * len(held) if manifest_digests is None \
+        else list(manifest_digests)
+    if len(digests) != len(held):
+        raise DimensionMismatch(
+            f"{len(digests)} manifest digests for {len(held)} folds")
+    n_groups, n_classes = max(int(group.max()), int(held.max())) + 1, \
+        len(classes)
+    code = group * n_classes + y
+    sizes = np.bincount(code, weights=m, minlength=n_groups * n_classes)
+    sizes = sizes.astype(np.int64).reshape(n_groups, n_classes)
+    sizes = sizes.sum(axis=0) - sizes[held]
+    if not sizes.any(axis=1).all():
+        raise EmptyCorpus("cannot train on an empty corpus")
+    presence = class_presence(counts, code, n_groups * n_classes, m)
+    presence = presence.reshape(n_groups, n_classes, len(symbols))
+    presence = presence.sum(axis=0) - presence[held]
+    used = presence.any(axis=1)
+    kept = used & pairwise_keep(presence, sizes, cfg.tau)
+    del presence
+    own = [np.flatnonzero(row).tolist() for row in sizes]
+    class_weights = [compute_class_weights([classes[c] for c in cls],
+                                           sizes[f, cls].tolist())
+                     for f, cls in enumerate(own)]
+    weights = np.array([[w.get(c, 0.0) for c in classes]
+                        for w in class_weights])
+    rows = np.flatnonzero(m)
+    if rows.size < len(m):
+        counts, y, m, group = counts[rows], y[rows], m[rows], group[rows]
+    roots = _grow(counts, y, m, group, held, kept, weights, classes, params)
+    stamp = resolve_timestamp(trained_at)
+    models = []
+    for f, root in enumerate(roots):
+        if params.ccp_alpha > 0:
+            root = prune(root, params.ccp_alpha)
+        vocab = np.flatnonzero(used[f])
+        model = DecisionTreeModel(
+            root=root,
+            vocabulary=Vocabulary(tuple(symbols[j] for j in
+                                        np.flatnonzero(kept[f]).tolist())),
+            classes=list(class_weights[f]), class_weights=class_weights[f],
+            params=params)
+        models.append(ModelFile(
+            full_vocabulary=[symbols[j] for j in vocab.tolist()],
+            kept=kept[f, vocab].tolist(), tau=cfg.tau, model=model,
+            scenario=scenario, manifest_digest=digests[f], trained_at=stamp))
+    return models
+
+
 def train_matrix(
     symbols: Sequence[str],
     counts: np.ndarray,
@@ -313,49 +411,19 @@ def train_matrix(
     manifest_digest: str = "",
     trained_at: str | None = None,
 ) -> ModelFile:
-    """Vocabulary, LLR filter, class weights and tree, in training order.
+    """Vocabulary, LLR filter, class weights and tree, in training order:
+    the one fold of `train_folds` without groups.
 
     `counts` has one column per symbol of `symbols` and one row per label
     of `labels`. Row i stands for ``multiplicity[i]`` training files with
     its counts and label (default one), and 0 leaves it out; the model is
-    that of training on the files themselves, byte for byte. So a
-    leave-one-device-out fold passes the scenario's distinct rows with
-    its held-out device's multiplicities set to 0.
-
-    The vocabulary is the symbols that some training file contains, and
-    the filter reads only ``class_presence``, the table of how many
-    training files of each class contain each symbol.
+    that of training on the files themselves, byte for byte.
     """
-    cfg = FilterConfig(tau)
-    if len(labels) == 0:
-        raise EmptyCorpus("cannot train on an empty corpus")
-    if any(a >= b for a, b in zip(symbols, symbols[1:])):
-        raise DataError("symbols must be sorted and distinct")
-    counts, y, m, classes = encode_counts(counts, labels, len(symbols),
-                                          multiplicity, least=0)
-    sizes = np.bincount(y, weights=m, minlength=len(classes)).astype(np.int64)
-    if not sizes.any():
-        raise EmptyCorpus("cannot train on an empty corpus")
-    presence = class_presence(counts, y, len(classes), m)
-    used = np.flatnonzero(presence.any(axis=0))
-    vocab = [symbols[j] for j in used]
-    trained = sizes > 0
-    if np.count_nonzero(trained) < 2:
-        # The pairwise filter is undefined for one class; keep everything
-        # and let training degenerate to a single leaf.
-        kept = np.ones(len(vocab), dtype=bool)
-    else:
-        kept = pairwise_llr(presence[np.ix_(trained, used)],
-                            sizes[trained])[0] > cfg.tau
-    rows = np.flatnonzero(m)
-    filtered = Vocabulary.from_strings(s for s, k in zip(vocab, kept) if k)
-    model = train_tree(counts[np.ix_(rows, used[kept])],
-                       [labels[i] for i in rows], filtered, params,
-                       multiplicity=m[rows])
-    return ModelFile(full_vocabulary=vocab, kept=kept.tolist(), tau=cfg.tau,
-                     model=model, scenario=scenario,
-                     manifest_digest=manifest_digest,
-                     trained_at=resolve_timestamp(trained_at))
+    mf, = train_folds(symbols, counts, labels, multiplicity, tau=tau,
+                      params=params, scenario=scenario,
+                      manifest_digests=[manifest_digest],
+                      trained_at=trained_at)
+    return mf
 
 
 def train_model(corpus: Iterable[Counter[str]], labels: Sequence[str],

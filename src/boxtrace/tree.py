@@ -14,17 +14,25 @@ read from per-class prefix sums: k files of class c weigh
 what a sum over the files in any order gives, since every file of class c
 weighs the same.
 
-A node's split search is a few array passes per block of its columns,
-with no Python loop over features or thresholds. Sorting the columns
-gives every candidate boundary. The rows of one class and one
-multiplicity form a group: its values, sorted per column and shifted so
-that each column has its own key range, give with one `searchsorted`
-the number of its rows left of every boundary, and each of them stands
-for the same number of files of its class. When every row is one file,
-the groups are the classes. The result is bit-for-bit that of scanning
-each candidate with a running sum of class masses in sorted row order,
-and the Gini decreases are computed with the same elementwise
-operations.
+One grower serves every fold of a cross-validation (the method of
+Blockeel and Struyf, "Efficient Algorithms for Decision Tree
+Cross-validation", JMLR 2002). Each fold leaves one group of rows out,
+and a single tree is the one fold that leaves nothing out. The folds
+whose trees made the same splits so far form a node group, and one split
+search serves the group: each fold's files left of a boundary are the
+node's minus those of the group it leaves out. Folds whose best splits
+differ part into node groups of their own, and each fold's tree is the
+one grown on its own rows alone, bit for bit.
+
+A split search has no Python loop over features or thresholds. A tree's
+nonzero counts, and one zero per column that stands for the rows without
+an entry there, are sorted by column and value once; a node keeps the
+entries of its rows. One `bincount` over them gives the files of each
+(left-out group, class) at each value, running sums the files left of
+every boundary, and a zero the files that no entry of its column holds.
+The result is bit-for-bit that of scanning each candidate with a running
+sum of class masses in sorted row order, and the Gini decreases are
+computed with the same elementwise operations.
 
 A tree searches one column per group of columns that are equal over its
 training rows, the first of the group. Equal at the root, they are equal
@@ -37,7 +45,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -50,7 +58,8 @@ from .vectorize import Vocabulary
 # more than this.
 EPS = 1e-12
 _INT32 = np.iinfo(np.int32)
-# The split search sorts at most about this many counts of a node at once.
+# The split search copies and sorts about this many counts at once, and
+# its per-value tables hold about this many file counts, or one column's.
 _BLOCK_ELEMENTS = 1 << 16
 # The most files a training matrix may stand for. The prefix table (see
 # `_prefix_sums`) is K x (largest class's files + 1) floats, so this bounds
@@ -177,140 +186,228 @@ def preorder(root: TreeNode) -> list[TreeNode]:
     return nodes
 
 
-def _class_files(y: np.ndarray, m: np.ndarray, n_classes: int) -> np.ndarray:
-    """The number of files of each class among rows of classes `y` and
-    multiplicities `m`."""
-    return np.bincount(y, weights=m, minlength=n_classes).astype(np.intp)
+def _prefix_sums(weights: np.ndarray,
+                 files: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each fold's ``prefix[c][k]``, the mass of k files of class c: the
+    running sum of the class weight, whose bits any sum over such files in
+    row order (`np.bincount` with weights, a running sum in sorted order)
+    has. `weights` and `files` are fold x class; fold f's ``prefix[c][k]``
+    is ``flat[start[f, c] + k]``, so the table is as long as the folds'
+    files, not folds x classes x the largest class."""
+    lengths = (files + 1).ravel()
+    start = np.cumsum(lengths) - lengths
+    flat = np.zeros(int(lengths.sum()))
+    for i in np.flatnonzero(files.ravel()).tolist():
+        n = int(lengths[i]) - 1
+        np.cumsum(np.full(n, weights.flat[i]),
+                  out=flat[start[i] + 1:start[i] + n + 1])
+    return start.reshape(files.shape), flat
 
 
-def _prefix_sums(class_w: np.ndarray, files: np.ndarray) -> np.ndarray:
-    """``prefix[c][k]``, the mass of k files of class c: the running sum
-    of the class weight, whose bits any sum over such files in row order
-    (`np.bincount` with weights, a running sum in sorted order) has."""
-    prefix = np.zeros((len(files), int(files.max()) + 1))
-    for c, n in enumerate(files):
-        np.cumsum(np.full(n, class_w[c]), out=prefix[c, 1:n + 1])
-    return prefix
+def _rising(decrease: np.ndarray) -> np.ndarray:
+    """Where each row of `decrease` is above every earlier entry of it:
+    the only candidates that can win (see `best_split`)."""
+    earlier_max = np.full(decrease.shape, -np.inf)
+    np.fmax.accumulate(decrease[:, :-1], axis=1, out=earlier_max[:, 1:])
+    return decrease > earlier_max
 
 
-def _leaf(prefix: np.ndarray, files: np.ndarray,
-          classes: Sequence[str]) -> TreeNode:
-    dist = prefix[np.arange(len(classes)), files]
-    # argmax returns the first maximum; classes are sorted, so ties break
-    # lexicographically.
-    return TreeNode(
-        distribution={c: float(dist[i]) for i, c in enumerate(classes)},
-        label=classes[int(np.argmax(dist))])
+def _scan_rows(decrease: np.ndarray,
+               best: list[float | None]) -> dict[int, int]:
+    """The `EPS` rule of `best_split` on each row of `decrease`, which
+    continues a scan whose running best so far is ``best[row]`` (None
+    before any). Updates `best` and returns, for each row whose running
+    best changed, the index of its new one.
+
+    Walks only the candidates above every earlier one in their row, which
+    include all that can win (see `best_split`).
+    """
+    rows, index = np.nonzero(_rising(decrease))
+    chosen: dict[int, int] = {}
+    for r, i, d in zip(rows.tolist(), index.tolist(),
+                       decrease[rows, index].tolist()):
+        if d > (EPS if best[r] is None else best[r] + EPS):
+            best[r], chosen[r] = d, i
+    return chosen
 
 
 def _scan_order_best(decrease: np.ndarray,
                      best: float | None = None) -> int | None:
     """Index of the last candidate that becomes the running best under the
     `EPS` rule of `best_split`, when `decrease` continues a scan whose
-    running best so far is `best`; None if no candidate replaces it.
-
-    Walks only the candidates above every earlier one in `decrease`, which
-    include all that can win (see `best_split`).
-    """
-    earlier_max = np.fmax.accumulate(
-        np.concatenate(([-np.inf], decrease[:-1])))
-    chosen = None
-    for i in np.flatnonzero(decrease > earlier_max):
-        d = float(decrease[i])
-        if d > (EPS if best is None else best + EPS):
-            best, chosen = d, int(i)
-    return chosen
+    running best so far is `best`; None if no candidate replaces it."""
+    return _scan_rows(decrease[None], [best]).get(0)
 
 
-def _candidates(block, columns, offset, groups, n_classes, n, leaf):
-    """The candidates of a block of columns: their features, the values
-    either side of each boundary, and the files of each class left of it.
-    `groups` holds each class and multiplicity present with its rows."""
-    n_rows, cols = block.shape
-    # A boundary between sorted rows whose values differ is a candidate if
-    # both sides keep at least `leaf` files. Row-major indices are
-    # re-sorted into scan order.
-    flat = np.flatnonzero(columns[:-1] != columns[1:])
-    feature, row = np.divmod(np.sort(flat % cols * n_rows + flat // cols),
-                             n_rows)
-    below = columns[row, feature]
-    boundary_keys = offset[feature] + below
-    left_files = np.zeros((feature.size, n_classes), dtype=np.intp)
-    for c, files_each, rows in groups:
-        # The group's keys, each column sorted: they ascend, and column j's
-        # keys start at j * len(rows). Each row left of a boundary stands
-        # for `files_each` files of class c.
-        keys = block[rows].T.astype(np.int64, order="C")
-        keys.sort(axis=1)
-        keys += offset[:, None]
-        k = np.searchsorted(keys.ravel(), boundary_keys, side="right")
-        left_files[:, c] += files_each * (k - feature * rows.size)
-    n_left = left_files.sum(axis=1)
-    s = np.flatnonzero((n_left >= leaf) & (n_left <= n - leaf))
-    return feature[s], below[s], columns[row[s] + 1, feature[s]], \
-        left_files[s]
+def _sorted_entries(
+    X: np.ndarray, columns: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of the given `columns` of `X` that a split search reads,
+    as arrays of their column numbers (positions in `columns`), values and
+    rows, sorted by column, then value: each nonzero count, and one zero
+    per column, whose row is ``len(X)``, no row. The zero stands for every
+    row the column has no entry of."""
+    n_rows = len(X)
+    parts = []
+    # Blocks of columns bound the memory of the dense copies.
+    width = max(1, _BLOCK_ELEMENTS // max(n_rows, 1))
+    for begin in range(0, len(columns), width):
+        block = X[:, columns[begin:begin + width]].T
+        column, row = np.nonzero(block)
+        value = block[column, row]
+        ends = np.arange(block.shape[0])
+        column = np.concatenate((column, ends)) + begin
+        value = np.concatenate((value, np.zeros(ends.size, dtype=value.dtype)))
+        row = np.concatenate((row, np.full(ends.size, n_rows)))
+        # Columns below 2**31 and int32 values - INT32_MIN fit in int64.
+        order = np.argsort(column.astype(np.int64) << 32
+                           | (value.astype(np.int64) - _INT32.min))
+        parts.append((column[order], value[order], row[order]))
+    if not parts:
+        return (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int32),
+                np.zeros(0, dtype=np.intp))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _best_split_arrays(
-    X: np.ndarray,
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rows: np.ndarray,
     y: np.ndarray,
     m: np.ndarray,
-    prefix: np.ndarray,
+    slot: np.ndarray,
+    files: np.ndarray,
+    prefix: tuple[np.ndarray, np.ndarray],
+    own: np.ndarray,
+    kept: np.ndarray,
     min_samples_leaf: int,
-) -> SplitCandidate | None:
-    # X holds int32 counts; row i stands for m[i] files of class y[i], and
-    # k files of class c weigh prefix[c][k] (see `_prefix_sums`).
-    n_rows, n_features = X.shape
-    n_classes = len(prefix)
-    classes = np.arange(n_classes)
-    files = _class_files(y, m, n_classes)
-    n = int(files.sum())
-    parent = prefix[classes, files]
-    total = float(parent.sum())
-    parent_gini = 1.0 - float(np.square(parent / total).sum())
+) -> list[SplitCandidate | None]:
+    # `entries` are a matrix's `_sorted_entries`; the node holds its
+    # `rows`. Row i stands for m[i] files of class y[i], and fold f leaves
+    # out the rows of slot f; every fold trains on slot F. files[f] are
+    # fold f's files of each class at the node, k of which weigh its
+    # prefix[c][k] (see `_prefix_sums`). Fold f's Gini arithmetic runs
+    # over the classes own[f] marks, and it splits only on the columns
+    # kept[f] marks.
+    n_folds, n_classes = files.shape
+    start, flat = prefix
+    n = files.sum(axis=1)
     leaf = max(min_samples_leaf, 1)
-    if n < 2 * leaf:
-        return None
-    # The rows of each class and multiplicity. A class of N files has
-    # fewer than sqrt(2N) distinct multiplicities, as k of them sum to at
-    # least k(k + 1)/2. A set, not `np.unique`, which imports `numpy.ma`
-    # (1.3 MB more peak RSS on `triage`).
-    base = int(m.max()) + 1
-    code = y * base + m
-    groups = [(*divmod(g, base), np.flatnonzero(code == g))
-              for g in sorted(set(code.tolist()))]
-    best: SplitCandidate | None = None
-    # Blocks of columns bound the memory of the sorted copies, keys and
-    # candidate arrays; taken in order, they keep the scan order.
-    width = max(1, _BLOCK_ELEMENTS // n_rows)
-    for start in range(0, n_features, width):
-        block = X[:, start:start + width]
-        columns = np.sort(block, axis=0)
-        # Column j's values map into a key range of its own, offset[j] +
-        # value. Counts are int32, so the keys fit in int64.
-        low = columns[0].astype(np.int64)
-        span = columns[-1] - low + 1
-        offset = np.cumsum(span) - span - low
-        feature, below, above, left_files = _candidates(
-            block, columns, offset, groups, n_classes, n, leaf)
-        if feature.size == 0:
+    # Folds with the same classes share one pass of the Gini arithmetic.
+    sets: dict[bytes, list[int]] = {}
+    for f, mask in enumerate(own):
+        sets.setdefault(mask.tobytes(), []).append(f)
+    class_sets = [(np.array(folds), np.flatnonzero(own[folds[0]]))
+                  for folds in sets.values()]
+    set_of = np.empty(n_folds, dtype=np.intp)
+    parent = flat[start + files]
+    total, parent_gini = np.empty(n_folds), np.empty(n_folds)
+    for s, (folds, cls) in enumerate(class_sets):
+        set_of[folds] = s
+        p = parent[np.ix_(folds, cls)]
+        total[folds] = p.sum(axis=1)
+        parent_gini[folds] = 1.0 - np.square(p / total[folds, None]).sum(axis=1)
+    best: list[SplitCandidate | None] = [None] * n_folds
+    decreases: list[float | None] = [None] * n_folds
+    if not (n >= 2 * leaf).any():
+        return best
+    # The node's entries, and only of columns with two values or more.
+    n_rows = len(y)
+    here = np.zeros(n_rows + 1, dtype=bool)
+    here[rows] = here[n_rows] = True
+    here = here[entries[2]]
+    column, value, row = (a[here] for a in entries)
+    new = np.ones(column.size, dtype=bool)
+    np.logical_or(column[1:] != column[:-1], value[1:] != value[:-1],
+                  out=new[1:])
+    per_column = np.bincount(column[new])
+    several = (per_column > 1)[column]
+    if not several.all():
+        column, value, row, new = (a[several]
+                                   for a in (column, value, row, new))
+    per_column = per_column[per_column > 1]
+    if per_column.size == 0:
+        return best
+    # Each value of a column, with the files of each (slot, class) that
+    # hold it, gives every fold's files left of the boundary above it: all
+    # rows' minus its own slot's. A boundary is a fold's candidate if the
+    # fold holds the value below it, and its threshold is the midpoint to
+    # the next value the fold holds.
+    code = slot * n_classes + y
+    n_codes = (n_folds + 1) * n_classes
+    node = np.bincount(code[rows], weights=m[rows], minlength=n_codes)
+    node = node.astype(np.intp).reshape(n_folds + 1, n_classes)
+    value_of = np.cumsum(new, dtype=np.intp) - 1
+    values, value_column = value[new], column[new]
+    first_value = np.cumsum(per_column) - per_column
+    first_entry = np.append(np.flatnonzero(new), column.size)
+    # Runs of columns bound the memory of the per-value tables; taken in
+    # order, they keep the scan order.
+    run = first_value * n_codes // _BLOCK_ELEMENTS
+    cuts = (np.flatnonzero(run[1:] != run[:-1]) + 1).tolist()
+    for ca, cb in zip([0, *cuts], [*cuts, per_column.size]):
+        counts = per_column[ca:cb]
+        va = first_value[ca]
+        n_values = int(counts.sum())
+        ea, eb = first_entry[va], first_entry[va + n_values]
+        r = row[ea:eb]
+        real = r < n_rows
+        r = r[real]
+        at = np.bincount((value_of[ea:eb][real] - va) * n_codes + code[r],
+                         weights=m[r], minlength=n_values * n_codes)
+        at = at.astype(np.intp).reshape(n_values, n_folds + 1, n_classes)
+        col = value_column[va:va + n_values]
+        col_first = first_value[ca:cb] - va
+        # A zero holds the node's files that no entry of its column holds.
+        zeros = value_of[ea:eb][~real] - va
+        at[zeros] = node - np.add.reduceat(at, col_first, axis=0)
+        # Files at or below each value: running sums restarted at each
+        # column's first value.
+        below = np.cumsum(at, axis=0)
+        restart = np.zeros((counts.size, n_folds + 1, n_classes),
+                           dtype=np.intp)
+        restart[1:] = below[col_first[1:] - 1]
+        below -= np.repeat(restart, counts, axis=0)
+        fold_at = at.sum(axis=1)[:, None] - at[:, :n_folds]
+        left_files = below.sum(axis=1)[:, None] - below[:, :n_folds]
+        n_left = left_files.sum(axis=2)
+        holds = fold_at.any(axis=2)
+        valid = (holds & (n_left >= leaf) & (n_left <= n - leaf)
+                 & kept[:, col].T)
+        fi, vi = np.nonzero(valid.T)
+        if fi.size == 0:
             continue
-        left = prefix[classes, left_files]
-        right = parent - left
-        w_left = left.sum(axis=1)
-        w_right = total - w_left
-        g_left = 1.0 - np.square(left / w_left[:, None]).sum(axis=1)
-        g_right = 1.0 - np.square(right / w_right[:, None]).sum(axis=1)
-        decrease = (parent_gini
-                    - (w_left / total) * g_left
-                    - (w_right / total) * g_right)
-        i = _scan_order_best(
-            decrease, None if best is None else best.weighted_gini_decrease)
-        if i is not None:
-            threshold = (float(below[i]) + float(above[i])) / 2.0
-            best = SplitCandidate(feature_index=start + int(feature[i]),
-                                  threshold=threshold,
-                                  weighted_gini_decrease=float(decrease[i]))
+        left_files = left_files[vi, fi]
+        decrease = np.empty(fi.size)
+        for s, (folds, cls) in enumerate(class_sets):
+            pairs = np.flatnonzero(set_of[fi] == s) \
+                if len(class_sets) > 1 else np.arange(fi.size)
+            pf = fi[pairs]
+            left = flat[start[pf[:, None], cls]
+                        + left_files[pairs[:, None], cls]]
+            right = parent[pf[:, None], cls] - left
+            tot = total[pf]
+            w_left = left.sum(axis=1)
+            w_right = tot - w_left
+            g_left = 1.0 - np.square(left / w_left[:, None]).sum(axis=1)
+            g_right = 1.0 - np.square(right / w_right[:, None]).sum(axis=1)
+            decrease[pairs] = (parent_gini[pf]
+                               - (w_left / tot) * g_left
+                               - (w_right / tot) * g_right)
+        grid = np.full((n_folds, n_values), -np.inf)
+        grid[fi, vi] = decrease
+        chosen = _scan_rows(grid, decreases)
+        if not chosen:
+            continue
+        # The first value at or after each one that each fold holds.
+        held_from = np.where(holds, np.arange(n_values)[:, None], n_values)
+        held_from = np.minimum.accumulate(held_from[::-1], axis=0)[::-1]
+        for f, i in chosen.items():
+            above = int(held_from[i + 1, f])
+            best[f] = SplitCandidate(
+                feature_index=int(col[i]),
+                threshold=(float(values[va + i])
+                           + float(values[va + above])) / 2.0,
+                weighted_gini_decrease=decreases[f])
     return best
 
 
@@ -406,52 +503,125 @@ def best_split(
     so a candidate no larger than an earlier one cannot beat it by more.
     """
     X, y, m, classes, weights = _encode(vectors, labels, class_weights)
-    prefix = _prefix_sums(np.array([weights[c] for c in classes]),
-                          _class_files(y, m, len(classes)))
-    return _best_split_arrays(X, y, m, prefix, min_samples_leaf)
+    files = np.bincount(y, weights=m, minlength=len(classes)).astype(np.intp)
+    prefix = _prefix_sums(np.array([[weights[c] for c in classes]]),
+                          files[None])
+    return _best_split_arrays(
+        _sorted_entries(X, np.arange(X.shape[1])), np.arange(len(y)), y, m,
+        np.ones(len(y), dtype=np.intp), files[None], prefix, files[None] > 0,
+        np.ones((1, X.shape[1]), dtype=bool), min_samples_leaf)[0]
 
 
 def _grow(
     X: np.ndarray,
     y: np.ndarray,
     m: np.ndarray,
-    classes: list[str],
-    weights: Mapping[str, float],
+    group: np.ndarray,
+    held: np.ndarray,
+    kept: np.ndarray,
+    weights: np.ndarray,
+    classes: Sequence[str],
     params: TreeParams,
-) -> TreeNode:
-    # Columns equal at the root are equal at every node, and a later copy's
-    # candidates never replace the same earlier ones under the `EPS` rule.
-    # So the search runs on the first column of each group of equal columns.
+) -> list[TreeNode]:
+    """The unpruned tree of each fold, grown together.
+
+    Row i of `X` stands for ``m[i]`` files of class ``y[i]`` in group
+    ``group[i]``. Fold f trains on the rows outside group ``held[f]`` (the
+    folds hold out distinct groups; a group without rows holds out
+    nothing), weighs a file of class c ``weights[f, c]``, and splits only
+    on the columns ``kept[f]`` marks; its split features count those
+    columns. Its classes are those it has files of.
+
+    The folds whose trees made the same splits so far form a node group,
+    which holds the rows that reach the node, every fold's. One split
+    search serves the group, and folds whose best splits differ part into
+    groups of their own. Each fold's tree is the one grown on its own rows
+    alone, bit for bit.
+    """
+    n_folds, n_classes = len(held), len(classes)
+    # Columns equal over every row are equal at every node of every fold,
+    # and a later copy's candidates never replace the same earlier ones
+    # under the `EPS` rule. So the search runs on the first column of each
+    # group of equal columns that the folds keep alike, and only on columns
+    # some fold keeps.
     first: dict[bytes, int] = {}
-    for j, column in enumerate(X.T):
-        first.setdefault(column.tobytes(), j)
-    searched = list(first.values())
-    X = X[:, searched]
-    n_classes = len(classes)
-    files = _class_files(y, m, n_classes)
-    prefix = _prefix_sums(np.array([weights[c] for c in classes]), files)
-    # A node to split, its rows and its depth.
-    root = _leaf(prefix, files, classes)
-    stack = [(root, np.arange(len(y)), 0)]
+    for j in np.flatnonzero(kept.any(axis=0)).tolist():
+        first.setdefault(X[:, j].tobytes() + kept[:, j].tobytes(), j)
+    searched = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    feature = (np.cumsum(kept, axis=1) - 1)[:, searched]
+    kept = kept[:, searched]
+    entries = _sorted_entries(X, searched)
+    n_groups = max(int(group.max()), int(held.max())) + 1
+
+    def fold_files(rows: np.ndarray, folds: np.ndarray) -> np.ndarray:
+        """Each fold's files of each class among `rows`: all of them minus
+        those of the group it holds out."""
+        table = np.bincount(group[rows] * n_classes + y[rows], weights=m[rows],
+                            minlength=n_groups * n_classes).astype(np.intp)
+        table = table.reshape(n_groups, n_classes)
+        return table.sum(axis=0) - table[held[folds]]
+
+    everything = np.arange(len(y))
+    files = fold_files(everything, np.arange(n_folds))
+    prefix = _prefix_sums(weights, files)
+    start, flat = prefix
+    trained = files > 0
+    own = [np.flatnonzero(row).tolist() for row in trained]
+    names = [[classes[c] for c in cls] for cls in own]
+
+    def leaves(folds: np.ndarray, node_files: np.ndarray) -> list[TreeNode]:
+        """Each fold's leaf of its `node_files`, holding its classes' mass."""
+        nodes = []
+        for f, mass in zip(folds.tolist(),
+                           flat[start[folds] + node_files].tolist()):
+            dist = [mass[c] for c in own[f]]
+            # The first maximum; classes are sorted, so ties break
+            # lexicographically.
+            top = max(range(len(dist)), key=dist.__getitem__)
+            nodes.append(TreeNode(distribution=dict(zip(names[f], dist)),
+                                  label=names[f][top]))
+        return nodes
+
+    roots = leaves(np.arange(n_folds), files)
+    # A node group to split: its folds, their nodes and files, the rows
+    # that reach it and its depth.
+    stack = [(np.arange(n_folds), roots, files, everything, 0)]
     while stack:
-        node, rows, depth = stack.pop()
-        if np.all(y[rows] == y[rows[0]]) or (
-                params.max_depth is not None and depth >= params.max_depth):
+        folds, nodes, files, rows, depth = stack.pop()
+        if params.max_depth is not None and depth >= params.max_depth:
             continue
-        Xr = X[rows]
-        cand = _best_split_arrays(Xr, y[rows], m[rows], prefix,
-                                  params.min_samples_leaf)
-        if cand is None:
+        growing = np.flatnonzero(np.count_nonzero(files, axis=1) > 1)
+        if growing.size == 0:
             continue
-        mask = Xr[:, cand.feature_index] <= cand.threshold
-        left, right = rows[mask], rows[~mask]
-        node.split = replace(cand, feature_index=searched[cand.feature_index])
-        node.left = _leaf(prefix, _class_files(y[left], m[left], n_classes),
-                          classes)
-        node.right = _leaf(prefix, _class_files(y[right], m[right], n_classes),
-                           classes)
-        stack += ((node.right, right, depth + 1), (node.left, left, depth + 1))
-    return root
+        folds, files = folds[growing], files[growing]
+        nodes = [nodes[i] for i in growing.tolist()]
+        slot = np.full(n_groups, folds.size)
+        slot[held[folds]] = np.arange(folds.size)
+        found = _best_split_arrays(
+            entries, rows, y, m, slot[group], files, (start[folds], flat),
+            trained[folds], kept[folds], params.min_samples_leaf)
+        parts: dict[tuple[int, float], list[int]] = {}
+        for i, cand in enumerate(found):
+            if cand is not None:
+                parts.setdefault((cand.feature_index, cand.threshold),
+                                 []).append(i)
+        for (j, threshold), members in parts.items():
+            mask = X[rows, searched[j]] <= threshold
+            left, right = rows[mask], rows[~mask]
+            part = folds[members]
+            left_files = fold_files(left, part)
+            right_files = files[members] - left_files
+            left_nodes = leaves(part, left_files)
+            right_nodes = leaves(part, right_files)
+            for i, f, node, lower, upper in zip(members, part.tolist(), [
+                    nodes[i] for i in members], left_nodes, right_nodes):
+                node.split = SplitCandidate(
+                    feature_index=int(feature[f, j]), threshold=threshold,
+                    weighted_gini_decrease=found[i].weighted_gini_decrease)
+                node.left, node.right = lower, upper
+            stack += ((part, right_nodes, right_files, right, depth + 1),
+                      (part, left_nodes, left_files, left, depth + 1))
+    return roots
 
 
 def _weakest_link(root: TreeNode, total: float) -> tuple[float, TreeNode]:
@@ -522,7 +692,9 @@ def train_tree(
     """
     X, y, m, classes, weights = _encode(vectors, labels, class_weights,
                                         multiplicity, len(vocabulary))
-    root = _grow(X, y, m, classes, weights, params)
+    root, = _grow(X, y, m, np.zeros(len(y), dtype=np.intp), np.array([1]),
+                  np.ones((1, X.shape[1]), dtype=bool),
+                  np.array([[weights[c] for c in classes]]), classes, params)
     if params.ccp_alpha > 0:
         root = prune(root, params.ccp_alpha)
     return DecisionTreeModel(root=root, vocabulary=vocabulary, classes=classes,

@@ -566,10 +566,16 @@ def decode_outcome(decoder, payload, *drop):
 
 def draw_payload(data, name, layout):
     """A payload for box `name`, whose layout reads up to `layout` bytes:
+    half the time a whole layout, version 0 or 1 and a body as long as the
+    longest layout's, so that fixed layouts decode in full; otherwise
     random bytes, often a small entry count and, for stsd, sample entries
     of plausible sizes, cut short at times."""
     if name in ("ftyp", "styp"):
         return data.draw(st.binary(max_size=layout), label="payload")
+    if data.draw(st.booleans(), label="whole layout"):
+        return bytes([data.draw(st.integers(0, 1), label="version")]) \
+            + data.draw(st.binary(min_size=3 + layout, max_size=11 + layout),
+                        label="flags and body")
     version = data.draw(st.sampled_from([0, 1, 2, 255]), label="version")
     flags = data.draw(st.binary(min_size=3, max_size=3), label="flags")
     n = data.draw(st.integers(0, layout + 8), label="body length")
@@ -752,12 +758,7 @@ class TestIdentities:
     def test_equal_identities_decode_alike(self, name, data):
         reference, layout = {**REFERENCE_DECODERS, **VARIABLE_REFERENCES}[name]
         decode, identity = _DECODERS[name], _IDENTITIES[name]
-        if data.draw(st.booleans(), label="whole layout"):
-            # Version 0 or 1 and a body as long as the longest layout's.
-            payload = bytes([data.draw(st.integers(0, 1))]) + data.draw(
-                st.binary(min_size=3 + layout, max_size=11 + layout))
-        else:
-            payload = draw_payload(data, name, layout)
+        payload = draw_payload(data, name, layout)
         expected = decode_outcome(reference, payload)
         names = {"@" + key for key, _ in reference(bytes(4 + layout))}
         if isinstance(expected, list):

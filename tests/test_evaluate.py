@@ -38,12 +38,14 @@ from boxtrace.evaluate import (
     scenario_names,
 )
 from boxtrace.fixtures import FixtureSpec, generate_corpus
-from boxtrace.llr import FilterConfig, class_presence
+from boxtrace.llr import FilterConfig, class_presence, pairwise_keep
 from boxtrace.modelfile import dumps_model, train_matrix, train_model
 from boxtrace.symbols import default_blacklist, extract_symbols, file_symbols
 from boxtrace.bmff import open_box_file, parse_file
 from boxtrace.tree import predict
 from boxtrace.vectorize import count_matrix
+
+from conftest import FTYP_MIN, mkbox
 
 
 def row(device="D01", os="iOS", software="none", platform="none",
@@ -424,6 +426,58 @@ class TestRunScenario:
         report = run_scenario(small_corpus, get_scenario("integrity"))
         assert all(f.train_seconds >= 0 and f.test_seconds >= 0
                    for f in report.folds)
+        # The folds train together; each fold's time is its even share.
+        obj = report_to_obj(report)
+        assert obj["train_seconds"] == report.train_seconds > 0
+        assert len({f.train_seconds for f in report.folds}) == 1
+        assert sum(f["train_seconds"] for f in obj["folds"]) == \
+            pytest.approx(obj["train_seconds"], rel=1e-9)
+
+
+class TestFoldsThatPartWays:
+    """Holding out one device changes the root split, so the folds' trees
+    part ways at the root; each is still the tree retrained without the
+    device."""
+
+    @pytest.fixture(scope="class")
+    def parted(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("parted")
+        # mk0a marks the tampered files of D01 and D02 but also D03's
+        # pristine ones; mk1b marks every tampered file.
+        tampered = (b"mk0a", b"mk1b")
+        cells = [("D01", "none", ()), ("D01", "exiftool", tampered),
+                 ("D02", "none", ()), ("D02", "exiftool", tampered),
+                 ("D03", "none", (b"mk0a",)), ("D03", "exiftool", tampered)]
+        lines = [",".join(("file", "device", "os", "software", "platform"))]
+        for device, software, boxes in cells:
+            for k in range(2):
+                name = f"{device}_{software}_{k}.mp4"
+                (out / name).write_bytes(
+                    FTYP_MIN + b"".join(mkbox(box) for box in boxes))
+                lines.append(f"{name},{device},iOS,{software},none")
+        (out / "manifest.csv").write_text("\n".join(lines) + "\n",
+                                          encoding="utf-8")
+        return load_manifest(out / "manifest.csv")
+
+    def test_fold_trees_differ_and_match_retraining(self, parted):
+        scenario = get_scenario("integrity")
+        report = run_scenario(parted, scenario)
+        roots = {}
+        for fold in report.folds:
+            model = fold.model.model
+            roots[fold.device] = \
+                model.vocabulary.symbols[model.root.split.feature_index]
+            kept = [(r, label) for r, label in derive_labels(parted, scenario)
+                    if r.device != fold.device]
+            retrained = train_model(
+                [file_symbols(str(r.path))[0] for r, _ in kept],
+                [label for _, label in kept], scenario=scenario.name,
+                manifest_digest=digest_rows([r for r, _ in kept]),
+                trained_at="")
+            assert dumps_model(retrained) == dumps_model(fold.model)
+        assert roots["D03"].startswith("mk0a/")
+        assert roots["D01"].startswith("mk1b/")
+        assert roots["D02"].startswith("mk1b/")
 
 
 class TestScenarioFolds:
@@ -529,25 +583,28 @@ class TestFoldsFromEntries:
         rows, symbols, counts, labels, tau = drawn
         classes = sorted(set(labels))
         y = np.array([classes.index(label) for label in labels])
-        tables = []
+        filters = []
 
-        def spy(*args):
-            tables.append(class_presence(*args))
-            return tables[-1]
+        def spy(presence, sizes, tau):
+            filters.append((presence, sizes))
+            return pairwise_keep(presence, sizes, tau)
 
         with mock.patch.object(boxtrace.evaluate, "labeled_matrix",
                                lambda *_: (rows, symbols, counts.copy(),
                                            labels)), \
-                mock.patch.object(boxtrace.modelfile, "class_presence", spy):
+                mock.patch.object(boxtrace.modelfile, "pairwise_keep", spy):
             report = run_scenario(manifest_of(rows), get_scenario("blind"),
                                   filter_cfg=FilterConfig(tau))
         expected = list(reference_folds(rows, symbols, counts, labels, tau))
         assert [f.device for f in report.folds] == [d for d, *_ in expected]
-        for fold, table, (device, n_train, mf, cm) in zip(
-                report.folds, tables, expected):
+        (presence, sizes), = filters  # one filter pass serves every fold
+        for f, (fold, (device, n_train, mf, cm)) in enumerate(zip(
+                report.folds, expected)):
             train = [i for i, r in enumerate(rows) if r.device != device]
-            assert np.array_equal(table, class_presence(
+            assert np.array_equal(presence[f], class_presence(
                 counts[train], y[train], len(classes)))
+            assert sizes[f].tolist() == np.bincount(
+                y[train], minlength=len(classes)).tolist()
             assert dumps_model(fold.model) == dumps_model(mf)
             assert (fold.n_train, fold.n_test) == (n_train,
                                                    len(rows) - n_train)

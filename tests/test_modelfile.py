@@ -32,6 +32,7 @@ from boxtrace.modelfile import (
     model_digest,
     resolve_timestamp,
     save_model,
+    train_folds,
     train_matrix,
     train_model,
 )
@@ -573,6 +574,139 @@ class TestTrainMatrix:
                                             tau=tau, trained_at="")) \
                 == dumps_model(train_model(multisets, subset, tau=tau,
                                            trained_at=""))
+
+
+@st.composite
+def fold_matrices(draw):
+    """Sorted columns, an int32 count matrix, dense or sparse, with equal
+    columns and counts 0-3, so that near-ties and values only one group
+    holds occur; labels of 2-4 classes, multiplicities 0-3, 2-5 groups,
+    and the filter and tree hyperparameters."""
+    n_rows, n_columns = draw(st.integers(2, 14)), draw(st.integers(1, 5))
+    values = draw(st.sampled_from([[0, 1, 2, 3], [0, 0, 0, 0, 0, 1, 2, 3]]))
+    columns = []
+    for _ in range(n_columns):
+        if columns and draw(st.integers(0, 3)) == 0:
+            columns.append(draw(st.sampled_from(columns)))  # equal columns
+        else:
+            columns.append(draw(st.lists(st.sampled_from(values),
+                                         min_size=n_rows, max_size=n_rows)))
+    counts = np.array(columns, dtype=np.int32).T
+    classes = "ABCD"[:draw(st.integers(2, 4))]
+    labels = draw(st.lists(st.sampled_from(classes), min_size=n_rows,
+                           max_size=n_rows))
+    multiplicity = draw(st.lists(st.integers(0, 3), min_size=n_rows,
+                                 max_size=n_rows))
+    n_groups = draw(st.integers(2, 5))
+    groups = draw(st.lists(st.integers(0, n_groups - 1), min_size=n_rows,
+                           max_size=n_rows))
+    tau = draw(st.sampled_from([0.05, 0.5, 1.0]) | st.floats(0.01, 2.0))
+    params = TreeParams(
+        max_depth=draw(st.none() | st.integers(0, 4)),
+        min_samples_leaf=draw(st.integers(1, 3)),
+        ccp_alpha=draw(st.sampled_from([0.0, 0.0, 0.01, 0.1])
+                       | st.floats(0.0, 0.3)))
+    symbols = tuple(f"s{j}" for j in range(n_columns))
+    return symbols, counts, labels, multiplicity, groups, tau, params
+
+
+def fold_example(columns, labels, groups, multiplicity=None, tau=0.1):
+    """A `fold_matrices` draw with the given count columns."""
+    counts = np.array(columns, dtype=np.int32).T
+    return (tuple(f"s{j}" for j in range(len(columns))), counts, labels,
+            [1] * len(labels) if multiplicity is None else multiplicity,
+            groups, tau, TreeParams())
+
+
+# Group 2 alone holds class C.
+ONLY_HELD_OUT_CLASS = fold_example(
+    [[0, 1, 0, 1, 2, 2]], ["A", "B", "A", "B", "C", "C"], [0, 0, 1, 1, 2, 2])
+# Group 2 alone holds the count 2: its fold's threshold is the midpoint of
+# 1 and 3, the others' that of 1 and 2, or of 0 and 2.
+ONLY_HELD_OUT_VALUE = fold_example(
+    [[0, 3, 1, 3, 2, 0]], ["A", "B", "A", "B", "B", "A"], [0, 0, 1, 1, 2, 2])
+# Without group 0, every file is of class A: the keep-all filter and a
+# single leaf.
+ONE_CLASS_LEFT = fold_example(
+    [[0, 1, 1], [1, 0, 1]], ["A", "B", "A"], [0, 0, 1])
+# s0 and s1 both separate the classes without group 2, whose class-A row
+# has s0 = 1; so that fold splits its root on s0 and the others on s1.
+ROOTS_DIFFER = fold_example(
+    [[0, 1, 0, 1, 1, 1], [0, 1, 0, 1, 0, 1]],
+    ["A", "B", "A", "B", "A", "B"], [0, 0, 1, 1, 2, 2])
+
+
+class TestTrainFolds:
+    """Each fold of `train_folds` is `train_matrix` with its group's
+    multiplicities set to 0, byte for byte."""
+
+    @staticmethod
+    def expected_and_folds(drawn):
+        symbols, counts, labels, multiplicity, groups, tau, params = drawn
+        options = dict(tau=tau, params=params, scenario="s", trained_at="")
+        expected = []
+        for g in sorted(set(groups)):
+            held = np.where(np.array(groups) == g, 0, multiplicity)
+            try:
+                expected.append(dumps_model(train_matrix(
+                    symbols, counts, labels, held,
+                    manifest_digest=f"d{g}", **options)))
+            except EmptyCorpus:
+                expected.append(None)
+        digests = [f"d{g}" for g in sorted(set(groups))]
+        if None in expected:
+            with pytest.raises(EmptyCorpus):
+                train_folds(symbols, counts, labels, multiplicity, groups,
+                            manifest_digests=digests, **options)
+            return expected, None
+        return expected, train_folds(symbols, counts, labels, multiplicity,
+                                     groups, manifest_digests=digests,
+                                     **options)
+
+    @given(fold_matrices())
+    @example(ONLY_HELD_OUT_CLASS)
+    @example(ONLY_HELD_OUT_VALUE)
+    @example(ONE_CLASS_LEFT)
+    @example(ROOTS_DIFFER)
+    @settings(max_examples=300, deadline=None)
+    def test_each_fold_is_train_matrix_without_its_group(self, drawn):
+        expected, folds = self.expected_and_folds(drawn)
+        if folds is not None:
+            assert [dumps_model(mf) for mf in folds] == expected
+
+    def test_a_class_only_the_held_out_group_has(self):
+        _, folds = self.expected_and_folds(ONLY_HELD_OUT_CLASS)
+        assert [mf.model.classes for mf in folds] == \
+            [["A", "B", "C"]] * 2 + [["A", "B"]]
+        assert sorted(folds[2].model.class_weights) == ["A", "B"]
+
+    def test_a_value_only_the_held_out_group_holds(self):
+        _, folds = self.expected_and_folds(ONLY_HELD_OUT_VALUE)
+        assert [mf.model.root.split.threshold for mf in folds] == \
+            [1.5, 1.0, 2.0]
+
+    def test_fewer_than_two_classes_keep_every_symbol(self):
+        _, folds = self.expected_and_folds(ONE_CLASS_LEFT)
+        assert folds[0].kept == [True, True]
+        assert folds[0].model.root.is_leaf
+        assert not folds[1].model.root.is_leaf
+
+    def test_root_splits_that_differ(self):
+        _, folds = self.expected_and_folds(ROOTS_DIFFER)
+        assert [mf.model.vocabulary.symbols[mf.model.root.split.feature_index]
+                for mf in folds] == ["s1", "s1", "s0"]
+
+    def test_groups_are_checked(self):
+        counts = np.array([[1], [0], [1]])
+        for bad, error in (([0, 1], DimensionMismatch),
+                           ([0.0, 1.0, 1.0], DataError),
+                           (["a", "b", "a"], DataError)):
+            with pytest.raises(error):
+                train_folds(("a",), counts, ["X", "Y", "X"], groups=bad)
+        # One fold per group, in ascending order, whatever the numbers.
+        folds = train_folds(("a",), counts, ["X", "Y", "X"], [1, 1, 1],
+                            [7, -2, 7], tau=0.1, trained_at="")
+        assert [mf.model.classes for mf in folds] == [["X"], ["Y"]]
 
 
 def reference_walk(model, row):

@@ -423,13 +423,19 @@ def weighted_rows(draw):
 
 def array_search(X, y, w, n_classes, min_samples_leaf, m=None):
     """`_best_split_arrays` on a node given as the reference searches take
-    it, one weight per row; row i stands for m[i] files (default one)."""
+    it, one weight per row, as the one fold's search; row i stands for
+    m[i] files (default one)."""
     m = np.ones(len(y), dtype=np.intp) if m is None else m
     class_w = np.zeros(n_classes)
     class_w[y] = w
     files = np.bincount(y, weights=m, minlength=n_classes).astype(np.intp)
-    return _best_split_arrays(X, y, m, tree._prefix_sums(class_w, files),
-                              min_samples_leaf)
+    found, = _best_split_arrays(
+        tree._sorted_entries(X, np.arange(X.shape[1])), np.arange(len(y)),
+        y, m, np.ones(len(y), dtype=np.intp), files[None],
+        tree._prefix_sums(class_w[None], files[None]),
+        np.ones((1, n_classes), dtype=bool),
+        np.ones((1, X.shape[1]), dtype=bool), min_samples_leaf)
+    return found
 
 
 def same_candidate(got, expected):
@@ -906,6 +912,57 @@ class TestDotExport:
         assert dot.count("->") == 2
 
 
+@st.composite
+def fold_sets(draw):
+    """Rows as `weighted_rows` draws them, with up to 12 classes, so that a
+    fold without some class sums its Gini terms over fewer of them; a
+    group per row, one fold per group, and the columns each fold keeps."""
+    X, _, m, _, params = draw(weighted_rows())
+    n_classes = draw(st.integers(1, 12))
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1),
+                               min_size=len(m), max_size=len(m))))
+    group = np.array(draw(st.lists(st.integers(0, 3), min_size=len(m),
+                                   max_size=len(m))))
+    n_folds = int(group.max()) + 1
+    kept = np.array(draw(st.lists(
+        st.lists(st.booleans() | st.just(True), min_size=X.shape[1],
+                 max_size=X.shape[1]),
+        min_size=n_folds, max_size=n_folds)), dtype=bool)
+    return X, y, m, group, kept, n_classes, params
+
+
+class TestFoldsGrowTogether:
+    """Folds grown together, each leaving one group of rows out, are each
+    the reference tree of their own rows over the columns they keep."""
+
+    @given(fold_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_each_fold_is_the_reference_tree_of_its_rows(self, drawn):
+        X, y, m, group, kept, n_classes, params = drawn
+        classes = [f"C{c:02d}" for c in range(n_classes)]
+        folds = range(len(kept))
+        train = [group != f for f in folds]
+        if not all(rows.any() for rows in train):
+            return  # a fold without rows trains nothing
+        weights = np.zeros((len(kept), n_classes))
+        for f in folds:
+            by_class = compute_class_weights(
+                [classes[c] for c in y[train[f]]], m[train[f]])
+            weights[f] = [by_class.get(c, 0.0) for c in classes]
+        roots = tree._grow(X, y, m, group, np.arange(len(kept)), kept,
+                           weights, classes, params)
+        for f in folds:
+            own = sorted(set(y[train[f]].tolist()))
+            local = np.searchsorted(own, y[train[f]])
+            copies = m[train[f]]
+            expected = recursive_grow(
+                np.repeat(X[train[f]][:, kept[f]], copies, axis=0),
+                np.repeat(local, copies),
+                np.repeat(weights[f, y[train[f]]], copies),
+                [classes[c] for c in own], params)
+            assert roots[f] == expected
+
+
 class TestWalksWithoutRecursion:
     @given(training_sets())
     @settings(max_examples=150, deadline=None)
@@ -915,7 +972,10 @@ class TestWalksWithoutRecursion:
         w = np.array([class_weights[classes[c]] for c in y])
         expected = recursive_grow(X, y, w, classes, params)
         # Unpruned, whatever `params.ccp_alpha` is.
-        root = tree._grow(X, y, m, classes, class_weights, params)
+        root, = tree._grow(X, y, m, np.zeros(len(y), dtype=np.intp),
+                           np.array([1]), np.ones((1, X.shape[1]), dtype=bool),
+                           np.array([[class_weights[c] for c in classes]]),
+                           classes, params)
         assert root == expected
         assert prune(root, params.ccp_alpha) == \
             recursive_prune(expected, params.ccp_alpha)

@@ -11,9 +11,10 @@ With `FixtureSpec.varied`, the seed also draws traces that edits leave
 write), each device's layout (extra compatible brands, track order,
 version-1 headers, `co64`, edit lists, a `uuid` box in `moov`) and
 optional parts of each file (a `free` box in `moov`, with a 64-bit size
-or not, QuickTime zero padding, a size-0 final `mdat`), so corpora of
-two seeds train different trees and files of one device and class need
-not be equal.
+or not, QuickTime zero padding, a size-0 final `mdat`, a `free` box with
+a 64-bit size in each `trak`), and a `uuid` box in each of a device's
+`trak`s, so corpora of two seeds train different trees and files of one
+device and class need not be equal.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ _PLAIN_LAYOUT = {
     "dash_brands": (b"iso6", b"avc1", b"mp41"), "brands": (),
     "audio_first": False, "version": 0, "co64": False, "edit_list": False,
     "uuid": None, "free": None, "padding": False, "open_mdat": False,
+    "trak_uuid": None, "trak_free": False,
 }
 # ffmpeg's compatible brands (None: the video format) and a platform's.
 _REMUX_BRANDS = ((b"isom", b"iso2", None, b"mp41"), (b"mp42", b"isom", None),
@@ -104,6 +106,10 @@ def _draw_layout(seed: int, profile_id: str, cls: str, index: int) -> dict:
     corpus = random.Random(f"{seed}/edits")
     device = random.Random(f"{seed}/{profile_id}/layout")
     one = random.Random(f"{seed}/{profile_id}/{cls}/{index}/layout")
+    # The boxes below moov draw from streams of their own, so the draws
+    # above keep the values they had before these boxes were added.
+    device_trak = random.Random(f"{seed}/{profile_id}/trak")
+    one_trak = random.Random(f"{seed}/{profile_id}/{cls}/{index}/trak")
     return {
         # exiftool's XMP: an `XMP_` box in `udta` or `moov`, or a
         # top-level XMP `uuid` box.
@@ -121,6 +127,11 @@ def _draw_layout(seed: int, profile_id: str, cls: str, index: int) -> dict:
         "free": one.choice((None, None, 32, 64)),
         "padding": one.random() < 0.3,
         "open_mdat": one.random() < 0.3,
+        # A `uuid` box in each `trak`, and a `free` box with a 64-bit size
+        # at the end of each `trak`.
+        "trak_uuid": (device_trak.randbytes(16) if device_trak.random() < 0.5
+                      else None),
+        "trak_free": one_trak.random() < 0.5,
     }
 
 
@@ -224,6 +235,10 @@ def _trak(creation: int, track_id: int, duration: int, timescale: int,
     if with_edit_list:
         parts.append(container_box(b"edts", _elst(duration, version)))
     parts.append(mdia)
+    if layout["trak_uuid"] is not None:
+        parts.append(_uuid_box(layout["trak_uuid"], bytes(4)))
+    if layout["trak_free"]:
+        parts.append(large_box(b"free", bytes(8)))
     return container_box(b"trak", *parts)
 
 

@@ -123,15 +123,17 @@ class TestVariedLayouts:
                     forms[f"{node.name} v1"] += 1
                 if node.name == "co64":
                     forms["co64"] += 1
-                if node.header.large_size is not None and parent == "moov":
-                    forms["64-bit size in moov"] += 1
+                if node.header.large_size is not None and parent in ("moov",
+                                                                      "trak"):
+                    forms[f"64-bit size in {parent}"] += 1
                 if node.header.size == 0:
                     forms["size 0"] += 1
-                if node.name == "uuid" and parent == "moov":
-                    forms["uuid in moov"] += 1
+                if node.name == "uuid" and parent in ("moov", "trak"):
+                    forms[f"uuid in {parent}"] += 1
         assert set(forms) == {"padding", "mvhd v1", "tkhd v1", "mdhd v1",
                               "elst v1", "co64", "64-bit size in moov",
-                              "size 0", "uuid in moov"}
+                              "64-bit size in trak", "size 0", "uuid in moov",
+                              "uuid in trak"}
 
 
 def _corpus_digest(out) -> str:
@@ -155,11 +157,11 @@ class TestFixtureBytesGolden:
         (7, False,
          "fc298f09ac8d76dc72574273d8ecf5660077d05896e078c4cf0b26f3718c3714"),
         (7, True,
-         "838747faf07871d6eb5c4edd447521c08ea8948a2e52972b7ff214a44ec7fcf7"),
+         "86eb82f60687f7d2c2d0a0690cb5070569b99120fa467e4e1950c55d595d0aba"),
         (11, False,
          "8ac05b226d84786ff1fdf36bce2df15e9060a0dc626b43495a0e7b40642574cd"),
         (11, True,
-         "c9ae860d9d013f76dab28820d60e352166ca8c17db112af8f33c73618c9cd076"),
+         "8b655e280346dc221a26ce3b28f00e50eaf2fccdd265ceefffccffc62c9a228a"),
     ])
     def test_corpus_bytes(self, tmp_path, seed, varied, expected):
         generate_corpus(FixtureSpec(seed=seed, videos_per_cell=2,

@@ -4,7 +4,9 @@
 and optional parts of each file from the seed, so, unlike the default
 corpora, seeds 7 and 11 give different symbols and different trees, and
 files of one device and class repeat unevenly. The digests were recorded
-before training collapsed equal count rows into weighted entries.
+before training collapsed equal count rows into weighted entries, and
+recorded again, with the box walk unchanged, when the varied layouts
+gained a `uuid` box and a 64-bit `free` box in each `trak`.
 """
 
 import hashlib
@@ -67,60 +69,60 @@ GOLDEN = {
     "7/blind": {
         "dot": "2f9af56214ccc98777dbbf324ddbd1c3910a736e79af0bdca4bc1ddce77d27eb",
         "folds": [
-            "dc0b9aabc0575fd2a603f6b1d40ba549b267e938fab4dd747a60bce4effedaff",
-            "386123f57b9bb8a051396dfd4d921684cf9660ca2082b365c61e28b708f69f8a",
-            "bc4b58dea9d8baeea151cc54b5eb7f8f5579c41531908599bda10906de06d739",
-            "053b96b17704ca1dc7372e6455b00aea61bab3e1b771be3113c2506e4b70a8e2",
-            "483ac06546424abc05b5776d74c576778bd948ff054a4da72e2985e25ef171cd",
-            "1d76cdc6024ebcfc2394af565059dbe1769b30695e44817be16a52fd3f87f37e",
+            "d758b5ce00f6fd2a2d3664789b4af380d8a0b9804d1d9b994fbe1d8bade772c7",
+            "c3a6870a78a4f9a2dcf6b69b3121b3a1a78aa258b02a775a5e9197eaeadf3a02",
+            "0dae56901bc100a06c69b050d2152529f92f61115e0919a00374dc6fec477017",
+            "ff0d006afaf9c5b9eef58b48464ae4bd56a462c88d312b1cbe6f93fdf57f7695",
+            "48f1123812ec5d900f7dfe35011bf60a42057be5b2ed18a9b5bb84b698accdab",
+            "6710ba0d0ee3f50501c791cd0018de89b4f7384b6bbcb0b996602685662cea27",
         ],
-        "llr_report": "5759f44d323817561fcb3307371ae23ae166828524763317345672f470cab7ce",
-        "train": "0d7bbead3a33e42b5b01faeb8bf001bd8ff791950b8e1f9a800548ade58226b2",
+        "llr_report": "f2702ce86153c2d36e46926ce919078fecba84ec4ccecf95b7a0a1a6a0cc7420",
+        "train": "6edb9d27e763e5577ec1cdaec160df61c22c7a25f7a732da7cf6be24c3b25d9b",
     },
     "7/integrity": {
         "dot": "71404b1c14d721efcf9c552c086f7bd5a06d4561f195391ab11d71500cbc0d82",
         "folds": [
-            "0b91cc9c0ce706df69b9e93efd93acdbbdffa9a9b11b0e5fd5014a70407492b4",
-            "96293c43c88ec00c4738adaae2178e29dfd8020fa0faccfaa633331e1eb07c3e",
-            "e0bd542cf1b70f9eaa3cb311583540f7808bcbe5a0049eab014c0c11cec26fdf",
-            "4361805aa4981d2d81730c4d707b39b14eb7003ab22f5f7c0ad2801ba8eabd83",
-            "de54a496be5ef6d4cb30017c86974013af98654a3062697b00ac526b4777da0d",
-            "6b4b9a213ddecadfb4d3f58a3ef13fce10f285e978c132d7afc9cf737d48f6d3",
+            "f74e93b0ad8dd64b7212167c0a026deb5e6936190183b753182e6a69a29833a7",
+            "9cbeae6ace877888af26f3cd8af78776992d4c5dda4141ecc8685890d69e8b29",
+            "18960a32fd1f89968aeefca55974cb18ce85906b4b04a219556b4beb30d8b269",
+            "c0e635ebacf29a9e302da8e1705c5ee3478b3c5ca34456a8bbf1800ae299aaad",
+            "253d611f8f89e0657353b3438b8461959bc062c3b08d9922ada71c267db39807",
+            "a49eeb53397b6e41b0caf9da029efb20a53f5de9db73cfd290fd2946be9d403d",
         ],
-        "llr_report": "2df56d1a54ce95551d68d7659d9d73f265762f4b9393cfa481461fcc25fe94c9",
-        "train": "e5d5c5b20342534ffcf584b53b29ffd2c23e857db26f8895fc81afe153c0f49f",
+        "llr_report": "6dade6a59fb1eb0064210f29dd4ae8aa56f3bdcf1342cd3c924d4523bce4d567",
+        "train": "204f90153a59a3e9b0514593a7cd718a9fec0933e8b71b7ef8cdb36ea6dc4a2b",
     },
     "11/blind": {
         "dot": "3ba8eda7770913f9c372ce890f63717c7c636d6424bba2651a509b9f551ffcdb",
         "folds": [
-            "54ee8c5b15f148ce79c69326c996ec4e8d54afd3445962b2b31c2bf616f0dce8",
-            "aab75a7e31729a933476b9d867ed5345915bb677b1fec25927517bc8579a6554",
-            "003b0f1f73c0f2748e5f16c3f5ce5a63727095415c53f23aa815cc862402d3de",
-            "864b984e33087c5af5c22b8501f1ed00357a937d7468924892b582fcd0886b56",
-            "a55572f66bb6978ed7a794882b1640dded3e62ac6e084273dd9559be4937e79a",
-            "8fbc841685d3c66d47738efbba95829c682842fcc166a20f991290add3068692",
+            "287280cf9f221ea2b59251ef8ea1ca44d7e3609c32f101c594b17a2221f0e155",
+            "5c82157e65d9986a25c9cc1002c2513a1b304783fbfff2a00bd074c2eec85a0c",
+            "bbce109ee1a95020315cd9872a0ca5d42c4dee56e514ba80873c4576b74ebe94",
+            "3bb549f374cfbae22b1704b33b6d1fda9db7a869fcceddf66817940f5ea5b676",
+            "e90f25c5c3bcc6681c9422f2fde4d87218631c1ea6a7894d56db6893b6c968bd",
+            "ecf9f042528a83cab0efc0072cb004737f2b134c6d4e32b138d4af3b2b2b36f6",
         ],
-        "llr_report": "aa71699d67372575d7dc6e19ad635bee3dbe0dca78d13137a9453f0491e457c3",
-        "train": "f3b07e8a9148b7706e0769fc2d14259510cb194b588620b2a584a6c4259df497",
+        "llr_report": "8754f16cb7652c5b5abbae46495ed53959dafce1c84f3c97d97ab90a4f57cbf9",
+        "train": "837c46bfa4b2e7082a08ee24a7fdff573f86385bb98f201db2757289d39de0ce",
     },
     "11/integrity": {
         "dot": "71404b1c14d721efcf9c552c086f7bd5a06d4561f195391ab11d71500cbc0d82",
         "folds": [
-            "a9a8e0950bb171abb78b2eca12fe0a21f0a98186df2c9c6408996607749bfa03",
-            "1a6e267370498cb34485030ad7b96d660d61466ea06a78d9c2d43f4039706d52",
-            "042d884c8870b9ba2870c21ff14cc969e16d52268c08ff3ac00291cb748982bb",
-            "0824fefa2c3cbfacfa23bbb62f22a3881f3a341e3c6279df4cf75b0bdce06798",
-            "a6650a875843bea73d48d50be0563c93a2691e1e5094aa3324c86a414f6d0dc1",
-            "4fd99563e540ac4cd9b40cb8d37b52886fd24d0bd9708d3b9f971e708320c367",
+            "0966cc83a49ae38b08dedf4539857459bbd009514b97b49b73b3c7bb84209c6b",
+            "a5f6c09c9d326758135d148b183d63aff481fc373707d4d8c69f71ac4cbabe0c",
+            "9f607d8cfee9778dada52e9d628463cacba5de0297661c55e05aed49140cfcec",
+            "e8d0e1cb342411cef6da0b686f0d61f649623ec24d4efb0af09888e2d2a1b25e",
+            "ba5e979c976009ffaa42ead9615be39a48647fef6513de40a78330d386540905",
+            "3ee3e9b83b2b19fe342343c4aa39e8b2cd5716952fc968266f3356846c42c970",
         ],
-        "llr_report": "18764372e41c51ad1287459ec8f6a18a48ba493cdc501d14b8fbe3503e584aa8",
-        "train": "543442fabac3b6c46876914edaeb862cef9e1a0dfc4b32f30d0fb79099397a93",
+        "llr_report": "e8fcb6e628ef26d5a0ff86f391def6cd11f5ad1de05b076ec338bb13b6d3dc18",
+        "train": "1e45dc425b0c4e062c7bd9352bb425f9dff58e1378ec3a7e92a7e3066f25e87b",
     },
 }
 
 SYMBOLS_GOLDEN = {
-    7: "da1b1cd03b821567edf6208b67a879bbd53f7212291157322c697c390b406078",
-    11: "8f107bf496607a4ef8ee6c25da1414c0bc0ad48014ef84cbf2ee32251ee76e7e",
+    7: "47d4da2a8adb8b4e2f907dadd75fe6b8405bea9f95810a2ba741e7f1a1623ff3",
+    11: "14baeb1fe564575a14486ff6dbec321ec46f72866b5a56c7241b8ee8efb4ec11",
 }
 
 

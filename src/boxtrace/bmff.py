@@ -126,13 +126,6 @@ def render_type_code(raw: bytes) -> str:
     return raw.decode("latin-1").translate(_TYPE_CODE_CHARS)
 
 
-# Rendered type codes by raw code, filled by the walk. Like `_fixed_point`'s
-# cache it holds at most 4096 entries: once full, the first codes the
-# process met stay, and any other code is rendered each time it is met.
-_TYPE_CODES: dict[bytes, str] = {}
-_TYPE_CODE_CACHE_SIZE = 4096
-
-
 def ascii_or_hex(raw: bytes) -> str:
     """Canonical string for a byte value: printable ASCII or 0x-hex."""
     # ASCII is printable exactly from 0x20 to 0x7E.
@@ -216,7 +209,7 @@ def _language(code: int) -> str:
 
 
 # Plans each fixed-layout decoder keeps, one per drop set: like the
-# type-code cache, once full the first drop sets stay and any other one's
+# box table, once full the first drop sets stay and any other one's
 # plan is made at each decode. A process meets few drop sets: the default
 # blacklist, the empty set of a full parse, and a caller's own blacklists.
 _PLAN_CACHE_SIZE = 16
@@ -248,8 +241,9 @@ def _fixed_layout(name: str, fields: list[tuple[str, Callable]],
 
     A drop set's plan is the fields' list with every value None, the
     index, name and writer of each field the set keeps, so a dropped
-    field costs no work, and per version a layout that unpacks only the
-    kept values, and the version when it picks the layout. Those values
+    field costs no work, and per version the `unpack_from` of a layout
+    that unpacks only the kept values, and the version when it picks the
+    layout. Those values
     are the identity of a payload that the checks pass."""
     # Each layout unpacks the whole payload: version, flags, then the body.
     layouts = [(struct.Struct(">B3s" + f.removeprefix(">")),
@@ -263,7 +257,8 @@ def _fixed_layout(name: str, fields: list[tuple[str, Callable]],
                      if "@" + key not in drop)
         keys = {i for i, _, _ in kept} | ({0} if len(layouts) > 1 else set())
         plan = ([(key, None) for key, _ in fields], kept,
-                tuple(_padded(layout, keys) for layout, _ in layouts))
+                tuple(_padded(layout, keys).unpack_from
+                      for layout, _ in layouts))
         if len(plans) < _PLAN_CACHE_SIZE:
             plans[frozenset(drop)] = plan
         return plan
@@ -294,14 +289,20 @@ def _fixed_layout(name: str, fields: list[tuple[str, Callable]],
             out[i] = key, write(values[i])
         return out
 
+    # The identity makes `version_of`'s checks inline: a payload that
+    # fails them is its own key.
+    sizes = tuple(layout.size for layout, _ in layouts)
+    versioned = len(sizes) > 1
+
     def identity(payload: bytes, drop: Collection[str]) -> Hashable:
-        try:
-            version = version_of(payload)
-        except BoxDecodeError:
+        version = 0
+        if versioned and (len(payload) < 4
+                          or (version := payload[0]) >= len(sizes)):
             return payload
-        keys = ((plans.get(drop) if type(drop) is frozenset else None)
-                or plan_of(drop))[2]
-        return keys[version].unpack_from(payload)
+        if len(payload) < sizes[version]:
+            return payload
+        plan = plans.get(drop) if type(drop) is frozenset else None
+        return (plan or plan_of(drop))[2][version](payload)
 
     return decode, identity
 
@@ -421,10 +422,10 @@ def _elst_identity(payload: bytes, drop: Collection[str]) -> Hashable:
     # every file.
     if len(payload) < 8 or payload[0] > 1:
         return payload
-    kept = ["@" + key not in drop for key in _ELST_FIELDS]
-    return payload[:8], *(tuple(value if keep else None
-                                for value, keep in zip(entry, kept))
-                          for entry in _elst_entries(payload))
+    duration, media_time, rate = ("@" + key in drop for key in _ELST_FIELDS)
+    return payload[:8], *[(None if duration else d, None if media_time else t,
+                           None if rate else r)
+                          for d, t, r in _elst_entries(payload)]
 
 
 _TIMES = [("creationTime", str), ("modificationTime", str)]
@@ -495,32 +496,78 @@ def box_fields(header: tuple, payload: bytes, drop: Collection[str],
     return _opaque_fields(header[4] - header[3], drop)
 
 
-def box_identity(header: tuple, payload: bytes,
-                 drop: Collection[str]) -> Hashable:
-    """A key for `box_fields` of the same arguments: boxes of one path
-    with equal keys have equal fields, and warnings that differ only in
-    the offset. It is the decoder's identity of the payload, which for a
-    fixed layout is the version and the values of the kept fields; the
-    user type of a uuid box; and None for an opaque box. The payload
-    length is added when `drop` keeps the count that an opaque box
-    shows."""
-    identity = _IDENTITIES.get(header[2])
-    key = header[6] if identity is None else identity(payload, drop)
-    return key if "@count" in drop else (key, header[4] - header[3])
+# The roles a box can have in the box table.
+_CONTAINER, _DECODED, _UUID, _OPAQUE = range(4)
+
+# The box table: the walk's entry for each (scope path, raw type) pair it
+# meets, a scope path being ``""`` at the top level and ``moov/trak/``
+# inside a trak. A scope is its path and the dict of its entries by raw
+# type; `_BOXES` is the top level's dict. An entry is (path, type code,
+# role, whether the box may be a file's first box, identity, scope): the
+# identity is that of the box's payload as the walk yields it, its
+# decoder's for a decoded box, the payload itself for a uuid box (its
+# user type) and an opaque one (empty), None for a container; the scope,
+# only a container's, is that of its children. Like `_fixed_point`'s cache
+# the table holds at most 4096 entries (`_box_count`): once full, the
+# first pairs the process met stay, and any other pair's entry is made
+# each time it is met. A scope path holds at most `MAX_NESTING` container
+# codes of 4 characters, so an entry takes about 1 KB at most and a full
+# table about 4 MB; a seed-7 fixture corpus fills 36 entries.
+_BOXES: dict[bytes, tuple] = {}
+_BOX_TABLE_SIZE = 4096
+_box_count = 0
+
+
+def _box_entry(scope: tuple[str, dict], raw_type: bytes) -> tuple:
+    """The box table's entry for a box of `raw_type` in `scope`, added to
+    the scope's dict while the table has room."""
+    global _box_count
+    prefix, table = scope
+    type_code = render_type_code(raw_type)
+    path = prefix + type_code
+    children = None
+    if type_code in CONTAINER_TYPES:
+        role, identity, children = _CONTAINER, None, (path + "/", {})
+    elif type_code in _IDENTITIES:
+        role, identity = _DECODED, _IDENTITIES[type_code]
+    else:
+        role, identity = _UUID if raw_type == b"uuid" else _OPAQUE, _whole
+    entry = (path, type_code, role, type_code in TOP_LEVEL_TYPES, identity,
+             children)
+    if _box_count < _BOX_TABLE_SIZE:
+        table[raw_type] = entry
+        _box_count += 1
+    return entry
+
+
+def box_header(entry: tuple, offset: int, size: int,
+               header: tuple | None) -> tuple:
+    """The values of the `BoxHeader` of a box that `walk_boxes` yields
+    with `entry`, `offset`, `size` and `header`: `header` itself, or for a
+    plain box (None) those of an 8-byte header with its 32-bit size."""
+    if header is None:
+        return offset, size, entry[1], 8, size, None, None
+    return header
 
 
 def walk_boxes(
     source: BinaryIO | int, warnings: list[str],
     decode: Collection[str] | None = None,
-) -> Iterator[tuple[int, str, tuple, bytes | None]]:
-    """Yield ``(depth, path, header, payload)`` for every box of a
-    seekable byte stream, or of the open descriptor of a regular file,
-    in preorder; `path` is the box's symbol path (``moov/trak``) and
-    `header` the values of its `BoxHeader`. `payload` is None for a
+) -> Iterator[tuple[int, tuple, int, int, tuple | None, bytes | None]]:
+    """Yield ``(depth, entry, offset, size, header, payload)`` for every
+    box of a seekable byte stream, or of the open descriptor of a regular
+    file, in preorder. `entry` is the box's entry in the box table:
+    ``entry[0]`` is its symbol path (``moov/trak``), ``entry[1]`` its type
+    code and ``entry[4]`` the identity of its payload (see `_BOXES`).
+    `offset` and `size` are the box's offset and 32-bit size. `header` is
+    None for a plain box, one with a 32-bit size of 8 or more that is not
+    ``uuid``; for any other box it holds the values of its `BoxHeader`
+    (`box_header` gives them for both). `payload` is None for a
     container; for a box with a decoder, its payload's first
-    `_PAYLOAD_READ_CAP` bytes, which `box_fields` decodes; for any other
-    box, empty. Warnings go to `warnings` as they arise. Raises a
-    `ParseError` as `parse_container` does.
+    `_PAYLOAD_READ_CAP` bytes, which `box_fields` decodes; for a uuid box,
+    the 16 bytes of its user type; for any other box, empty. Warnings go
+    to `warnings` as they arise. Raises a `ParseError` as
+    `parse_container` does.
 
     `decode`, if given, holds the paths of the boxes whose fields are
     wanted, and only those boxes yield an event: containers and other
@@ -530,9 +577,11 @@ def walk_boxes(
 
     A descriptor is read with `os.pread` at each offset, and its length
     taken from `os.fstat`; a stream is read with ``seek`` and ``read``.
-    A header whose 8 bytes lie in the window is unpacked in place; a
-    64-bit size, a uuid user type, a header that crosses the window's end
-    and a scope's last bytes under 8 go through `read` and its checks.
+    A plain box that fits its scope and whose header and payload lie in
+    the window takes a straight branch: one box table lookup, no read.
+    Any other box, a 64-bit size or a size of 0, a uuid user type, a
+    header or payload past the window's end, a scope's last bytes under 8
+    and a file's first box among them, goes through `read` and its checks.
     """
     if isinstance(source, int):
         fd, file_len = source, os.fstat(source).st_size
@@ -542,18 +591,19 @@ def walk_boxes(
         file_len = source.tell()
     if file_len == 0:
         raise NotBmff("empty file")
-    # The window: the last bytes read, which serve any read they cover.
-    data, start = b"", 0
 
-    def read(offset: int, n: int, within: int | None) -> bytes:
-        """The `n` bytes at `offset`, or those the source holds there.
-        `within` ends the enclosing box (None between top-level boxes); a
-        read past it still returns the source's bytes, as a 64-bit size or
-        uuid user type may lie past its parent's end for the size checks."""
-        nonlocal data, start
+    def read(data: bytes, start: int, offset: int, n: int,
+             within: int | None) -> tuple[bytes, int, int, bytes]:
+        """The window after a read of the `n` bytes at `offset`, as its
+        bytes, start and end, and the bytes read, or those the source
+        holds there. The window `data`, which starts at `start`, serves
+        any read it covers. `within` ends the enclosing box (None between
+        top-level boxes); a read past it still returns the source's bytes,
+        as a 64-bit size or uuid user type may lie past its parent's end
+        for the size checks."""
         at = offset - start
         if 0 <= at and at + n <= len(data):
-            return data[at:at + n]
+            return data, start, start + len(data), data[at:at + n]
         if within is None:
             size = min(_TOP_READ_AHEAD, file_len - offset)
         else:
@@ -563,26 +613,52 @@ def walk_boxes(
             data = source.read(max(n, size))
         else:
             data = os.pread(fd, max(n, size), offset)
-        start = offset
-        return data[:n]
+        return data, offset, offset + len(data), data[:n]
 
     unpack_header = _HEADER.unpack_from
-    type_codes = _TYPE_CODES
-    # The scope being read is [pos, end), inside `depth` containers whose
-    # path is `prefix`; `stack` holds where each enclosing scope resumes.
-    stack: list[tuple[int, int, int, str]] = []
-    pos, end, depth, prefix = 0, file_len, 0, ""
-    while pos < end or stack:
+    # The window: the last bytes read, which serve any read they cover.
+    # The first box always misses it.
+    data, start, stop = b"", 0, 0
+    # The scope being read is [pos, end), inside `depth` containers, and
+    # `table` is its dict of entries; `stack` holds where each enclosing
+    # scope resumes.
+    stack: list[tuple[int, int, int, tuple[str, dict]]] = []
+    pos, end, depth, scope = 0, file_len, 0, ("", _BOXES)
+    table = _BOXES
+    while True:
         if pos >= end:
-            pos, end, depth, prefix = stack.pop()
+            if not stack:
+                break
+            pos, end, depth, scope = stack.pop()
+            table = scope[1]
             continue
-        within = end if depth else None
-        at = pos - start
-        if 0 <= at <= len(data) - 8 and end - pos >= 8:
+        if start <= pos <= stop - 8 and end - pos >= 8:
+            at = pos - start
             size, raw_type = unpack_header(data, at)
+            entry = table.get(raw_type) or _box_entry(scope, raw_type)
+            role = entry[2]
+            if 8 <= size <= end - pos and pos + size <= stop and role != _UUID:
+                # The straight branch: every check below passes.
+                if role == _CONTAINER:
+                    if depth == MAX_NESTING:
+                        raise NestingTooDeep(pos, entry[1], MAX_NESTING)
+                    if decode is None:
+                        yield depth, entry, pos, size, None, None
+                    stack.append((pos + size, end, depth, scope))
+                    pos, end, depth, scope = (pos + 8, pos + size, depth + 1,
+                                              entry[5])
+                    table = scope[1]
+                    continue
+                if decode is None or entry[0] in decode:
+                    yield depth, entry, pos, size, None, (
+                        data[at + 8:at + size] if role == _DECODED else b"")
+                pos += size
+                continue
         else:
             # Not min(): a builtin call per box costs about 6% of the walk.
-            head = read(pos, 8 if end - pos >= 8 else end - pos, within)
+            data, start, stop, head = read(data, start, pos,
+                                     8 if end - pos >= 8 else end - pos,
+                                     end if depth else None)
             if len(head) < 8:
                 # Only the first box of a file starts at offset 0.
                 if not pos:
@@ -597,26 +673,28 @@ def walk_boxes(
                 raise TruncatedBox(pos, render_type_code(head.ljust(4, b"\x00")[:4]),
                                    "trailing bytes cannot hold a box header")
             size, raw_type = _HEADER.unpack(head)
-        type_code = type_codes.get(raw_type)
-        if type_code is None:
-            type_code = render_type_code(raw_type)
-            if len(type_codes) < _TYPE_CODE_CACHE_SIZE:
-                type_codes[raw_type] = type_code
-        if not pos and type_code not in TOP_LEVEL_TYPES:
+            entry = table.get(raw_type) or _box_entry(scope, raw_type)
+            role = entry[2]
+        type_code = entry[1]
+        if not pos and not entry[3]:
             raise NotBmff(f"first box type '{type_code}' is not a recognized top-level box")
+        within = end if depth else None
         header_len = 8
-        large_size = user_type = None
-        if size > 1 and raw_type != b"uuid":
+        header = None
+        if size > 1 and role != _UUID:
             effective_len = size
         else:
+            large_size = user_type = None
             if size == 1:
-                ext = read(pos + header_len, 8, within)
+                data, start, stop, ext = read(data, start, pos + header_len, 8,
+                                        within)
                 if len(ext) < 8:
                     raise TruncatedBox(pos, type_code, "64-bit size field truncated")
                 large_size = _u64(ext, 0)
                 header_len += 8
-            if raw_type == b"uuid":
-                raw_uuid = read(pos + header_len, 16, within)
+            if role == _UUID:
+                data, start, stop, raw_uuid = read(data, start, pos + header_len,
+                                             16, within)
                 if len(raw_uuid) < 16:
                     raise TruncatedBox(pos, type_code, "uuid user type truncated")
                 user_type = str(_uuidlib.UUID(bytes=raw_uuid))
@@ -629,6 +707,8 @@ def walk_boxes(
                 effective_len = large_size
             else:
                 effective_len = size
+            header = (pos, size, type_code, header_len, effective_len,
+                      large_size, user_type)
         if effective_len < header_len:
             raise TruncatedBox(pos, type_code,
                                f"declared length {effective_len} smaller than its "
@@ -638,23 +718,24 @@ def walk_boxes(
             raise TruncatedBox(pos, type_code,
                                f"declared length {effective_len} exceeds the "
                                f"{end - pos} bytes remaining")
-        path = prefix + type_code
-        if type_code in CONTAINER_TYPES:
+        if role == _CONTAINER:
             if depth == MAX_NESTING:
                 raise NestingTooDeep(pos, type_code, MAX_NESTING)
             if decode is None:
-                yield depth, path, (pos, size, type_code, header_len,
-                                    effective_len, large_size, user_type), None
-            stack.append((box_end, end, depth, prefix))
-            pos, end, depth, prefix = pos + header_len, box_end, depth + 1, path + "/"
+                yield depth, entry, pos, size, header, None
+            stack.append((box_end, end, depth, scope))
+            pos, end, depth, scope = (pos + header_len, box_end, depth + 1,
+                                      entry[5])
+            table = scope[1]
             continue
-        if decode is None or path in decode:
-            payload = (read(pos + header_len,
-                            min(effective_len - header_len, _PAYLOAD_READ_CAP),
-                            within)
-                       if type_code in _DECODERS else b"")
-            yield depth, path, (pos, size, type_code, header_len,
-                                effective_len, large_size, user_type), payload
+        if decode is None or entry[0] in decode:
+            if role == _DECODED:
+                data, start, stop, payload = read(
+                    data, start, pos + header_len,
+                    min(effective_len - header_len, _PAYLOAD_READ_CAP), within)
+            else:
+                payload = raw_uuid if role == _UUID else b""
+            yield depth, entry, pos, size, header, payload
         pos = box_end
 
 
@@ -670,10 +751,12 @@ def parse_container(byte_source: BinaryIO | int,
     root = AtomNode("root", None, [], [])
     # levels[d] holds the children of the latest box at depth d - 1.
     levels = [root.children]
-    for depth, _, header, payload in walk_boxes(byte_source, warnings):
+    for depth, entry, offset, size, header, payload in walk_boxes(
+            byte_source, warnings):
+        header = box_header(entry, offset, size, header)
         fields = ([] if payload is None
                   else box_fields(header, payload, frozenset(), warnings))
-        node = AtomNode(header[2], BoxHeader(*header), fields, [])
+        node = AtomNode(entry[1], BoxHeader(*header), fields, [])
         del levels[depth + 1:]
         levels[depth].append(node)
         levels.append(node.children)

@@ -27,7 +27,7 @@ import numpy as np
 from .bmff import (
     ContainerTree,
     box_fields,
-    box_identity,
+    box_header,
     open_box_file,
     walk_boxes,
 )
@@ -58,7 +58,7 @@ _MEMO_COLUMNS = 1 << 16
 # The symbols of each distinct box, in field order, by its
 # (path, *fields), the values of blacklisted fields None. Only walks and
 # trees under the default blacklist fill it. Like `bmff`'s
-# type-code cache it stops growing at its bound; any other box's symbols
+# box table it stops growing at its bound; any other box's symbols
 # are built each time it is met, as are those of a box whose symbols
 # together exceed `_CACHED_BOX_LEN` characters. The seed-7 fixture
 # corpora hold 37 (`triage` training), 55 (`lodo`) and 2073 (`lodo-wide`)
@@ -132,9 +132,10 @@ def _count_symbols(boxes: Iterable[tuple[str, list]], fill: bool,
 
 def _tree_events(tree: ContainerTree,
                  blacklist: Collection[str]) -> Iterator[tuple]:
-    """The `walk_boxes` events of a parsed or hand-built tree, a field
-    whose ``@``-prefixed name is in `blacklist` with the value None, as
-    the walk's `drop` gives it."""
+    """The ``(depth, path, header, fields)`` of each box of a parsed or
+    hand-built tree in preorder, a field whose ``@``-prefixed name is in
+    `blacklist` with the value None, as `box_fields` gives it with the
+    blacklist as its `drop`."""
     stack = [(child, child.name, 0) for child in reversed(tree.root.children)]
     while stack:
         node, path, depth = stack.pop()
@@ -190,10 +191,12 @@ def container_symbols(
     drop = _DEFAULT_BLACKLIST if blacklist is None else frozenset(blacklist)
     events = walk_boxes(stream, warnings, None if only is None
                         else _decoded_boxes(frozenset(only)))
-    return _count_symbols(((path, box_fields(header, payload, drop, warnings))
-                           for _, path, header, payload in events
-                           if payload is not None),
-                          drop == _DEFAULT_BLACKLIST, only), warnings
+    return _count_symbols(
+        ((entry[0], box_fields(box_header(entry, offset, size, header),
+                               payload, drop, warnings))
+         for _, entry, offset, size, header, payload in events
+         if payload is not None),
+        drop == _DEFAULT_BLACKLIST, only), warnings
 
 
 def file_symbols(
@@ -213,7 +216,8 @@ def file_count_matrix(paths: Iterable[str]
     """The `count_matrix` of the files' `file_symbols` multisets, one row
     per path, counted straight into columns with no multiset built.
 
-    Each box is looked up by its path and `box_identity`, and decoded
+    Each box is looked up by its path and the identity of its payload
+    that its box table entry gives (see `bmff._BOXES`), and decoded
     only on the first sight of that identity in the call, when its
     symbols' columns are noted. A box whose decode warns is decoded, and
     warns, at each sight. The files are read `_CHUNK_FILES` at a time,
@@ -237,7 +241,9 @@ def _count_chunk(paths: list[str], column: dict[str, int],
     """Append the rows of the files at `paths` to the entry buffers, and
     return the memo's room left. The files' symbol occurrences are
     gathered as column numbers, file after file, and summed per row in
-    numpy; they go when it returns."""
+    numpy; they go when it returns. A box's payload identity keys its
+    fields under the default blacklist, which drops an opaque box's
+    count, so its payload length is not part of the key."""
     occurrences: list[int] = []
     sizes: list[int] = []  # occurrences per file
     drop = _DEFAULT_BLACKLIST
@@ -246,17 +252,19 @@ def _count_chunk(paths: list[str], column: dict[str, int],
         warnings: list[str] = []
         fd = open_box_file(path)
         try:
-            for _, box_path, header, payload in walk_boxes(fd, warnings):
+            for _, entry, offset, size, header, payload in walk_boxes(
+                    fd, warnings):
                 if payload is None:  # a container
                     continue
-                key = box_path, box_identity(header, payload, drop)
+                key = entry[0], entry[4](payload, drop)
                 columns = memo.get(key)
                 if columns is None:
                     warned = len(warnings)
                     columns = tuple(
                         column.setdefault(s, len(column))
-                        for s in _box_symbols(box_path, box_fields(
-                            header, payload, drop, warnings)))
+                        for s in _box_symbols(entry[0], box_fields(
+                            box_header(entry, offset, size, header), payload,
+                            drop, warnings)))
                     if len(warnings) == warned and len(columns) <= room:
                         memo[key] = columns
                         room -= len(columns)

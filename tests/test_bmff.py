@@ -23,7 +23,7 @@ from boxtrace.bmff import (
     _IDENTITIES,
     _PAYLOAD_READ_CAP,
     _TOP_READ_AHEAD,
-    _TYPE_CODE_CACHE_SIZE,
+    _BOX_TABLE_SIZE,
     CONTAINER_TYPES,
     MAX_NESTING,
     TOP_LEVEL_TYPES,
@@ -67,6 +67,7 @@ from conftest import (
     mkfull,
     mkmvhd,
     moov_nest,
+    rare_forms,
 )
 
 
@@ -1247,6 +1248,18 @@ class TestWalkMatchesReference:
         assert_walks_agree(variant)
         assert_walks_agree(variant, data.draw(decode_sets(base)))
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_valid_rare_forms_below_the_top_level(self, walked_fixtures,
+                                                  data):
+        # The forms that leave the straight branch, built well-formed: the
+        # walk gives the reference's events, not an error.
+        base, _ = data.draw(st.sampled_from(walked_fixtures))
+        variant = data.draw(rare_forms(base))
+        assert isinstance(walk_outcome(reference_walk_boxes, variant)[0], list)
+        assert_walks_agree(variant)
+        assert_walks_agree(variant, data.draw(decode_sets(variant)))
+
     @given(st.data(), straddling())
     @settings(max_examples=300, deadline=None)
     def test_headers_across_a_window_end(self, data, raw):
@@ -1325,33 +1338,74 @@ class TestWalkMatchesReference:
 
 
 class TestTypeCodeCache:
-    """The walk's rendered type codes: bounded, and equal to
-    `render_type_code`."""
+    """The walk's box table: bounded, its first entries kept, each entry's
+    type code the one `render_type_code` gives and its path its scope's
+    path and that code."""
 
     @staticmethod
     def boxes(raws) -> bytes:
-        return FTYP_MIN + b"".join(mkbox(raw) for raw in raws)
+        """A file of the boxes of `raws` at the top level and in moov."""
+        inner = b"".join(mkbox(raw) for raw in raws)
+        return FTYP_MIN + inner + mkbox(b"moov", inner)
+
+    @staticmethod
+    def paths(raws) -> list[str]:
+        codes = [render_type_code(raw) for raw in raws]
+        return ["ftyp", *codes, "moov", *("moov/" + code for code in codes)]
+
+    @staticmethod
+    def empty_table(monkeypatch):
+        monkeypatch.setattr(bmff, "_BOXES", {})
+        monkeypatch.setattr(bmff, "_box_count", 0)
+
+    @staticmethod
+    def table() -> dict:
+        """The box table's entries by (scope path, raw type)."""
+        entries = {}
+        scopes = [("", bmff._BOXES)]
+        while scopes:
+            prefix, boxes = scopes.pop()
+            for raw, entry in boxes.items():
+                entries[prefix, raw] = entry
+                if entry[5] is not None:
+                    scopes.append(entry[5])
+        assert len(entries) == bmff._box_count
+        return entries
 
     def test_bounded(self, monkeypatch):
-        monkeypatch.setattr(bmff, "_TYPE_CODES", {})
+        self.empty_table(monkeypatch)
         raws = [struct.pack(">I", 0x61610000 + i)
-                for i in range(_TYPE_CODE_CACHE_SIZE + 100)]
-        events = list(walk_boxes(io.BytesIO(self.boxes(raws)), []))
-        assert [e[1] for e in events[1:]] == [render_type_code(r) for r in raws]
-        assert len(bmff._TYPE_CODES) == _TYPE_CODE_CACHE_SIZE
+                for i in range(_BOX_TABLE_SIZE // 2 + 50)]
+        data = self.boxes(raws)
+        pairs = [("", b"ftyp"), *(("", raw) for raw in raws), ("", b"moov"),
+                 *(("moov/", raw) for raw in raws)]
+        assert len(pairs) > _BOX_TABLE_SIZE
+        first = None
+        for _ in range(2):  # the second walk meets a full table
+            events = list(walk_boxes(io.BytesIO(data), []))
+            assert [e[1][0] for e in events] == self.paths(raws)
+            table = self.table()
+            assert set(table) == set(pairs[:_BOX_TABLE_SIZE])
+            assert first is None or table == first
+            first = table
+        # Boxes past the bound walk as the reference walks them.
+        assert_walks_agree(data)
+        assert_walks_agree(data, {"moov/" + render_type_code(raws[-1])})
 
     @pytest.mark.parametrize("position", range(4))
     def test_every_byte_renders_as_uncached(self, monkeypatch, position):
-        monkeypatch.setattr(bmff, "_TYPE_CODES", {})
+        self.empty_table(monkeypatch)
         raws = [b"free"[:position] + bytes([b]) + b"free"[position + 1:]
                 for b in range(256)]
         data = self.boxes(raws)
-        for _ in range(2):  # the second walk reads from the cache
+        for _ in range(2):  # the second walk reads from the table
             events = list(walk_boxes(io.BytesIO(data), []))
-            assert [e[1] for e in events[1:]] == [render_type_code(r)
-                                                  for r in raws]
-        for raw in raws:
-            assert bmff._TYPE_CODES[raw] == render_type_code(raw)
+            assert [e[1][0] for e in events] == self.paths(raws)
+        table = self.table()
+        assert len(table) == 2 + 2 * len(set(raws))
+        for (prefix, raw), entry in table.items():
+            assert entry[1] == render_type_code(raw)
+            assert entry[0] == prefix + entry[1]
 
 
 class _CountingStream(io.BytesIO):

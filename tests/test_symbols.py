@@ -17,7 +17,6 @@ from boxtrace.bmff import (
     ContainerTree,
     parse_container,
     render_type_code,
-    walk_boxes,
 )
 from boxtrace.errors import EmptyCorpus, NestingTooDeep, ParseError
 from boxtrace.fixtures import FixtureSpec, generate_corpus
@@ -43,6 +42,7 @@ from conftest import (
     mkmvhd,
     moov_nest,
     mvhd_v0_payload,
+    rare_forms,
 )
 
 
@@ -577,6 +577,23 @@ class TestRestrictedSymbols:
                 | data.draw(GARBAGE))
         restricted_matches_full(variant, blacklist, only)
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_valid_rare_forms(self, count_corpora, tmp_path_factory, data):
+        # Files with well-formed rare forms below the top level, read from
+        # their paths.
+        _, base, _ = data.draw(st.sampled_from(count_corpora[7, False]))
+        path = tmp_path_factory.getbasetemp() / "restricted_rare.mp4"
+        path.write_bytes(data.draw(rare_forms(base)))
+        full, full_warnings = file_symbols(str(path))
+        only = (data.draw(st.sets(st.sampled_from(sorted(full))))
+                | data.draw(GARBAGE))
+        symbols, warnings = file_symbols(str(path), only=only)
+        assert list(symbols.items()) == [(s, n) for s, n in full.items()
+                                         if s in only]
+        rest = iter(full_warnings)
+        assert all(w in rest for w in warnings)
+
     def test_only_decodes_the_named_boxes(self):
         # A broken mvhd warns only when a symbol of moov/mvhd is wanted.
         data = FTYP_MIN + mkbox(b"moov", mkbox(b"mvhd", bytes(4)))
@@ -608,7 +625,7 @@ def count_corpora(tmp_path_factory):
             for row in manifest.rows:
                 data = row.path.read_bytes()
                 offsets = [header[0] for _, _, header, _
-                           in walk_boxes(io.BytesIO(data), [])]
+                           in decoded_walk(io.BytesIO(data), [])]
                 files.append((str(row.path), data, offsets))
             corpora[seed, varied] = files
     return corpora
@@ -661,6 +678,25 @@ class TestFileCountMatrix:
             outcome = matrix_outcome(file_count_matrix, paths)
         assert outcome == matrix_outcome(multiset_matrix, paths)
 
+    @given(st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_valid_rare_forms(self, count_corpora, tmp_path_factory, data):
+        # Seed-7 files with well-formed rare forms below the top level
+        # among plain ones.
+        files = count_corpora[7, False]
+        out = tmp_path_factory.getbasetemp() / "count_rare"
+        out.mkdir(exist_ok=True)
+        paths = [path for path, _, _ in data.draw(
+            st.lists(st.sampled_from(files), max_size=8), label="plain")]
+        for i in range(data.draw(st.integers(1, 4), label="rare files")):
+            _, base, _ = data.draw(st.sampled_from(files))
+            path = out / f"rare_{i}.mp4"
+            path.write_bytes(data.draw(rare_forms(base)))
+            paths.insert(data.draw(st.integers(0, len(paths))), str(path))
+        outcome = matrix_outcome(file_count_matrix, paths)
+        assert outcome == matrix_outcome(multiset_matrix, paths)
+        assert isinstance(outcome[0], tuple)
+
     @pytest.mark.parametrize("bad", ["truncated", "directory", "no symbols"])
     def test_one_bad_file_raises_its_error(self, count_corpora, tmp_path, bad):
         files = [path for path, _, _ in count_corpora[7, False]]
@@ -686,7 +722,8 @@ class TestFileCountMatrix:
 
 class TestCountMemo:
     """`file_count_matrix` decodes each distinct box once per call, by its
-    path and `box_identity`, and its memo stays bounded."""
+    path and the payload identity of its box table entry, and its memo
+    stays bounded."""
 
     def test_good_short_and_unsupported_boxes_of_one_path(self, tmp_path):
         # moov/mvhd holds a good version 0 box, one cut short, one of
@@ -747,7 +784,16 @@ class TestCountMemo:
         paths = [path for path, _, _ in count_corpora[11, True]]
         expected = matrix_outcome(multiset_matrix, paths)
         unique = itertools.count()
-        real = symbols_module.box_identity
+        real_walk = symbols_module.walk_boxes
+
+        def unique_walk(*args):
+            for depth, entry, *rest in real_walk(*args):
+                identity = entry[4]
+                if identity is not None:
+                    entry = (*entry[:4], lambda payload, drop: (
+                        identity(payload, drop), next(unique)))
+                yield depth, entry, *rest
+
         sizes = []
         real_chunk = symbols_module._count_chunk
 
@@ -756,8 +802,7 @@ class TestCountMemo:
             sizes.append((len(memo), sum(map(len, memo.values())), left))
             return left
 
-        monkeypatch.setattr(symbols_module, "box_identity",
-                            lambda *args: (real(*args), next(unique)))
+        monkeypatch.setattr(symbols_module, "walk_boxes", unique_walk)
         monkeypatch.setattr(symbols_module, "_count_chunk", chunk)
         monkeypatch.setattr(symbols_module, "_MEMO_COLUMNS", room)
         monkeypatch.setattr(symbols_module, "_CHUNK_FILES", 5)

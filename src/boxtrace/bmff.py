@@ -243,8 +243,8 @@ def _fixed_layout(name: str, fields: list[tuple[str, Callable]],
     index, name and writer of each field the set keeps, so a dropped
     field costs no work, and per version the `unpack_from` of a layout
     that unpacks only the kept values, and the version when it picks the
-    layout. Those values
-    are the identity of a payload that the checks pass."""
+    layout. Those values are the identity of a payload that the checks
+    pass."""
     # Each layout unpacks the whole payload: version, flags, then the body.
     layouts = [(struct.Struct(">B3s" + f.removeprefix(">")),
                 name if len(formats) == 1 else f"{name} v{v}")
@@ -616,8 +616,8 @@ def walk_boxes(
         return data, offset, offset + len(data), data[:n]
 
     unpack_header = _HEADER.unpack_from
-    # The window: the last bytes read, which serve any read they cover.
-    # The first box always misses it.
+    # The window: the last bytes read, `data`, which run from `start` to
+    # `stop` and serve any read they cover. The first box always misses it.
     data, start, stop = b"", 0, 0
     # The scope being read is [pos, end), inside `depth` containers, and
     # `table` is its dict of entries; `stack` holds where each enclosing
@@ -656,9 +656,9 @@ def walk_boxes(
                 continue
         else:
             # Not min(): a builtin call per box costs about 6% of the walk.
-            data, start, stop, head = read(data, start, pos,
-                                     8 if end - pos >= 8 else end - pos,
-                                     end if depth else None)
+            data, start, stop, head = read(
+                data, start, pos, 8 if end - pos >= 8 else end - pos,
+                end if depth else None)
             if len(head) < 8:
                 # Only the first box of a file starts at offset 0.
                 if not pos:
@@ -686,15 +686,15 @@ def walk_boxes(
         else:
             large_size = user_type = None
             if size == 1:
-                data, start, stop, ext = read(data, start, pos + header_len, 8,
-                                        within)
+                data, start, stop, ext = read(data, start, pos + header_len,
+                                              8, within)
                 if len(ext) < 8:
                     raise TruncatedBox(pos, type_code, "64-bit size field truncated")
                 large_size = _u64(ext, 0)
                 header_len += 8
             if role == _UUID:
-                data, start, stop, raw_uuid = read(data, start, pos + header_len,
-                                             16, within)
+                data, start, stop, raw_uuid = read(
+                    data, start, pos + header_len, 16, within)
                 if len(raw_uuid) < 16:
                     raise TruncatedBox(pos, type_code, "uuid user type truncated")
                 user_type = str(_uuidlib.UUID(bytes=raw_uuid))

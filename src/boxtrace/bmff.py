@@ -19,6 +19,7 @@ opaque payload is read. Memory stays bounded by the window.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -159,11 +160,13 @@ def _u64(b: bytes, o: int) -> int:
 # A box's fields in payload order: (field name, rendered value), the value
 # None where the name, ``@``-prefixed, is in the decode's drop set.
 _Fields = list[tuple[str, "str | None"]]
-_Decoder = Callable[[bytes, Collection[str]], _Fields]
-# A decoder's identity maps a payload and a drop set to a key: payloads
-# with equal keys decode to equal fields under that set, or raise the same
-# error. A payload that fails the decoder's checks is its own key.
-_Identity = Callable[[bytes, Collection[str]], Hashable]
+# A schema is a (key, render) pair. `key(payload, drop)` makes the
+# schema's checks, raising a `BoxDecodeError` for a payload they refuse,
+# and returns the raw values of the fields that `drop` keeps;
+# `render(key, drop)` builds the fields from those values alone, so
+# payloads with equal keys under a drop set have equal fields.
+_Key = Callable[[bytes, Collection[str]], Hashable]
+_Render = Callable[[Hashable, Collection[str]], _Fields]
 
 
 def _need(payload: bytes, n: int, what: str, at: int = 0) -> None:
@@ -173,13 +176,15 @@ def _need(payload: bytes, n: int, what: str, at: int = 0) -> None:
             f"{what} needs {n} bytes, payload holds {len(payload) - at}")
 
 
-def _fullbox(payload: bytes, what: str, drop: Collection[str]) -> _Fields:
-    """The version and flags fields of a full box, whose body starts at
-    offset 4."""
-    _need(payload, 4, what)
-    return [("version", None if "@version" in drop else str(payload[0])),
-            ("flags", None if "@flags" in drop
-             else str(int.from_bytes(payload[1:4], "big")))]
+def _flags(raw: bytes) -> str:
+    return str(int.from_bytes(raw, "big"))
+
+
+def _fullbox(head: bytes, drop: Collection[str]) -> _Fields:
+    """The version and flags fields of a full box whose payload starts
+    with `head`."""
+    return [("version", None if "@version" in drop else str(head[0])),
+            ("flags", None if "@flags" in drop else _flags(head[1:4]))]
 
 
 def _fixed16(raw: int) -> str:
@@ -208,15 +213,11 @@ def _language(code: int) -> str:
     return str(code)
 
 
-# Plans each fixed-layout decoder keeps, one per drop set: like the
+# Plans each fixed-layout schema keeps, one per drop set: like the
 # box table, once full the first drop sets stay and any other one's
 # plan is made at each decode. A process meets few drop sets: the default
 # blacklist, the empty set of a full parse, and a caller's own blacklists.
 _PLAN_CACHE_SIZE = 16
-
-
-def _flags(raw: bytes) -> str:
-    return str(int.from_bytes(raw, "big"))
 
 
 def _padded(layout: struct.Struct, kept: Collection[int]) -> struct.Struct:
@@ -233,87 +234,73 @@ def _padded(layout: struct.Struct, kept: Collection[int]) -> struct.Struct:
 
 
 def _fixed_layout(name: str, fields: list[tuple[str, Callable]],
-                  *formats: str) -> tuple[_Decoder, _Identity]:
-    """Decoder and identity of a full box whose body is one fixed
-    `struct` layout per version: ``formats[v]`` for version v, or any
-    version if there is one format. The unpacked values pass, in order,
-    through the writers of `fields`, a ``(field name, writer)`` list.
+                  *formats: str) -> tuple[_Key, _Render]:
+    """The schema of a full box whose body is one fixed `struct` layout
+    per version: ``formats[v]`` for version v, or any version if there is
+    one format. The values pass, in order, through the writers of
+    `fields`, a ``(field name, writer)`` list.
 
-    A drop set's plan is the fields' list with every value None, the
-    index, name and writer of each field the set keeps, so a dropped
-    field costs no work, and per version the `unpack_from` of a layout
-    that unpacks only the kept values, and the version when it picks the
-    layout. Those values are the identity of a payload that the checks
-    pass."""
-    # Each layout unpacks the whole payload: version, flags, then the body.
+    A drop set's plan is the fields' list with every value None; the
+    index in the key, index, name and writer of each field the set keeps,
+    so a dropped field costs no work; and per version the `unpack_from`
+    of a layout that unpacks only the kept values, and the version when
+    it picks the layout: those values are the key."""
+    # Each layout reads the whole payload: version, flags, then the body.
     layouts = [(struct.Struct(">B3s" + f.removeprefix(">")),
                 name if len(formats) == 1 else f"{name} v{v}")
                for v, f in enumerate(formats)]
+    sizes = [layout.size for layout, _ in layouts]
     fields = [("version", str), ("flags", _flags), *fields]
     plans: dict[frozenset[str], tuple[_Fields, tuple, tuple]] = {}
 
     def plan_of(drop: Collection[str]) -> tuple[_Fields, tuple, tuple]:
-        kept = tuple((i, key, write) for i, (key, write) in enumerate(fields)
-                     if "@" + key not in drop)
-        keys = {i for i, _, _ in kept} | ({0} if len(layouts) > 1 else set())
-        plan = ([(key, None) for key, _ in fields], kept,
+        kept = [i for i, (key, _) in enumerate(fields)
+                if "@" + key not in drop]
+        keys = sorted({*kept, 0}) if len(sizes) > 1 else kept
+        plan = ([(key, None) for key, _ in fields],
+                tuple((keys.index(i), i, *fields[i]) for i in kept),
                 tuple(_padded(layout, keys).unpack_from
                       for layout, _ in layouts))
         if len(plans) < _PLAN_CACHE_SIZE:
             plans[frozenset(drop)] = plan
         return plan
 
-    def version_of(payload: bytes) -> int:
-        """The version whose layout reads `payload`; raises the decoder's
-        `BoxDecodeError` if there is none or the payload is too short."""
-        if len(payload) < 4:
+    def key(payload: bytes, drop: Collection[str]) -> tuple:
+        version = payload[0] if len(sizes) > 1 and payload else 0
+        if version >= len(sizes) or len(payload) < sizes[version]:
+            # Refused: the checks in order, the first that fails raising.
             _need(payload, 4, name)
-        if len(layouts) == 1:
-            version = 0
-        elif (version := payload[0]) >= len(layouts):
-            raise UnsupportedVersion(f"{name} version {version}")
-        layout, what = layouts[version]
-        if len(payload) < layout.size:
-            _need(payload, layout.size - 4, what, 4)
-        return version
-
-    def decode(payload: bytes, drop: Collection[str]) -> _Fields:
-        version = version_of(payload)
+            if version >= len(sizes):
+                raise UnsupportedVersion(f"{name} version {version}")
+            _need(payload, sizes[version] - 4, layouts[version][1], 4)
         # Another collection may be unhashable, so only a frozenset is
         # looked up; the callers pass one.
-        template, kept, _ = (plans.get(drop) if type(drop) is frozenset
-                             else None) or plan_of(drop)
-        values = layouts[version][0].unpack_from(payload)
-        out = template.copy()
-        for i, key, write in kept:
-            out[i] = key, write(values[i])
-        return out
-
-    # The identity makes `version_of`'s checks inline: a payload that
-    # fails them is its own key.
-    sizes = tuple(layout.size for layout, _ in layouts)
-    versioned = len(sizes) > 1
-
-    def identity(payload: bytes, drop: Collection[str]) -> Hashable:
-        version = 0
-        if versioned and (len(payload) < 4
-                          or (version := payload[0]) >= len(sizes)):
-            return payload
-        if len(payload) < sizes[version]:
-            return payload
         plan = plans.get(drop) if type(drop) is frozenset else None
         return (plan or plan_of(drop))[2][version](payload)
 
-    return decode, identity
+    def render(values: tuple, drop: Collection[str]) -> _Fields:
+        plan = plans.get(drop) if type(drop) is frozenset else None
+        template, kept, _ = plan or plan_of(drop)
+        out = template.copy()
+        for j, i, field_name, write in kept:
+            out[i] = field_name, write(values[j])
+        return out
+
+    return key, render
 
 
 def _whole(payload: bytes, drop: Collection[str]) -> bytes:
-    """A payload as its own identity."""
+    """A payload as its own key."""
     return payload
 
 
-def _decode_ftyp(payload: bytes, drop: Collection[str]) -> _Fields:
-    _need(payload, 8, "ftyp")
+def _ftyp_key(payload: bytes, drop: Collection[str]) -> bytes:
+    if len(payload) < 8:
+        _need(payload, 8, "ftyp")
+    return payload
+
+
+def _render_ftyp(payload: bytes, drop: Collection[str]) -> _Fields:
     fields = [
         ("majorBrand", None if "@majorBrand" in drop
          else ascii_or_hex(payload[0:4])),
@@ -330,111 +317,108 @@ def _decode_ftyp(payload: bytes, drop: Collection[str]) -> _Fields:
     return fields
 
 
-def _decode_hdlr(payload: bytes, drop: Collection[str]) -> _Fields:
-    fields = _fullbox(payload, "hdlr", drop)
-    _need(payload, 20, "hdlr", 4)
-    fields += [
-        ("handlerType", None if "@handlerType" in drop
-         else ascii_or_hex(payload[8:12])),
-        ("name", None if "@name" in drop
-         else ascii_or_hex(payload[24:].rstrip(b"\x00"))),
-    ]
-    return fields
-
-
-def _hdlr_identity(payload: bytes, drop: Collection[str]) -> bytes:
+def _hdlr_key(payload: bytes, drop: Collection[str]) -> bytes:
+    if len(payload) < 24:
+        _need(payload, 4, "hdlr")
+        _need(payload, 20, "hdlr", 4)
     # The name is the payload's tail from offset 24.
     return payload if "@name" not in drop else payload[:24]
 
 
-def _stsd_formats(payload: bytes) -> list[bytes]:
-    """The format codes of the sample entries that an stsd payload of 8
-    bytes or more lists, up to its entry count and `_MAX_STSD_ENTRIES`.
-    The codes are read entry by entry, each at its offset plus 4, until
-    one's size is under 8 or runs past the payload."""
+def _render_hdlr(payload: bytes, drop: Collection[str]) -> _Fields:
+    return [*_fullbox(payload, drop),
+            ("handlerType", None if "@handlerType" in drop
+             else ascii_or_hex(payload[8:12])),
+            ("name", None if "@name" in drop
+             else ascii_or_hex(payload[24:].rstrip(b"\x00")))]
+
+
+def _stsd_key(payload: bytes, drop: Collection[str]) -> tuple[bytes, ...]:
+    """The head of an stsd payload and the format codes of the sample
+    entries it lists, up to its entry count and `_MAX_STSD_ENTRIES`, not
+    the payload: the entries hold codec-private data. The codes are read
+    entry by entry, each at its offset plus 4, until one's size is under
+    8 or runs past the payload."""
+    if len(payload) < 8:
+        _need(payload, 4, "stsd")
+        _need(payload, 4, "stsd", 4)
     count = min(_u32(payload, 4), _MAX_STSD_ENTRIES)
-    formats: list[bytes] = []
+    key = [payload[:8]]
     pos = 8
-    while pos + 8 <= len(payload) and len(formats) < count:
-        formats.append(payload[pos + 4:pos + 8])
+    while pos + 8 <= len(payload) and len(key) <= count:
+        key.append(payload[pos + 4:pos + 8])
         entry_size = _u32(payload, pos)
         if entry_size < 8 or pos + entry_size > len(payload):
             break
         pos += entry_size
-    return formats
+    return tuple(key)
 
 
-def _decode_stsd(payload: bytes, drop: Collection[str]) -> _Fields:
+def _render_stsd(key: tuple[bytes, ...], drop: Collection[str]) -> _Fields:
     # Sample entry format codes only; codec-private data stays unparsed.
-    fields = _fullbox(payload, "stsd", drop)
-    _need(payload, 4, "stsd", 4)
+    fields = _fullbox(key[0], drop)
     fields.append(("entryCount", None if "@entryCount" in drop
-                   else str(_u32(payload, 4))))
-    for n, code in enumerate(_stsd_formats(payload), 1):
+                   else str(_u32(key[0], 4))))
+    for n, code in enumerate(key[1:], 1):
         fname = f"format_{n}"
         fields.append((fname, None if "@" + fname in drop
                        else ascii_or_hex(code)))
     return fields
 
 
-def _stsd_identity(payload: bytes, drop: Collection[str]) -> Hashable:
-    # Not the payload: its sample entries hold codec-private data.
-    return payload if len(payload) < 8 else (payload[:8],
-                                             *_stsd_formats(payload))
+# The edit list entry record that unpacks only the kept values, by
+# version and whether each of its fields is dropped: segment duration,
+# media time, and the 16.16 media rate (rate integer and fraction read as
+# one i32).
+_ELST_RECORDS = {
+    (version, *dropped): _padded(entry, [i for i in range(3)
+                                         if not dropped[i]])
+    for version, entry in enumerate([struct.Struct(">Iii"),
+                                     struct.Struct(">Qqi")])
+    for dropped in itertools.product((False, True), repeat=3)}
 
 
-# One edit list entry per version: segment duration, media time, and the
-# 16.16 media rate (rate integer and fraction read as one i32).
-_ELST_ENTRIES = (struct.Struct(">Iii"), struct.Struct(">Qqi"))
-_ELST_FIELDS = ("segmentDuration", "mediaTime", "mediaRate")
-
-
-def _elst_entries(payload: bytes) -> list[tuple[int, int, int]]:
-    """The entries of a version 0 or 1 elst payload of 8 bytes or more:
-    up to its entry count and `_MAX_ELST_ENTRIES`, as many as it holds."""
-    entry = _ELST_ENTRIES[payload[0]]
+def _elst_key(payload: bytes, drop: Collection[str]) -> tuple:
+    """The head of an elst payload and the kept values of its entries: up
+    to its entry count and `_MAX_ELST_ENTRIES`, as many as it holds. Not
+    the payload: segment durations, dropped by default, differ in every
+    file."""
+    if len(payload) < 8 or payload[0] > 1:
+        _need(payload, 4, "elst")
+        if payload[0] > 1:
+            raise UnsupportedVersion(f"elst version {payload[0]}")
+        _need(payload, 4, "elst", 4)
+    record = _ELST_RECORDS[payload[0], "@segmentDuration" in drop,
+                           "@mediaTime" in drop, "@mediaRate" in drop]
     count = min(_u32(payload, 4), _MAX_ELST_ENTRIES,
-                (len(payload) - 8) // entry.size)
-    return [entry.unpack_from(payload, 8 + i * entry.size)
-            for i in range(count)]
+                (len(payload) - 8) // record.size)
+    return payload[:8], *record.iter_unpack(
+        payload[8:8 + count * record.size])
 
 
-def _decode_elst(payload: bytes, drop: Collection[str]) -> _Fields:
-    fields = _fullbox(payload, "elst", drop)
-    version = payload[0]
-    if version not in (0, 1):
-        raise UnsupportedVersion(f"elst version {version}")
-    _need(payload, 4, "elst", 4)
+def _render_elst(key: tuple, drop: Collection[str]) -> _Fields:
+    fields = _fullbox(key[0], drop)
     fields.append(("entryCount", None if "@entryCount" in drop
-                   else str(_u32(payload, 4))))
-    for duration, media_time, rate in _elst_entries(payload):
+                   else str(_u32(key[0], 4))))
+    duration, media_time, rate = ("@segmentDuration" in drop,
+                                  "@mediaTime" in drop, "@mediaRate" in drop)
+    for entry in key[1:]:
+        values = iter(entry)
         fields += [
-            ("segmentDuration", None if "@segmentDuration" in drop
-             else str(duration)),
-            ("mediaTime", None if "@mediaTime" in drop else str(media_time)),
-            ("mediaRate", None if "@mediaRate" in drop else _fixed16(rate)),
+            ("segmentDuration", None if duration else str(next(values))),
+            ("mediaTime", None if media_time else str(next(values))),
+            ("mediaRate", None if rate else _fixed16(next(values))),
         ]
     return fields
 
 
-def _elst_identity(payload: bytes, drop: Collection[str]) -> Hashable:
-    # Not the payload: segment durations, dropped by default, differ in
-    # every file.
-    if len(payload) < 8 or payload[0] > 1:
-        return payload
-    duration, media_time, rate = ("@" + key in drop for key in _ELST_FIELDS)
-    return payload[:8], *[(None if duration else d, None if media_time else t,
-                           None if rate else r)
-                          for d, t, r in _elst_entries(payload)]
-
-
 _TIMES = [("creationTime", str), ("modificationTime", str)]
 
-# The decoder and identity of each box type with a schema. Fixed layouts
-# follow ISO/IEC 14496-12; `x` pads are reserved and pre-defined fields.
-_SCHEMAS: dict[str, tuple[_Decoder, _Identity]] = {
-    "ftyp": (_decode_ftyp, _whole),
-    "styp": (_decode_ftyp, _whole),
+# The schema of each box type that has one. Fixed layouts follow ISO/IEC
+# 14496-12; `x` pads are reserved and pre-defined fields.
+_SCHEMAS: dict[str, tuple[_Key, _Render]] = {
+    "ftyp": (_ftyp_key, _render_ftyp),
+    "styp": (_ftyp_key, _render_ftyp),
     "mvhd": _fixed_layout(
         "mvhd",
         [*_TIMES, ("timescale", str), ("duration", str), ("rate", _fixed16),
@@ -451,7 +435,7 @@ _SCHEMAS: dict[str, tuple[_Decoder, _Identity]] = {
         [*_TIMES, ("timescale", str), ("duration", str),
          ("language", _language)],
         ">IIIIH2x", ">QQIQH2x"),
-    "hdlr": (_decode_hdlr, _hdlr_identity),
+    "hdlr": (_hdlr_key, _render_hdlr),
     "vmhd": _fixed_layout("vmhd", [("graphicsMode", str), ("opColor", _opcolor)],
                           ">H6s"),
     "smhd": _fixed_layout("smhd", [("balance", _fixed8)], ">h2x"),
@@ -459,15 +443,13 @@ _SCHEMAS: dict[str, tuple[_Decoder, _Identity]] = {
        for name in ("dref", "stts", "stsc", "stco", "co64")},
     "stsz": _fixed_layout("stsz", [("sampleSize", str), ("sampleCount", str)],
                           ">II"),
-    "stsd": (_decode_stsd, _stsd_identity),
-    "elst": (_decode_elst, _elst_identity),
+    "stsd": (_stsd_key, _render_stsd),
+    "elst": (_elst_key, _render_elst),
 }
-_DECODERS = {name: decode for name, (decode, _) in _SCHEMAS.items()}
-_IDENTITIES = {name: identity for name, (_, identity) in _SCHEMAS.items()}
 
 
 def has_schema(type_code: str) -> bool:
-    return type_code in _DECODERS or type_code == "uuid"
+    return type_code in _SCHEMAS or type_code == "uuid"
 
 
 def _opaque_fields(payload_len: int, drop: Collection[str]) -> _Fields:
@@ -478,16 +460,17 @@ def _opaque_fields(payload_len: int, drop: Collection[str]) -> _Fields:
 def box_fields(header: tuple, payload: bytes, drop: Collection[str],
                warnings: list[str]) -> _Fields:
     """The fields of a box that `walk_boxes` yields with its `header` and
-    `payload`, not a container: a decoder's, a uuid box's user type, or
-    the stuff and count of an opaque box. A field whose ``@``-prefixed
-    name is in `drop` has the value None, and its value is never
-    rendered; the fields, their order and the warnings are otherwise
-    those of an empty `drop`. A payload that its decoder refuses adds a
+    `payload`, not a container: its schema's render of its key, a uuid
+    box's user type, or the stuff and count of an opaque box. A field
+    whose ``@``-prefixed name is in `drop` has the value None, and its
+    value is never rendered; the fields, their order and the warnings are
+    otherwise those of an empty `drop`. A payload whose key raises adds a
     warning, and the box is opaque."""
-    decoder = _DECODERS.get(header[2])
-    if decoder is not None:
+    schema = _SCHEMAS.get(header[2])
+    if schema is not None:
+        key, render = schema
         try:
-            return decoder(payload, drop)
+            return render(key(payload, drop), drop)
         except BoxDecodeError as exc:
             warnings.append(f"box '{header[2]}' at offset {header[0]}: "
                             f"{exc}; treated as opaque")
@@ -503,10 +486,10 @@ _CONTAINER, _DECODED, _UUID, _OPAQUE = range(4)
 # meets, a scope path being ``""`` at the top level and ``moov/trak/``
 # inside a trak. A scope is its path and the dict of its entries by raw
 # type; `_BOXES` is the top level's dict. An entry is (path, type code,
-# role, whether the box may be a file's first box, identity, scope): the
-# identity is that of the box's payload as the walk yields it, its
-# decoder's for a decoded box, the payload itself for a uuid box (its
-# user type) and an opaque one (empty), None for a container; the scope,
+# role, whether the box may be a file's first box, key, scope): the key
+# is that of the box's payload as the walk yields it, its schema's for a
+# decoded box, the payload itself for a uuid box (its user type) and an
+# opaque one (empty), None for a container; the scope,
 # only a container's, is that of its children. Like `_fixed_point`'s cache
 # the table holds at most 4096 entries (`_box_count`): once full, the
 # first pairs the process met stay, and any other pair's entry is made
@@ -527,12 +510,12 @@ def _box_entry(scope: tuple[str, dict], raw_type: bytes) -> tuple:
     path = prefix + type_code
     children = None
     if type_code in CONTAINER_TYPES:
-        role, identity, children = _CONTAINER, None, (path + "/", {})
-    elif type_code in _IDENTITIES:
-        role, identity = _DECODED, _IDENTITIES[type_code]
+        role, key, children = _CONTAINER, None, (path + "/", {})
+    elif type_code in _SCHEMAS:
+        role, key = _DECODED, _SCHEMAS[type_code][0]
     else:
-        role, identity = _UUID if raw_type == b"uuid" else _OPAQUE, _whole
-    entry = (path, type_code, role, type_code in TOP_LEVEL_TYPES, identity,
+        role, key = _UUID if raw_type == b"uuid" else _OPAQUE, _whole
+    entry = (path, type_code, role, type_code in TOP_LEVEL_TYPES, key,
              children)
     if _box_count < _BOX_TABLE_SIZE:
         table[raw_type] = entry
@@ -558,12 +541,12 @@ def walk_boxes(
     box of a seekable byte stream, or of the open descriptor of a regular
     file, in preorder. `entry` is the box's entry in the box table:
     ``entry[0]`` is its symbol path (``moov/trak``), ``entry[1]`` its type
-    code and ``entry[4]`` the identity of its payload (see `_BOXES`).
+    code and ``entry[4]`` the key of its payload (see `_BOXES`).
     `offset` and `size` are the box's offset and 32-bit size. `header` is
     None for a plain box, one with a 32-bit size of 8 or more that is not
     ``uuid``; for any other box it holds the values of its `BoxHeader`
     (`box_header` gives them for both). `payload` is None for a
-    container; for a box with a decoder, its payload's first
+    container; for a box with a schema, its payload's first
     `_PAYLOAD_READ_CAP` bytes, which `box_fields` decodes; for a uuid box,
     the 16 bytes of its user type; for any other box, empty. Warnings go
     to `warnings` as they arise. Raises a `ParseError` as

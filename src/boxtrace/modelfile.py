@@ -96,12 +96,18 @@ def canonical_dumps(obj) -> str:
 
 
 def resolve_timestamp(explicit: str | None = None) -> str:
-    """Training timestamp; honours SOURCE_DATE_EPOCH for reproducible runs."""
+    """Training timestamp; honours SOURCE_DATE_EPOCH for reproducible runs.
+    A SOURCE_DATE_EPOCH that is not a Unix time in `datetime`'s range
+    raises `DataError`."""
     if explicit is not None:
         return explicit
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     if epoch:
-        stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+        try:
+            stamp = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+        except (ValueError, OverflowError, OSError) as exc:
+            raise DataError(f"SOURCE_DATE_EPOCH={epoch!r} is not a usable "
+                            f"Unix time: {exc}") from exc
     else:
         stamp = datetime.now(tz=timezone.utc)
     return stamp.isoformat(timespec="seconds")

@@ -31,6 +31,7 @@ from .bmff import (
     open_box_file,
     walk_boxes,
 )
+from .errors import BoxDecodeError
 from .vectorize import _scatter_counts
 
 # Value-symbols for these fields carry only intra-class variability
@@ -187,7 +188,7 @@ def container_symbols(
     `walk_boxes`), though it still checks every header.
     """
     warnings: list[str] = []
-    # A frozenset finds the decoders' plans for its drop set.
+    # A frozenset finds the schemas' plans for its drop set.
     drop = _DEFAULT_BLACKLIST if blacklist is None else frozenset(blacklist)
     events = walk_boxes(stream, warnings, None if only is None
                         else _decoded_boxes(frozenset(only)))
@@ -216,17 +217,17 @@ def file_count_matrix(paths: Iterable[str]
     """The `count_matrix` of the files' `file_symbols` multisets, one row
     per path, counted straight into columns with no multiset built.
 
-    Each box is looked up by its path and the identity of its payload
-    that its box table entry gives (see `bmff._BOXES`), and decoded
-    only on the first sight of that identity in the call, when its
-    symbols' columns are noted. A box whose decode warns is decoded, and
+    Each box is looked up by its path and the key of its payload that
+    its box table entry gives (see `bmff._BOXES`), and its fields are
+    rendered only on the first sight of that key in the call, when its
+    symbols' columns are noted. A box whose key raises is opaque, and
     warns, at each sight. The files are read `_CHUNK_FILES` at a time,
     and only each row's distinct columns and counts are kept. A file that
     does not parse raises the `ParseError` that `file_symbols` raises for
     it.
     """
     column: dict[str, int] = {}  # symbol -> column, in first-seen order
-    memo: dict[tuple, tuple[int, ...]] = {}  # (path, identity) -> columns
+    memo: dict[tuple, tuple[int, ...]] = {}  # (path, key) -> columns
     room = _MEMO_COLUMNS
     seen, values, lengths = array("i"), array("i"), []  # entries, per row
     paths = iter(paths)
@@ -241,9 +242,9 @@ def _count_chunk(paths: list[str], column: dict[str, int],
     """Append the rows of the files at `paths` to the entry buffers, and
     return the memo's room left. The files' symbol occurrences are
     gathered as column numbers, file after file, and summed per row in
-    numpy; they go when it returns. A box's payload identity keys its
-    fields under the default blacklist, which drops an opaque box's
-    count, so its payload length is not part of the key."""
+    numpy; they go when it returns. A box's key stands for its fields
+    under the default blacklist, which drops an opaque box's count, so
+    its payload length is not part of the key."""
     occurrences: list[int] = []
     sizes: list[int] = []  # occurrences per file
     drop = _DEFAULT_BLACKLIST
@@ -256,16 +257,18 @@ def _count_chunk(paths: list[str], column: dict[str, int],
                     fd, warnings):
                 if payload is None:  # a container
                     continue
-                key = entry[0], entry[4](payload, drop)
+                try:
+                    key = entry[0], entry[4](payload, drop)
+                except BoxDecodeError:  # refused: opaque, and never kept
+                    key = None
                 columns = memo.get(key)
                 if columns is None:
-                    warned = len(warnings)
                     columns = tuple(
                         column.setdefault(s, len(column))
                         for s in _box_symbols(entry[0], box_fields(
                             box_header(entry, offset, size, header), payload,
                             drop, warnings)))
-                    if len(warnings) == warned and len(columns) <= room:
+                    if key is not None and len(columns) <= room:
                         memo[key] = columns
                         room -= len(columns)
                 occurrences += columns

@@ -11,7 +11,16 @@ import struct
 import pytest
 from hypothesis import strategies as st
 
+from boxtrace import bmff
 from boxtrace.bmff import box_fields, box_header, walk_boxes
+
+
+def schema(name: str) -> tuple:
+    """The ``(key, render, decode)`` of box type `name`'s schema: `decode`
+    renders the payload's key, as `box_fields` does, and raises what the
+    key raises."""
+    key, render = bmff._SCHEMAS[name]
+    return key, render, lambda payload, drop: render(key(payload, drop), drop)
 
 
 def decoded_walk(source, warnings, decode=None, drop=frozenset()):

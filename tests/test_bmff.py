@@ -18,9 +18,7 @@ from hypothesis import strategies as st
 
 from boxtrace import bmff
 from boxtrace.bmff import (
-    _DECODERS,
     _HEADER,
-    _IDENTITIES,
     _PAYLOAD_READ_CAP,
     _TOP_READ_AHEAD,
     _BOX_TABLE_SIZE,
@@ -32,6 +30,7 @@ from boxtrace.bmff import (
     _opaque_fields,
     _u64,
     ascii_or_hex,
+    box_fields,
     dump_tree,
     open_box_file,
     parse_container,
@@ -68,7 +67,11 @@ from conftest import (
     mkmvhd,
     moov_nest,
     rare_forms,
+    schema,
 )
+
+# Each schema's decode: its render of its key.
+_DECODERS = {name: schema(name)[2] for name in bmff._SCHEMAS}
 
 
 def parse_bytes(data: bytes):
@@ -596,15 +599,16 @@ def draw_payload(data, name, layout):
 
 
 def decoder_plans() -> list[dict]:
-    """The plan dict of each fixed-layout decoder."""
-    return [plans for decoder in _DECODERS.values()
-            if (plans := getclosurevars(decoder).nonlocals.get("plans"))
-            is not None]
+    """The plan dict of each fixed-layout schema, which its key and render
+    read through its `plan_of`."""
+    return [getclosurevars(plan_of).nonlocals["plans"] for name in _DECODERS
+            if (plan_of := getclosurevars(schema(name)[0]).nonlocals.get(
+                "plan_of")) is not None]
 
 
 @contextlib.contextmanager
 def no_plans():
-    """Every fixed-layout decoder without plans, as in a fresh process,
+    """Every fixed-layout schema without plans, as in a fresh process,
     until the block ends; then the process's plans are put back."""
     saved = [(plans, dict(plans)) for plans in decoder_plans()]
     for plans, _ in saved:
@@ -729,10 +733,10 @@ class TestDecodersMatchReference:
                 assert outcome == want
 
 
-def rewritten(data, payload: bytes, key, identity, drop) -> bytes:
+def rewritten(data, payload: bytes, outcome, key, drop) -> bytes:
     """`payload` with bytes at drawn offsets rewritten, each rewrite kept
-    only while the payload's identity under `drop` stays `key`: the
-    dropped fields, pads and unread bytes."""
+    only while the `decode_outcome` of its `key` under `drop` stays
+    `outcome`: the dropped fields, pads and unread bytes."""
     out = bytearray(payload)
     for at in data.draw(st.lists(st.integers(0, max(len(out) - 1, 0)),
                                  max_size=64), label="offsets"):
@@ -740,51 +744,60 @@ def rewritten(data, payload: bytes, key, identity, drop) -> bytes:
             break
         old = out[at]
         out[at] = data.draw(st.integers(0, 255), label="byte")
-        if identity(bytes(out), drop) != key:
+        if decode_outcome(key, bytes(out), drop) != outcome:
             out[at] = old
     return bytes(out)
 
 
 class TestIdentities:
-    """A decoder's identity: payloads with equal keys decode to equal
-    fields, or raise the same error, and a payload the decoder refuses is
-    its own key."""
+    """A schema's key is the identity of a payload: payloads with equal
+    keys render to equal fields, and a payload the schema refuses raises
+    the error that `box_fields` warns with."""
 
     def test_every_decoder_has_an_identity(self):
-        assert set(_IDENTITIES) == set(_DECODERS)
+        # Each schema is a key and a render of that key.
+        assert all(len(pair) == 2 and all(map(callable, pair))
+                   and bmff.has_schema(name)
+                   for name, pair in bmff._SCHEMAS.items())
 
     @pytest.mark.parametrize("name", sorted(_DECODERS))
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_equal_identities_decode_alike(self, name, data):
         reference, layout = {**REFERENCE_DECODERS, **VARIABLE_REFERENCES}[name]
-        decode, identity = _DECODERS[name], _IDENTITIES[name]
+        key, render, decode = schema(name)
         payload = draw_payload(data, name, layout)
         expected = decode_outcome(reference, payload)
-        names = {"@" + key for key, _ in reference(bytes(4 + layout))}
+        names = {"@" + fname for fname, _ in reference(bytes(4 + layout))}
         if isinstance(expected, list):
-            names.update("@" + key for key, _ in expected)
+            names.update("@" + fname for fname, _ in expected)
         drop = data.draw(st.sampled_from([
             frozenset(), default_blacklist(), frozenset(names)])
             | st.sets(st.sampled_from(sorted(names))).map(frozenset),
             label="drop")
-        key = identity(payload, drop)
-        outcome = decode_outcome(decode, payload, drop)
-        if not isinstance(outcome, list):
-            assert key == payload
+        outcome = decode_outcome(key, payload, drop)
+        if isinstance(expected, list):
+            assert render(outcome, drop) == dropped(expected, drop)
+        else:
+            assert outcome == expected
+            header = (0, 8 + len(payload), name, 8, 8 + len(payload), None,
+                      None)
+            warnings: list[str] = []
+            assert (box_fields(header, payload, drop, warnings)
+                    == _opaque_fields(len(payload), drop))
+            assert warnings == [f"box '{name}' at offset 0: {outcome[1]}; "
+                                f"treated as opaque"]
         # A rewrite of bytes that leave the key as it is, and payloads cut
         # short or with a version out of range.
         version = data.draw(st.sampled_from([2, 7, 255]), label="version")
-        others = [rewritten(data, payload, key, identity, drop),
+        others = [rewritten(data, payload, outcome, key, drop),
                   payload[:data.draw(st.integers(0, len(payload)),
                                      label="cut")],
                   bytes([version]) + payload[1:]]
+        fields = decode_outcome(decode, payload, drop)
         for other in others:
-            other_outcome = decode_outcome(decode, other, drop)
-            if not isinstance(other_outcome, list):
-                assert identity(other, drop) == other
-            if identity(other, drop) == key:
-                assert other_outcome == outcome
+            if decode_outcome(key, other, drop) == outcome:
+                assert decode_outcome(decode, other, drop) == fields
 
     def test_dropped_fields_leave_fixed_layout_keys_equal(self):
         # Two tkhd payloads that differ only in times, duration, matrix,
@@ -794,11 +807,31 @@ class TestIdentities:
         second = bytearray(first)
         for at in [*range(4, 12), *range(20, 24), *range(40, 84)]:
             second[at] ^= 0xFF
-        identity = _IDENTITIES["tkhd"]
+        key = schema("tkhd")[0]
         blacklist = default_blacklist()
-        assert identity(first, blacklist) == identity(bytes(second), blacklist)
+        assert key(first, blacklist) == key(bytes(second), blacklist)
         kept = blacklist - {"@width"}
-        assert identity(first, kept) != identity(bytes(second), kept)
+        assert key(first, kept) != key(bytes(second), kept)
+
+    @pytest.mark.parametrize("version", [0, 1])
+    def test_dropped_fields_leave_elst_keys_equal(self, version):
+        # Two elst payloads that differ only in segment durations: one key
+        # and equal fields under the default blacklist, and two keys once
+        # the durations are kept.
+        entry = ">IihH" if version == 0 else ">QqhH"
+        first, second = (
+            bytes([version, 0, 0, 0]) + struct.pack(">I", 3) + b"".join(
+                struct.pack(entry, duration, media_time, 1, 0)
+                for duration, media_time in zip(durations, [0, -1, 512]))
+            for durations in ([1000, 2000, 3000], [7, 8, 9]))
+        key, render, _ = schema("elst")
+        blacklist = default_blacklist()
+        assert "@segmentDuration" in blacklist
+        assert key(first, blacklist) == key(second, blacklist)
+        assert (render(key(first, blacklist), blacklist)
+                == render(key(second, blacklist), blacklist))
+        kept = blacklist - {"@segmentDuration"}
+        assert key(first, kept) != key(second, kept)
 
 
 class TestTypeCodeRendering:

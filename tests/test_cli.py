@@ -124,6 +124,31 @@ class TestTrainCommand:
         assert "filtered out every symbol" in capsys.readouterr().err
         assert load_model(str(model_path)).model.root.is_leaf
 
+    @pytest.mark.parametrize("epoch", ["abc", "1e3", "-99999999999999",
+                                       "99999999999999999999"])
+    def test_malformed_source_date_epoch_is_data_error(
+            self, corpus_dir, tmp_path, monkeypatch, capsys, epoch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        model_path = tmp_path / "m.json"
+        code = main(["train", str(corpus_dir / "manifest.csv"),
+                     "--scenario", "integrity", "--out", str(model_path)])
+        assert code == 65
+        err = capsys.readouterr().err
+        assert err.startswith(f"DataError: SOURCE_DATE_EPOCH={epoch!r} ")
+        assert err.count("\n") == 1
+        assert not model_path.exists()
+
+    @pytest.mark.parametrize("epoch, stamp", [
+        (" 12 ", "1970-01-01T00:00:12+00:00"),
+        ("-1", "1969-12-31T23:59:59+00:00")])
+    def test_source_date_epoch_forms_that_train(self, corpus_dir, tmp_path,
+                                                monkeypatch, epoch, stamp):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        model_path = tmp_path / "m.json"
+        assert main(["train", str(corpus_dir / "manifest.csv"),
+                     "--scenario", "integrity", "--out", str(model_path)]) == 0
+        assert load_model(str(model_path)).trained_at == stamp
+
     def test_unknown_scenario_usage_error(self, corpus_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["train", str(corpus_dir / "manifest.csv"),

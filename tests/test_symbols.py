@@ -15,8 +15,10 @@ from boxtrace.bmff import (
     MAX_NESTING,
     AtomNode,
     ContainerTree,
+    has_schema,
     parse_container,
     render_type_code,
+    walk_boxes,
 )
 from boxtrace.errors import EmptyCorpus, NestingTooDeep, ParseError
 from boxtrace.fixtures import FixtureSpec, generate_corpus
@@ -43,6 +45,7 @@ from conftest import (
     moov_nest,
     mvhd_v0_payload,
     rare_forms,
+    schema,
 )
 
 
@@ -122,6 +125,12 @@ class TestExtraction:
 class TestDefaultBlacklist:
     def test_duration_is_blacklisted(self):
         assert "@duration" in default_blacklist()
+
+    def test_count_is_blacklisted(self):
+        # The count memo of `file_count_matrix` keys an opaque box by its
+        # path and empty payload, without its length, so an opaque box's
+        # count must be dropped under the default blacklist.
+        assert "@count" in default_blacklist()
 
     def test_major_brand_is_not(self):
         assert "@majorBrand" not in default_blacklist()
@@ -722,8 +731,8 @@ class TestFileCountMatrix:
 
 class TestCountMemo:
     """`file_count_matrix` decodes each distinct box once per call, by its
-    path and the payload identity of its box table entry, and its memo
-    stays bounded."""
+    path and the payload key of its box table entry, and its memo stays
+    bounded."""
 
     def test_good_short_and_unsupported_boxes_of_one_path(self, tmp_path):
         # moov/mvhd holds a good version 0 box, one cut short, one of
@@ -758,6 +767,12 @@ class TestCountMemo:
                     if fields:
                         distinct.add((box_path, *fields))
                         boxes += 1
+            # A decoded box's box table entry holds its schema's key.
+            with open(path, "rb") as handle:
+                assert all(
+                    entry[4] is schema(entry[1])[0]
+                    for _, entry, *_ in walk_boxes(handle, [])
+                    if has_schema(entry[1]) and entry[1] != "uuid")
         decoded = []
         real = symbols_module.box_fields
 
@@ -779,7 +794,7 @@ class TestCountMemo:
     @pytest.mark.parametrize("room", [0, 7, 300])
     def test_memo_bounded_when_no_box_repeats(self, count_corpora,
                                               monkeypatch, room):
-        # Every box gets an identity of its own; the memo takes boxes
+        # Every box gets a key of its own; the memo takes boxes
         # only while their columns fit in its room.
         paths = [path for path, _, _ in count_corpora[11, True]]
         expected = matrix_outcome(multiset_matrix, paths)

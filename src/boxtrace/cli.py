@@ -22,6 +22,7 @@ from .evaluate import (
     labeled_matrix,
     load_manifest,
     report_to_obj,
+    row_counts,
     run_scenario,
     scenario_names,
 )
@@ -31,6 +32,7 @@ from .modelfile import (
     _json_str,
     classify_symbols,
     load_model,
+    resolve_timestamp,
     save_model,
     train_matrix,
 )
@@ -122,11 +124,16 @@ def _load_manifest(path: str):
 
 
 def cmd_train(args) -> int:
+    # A malformed SOURCE_DATE_EPOCH fails before any file is read.
+    trained_at = resolve_timestamp()
     manifest = _load_manifest(args.manifest)
-    rows, symbols, counts, labels = labeled_matrix(manifest, args.scenario)
-    mf = train_matrix(symbols, counts, labels, tau=args.tau,
-                      params=_tree_params(args), scenario=args.scenario.name,
-                      manifest_digest=digest_rows(rows))
+    rows, symbols, counts, row_of, labels = labeled_matrix(manifest,
+                                                           args.scenario)
+    mf = train_matrix(symbols, row_counts(counts, row_of), labels,
+                      tau=args.tau, params=_tree_params(args),
+                      scenario=args.scenario.name,
+                      manifest_digest=digest_rows(rows),
+                      trained_at=trained_at)
     if len(mf.model.vocabulary) == 0:
         print(f"warning: tau={args.tau:g} filtered out every symbol; "
               f"the model is a single majority-class leaf", file=sys.stderr)
@@ -195,8 +202,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_llr_report(args) -> int:
     manifest = _load_manifest(args.manifest)
-    _, symbols, counts, labels = labeled_matrix(manifest, args.scenario)
-    report = llr_report(symbols, counts, labels, FilterConfig(args.tau))
+    _, symbols, counts, row_of, labels = labeled_matrix(manifest,
+                                                        args.scenario)
+    report = llr_report(symbols, row_counts(counts, row_of), labels,
+                        FilterConfig(args.tau))
     sys.stdout.write(report_tsv(report))
     return EXIT_OK
 

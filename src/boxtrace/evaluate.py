@@ -298,37 +298,29 @@ class EvaluationReport:
 
 def labeled_matrix(
     manifest: DatasetManifest, scenario: Scenario
-) -> tuple[list[ManifestRow], tuple[str, ...], np.ndarray, list[str]]:
-    """The scenario's rows, the columns and counts of their count matrix,
-    and their labels: `count_matrix` of the rows' `file_symbols`. Each
-    file is read once, even if listed on several rows, and its boxes are
-    counted straight into columns by `file_count_matrix`, so no multiset
-    is built."""
+) -> tuple[list[ManifestRow], tuple[str, ...], np.ndarray, np.ndarray,
+           list[str]]:
+    """The scenario's rows; the columns and distinct rows of their count
+    matrix, `count_matrix` of the rows' `file_symbols`; each row's number
+    in it; and their labels. Two rows have one number exactly when their
+    count rows are equal. Each file is read once, even if listed on
+    several rows, and its boxes are counted straight into columns by
+    `file_count_matrix`, so no multiset is built."""
     labeled = derive_labels(manifest, scenario)
     rows = [row for row, _ in labeled]
     paths = list(dict.fromkeys(row.path for row in rows))
-    symbols, counts = file_count_matrix(map(str, paths))
+    symbols, counts, row_of = file_count_matrix(map(str, paths))
     if len(paths) < len(rows):  # a file listed on several rows
         file_row = {path: i for i, path in enumerate(paths)}
-        counts = counts[[file_row[row.path] for row in rows]]
-    return rows, symbols, counts, [label for _, label in labeled]
+        row_of = row_of[[file_row[row.path] for row in rows]]
+    return rows, symbols, counts, row_of, [label for _, label in labeled]
 
 
-def _distinct_rows(counts: np.ndarray,
-                   groups: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The first row of each distinct (group, count row) pair, in row
-    order, and how many rows each stands for. Rows are compared by their
-    bytes, so only equal rows are merged."""
-    first: dict[tuple[int, bytes], int] = {}  # pair -> its entry number
-    entry_rows: list[int] = []
-    entry = np.empty(len(counts), dtype=np.intp)
-    for i, (group, row) in enumerate(zip(groups, counts)):
-        e = first.setdefault((group, row.tobytes()), len(entry_rows))
-        if e == len(entry_rows):
-            entry_rows.append(i)
-        entry[i] = e
-    return (np.array(entry_rows, dtype=np.intp),
-            np.bincount(entry, minlength=len(entry_rows)))
+def row_counts(counts: np.ndarray, row_of: np.ndarray) -> np.ndarray:
+    """The count row of each of `labeled_matrix`'s rows, ``counts[row_of]``:
+    `counts` itself, with no copy, when no row repeats. Rows are numbered
+    in the order of their first file, so then `row_of` counts up from 0."""
+    return counts if len(row_of) == len(counts) else counts[row_of]
 
 
 def run_scenario(
@@ -339,10 +331,11 @@ def run_scenario(
 ) -> EvaluationReport:
     """Leave-one-device-out evaluation of one scenario.
 
-    `labeled_matrix` reads every scenario file once and counts its boxes
-    straight into the columns of one count matrix. Files of one device
-    and label with equal count rows are one entry with a multiplicity, so
-    each fold trains and tests every distinct row once. There is one fold
+    `labeled_matrix` reads every scenario file once, counts its boxes
+    straight into columns, and gives the distinct count rows and each
+    file's row number. Files of one device and label with one row number
+    are one entry with a multiplicity, grouped by that pair of integers,
+    so each fold trains and tests every distinct row once. There is one fold
     per device with a row in the scenario. Its `train_matrix` gets every
     entry, with the held-out device's multiplicities set to 0, so its
     vocabulary, filter, weights and tree are those of training on the
@@ -353,7 +346,8 @@ def run_scenario(
     """
     cfg = filter_cfg if filter_cfg is not None else FilterConfig()
     params = tree_params if tree_params is not None else TreeParams()
-    rows, symbols, counts, labels = labeled_matrix(manifest, scenario)
+    rows, symbols, counts, row_of, labels = labeled_matrix(manifest,
+                                                           scenario)
     classes = sorted(set(labels))
     devices = sorted({row.device for row in rows})
     if len(devices) < 2:
@@ -363,13 +357,17 @@ def run_scenario(
     n_classes = len(classes)
     device_of = {device: d for d, device in enumerate(devices)}
     class_of = {label: c for c, label in enumerate(classes)}
-    groups = [device_of[row.device] * n_classes + class_of[label]
-              for row, label in zip(rows, labels)]
-    first, multiplicity = _distinct_rows(counts, groups)
-    # The entries' rows alone stay; the full matrix goes here.
-    entries = counts if len(first) == len(counts) else counts[first]
+    groups = np.array([device_of[row.device] * n_classes + class_of[label]
+                       for row, label in zip(rows, labels)], dtype=np.intp)
+    # Each (group, row number) pair's first row and files, in row order.
+    _, first, multiplicity = np.unique(groups * len(counts) + row_of,
+                                       return_index=True, return_counts=True)
+    order = np.argsort(first)
+    first, multiplicity = first[order], multiplicity[order]
+    # The entries' rows alone stay.
+    entries = counts if len(first) == len(counts) else counts[row_of[first]]
     del counts
-    entry_device = np.array(groups, dtype=np.intp)[first] // n_classes
+    entry_device = groups[first] // n_classes
     entry_labels = [labels[i] for i in first]
     column = {s: j for j, s in enumerate(symbols)}
     # Each fold's `digest_rows`: its rows' lines in one sorted order.

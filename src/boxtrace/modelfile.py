@@ -340,6 +340,7 @@ def train_folds(
     once per (group, class), and a fold's are their totals minus its
     group's. The trees grow together (see `tree._grow`).
     """
+    stamp = resolve_timestamp(trained_at)
     cfg = FilterConfig(tau)
     if len(labels) == 0:
         raise EmptyCorpus("cannot train on an empty corpus")
@@ -386,7 +387,6 @@ def train_folds(
     if rows.size < len(m):
         counts, y, m, group = counts[rows], y[rows], m[rows], group[rows]
     roots = _grow(counts, y, m, group, held, kept, weights, classes, params)
-    stamp = resolve_timestamp(trained_at)
     models = []
     for f, root in enumerate(roots):
         if params.ccp_alpha > 0:

@@ -19,7 +19,6 @@ import os
 import sys
 from array import array
 from collections import Counter
-from itertools import islice
 from typing import BinaryIO, Collection, Iterable, Iterator
 
 import numpy as np
@@ -45,11 +44,11 @@ _DEFAULT_BLACKLIST = frozenset(f"@{name}" for name in (
 ))
 
 
-# Files whose symbol occurrences `file_count_matrix` sums in one numpy
-# call. 64 `lodo` files hold about 8k occurrences, so each summing array
-# stays under glibc's 128 KiB mmap threshold; at 256 files they did not,
-# and the `lodo` benchmark's peak RSS rose 0.2 MB at the same speed.
-_CHUNK_FILES = 64
+# New rows whose symbol occurrences `file_count_matrix` sums in one numpy
+# call. 64 `lodo` rows hold about 8k occurrences, so each summing array
+# stays under glibc's 128 KiB mmap threshold; at 256 they did not, and the
+# `lodo` benchmark's peak RSS rose 0.2 MB at the same speed.
+_CHUNK_ROWS = 64
 
 # Symbol occurrences whose columns the memo of one `file_count_matrix`
 # call keeps, summed over its boxes, so the memo stays bounded when no box
@@ -213,76 +212,117 @@ def file_symbols(
 
 
 def file_count_matrix(paths: Iterable[str]
-                      ) -> tuple[tuple[str, ...], np.ndarray]:
-    """The `count_matrix` of the files' `file_symbols` multisets, one row
-    per path, counted straight into columns with no multiset built.
+                      ) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The distinct rows of the `count_matrix` of the files'
+    `file_symbols` multisets, and each file's row number: path i's count
+    row is ``rows[row_of[i]]``. Two files share a row number exactly when
+    their count rows are equal, and rows are numbered in the order of
+    their first files. No multiset is built.
 
     Each box is looked up by its path and the key of its payload that
-    its box table entry gives (see `bmff._BOXES`), and its fields are
-    rendered only on the first sight of that key in the call, when its
-    symbols' columns are noted. A box whose key raises is opaque, and
-    warns, at each sight. The files are read `_CHUNK_FILES` at a time,
-    and only each row's distinct columns and counts are kept. A file that
+    its box table entry gives (see `bmff._BOXES`). On the first sight of
+    a key in the call, its fields are rendered and it is given a box
+    number, which keeps its symbols' columns. A file whose boxes all have
+    numbers is keyed by the tuple of them: the first file with a tuple
+    has its row summed, and every later one takes that row with one
+    lookup. A box whose key raises is opaque, and warns, at each sight;
+    a file with such a box, or with one the memo has no room for, has a
+    row of its own. New rows are summed in numpy, `_CHUNK_ROWS` at a
+    time, and one equal to an earlier row is merged into it. A file that
     does not parse raises the `ParseError` that `file_symbols` raises for
     it.
     """
     column: dict[str, int] = {}  # symbol -> column, in first-seen order
-    memo: dict[tuple, tuple[int, ...]] = {}  # (path, key) -> columns
+    memo: dict[tuple, int] = {}  # (path, key) -> box number
+    boxes: list[bytes] = []  # box number -> its columns, as int32 bytes
     room = _MEMO_COLUMNS
-    seen, values, lengths = array("i"), array("i"), []  # entries, per row
-    paths = iter(paths)
-    while chunk := list(islice(paths, _CHUNK_FILES)):
-        room = _count_chunk(chunk, column, memo, room, seen, values, lengths)
-    return _scatter_counts(column, seen, values, lengths)
-
-
-def _count_chunk(paths: list[str], column: dict[str, int],
-                 memo: dict[tuple, tuple[int, ...]], room: int,
-                 seen: array, values: array, lengths: list[int]) -> int:
-    """Append the rows of the files at `paths` to the entry buffers, and
-    return the memo's room left. The files' symbol occurrences are
-    gathered as column numbers, file after file, and summed per row in
-    numpy; they go when it returns. A box's key stands for its fields
-    under the default blacklist, which drops an opaque box's count, so
-    its payload length is not part of the key."""
-    occurrences: list[int] = []
-    sizes: list[int] = []  # occurrences per file
-    drop = _DEFAULT_BLACKLIST
+    keyed: dict[tuple[int, ...], int] = {}  # box numbers -> new row
+    file_row = array("i")  # per file, its new row
+    new: list[bytes] = []  # the columns of each new row not yet summed
+    rows: dict[bytes, int] = {}  # a row's entries -> its number
+    new_row = array("i")  # per summed new row, its row number
     for path in paths:
-        before = len(occurrences)
-        warnings: list[str] = []
-        fd = open_box_file(path)
-        try:
-            for _, entry, offset, size, header, payload in walk_boxes(
-                    fd, warnings):
-                if payload is None:  # a container
+        numbers, loose, room = _file_boxes(path, column, memo, boxes, room)
+        key = None if loose is not None else tuple(numbers)
+        row = keyed.get(key)
+        if row is None:
+            row = len(new_row) + len(new)
+            if key is not None:
+                keyed[key] = row
+            new.append(b"".join(map(boxes.__getitem__, numbers))
+                       + (loose or b""))
+            if len(new) == _CHUNK_ROWS:
+                new_row += _sum_rows(new, len(column), rows)
+        file_row.append(row)
+    if new:
+        new_row += _sum_rows(new, len(column), rows)
+    entries = np.frombuffer(b"".join(rows), dtype=np.intc).reshape(-1, 2)
+    symbols, counts = _scatter_counts(column, entries[:, 0], entries[:, 1],
+                                      [len(entry) // 8 for entry in rows])
+    return symbols, counts, np.asarray(new_row, dtype=np.intp)[file_row]
+
+
+def _file_boxes(path: str, column: dict[str, int], memo: dict[tuple, int],
+                boxes: list[bytes], room: int
+                ) -> tuple[list[int], bytearray | None, int]:
+    """The numbers of the boxes of the file at `path` that have one, in
+    walk order; the columns of the symbol occurrences of those that have
+    none, as int32 bytes, or None if all have one; and the memo's room
+    left. A box gets a number on the first sight of its key if its
+    columns fit in the room. A box's key stands for its fields under the
+    default blacklist, which drops an opaque box's count, so its payload
+    length is not part of the key."""
+    numbers: list[int] = []
+    loose: bytearray | None = None
+    drop = _DEFAULT_BLACKLIST
+    warnings: list[str] = []
+    fd = open_box_file(path)
+    try:
+        for _, entry, offset, size, header, payload in walk_boxes(
+                fd, warnings):
+            if payload is None:  # a container
+                continue
+            try:
+                key = entry[0], entry[4](payload, drop)
+            except BoxDecodeError:  # refused: opaque, and never numbered
+                key = None
+            number = memo.get(key)
+            if number is None:
+                columns = array("i", (
+                    column.setdefault(s, len(column))
+                    for s in _box_symbols(entry[0], box_fields(
+                        box_header(entry, offset, size, header), payload,
+                        drop, warnings))))
+                if key is None or len(columns) > room:
+                    if loose is None:
+                        loose = bytearray()
+                    loose += columns
                     continue
-                try:
-                    key = entry[0], entry[4](payload, drop)
-                except BoxDecodeError:  # refused: opaque, and never kept
-                    key = None
-                columns = memo.get(key)
-                if columns is None:
-                    columns = tuple(
-                        column.setdefault(s, len(column))
-                        for s in _box_symbols(entry[0], box_fields(
-                            box_header(entry, offset, size, header), payload,
-                            drop, warnings)))
-                    if key is not None and len(columns) <= room:
-                        memo[key] = columns
-                        room -= len(columns)
-                occurrences += columns
-        finally:
-            os.close(fd)
-        sizes.append(len(occurrences) - before)
-    width = max(len(column), 1)
-    cells = (np.repeat(np.arange(len(paths), dtype=np.int64), sizes) * width
-             + np.array(occurrences, dtype=np.int64))  # row * width + column
-    cells, counts = np.unique(cells, return_counts=True)
-    seen.frombytes((cells % width).astype(np.intc).tobytes())
-    values.frombytes(counts.astype(np.intc).tobytes())
-    lengths += np.bincount(cells // width, minlength=len(paths)).tolist()
-    return room
+                number = memo[key] = len(boxes)
+                boxes.append(columns.tobytes())
+                room -= len(columns)
+            numbers.append(number)
+    finally:
+        os.close(fd)
+    return numbers, loose, room
+
+
+def _sum_rows(new: list[bytes], width: int, rows: dict[bytes, int]
+              ) -> array:
+    """The numbers of the rows whose symbol occurrences, as int32 column
+    numbers, are `new`, summed in numpy, and empty `new`. `rows` numbers
+    each distinct row by its entries, its (column, count) pairs in column
+    order as int32 bytes, so equal rows have one number."""
+    width, n = max(width, 1), len(new)
+    cells = (np.repeat(np.arange(n, dtype=np.int64),
+                       [len(row) // 4 for row in new]) * width
+             + np.frombuffer(b"".join(new), dtype=np.intc))
+    new.clear()
+    cells, counts = np.unique(cells, return_counts=True)  # row * width + column
+    entries = np.stack([cells % width, counts], axis=1).astype(np.intc)
+    ends = np.bincount(cells // width, minlength=n).cumsum().tolist()
+    return array("i", [rows.setdefault(entries[start:end].tobytes(), len(rows))
+                       for start, end in zip([0, *ends], ends)])
 
 
 def dump_symbols(symbols: Counter[str]) -> str:

@@ -87,7 +87,8 @@ def count_matrix(corpus: Iterable[Counter[str]]
     return _scatter_counts(column, seen, values, lengths)
 
 
-def _scatter_counts(column: dict[str, int], seen: array, values: array,
+def _scatter_counts(column: dict[str, int], seen: array | np.ndarray,
+                    values: array | np.ndarray,
                     lengths: Sequence[int]
                     ) -> tuple[tuple[str, ...], np.ndarray]:
     """The count matrix of entries gathered row by row: `column` numbers
@@ -100,6 +101,6 @@ def _scatter_counts(column: dict[str, int], seen: array, values: array,
     sorted_column = np.array([rank[s] for s in column], dtype=np.intc)
     counts = np.zeros((len(lengths), len(rank)), dtype=np.int32)
     rows = np.repeat(np.arange(len(lengths), dtype=np.intc), lengths)
-    counts[rows, sorted_column[np.frombuffer(seen, dtype=np.intc)]] = \
-        np.frombuffer(values, dtype=np.intc)
+    counts[rows, sorted_column[np.asarray(seen, dtype=np.intc)]] = \
+        np.asarray(values, dtype=np.intc)
     return tuple(rank), counts

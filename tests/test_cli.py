@@ -138,6 +138,32 @@ class TestTrainCommand:
         assert err.count("\n") == 1
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("listed", ["corpus", "missing files"])
+    def test_malformed_source_date_epoch_reads_no_file(
+            self, corpus_dir, tmp_path, monkeypatch, capsys, listed):
+        # The timestamp is resolved before the manifest is loaded: no file
+        # is counted, and no missing file is reported.
+        manifest = corpus_dir / "manifest.csv"
+        if listed == "missing files":
+            manifest = tmp_path / "missing.csv"
+            manifest.write_text("file,device,os,software,platform\n"
+                                "gone.mp4,D01,iOS,none,none\n"
+                                "lost.mp4,D02,iOS,exiftool,none\n",
+                                encoding="utf-8")
+
+        def never(paths):
+            raise AssertionError("file_count_matrix was called")
+
+        monkeypatch.setattr(boxtrace.evaluate, "file_count_matrix", never)
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+        model_path = tmp_path / "m.json"
+        assert main(["train", str(manifest), "--scenario", "integrity",
+                     "--out", str(model_path)]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("DataError: SOURCE_DATE_EPOCH='abc' ")
+        assert err.count("\n") == 1
+        assert not model_path.exists()
+
     @pytest.mark.parametrize("epoch, stamp", [
         (" 12 ", "1970-01-01T00:00:12+00:00"),
         ("-1", "1969-12-31T23:59:59+00:00")])

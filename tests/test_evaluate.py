@@ -34,6 +34,7 @@ from boxtrace.evaluate import (
     load_manifest,
     lodo_folds,
     report_to_obj,
+    row_counts,
     run_scenario,
     scenario_names,
 )
@@ -168,7 +169,7 @@ class TestLabeledMatrix:
             return open_box_file(path)
 
         monkeypatch.setattr(boxtrace.symbols, "open_box_file", counted)
-        rows, symbols, counts, labels = labeled_matrix(
+        rows, symbols, counts, row_of, labels = labeled_matrix(
             manifest, get_scenario("integrity"))
         assert sorted(calls) == sorted({str(r.path) for r in manifest.rows})
         assert rows == manifest.rows
@@ -176,8 +177,8 @@ class TestLabeledMatrix:
         expected_symbols, expected_counts = count_matrix(
             [file_symbols(str(r.path))[0] for r in rows])
         assert symbols == expected_symbols
-        assert np.array_equal(counts, expected_counts)
-        assert np.array_equal(counts[-1], counts[1])
+        assert np.array_equal(row_counts(counts, row_of), expected_counts)
+        assert row_of[-1] == row_of[1]
 
     def test_no_multiset_outlives_its_row(self, small_corpus, monkeypatch):
         # The files' boxes are counted straight into columns: no multiset
@@ -193,9 +194,9 @@ class TestLabeledMatrix:
         file_symbols(str(small_corpus.rows[0].path))
         assert built  # the patch sees the multisets `file_symbols` builds
         built.clear()
-        rows, _, counts, _ = labeled_matrix(small_corpus,
-                                            get_scenario("integrity"))
-        assert len(rows) == len(counts) > 2
+        rows, _, counts, row_of, _ = labeled_matrix(small_corpus,
+                                                    get_scenario("integrity"))
+        assert len(rows) == len(row_of) > 2 and len(counts) > 1
         assert not built
 
 
@@ -518,9 +519,9 @@ class TestScenarioFolds:
 
 @st.composite
 def scenario_matrices(draw):
-    """A scenario's rows, symbols, count matrix and labels, as
-    `labeled_matrix` gives them: rows of one device and label are often
-    equal, so they collapse into entries of uneven multiplicity."""
+    """A scenario's rows, symbols, count matrix and labels, one count row
+    per row: rows of one device and label are often equal, so they
+    collapse into entries of uneven multiplicity."""
     n_devices = draw(st.integers(2, 4))
     n_columns = draw(st.integers(1, 5))
     patterns = draw(st.lists(st.lists(st.sampled_from([0, 0, 1, 2, 5]),
@@ -589,9 +590,14 @@ class TestFoldsFromEntries:
             filters.append((presence, sizes))
             return pairwise_keep(presence, sizes, tau)
 
+        distinct, first, row_of = np.unique(counts, axis=0,
+                                            return_index=True,
+                                            return_inverse=True)
+        order = np.argsort(first)  # rows numbered in order of first sight
+        number = np.argsort(order)[row_of.reshape(-1)]
         with mock.patch.object(boxtrace.evaluate, "labeled_matrix",
-                               lambda *_: (rows, symbols, counts.copy(),
-                                           labels)), \
+                               lambda *_: (rows, symbols, distinct[order],
+                                           number, labels)), \
                 mock.patch.object(boxtrace.modelfile, "pairwise_keep", spy):
             report = run_scenario(manifest_of(rows), get_scenario("blind"),
                                   filter_cfg=FilterConfig(tau))

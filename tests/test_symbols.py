@@ -1,26 +1,41 @@
 """Symbol extraction and blacklist behavior."""
 
+import contextlib
 import io
 import itertools
 from collections import Counter
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxtrace import evaluate as evaluate_module
 from boxtrace import symbols as symbols_module
 from boxtrace.bmff import (
     MAX_NESTING,
     AtomNode,
     ContainerTree,
+    box_header,
     has_schema,
     parse_container,
     render_type_code,
     walk_boxes,
 )
-from boxtrace.errors import EmptyCorpus, NestingTooDeep, ParseError
+from boxtrace.errors import (
+    BoxDecodeError,
+    EmptyCorpus,
+    NestingTooDeep,
+    ParseError,
+)
+from boxtrace.evaluate import (
+    DatasetManifest,
+    ManifestRow,
+    get_scenario,
+    run_scenario,
+)
 from boxtrace.fixtures import FixtureSpec, generate_corpus
 from boxtrace.symbols import (
     container_symbols,
@@ -35,9 +50,12 @@ from boxtrace.symbols import (
 from boxtrace.vectorize import count_matrix
 
 from conftest import (
+    FIXTURE_CONTAINERS,
     FTYP_MIN,
     NEST_INNER,
+    box_spans,
     decoded_walk,
+    grown,
     hostile,
     mkbox,
     mkfull,
@@ -655,6 +673,16 @@ def multiset_matrix(paths):
     return count_matrix(file_symbols(path)[0] for path in paths)
 
 
+def file_matrix(paths):
+    """`file_count_matrix`'s count row of each path, ``rows[row_of]``,
+    after checking that its rows are distinct and numbered in the order of
+    their first files."""
+    symbols, rows, row_of = file_count_matrix(paths)
+    assert len({row.tobytes() for row in rows}) == len(rows)
+    assert list(dict.fromkeys(row_of.tolist())) == list(range(len(rows)))
+    return symbols, rows[row_of]
+
+
 class TestFileCountMatrix:
     """`file_count_matrix`, which counts each file's boxes straight into
     columns, gives `count_matrix` of the files' `file_symbols`, or raises
@@ -682,9 +710,9 @@ class TestFileCountMatrix:
             path.write_bytes(raw)
             paths.insert(data.draw(st.integers(0, len(paths))), str(path))
         chunk = data.draw(st.sampled_from(
-            [1, 2, 3, symbols_module._CHUNK_FILES]), label="chunk")
-        with mock.patch.object(symbols_module, "_CHUNK_FILES", chunk):
-            outcome = matrix_outcome(file_count_matrix, paths)
+            [1, 2, 3, symbols_module._CHUNK_ROWS]), label="chunk")
+        with mock.patch.object(symbols_module, "_CHUNK_ROWS", chunk):
+            outcome = matrix_outcome(file_matrix, paths)
         assert outcome == matrix_outcome(multiset_matrix, paths)
 
     @given(st.data())
@@ -702,7 +730,7 @@ class TestFileCountMatrix:
             path = out / f"rare_{i}.mp4"
             path.write_bytes(data.draw(rare_forms(base)))
             paths.insert(data.draw(st.integers(0, len(paths))), str(path))
-        outcome = matrix_outcome(file_count_matrix, paths)
+        outcome = matrix_outcome(file_matrix, paths)
         assert outcome == matrix_outcome(multiset_matrix, paths)
         assert isinstance(outcome[0], tuple)
 
@@ -717,7 +745,7 @@ class TestFileCountMatrix:
         else:  # not a bad file: a row of zeros
             path.write_bytes(mkbox(b"moov"))
         paths = files[:5] + [str(path)] + files[5:]
-        outcome = matrix_outcome(file_count_matrix, paths)
+        outcome = matrix_outcome(file_matrix, paths)
         assert outcome == matrix_outcome(multiset_matrix, paths)
         if bad == "no symbols":
             assert not any(outcome[3][5])
@@ -727,6 +755,24 @@ class TestFileCountMatrix:
     def test_no_files_is_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             file_count_matrix([])
+
+
+@contextlib.contextmanager
+def watched_memo():
+    """A list that takes, after each file `file_count_matrix` walks in the
+    context, the columns its memo holds and its room left. The memo's box
+    numbers must count up from 0."""
+    sizes = []
+    real = symbols_module._file_boxes
+
+    def file_boxes(path, column, memo, boxes, room):
+        numbers, loose, left = real(path, column, memo, boxes, room)
+        assert sorted(memo.values()) == list(range(len(boxes)))
+        sizes.append((sum(map(len, boxes)) // 4, left))
+        return numbers, loose, left
+
+    with mock.patch.object(symbols_module, "_file_boxes", file_boxes):
+        yield sizes
 
 
 class TestCountMemo:
@@ -750,7 +796,7 @@ class TestCountMemo:
             path = tmp_path / f"mixed_{i}.mp4"
             path.write_bytes(FTYP_MIN + mkbox(b"moov", b"".join(boxes)))
             paths.append(str(path))
-        outcome = matrix_outcome(file_count_matrix, paths)
+        outcome = matrix_outcome(file_matrix, paths)
         assert outcome == matrix_outcome(multiset_matrix, paths)
         symbols, _, _, counts = outcome
         stuff = symbols.index("moov/mvhd/@stuff")
@@ -783,12 +829,12 @@ class TestCountMemo:
         monkeypatch.setattr(symbols_module, "box_fields", counted)
         expected = matrix_outcome(multiset_matrix, paths)
         decoded.clear()
-        assert matrix_outcome(file_count_matrix, paths) == expected
+        assert matrix_outcome(file_matrix, paths) == expected
         assert len(decoded) == len(distinct) < boxes
         # With no room, every box is decoded at each sight.
         monkeypatch.setattr(symbols_module, "_MEMO_COLUMNS", 0)
         decoded.clear()
-        assert matrix_outcome(file_count_matrix, paths) == expected
+        assert matrix_outcome(file_matrix, paths) == expected
         assert len(decoded) == boxes
 
     @pytest.mark.parametrize("room", [0, 7, 300])
@@ -809,19 +855,158 @@ class TestCountMemo:
                         identity(payload, drop), next(unique)))
                 yield depth, entry, *rest
 
-        sizes = []
-        real_chunk = symbols_module._count_chunk
-
-        def chunk(paths, column, memo, room, *rest):
-            left = real_chunk(paths, column, memo, room, *rest)
-            sizes.append((len(memo), sum(map(len, memo.values())), left))
-            return left
-
         monkeypatch.setattr(symbols_module, "walk_boxes", unique_walk)
-        monkeypatch.setattr(symbols_module, "_count_chunk", chunk)
         monkeypatch.setattr(symbols_module, "_MEMO_COLUMNS", room)
-        monkeypatch.setattr(symbols_module, "_CHUNK_FILES", 5)
-        assert matrix_outcome(file_count_matrix, paths) == expected
-        assert len(sizes) > 1
-        for _, columns, left in sizes:
+        monkeypatch.setattr(symbols_module, "_CHUNK_ROWS", 5)
+        with watched_memo() as sizes:
+            assert matrix_outcome(file_matrix, paths) == expected
+        assert len(sizes) == len(paths)
+        for columns, left in sizes:
             assert columns + left == room and left >= 0
+
+
+def reordered(draw, data: bytes) -> bytes:
+    """`data`, a well-formed fixture file, with its top-level boxes after
+    the first, or the children of one of its containers, in a drawn order:
+    the same boxes, so the same symbols, walked in another order."""
+    spans = box_spans(data)
+    siblings = [[s for s in spans if not s[4]][1:]] + [
+        [s for s in spans if s[4] and s[4][-1] == parent[0]]
+        for parent in spans if parent[1] in FIXTURE_CONTAINERS]
+    boxes = draw(st.sampled_from([group for group in siblings
+                                  if len(group) > 1]))
+    order = draw(st.permutations(boxes))
+    return (data[:boxes[0][0]] + b"".join(data[s[0]:s[3]] for s in order)
+            + data[boxes[-1][3]:])
+
+
+def duplicated(draw, data: bytes) -> bytes:
+    """`data`, a well-formed fixture file, with one of its boxes after the
+    first put in again right after itself, and every enclosing size grown:
+    the same box keys, one of them once more."""
+    box = draw(st.sampled_from(box_spans(data)[1:]))
+    return grown(data, box[3], data[box[0]:box[3]], box[4])
+
+
+def refused(draw, data: bytes) -> bytes:
+    """`data`, a well-formed fixture file, with the first payload byte of
+    one of its boxes, a full box's version, set to 255 where its schema's
+    key then refuses the payload: the box is opaque, and warns."""
+    drop = default_blacklist()
+    starts = []
+    for _, entry, offset, size, header, payload in walk_boxes(
+            io.BytesIO(data), []):
+        if payload and has_schema(entry[1]) and entry[1] != "uuid":
+            try:
+                schema(entry[1])[0](b"\xff" + payload[1:], drop)
+            except BoxDecodeError:
+                starts.append(box_header(entry, offset, size, header)[3])
+    at = draw(st.sampled_from(starts))
+    return data[:at] + b"\xff" + data[at + 1:]
+
+
+def drawn_paths(count_corpora, tmp_path_factory, data, min_size=1):
+    """Files of one fixture corpus drawn with repeats, among which are put
+    files and their copies with their boxes reordered, with a box put in
+    twice or with a refused key, some copies twice. Files of one cell
+    often share their box keys, and so their rows."""
+    files = count_corpora[data.draw(st.sampled_from(sorted(count_corpora)),
+                                    label="corpus")]
+    paths = [path for path, _, _ in data.draw(
+        st.lists(st.sampled_from(files), min_size=min_size, max_size=20),
+        label="files")]
+    out = tmp_path_factory.getbasetemp() / "row_keying"
+    out.mkdir(exist_ok=True)
+    for i in range(data.draw(st.integers(0, 4), label="variants")):
+        base_path, base, _ = data.draw(st.sampled_from(files))
+        variant = data.draw(st.sampled_from([reordered, duplicated, refused]))
+        path = out / f"variant_{i}.mp4"
+        path.write_bytes(variant(data.draw, base))
+        for copy in [base_path] + [str(path)] * data.draw(
+                st.integers(1, 2), label="copies"):
+            paths.insert(data.draw(st.integers(0, len(paths))), copy)
+    return paths
+
+
+def reference_distinct_rows(counts, groups):
+    """The first row of each distinct (group, count row) pair, in row
+    order, and how many rows each stands for, rows compared by their
+    bytes: the grouping `run_scenario` made before rows had numbers."""
+    first: dict[tuple[int, bytes], int] = {}  # pair -> its entry number
+    entry_rows: list[int] = []
+    entry = np.empty(len(counts), dtype=np.intp)
+    for i, (group, row) in enumerate(zip(groups, counts)):
+        e = first.setdefault((group, row.tobytes()), len(entry_rows))
+        if e == len(entry_rows):
+            entry_rows.append(i)
+        entry[i] = e
+    return (np.array(entry_rows, dtype=np.intp),
+            np.bincount(entry, minlength=len(entry_rows)))
+
+
+class TestRowKeying:
+    """`file_count_matrix` keys a file by its box numbers and merges equal
+    rows: files that share their boxes, files whose boxes are reordered
+    (other numbers, an equal row), files with a refused key (no numbers),
+    under a memo with little or no room."""
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_the_distinct_count_rows(self, count_corpora,
+                                              tmp_path_factory, data):
+        paths = drawn_paths(count_corpora, tmp_path_factory, data)
+        room = data.draw(st.sampled_from(
+            [0, 1, 6, 40, symbols_module._MEMO_COLUMNS]), label="room")
+        chunk = data.draw(st.sampled_from([1, 2, symbols_module._CHUNK_ROWS]),
+                          label="chunk")
+        with mock.patch.object(symbols_module, "_MEMO_COLUMNS", room), \
+                mock.patch.object(symbols_module, "_CHUNK_ROWS", chunk), \
+                watched_memo() as sizes:
+            outcome = matrix_outcome(file_matrix, paths)
+        assert outcome == matrix_outcome(multiset_matrix, paths)
+        assert len(sizes) == len(paths)
+        for columns, left in sizes:
+            assert columns + left == room and left >= 0
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_scenario_entries_equal_bytes_keyed_entries(
+            self, count_corpora, tmp_path_factory, data):
+        paths = drawn_paths(count_corpora, tmp_path_factory, data, 2)
+        kinds = [("iOS", "none"), ("iOS", "ffmpeg"), ("Android", "none")]
+        rows = [ManifestRow(f"f{i}.mp4", device, *kind, "none", Path(path))
+                for i, (path, device, kind) in enumerate(zip(paths, [
+                    "D0", "D1", *data.draw(st.lists(
+                        st.sampled_from(["D0", "D1", "D2"]),
+                        min_size=len(paths) - 2, max_size=len(paths) - 2),
+                        label="devices")], data.draw(st.lists(
+                            st.sampled_from(kinds), min_size=len(paths),
+                            max_size=len(paths)), label="classes")))]
+        trained = []
+        real = evaluate_module.train_folds
+
+        def spy(symbols, entries, labels, multiplicity, groups, **options):
+            trained.append((symbols, entries.copy(), list(labels),
+                            np.asarray(multiplicity).tolist(),
+                            np.asarray(groups).tolist()))
+            return real(symbols, entries, labels, multiplicity, groups,
+                        **options)
+
+        scenario = get_scenario("blind")
+        with mock.patch.object(evaluate_module, "train_folds", spy):
+            run_scenario(DatasetManifest(Path("manifest.csv"), rows),
+                         scenario)
+        (symbols, entries, labels, multiplicity, devices), = trained
+        expected_symbols, counts = multiset_matrix(paths)
+        row_labels = [scenario.label(row) for row in rows]
+        classes = sorted(set(row_labels))
+        device_names = sorted({row.device for row in rows})
+        groups = [device_names.index(row.device) * len(classes)
+                  + classes.index(label)
+                  for row, label in zip(rows, row_labels)]
+        first, expected_multiplicity = reference_distinct_rows(counts, groups)
+        assert symbols == expected_symbols
+        assert np.array_equal(entries, counts[first])
+        assert multiplicity == expected_multiplicity.tolist()
+        assert labels == [row_labels[i] for i in first]
+        assert devices == [groups[i] // len(classes) for i in first]

@@ -153,9 +153,9 @@ def test_seeds_reach_the_models():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_equal_rows_repeat_unevenly(corpora, seed):
-    rows, _, counts, labels = labeled_matrix(corpora[seed],
-                                             get_scenario("blind"))
-    repeats = Counter((row.device, label, counts[i].tobytes())
-                      for i, (row, label) in enumerate(zip(rows, labels)))
+    rows, _, _, row_of, labels = labeled_matrix(corpora[seed],
+                                                get_scenario("blind"))
+    repeats = Counter((row.device, label, number)
+                      for row, label, number in zip(rows, labels, row_of))
     assert len(set(repeats.values())) > 1
     assert max(repeats.values()) > 1

@@ -10,7 +10,9 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 from .bmff import dump_tree, parse_file
 from .errors import DataError, ParseError, UnknownEnum
@@ -29,6 +31,7 @@ from .evaluate import (
 from .fixtures import FixtureSpec, generate_corpus
 from .llr import DEFAULT_TAU, FilterConfig, llr_report, report_tsv
 from .modelfile import (
+    ModelFile,
     _json_str,
     classify_symbols,
     load_model,
@@ -36,6 +39,7 @@ from .modelfile import (
     save_model,
     train_matrix,
 )
+from .symbols import _MEMO_COLUMNS, _decoded_boxes, _file_boxes
 from .symbols import dump_symbols, file_symbols
 from .tree import PathStep, TreeParams, _is_int, preorder, to_dot
 
@@ -167,24 +171,56 @@ def _verdict_line(file_name: str, digest: str, verdict: str,
             f'{path}, "prediction": {_json_str(verdict)}}}\n')
 
 
+# Box numbers of the keys plus characters of the record tails that one
+# `classify` call keeps at most. A 64-file seed-7 `triage` batch keeps 1
+# to 7 tails, 293 to 2838 in all; an `--explain` tail has 292 to 489.
+_MEMO_TAILS = 1 << 16
+
+
 def cmd_classify(args) -> int:
     mf = load_model(args.model)
-    # A verdict and its path read only the counts of the split symbols.
-    model = mf.model
-    tested = frozenset(model.vocabulary.symbols[node.split.feature_index]
-                       for node in preorder(model.root) if not node.is_leaf)
-    write = sys.stdout.write
-    for file_name in args.files:
-        try:
-            symbols = file_symbols(file_name, only=tested)[0]
-            verdict, steps = classify_symbols(mf, symbols)
-        except (ParseError, DataError, OSError) as exc:
-            write(_error_line(file_name, mf.file_digest,
-                              f"{type(exc).__name__}: {exc}"))
-            continue
-        write(_verdict_line(file_name, mf.file_digest, verdict,
-                            steps if args.explain else None))
+    sys.stdout.writelines(_record_lines(mf, args.files, args.explain))
     return EXIT_OK
+
+
+def _record_lines(mf: ModelFile, files: list[str],
+                  explain: bool) -> Iterator[str]:
+    """The record line of each of `files`. Only the boxes the tree tests
+    are decoded, each distinct one once per call, numbered as in
+    `file_count_matrix`. A file whose tested boxes all have numbers is
+    keyed by the tuple of them, and its record's tail after the file name
+    is built once per key. Every file is still walked to its end."""
+    # A verdict and its path read only the counts of the split symbols.
+    tested = frozenset(mf.model.vocabulary.symbols[node.split.feature_index]
+                       for node in preorder(mf.model.root) if not node.is_leaf)
+    decode = _decoded_boxes(tested)
+    column = {s: n for n, s in enumerate(tested)}  # other symbols: len(column)
+    memo, boxes, room = {}, [], _MEMO_COLUMNS  # as in `file_count_matrix`
+    tails, tail_room = {}, _MEMO_TAILS  # box numbers -> record tail
+    for file_name in files:
+        first = len(boxes)
+        try:
+            numbers, loose, room = _file_boxes(file_name, column, memo,
+                                               boxes, room, decode)
+        except (ParseError, DataError, OSError) as exc:
+            room -= sum(map(len, boxes[first:])) // 4  # met before the error
+            yield _error_line(file_name, mf.file_digest,
+                              f"{type(exc).__name__}: {exc}")
+            continue
+        head = f'{{"file": {_json_str(file_name)}'
+        key = None if loose is not None else tuple(numbers)
+        tail = tails.get(key)
+        if tail is None:
+            counts = Counter(memoryview(b"".join(
+                map(boxes.__getitem__, numbers)) + (loose or b"")).cast("i"))
+            verdict, steps = classify_symbols(mf, Counter({
+                s: counts[n] for s, n in column.items()}))
+            tail = _verdict_line(file_name, mf.file_digest, verdict,
+                                 steps if explain else None)[len(head):]
+            if key is not None and len(key) + len(tail) <= tail_room:
+                tails[key] = tail
+                tail_room -= len(key) + len(tail)
+        yield head + tail
 
 
 def cmd_evaluate(args) -> int:

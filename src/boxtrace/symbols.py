@@ -50,9 +50,9 @@ _DEFAULT_BLACKLIST = frozenset(f"@{name}" for name in (
 # `lodo` benchmark's peak RSS rose 0.2 MB at the same speed.
 _CHUNK_ROWS = 64
 
-# Symbol occurrences whose columns the memo of one `file_count_matrix`
-# call keeps, summed over its boxes, so the memo stays bounded when no box
-# repeats. The seed-7 `lodo` corpus fills 55 entries with 237 of them.
+# Symbol occurrences whose columns the memo of one `file_count_matrix` or
+# `classify` call keeps, summed over its boxes, so the memo stays bounded
+# when no box repeats. The seed-7 `lodo` corpus fills 55 entries with 237.
 _MEMO_COLUMNS = 1 << 16
 
 # The symbols of each distinct box, in field order, by its
@@ -68,8 +68,8 @@ _MEMO_COLUMNS = 1 << 16
 # symbol is interned, so each distinct one is one string, shared by every
 # multiset that holds it; only cached ones are, since CPython 3.12 never
 # frees an interned string. The multisets read it; `file_count_matrix`
-# does not: it maps each distinct box to its columns in a memo of its own
-# call, so training fills no cache that outlives it.
+# and `classify` neither read nor fill it: each maps each distinct box to
+# its columns in a memo of its own call (`_file_boxes`).
 _BOX_SYMBOLS: dict[tuple, tuple[str, ...]] = {}
 _BOX_CACHE_SIZE = 4096
 _CACHED_BOX_LEN = 1024
@@ -263,7 +263,8 @@ def file_count_matrix(paths: Iterable[str]
 
 
 def _file_boxes(path: str, column: dict[str, int], memo: dict[tuple, int],
-                boxes: list[bytes], room: int
+                boxes: list[bytes], room: int,
+                decode: Collection[str] | None = None,
                 ) -> tuple[list[int], bytearray | None, int]:
     """The numbers of the boxes of the file at `path` that have one, in
     walk order; the columns of the symbol occurrences of those that have
@@ -271,15 +272,18 @@ def _file_boxes(path: str, column: dict[str, int], memo: dict[tuple, int],
     left. A box gets a number on the first sight of its key if its
     columns fit in the room. A box's key stands for its fields under the
     default blacklist, which drops an opaque box's count, so its payload
-    length is not part of the key."""
+    length is not part of the key. With `decode`, only the boxes whose
+    paths it holds are met (see `walk_boxes`), and `column` is left as it
+    is: a symbol it lacks takes column ``len(column)``."""
     numbers: list[int] = []
     loose: bytearray | None = None
     drop = _DEFAULT_BLACKLIST
     warnings: list[str] = []
+    column_of = column.setdefault if decode is None else column.get
     fd = open_box_file(path)
     try:
         for _, entry, offset, size, header, payload in walk_boxes(
-                fd, warnings):
+                fd, warnings, decode):
             if payload is None:  # a container
                 continue
             try:
@@ -289,7 +293,7 @@ def _file_boxes(path: str, column: dict[str, int], memo: dict[tuple, int],
             number = memo.get(key)
             if number is None:
                 columns = array("i", (
-                    column.setdefault(s, len(column))
+                    column_of(s, len(column))
                     for s in _box_symbols(entry[0], box_fields(
                         box_header(entry, offset, size, header), payload,
                         drop, warnings))))

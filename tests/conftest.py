@@ -6,6 +6,7 @@ generator so that parser tests do not trust the code under test to
 produce their inputs.
 """
 
+import itertools
 import struct
 
 import pytest
@@ -34,6 +35,22 @@ def decoded_walk(source, warnings, decode=None, drop=frozenset()):
         yield depth, entry[0], header, ([] if payload is None else
                                         box_fields(header, payload, drop,
                                                    warnings))
+
+
+def unique_keys(walk):
+    """`walk`, a `walk_boxes`, with the payload key of each box that has
+    one made unique at each sight: no box key ever repeats."""
+    unique = itertools.count()
+
+    def unique_walk(*args):
+        for depth, entry, *rest in walk(*args):
+            identity = entry[4]
+            if identity is not None:
+                entry = (*entry[:4], lambda payload, drop: (
+                    identity(payload, drop), next(unique)))
+            yield depth, entry, *rest
+
+    return unique_walk
 
 
 def mkbox(type4: bytes, payload: bytes = b"") -> bytes:

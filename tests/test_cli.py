@@ -1,6 +1,8 @@
 """Command-line behavior: outputs, exit codes, error records."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -8,13 +10,16 @@ import struct
 import subprocess
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import boxtrace
-from boxtrace.bmff import parse_file
+from boxtrace import cli as cli_module
+from boxtrace import symbols as symbols_module
+from boxtrace.bmff import parse_file, walk_boxes
 from boxtrace.cli import _error_line, _verdict_line, main
 from boxtrace.errors import ParseError
 from boxtrace.evaluate import derive_labels, digest_rows, get_scenario
@@ -28,9 +33,10 @@ from boxtrace.modelfile import (
     save_model,
     train_model,
 )
-from boxtrace.symbols import file_symbols
+from boxtrace.symbols import _decoded_boxes, file_symbols
 from boxtrace.tree import PathStep, TreeParams, preorder, replay_path
 from boxtrace.vectorize import vectorize
+from conftest import box_spans, grown, hostile, mkbox, unique_keys
 
 
 @pytest.fixture(scope="module")
@@ -578,6 +584,26 @@ def trak_model_text(model_path):
     return canonical_dumps(obj)
 
 
+@pytest.fixture(scope="module")
+def model_paths(corpus_dir, tmp_path_factory):
+    """The paths of three model files by name: "trained" on the corpus,
+    "trak", its `trak_model_text`, and "leaf", a single leaf that tests no
+    symbol."""
+    out = tmp_path_factory.mktemp("models")
+    trained = out / "trained.json"
+    assert main(["train", str(corpus_dir / "manifest.csv"),
+                 "--scenario", "integrity", "--out", str(trained)]) == 0
+    obj = json.loads(trained.read_text(encoding="ascii"))
+    label = obj["classes"][0]
+    obj["tree"] = [{"label": label, "distribution": {label: 1.0}}]
+    paths = {"trained": trained}
+    for name, text in [("trak", trak_model_text(trained)),
+                       ("leaf", canonical_dumps(obj))]:
+        paths[name] = out / f"{name}.json"
+        paths[name].write_text(text, encoding="ascii")
+    return paths
+
+
 class TestClassifyDecodesTestedBoxes:
     """Records from the tested boxes alone equal records from every
     symbol, for clean and hostile files."""
@@ -589,23 +615,10 @@ class TestClassifyDecodesTestedBoxes:
         return ([str(p) for p in clean] + hostile_variants(clean, out)
                 + [str(out)])
 
-    def models(self, trained_model, tmp_path):
-        obj = json.loads(trained_model.read_text(encoding="ascii"))
-        label = obj["classes"][0]
-        obj["tree"] = [{"label": label, "distribution": {label: 1.0}}]
-        texts = {"trained": trained_model.read_text(encoding="ascii"),
-                 "trak": trak_model_text(trained_model),
-                 "leaf": canonical_dumps(obj)}
-        paths = {}
-        for name, text in texts.items():
-            paths[name] = tmp_path / f"{name}.json"
-            paths[name].write_text(text, encoding="ascii")
-        return paths
-
     @pytest.mark.parametrize("name", ["trained", "trak", "leaf"])
-    def test_records_equal_full_symbol_records(self, trained_model, tmp_path,
-                                               files, capsys, name):
-        model_path = self.models(trained_model, tmp_path)[name]
+    def test_records_equal_full_symbol_records(self, model_paths, files,
+                                               capsys, name):
+        model_path = model_paths[name]
         assert main(["classify", "--explain", str(model_path), *files]) == 0
         records = [json.loads(line)
                    for line in capsys.readouterr().out.splitlines()]
@@ -614,10 +627,9 @@ class TestClassifyDecodesTestedBoxes:
         assert any("error" in r for r in records)
 
     @pytest.mark.parametrize("explain", [False, True])
-    def test_lines_are_json_dumps_of_the_records(self, trained_model,
-                                                 tmp_path, files, capsys,
-                                                 explain):
-        model_path = self.models(trained_model, tmp_path)["trak"]
+    def test_lines_are_json_dumps_of_the_records(self, model_paths, files,
+                                                 capsys, explain):
+        model_path = model_paths["trak"]
         argv = ["classify", str(model_path), *files, "/no/such/file.mp4"]
         assert main(argv + ["--explain"] * explain) == 0
         records = full_symbol_records(model_path,
@@ -628,19 +640,207 @@ class TestClassifyDecodesTestedBoxes:
         assert capsys.readouterr().out == "".join(
             json.dumps(r, sort_keys=True) + "\n" for r in records)
 
-    def test_trak_model_reads_hostile_counts(self, trained_model, tmp_path,
-                                             files):
-        model_path = self.models(trained_model, tmp_path)["trak"]
-        mf = load_model(str(model_path))
-        tested = {mf.model.vocabulary.symbols[n.split.feature_index]
-                  for n in preorder(mf.model.root) if not n.is_leaf}
-        assert tested == {s for s, _ in TRAK_SPLITS}
+    def test_trak_model_reads_hostile_counts(self, model_paths, files):
+        model_path = model_paths["trak"]
+        assert split_symbols(load_model(str(model_path))) \
+            == {s for s, _ in TRAK_SPLITS}
         # The hostile variants reach the opaque counts the chain tests.
         steps = [step for r in full_symbol_records(model_path, files)
                  for step in r.get("path", [])]
         assert any(s["symbol"].endswith("/@stuff") and s["count"] > 0
                    for s in steps)
         assert len({r["symbol"] for r in steps}) == len(TRAK_SPLITS)
+
+
+def split_symbols(mf):
+    """The symbols the model's tree tests."""
+    names = mf.model.vocabulary.symbols
+    return frozenset(names[node.split.feature_index]
+                     for node in preorder(mf.model.root) if not node.is_leaf)
+
+
+def reference_lines(model_path, files, explain):
+    """The record line of each of `files`, each built on its own from its
+    tested symbols, as `classify` built it before any memo."""
+    mf = load_model(str(model_path))
+    tested = split_symbols(mf)
+    lines = []
+    for name in files:
+        try:
+            verdict, steps = classify_symbols(
+                mf, file_symbols(name, only=tested)[0])
+        except (ParseError, OSError) as exc:
+            lines.append(_error_line(name, mf.file_digest,
+                                     f"{type(exc).__name__}: {exc}"))
+        else:
+            lines.append(_verdict_line(name, mf.file_digest, verdict,
+                                       steps if explain else None))
+    return lines
+
+
+def batch_lines(model_path, files, explain):
+    """The record lines of one `classify` call over `files`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["classify", str(model_path), *files,
+                     *["--explain"] * explain]) == 0
+    return out.getvalue().splitlines(keepends=True)
+
+
+@contextlib.contextmanager
+def watched_memos():
+    """A list that takes, after each record line of a `classify` call in
+    the context, the columns the box memo holds and its room left, and
+    the box numbers and characters the tail memo holds and its room left.
+    The box memo's numbers must count up from 0."""
+    sizes = []
+    real = cli_module._record_lines
+
+    def record_lines(*args):
+        lines = real(*args)
+        for line in lines:
+            state = lines.gi_frame.f_locals
+            boxes, tails = state["boxes"], state["tails"]
+            assert sorted(state["memo"].values()) == list(range(len(boxes)))
+            sizes.append((sum(map(len, boxes)) // 4, state["room"],
+                          sum(len(k) + len(t) for k, t in tails.items()),
+                          state["tail_room"]))
+            yield line
+
+    with mock.patch.object(cli_module, "_record_lines", record_lines):
+        yield sizes
+
+
+def assert_bounded(sizes, room, tail_room):
+    """Each of `watched_memos`' entries has spent of each memo's room
+    exactly what the memo holds, and no more than the room."""
+    for columns, left, held, tail_left in sizes:
+        assert columns + left == room and left >= 0
+        assert held + tail_left == tail_room and tail_left >= 0
+
+
+def decoded_spans(data, decode):
+    """The `box_spans` of `data`, a well-formed file, whose paths are in
+    `decode`."""
+    spans = box_spans(data)
+    types = {span[0]: span[1].decode("latin-1") for span in spans}
+    return [span for span in spans if "/".join(
+        [types[offset] for offset in span[4]] + [types[span[0]]]) in decode]
+
+
+def memo_variant(draw, data, decode):
+    """`data`, a well-formed fixture file, mutated as drawn: cut short,
+    bit-flipped, with a size or version byte rewritten (`hostile`), with a
+    tested box put in twice, so its structure has the same set of boxes
+    but not the same tuple, or with its ftyp cut to a 4-byte payload,
+    whose key is refused."""
+    spans = box_spans(data)
+    kind = draw(st.sampled_from(["hostile", "twice", "short-ftyp"]),
+                label="kind")
+    if kind == "hostile":
+        return hostile(draw, data, [span[0] for span in spans])
+    if kind == "short-ftyp":
+        assert spans[0][1] == b"ftyp"
+        return mkbox(b"ftyp", data[8:12]) + data[spans[0][3]:]
+    box = draw(st.sampled_from(decoded_spans(data, decode) or spans[1:]))
+    return grown(data, box[3], data[box[0]:box[3]], box[4])
+
+
+class TestClassifyMemo:
+    """One `classify` call decodes each distinct tested box once and
+    decides each distinct tested structure once; its lines equal those of
+    each file classified on its own, and its memos stay bounded."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_batch_lines_equal_reference_lines(self, corpus_dir, model_paths,
+                                               tmp_path_factory, data):
+        name = data.draw(st.sampled_from(sorted(model_paths)), label="model")
+        model_path = model_paths[name]
+        decode = _decoded_boxes(split_symbols(load_model(str(model_path))))
+        corpus = sorted(str(p) for p in corpus_dir.glob("*.mp4"))
+        files = data.draw(st.lists(st.sampled_from(corpus), min_size=1,
+                                   max_size=12), label="files")
+        out = tmp_path_factory.getbasetemp() / "classify_memo"
+        out.mkdir(exist_ok=True)
+        for i in range(data.draw(st.integers(0, 4), label="variants")):
+            base = data.draw(st.sampled_from(corpus), label="base")
+            path = out / f"variant_{i}.mp4"
+            with open(base, "rb") as handle:
+                path.write_bytes(memo_variant(data.draw, handle.read(),
+                                              decode))
+            for copy in [base] + [str(path)] * data.draw(
+                    st.integers(1, 2), label="copies"):
+                files.insert(data.draw(st.integers(0, len(files))), copy)
+        explain = data.draw(st.booleans(), label="explain")
+        # The defaults are drawn as often as no room or almost none.
+        room = data.draw(st.sampled_from(
+            [symbols_module._MEMO_COLUMNS] * 2 + [0, 1]), label="room")
+        tail_room = data.draw(st.sampled_from(
+            [cli_module._MEMO_TAILS] * 2 + [0, 1]), label="tail room")
+        with mock.patch.object(cli_module, "_MEMO_COLUMNS", room), \
+                mock.patch.object(cli_module, "_MEMO_TAILS", tail_room), \
+                watched_memos() as sizes:
+            lines = batch_lines(model_path, files, explain)
+        assert lines == reference_lines(model_path, files, explain)
+        assert len(sizes) == len(files)
+        assert_bounded(sizes, room, tail_room)
+
+    @pytest.mark.parametrize("name", ["trained", "trak"])
+    def test_a_hit_never_skips_the_walk(self, corpus_dir, model_paths,
+                                        tmp_path, name):
+        # The copy is cut inside its final mdat, after every tested box:
+        # its tested boxes are the whole file's, so its key is a hit, but
+        # the walk still reaches the cut.
+        model_path = model_paths[name]
+        decode = _decoded_boxes(split_symbols(load_model(str(model_path))))
+        whole = corpus_dir / "D01_exiftool_00.mp4"
+        data = whole.read_bytes()
+        mdat = box_spans(data)[-1]
+        assert mdat[1] == b"mdat"
+        cut = tmp_path / "cut.mp4"
+        cut.write_bytes(data[:mdat[0] + 9])
+
+        def decoded_boxes(path):
+            boxes = []
+            with open(path, "rb") as handle:
+                with contextlib.suppress(ParseError):
+                    for _, entry, *_, payload in walk_boxes(handle, [],
+                                                            decode):
+                        boxes.append((entry[0], payload))
+            return boxes
+
+        assert decoded_boxes(cut) == decoded_boxes(whole) != []
+        # First in the batch, the cut copy's boxes are new to the memo,
+        # which spends their room though the copy gets no verdict.
+        files = [str(cut), str(whole), str(cut)]
+        with watched_memos() as sizes:
+            lines = batch_lines(model_path, files, True)
+        assert lines == reference_lines(model_path, files, True)
+        assert [json.loads(line).get("error", "")[:14] for line in lines] \
+            == ["TruncatedBox: ", "", "TruncatedBox: "]
+        assert sizes[0][0] > 0
+        assert_bounded(sizes, symbols_module._MEMO_COLUMNS,
+                       cli_module._MEMO_TAILS)
+
+    @pytest.mark.parametrize("room,tail_room", [(0, 0), (7, 300), (300, 2500)])
+    def test_memos_bounded_when_no_structure_repeats(
+            self, corpus_dir, model_paths, monkeypatch, room, tail_room):
+        # Every box gets a key of its own, so every file a structure of its
+        # own; each memo takes entries only while they fit in its room.
+        model_path = model_paths["trak"]
+        files = sorted(str(p) for p in corpus_dir.glob("*.mp4"))
+        expected = reference_lines(model_path, files, True)
+        monkeypatch.setattr(symbols_module, "walk_boxes",
+                            unique_keys(symbols_module.walk_boxes))
+        monkeypatch.setattr(cli_module, "_MEMO_COLUMNS", room)
+        monkeypatch.setattr(cli_module, "_MEMO_TAILS", tail_room)
+        with watched_memos() as sizes:
+            assert batch_lines(model_path, files, True) == expected
+        assert len(sizes) == len(files)
+        assert_bounded(sizes, room, tail_room)
+        # Each bound was reached well before the last file.
+        assert sizes[len(files) // 2][:3] == sizes[-1][:3]
 
 
 class TestEvaluateCommand:

@@ -2,7 +2,6 @@
 
 import contextlib
 import io
-import itertools
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -64,6 +63,7 @@ from conftest import (
     mvhd_v0_payload,
     rare_forms,
     schema,
+    unique_keys,
 )
 
 
@@ -844,18 +844,8 @@ class TestCountMemo:
         # only while their columns fit in its room.
         paths = [path for path, _, _ in count_corpora[11, True]]
         expected = matrix_outcome(multiset_matrix, paths)
-        unique = itertools.count()
-        real_walk = symbols_module.walk_boxes
-
-        def unique_walk(*args):
-            for depth, entry, *rest in real_walk(*args):
-                identity = entry[4]
-                if identity is not None:
-                    entry = (*entry[:4], lambda payload, drop: (
-                        identity(payload, drop), next(unique)))
-                yield depth, entry, *rest
-
-        monkeypatch.setattr(symbols_module, "walk_boxes", unique_walk)
+        monkeypatch.setattr(symbols_module, "walk_boxes",
+                            unique_keys(symbols_module.walk_boxes))
         monkeypatch.setattr(symbols_module, "_MEMO_COLUMNS", room)
         monkeypatch.setattr(symbols_module, "_CHUNK_ROWS", 5)
         with watched_memo() as sizes:

@@ -691,8 +691,9 @@ def batch_lines(model_path, files, explain):
 def watched_memos():
     """A list that takes, after each record line of a `classify` call in
     the context, the columns the box memo holds and its room left, and
-    the box numbers and characters the tail memo holds and its room left.
-    The box memo's numbers must count up from 0."""
+    the box numbers and characters the tail memo holds and its room left,
+    read from the locals of `cli._record_lines`' frame. The box memo's
+    numbers must count up from 0."""
     sizes = []
     real = cli_module._record_lines
 
